@@ -24,22 +24,22 @@ from .config import (ConfigurationError, LinkConfig, mode_index_range,
                      wavelength_for_frequency)
 from .jamming import (RandomStream, draw_jamming_block, draw_noise_block,
                       draw_payload_bits, draw_targeted_jamming_block)
-from .metrics import (BASELINE, PROPOSED, ModeSnr, SweepAxes, SweepOptions,
-                      SweepResult, allocate_power, check_trends, mode_snr,
-                      run_sweep, spectral_efficiency)
+from .metrics import (BASELINE, PROPOSED, SweepAxes, SweepOptions, SweepResult,
+                      allocate_power, check_trends, mode_snr, run_sweep,
+                      spectral_efficiency, validate_grid)
 from .sensing import (DetectionStats, ModePartition, detection_probabilities,
                       empirical_detection_probabilities, gamma_cdf, sense_modes,
                       threshold_for_quantile)
 from .signals import (ELEMENT, MODE, UNIT, UNNORMALIZED, SampleBlock,
-                      block_energies, decompose_modes, mode_transform,
-                      multiplex_modes, sample_block_energy)
+                      block_energies, decompose_modes, mode_energies,
+                      mode_transform, multiplex_modes, sample_block_energy)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "APPROXIMATE", "BASELINE", "CalibrationError", "ChannelMatrix",
     "ConfigurationError", "DetectionStats", "ELEMENT", "EXACT",
-    "EnergyThreshold", "LinkConfig", "MODE", "ModePartition", "ModeSnr",
+    "EnergyThreshold", "LinkConfig", "MODE", "ModePartition",
     "PROPOSED", "PgaAlphabet", "Preamble", "RandomStream", "SampleBlock",
     "SweepAxes", "SweepOptions", "SweepResult", "UNIT", "UNNORMALIZED",
     "allocate_power", "alternating_preamble", "average_correct_detection",
@@ -50,11 +50,12 @@ __all__ = [
     "draw_noise_block", "draw_payload_bits", "draw_targeted_jamming_block",
     "element_azimuths", "element_channel_gain",
     "empirical_detection_probabilities", "gamma_cdf", "hypothesis_variance",
-    "mode_channel_gain", "mode_index_range", "mode_link_gains", "mode_snr",
-    "mode_transform", "multiplex_modes", "pairwise_distance", "pga_modulate",
+    "mode_channel_gain", "mode_energies", "mode_index_range",
+    "mode_link_gains", "mode_snr", "mode_transform", "multiplex_modes",
+    "pairwise_distance", "pga_modulate",
     "receiver_background_variance", "receiver_mode_energy",
     "ring_sampled_bessel", "run_backscatter_symbol", "run_sweep",
     "sample_block_energy", "sense_modes", "simulate_backscatter_bits",
-    "spectral_efficiency", "threshold_for_quantile",
+    "spectral_efficiency", "threshold_for_quantile", "validate_grid",
     "wavelength_for_frequency",
 ]

@@ -142,7 +142,7 @@ def pga_modulate(jam_mode_block: SampleBlock, bits, alphabet: PgaAlphabet,
     gains = np.repeat(np.asarray(alphabet.gains)[bits], per_symbol)
     samples = jam_mode_block.samples.copy()
     samples[modes.index(mode)] *= gains
-    return SampleBlock(samples, jam_mode_block.sample_interval, MODE)
+    return SampleBlock(samples, MODE)
 
 
 def receiver_mode_energy(y_mode_block: SampleBlock, mode: int, symbol_index: int,
@@ -224,16 +224,11 @@ def receiver_background_variance(config: LinkConfig) -> float:
 
 
 def hypothesis_variance(config: LinkConfig, link_gain: complex, gain_level: float,
-                        carrier_variance: float, background_only: bool = False) -> float:
+                        carrier_variance: float) -> float:
     """Per-sample variance of the recovered mode signal under one gain level.
 
-    Full model: |kappa|^2 * a^2 * sigma_carrier^2 + M*(noise + jamming). The
-    ``background_only`` switch drops the signal term and the M factor
-    (per-element noise + jamming only), kept for comparison; it makes the two
-    hypotheses identical and is not used by the simulator.
+    |kappa|^2 * a^2 * sigma_carrier^2 + M*(noise + jamming).
     """
-    if background_only:
-        return config.noise_variance_rx + config.jam_variance_rx
     return (abs(link_gain) ** 2 * gain_level ** 2 * carrier_variance
             + receiver_background_variance(config))
 

@@ -32,13 +32,13 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import ConfigurationError, LinkConfig, wavelength_for_frequency
 from .metrics import (BASELINE, PROPOSED, SweepAxes, SweepOptions, SweepResult,
-                      check_trends, run_sweep)
+                      check_trends, run_sweep, validate_axes)
 
 SEED_ENV_VAR = "OAM_SIM_SEED"
 DEFAULT_SEED = 1234
@@ -68,6 +68,7 @@ class Scenario:
     schemes: tuple[str, ...]
     trials: int
     seed: int
+    seed_in_file: bool = False  # [sweep] seed was given, so OAM_SIM_SEED does not apply
 
 
 def _get(parser: configparser.ConfigParser, section: str, key: str, default: str) -> str:
@@ -192,11 +193,7 @@ def parse_scenario(path: str | None) -> Scenario:
         n_elements=_parse_list(_get(parser, "sweep", "n_elements", str(n_elements)),
                                "[sweep] n_elements", _parse_int),
     )
-    for n_el in axes.n_elements:
-        for n_jam in axes.n_jammed:
-            if n_jam < 0 or n_jam > n_el:
-                raise ConfigurationError(
-                    f"[sweep] n_jammed {n_jam} outside 0..{n_el} for N={n_el}")
+    validate_axes(axes)
 
     schemes = tuple(s.strip().lower() for s in
                    _get(parser, "sweep", "schemes", "proposed, baseline").split(",")
@@ -211,7 +208,8 @@ def parse_scenario(path: str | None) -> Scenario:
     seed = _parse_int(_get(parser, "sweep", "seed", str(DEFAULT_SEED)), "[sweep] seed")
 
     return Scenario(config=config, axes=axes, options=options, schemes=schemes,
-                    trials=trials, seed=seed)
+                    trials=trials, seed=seed,
+                    seed_in_file=parser.has_option("sweep", "seed"))
 
 
 def _format_value(value) -> str:
@@ -325,40 +323,25 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     seed = scenario.seed
-    if not (args.config and "seed" in _scenario_text_keys(args.config)):
-        env_seed = os.environ.get(SEED_ENV_VAR)
-        if env_seed is not None:
-            try:
-                seed = int(env_seed)
-            except ValueError:
-                print(f"validation error: {SEED_ENV_VAR}={env_seed!r} is not an "
-                      f"integer", file=sys.stderr)
-                return 1
+    env_seed = os.environ.get(SEED_ENV_VAR)
+    if env_seed is not None and not scenario.seed_in_file:
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            print(f"validation error: {SEED_ENV_VAR}={env_seed!r} is not an "
+                  f"integer", file=sys.stderr)
+            return 1
     if args.seed is not None:
         seed = args.seed
-    if args.trials is not None:
-        if args.trials < 1:
-            print("validation error: --trials must be >= 1", file=sys.stderr)
-            return 1
-        scenario = Scenario(scenario.config, scenario.axes, scenario.options,
-                            scenario.schemes, args.trials, seed)
-    else:
-        scenario = Scenario(scenario.config, scenario.axes, scenario.options,
-                            scenario.schemes, scenario.trials, seed)
+    if args.trials is not None and args.trials < 1:
+        print("validation error: --trials must be >= 1", file=sys.stderr)
+        return 1
+    scenario = replace(scenario, seed=seed,
+                       trials=scenario.trials if args.trials is None else args.trials)
 
     if args.oracle:
         return run_oracle_suite(scenario.seed)
     return run_scenario(scenario, args.output, trend_report=args.check_trends)
-
-
-def _scenario_text_keys(path: str) -> set[str]:
-    """Keys explicitly present in [sweep]; used for seed-precedence only."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    try:
-        parser.read(path, encoding="utf-8")
-    except configparser.Error:
-        return set()
-    return set(parser.options("sweep")) if parser.has_section("sweep") else set()
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigurationError, mode_index_range
-from .signals import MODE, DEFAULT_SAMPLE_INTERVAL, SampleBlock, multiplex_modes
+from .signals import MODE, SampleBlock, multiplex_modes
 
 NOISE_VARIANCE_FLOOR = 1e-30  # watts; keeps the zero-noise limit well-posed
 
@@ -54,7 +54,7 @@ def draw_jamming_block(stream: RandomStream, n_elements: int, n_samples: int,
             f"block shape must be positive, got ({n_elements}, {n_samples})")
     rng = stream.generator()
     samples = complex_gaussian(rng, (n_elements, n_samples), variance)
-    return SampleBlock(samples, DEFAULT_SAMPLE_INTERVAL, "element")
+    return SampleBlock(samples)
 
 
 def draw_targeted_jamming_block(stream: RandomStream, n_elements: int, n_samples: int,
@@ -77,7 +77,7 @@ def draw_targeted_jamming_block(stream: RandomStream, n_elements: int, n_samples
     mode_samples = np.zeros((n_elements, n_samples), dtype=complex)
     for l in targets:
         mode_samples[modes.index(l)] = complex_gaussian(rng, n_samples, mode_variance)
-    block = SampleBlock(mode_samples, DEFAULT_SAMPLE_INTERVAL, MODE)
+    block = SampleBlock(mode_samples, MODE)
     return multiplex_modes(block, n_elements)
 
 
@@ -89,7 +89,7 @@ def draw_noise_block(stream: RandomStream, n_elements: int, n_samples: int,
     rng = stream.generator()
     samples = complex_gaussian(rng, (n_elements, n_samples),
                                max(variance, NOISE_VARIANCE_FLOOR))
-    return SampleBlock(samples, DEFAULT_SAMPLE_INTERVAL, "element")
+    return SampleBlock(samples)
 
 
 def draw_payload_bits(stream: RandomStream, count: int, p_one: float = 0.5) -> np.ndarray:

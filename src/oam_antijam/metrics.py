@@ -28,31 +28,14 @@ from .backscatter import (CalibrationError, EnergyThreshold, PgaAlphabet,
 from .channel import APPROXIMATE, build_channel_matrix, mode_link_gains
 from .config import ConfigurationError, LinkConfig
 from .jamming import NOISE_VARIANCE_FLOOR, complex_gaussian
-from .sensing import DetectionStats, ModePartition, detection_probabilities
-
-JAMMED = "jammed"
-UNJAMMED = "unjammed"
+from .sensing import DetectionStats, detection_probabilities
+from .signals import mode_energies, mode_transform
 
 PROPOSED = "proposed"
 BASELINE = "baseline"
 
 TARGETED = "targeted"
 BROADBAND = "iid"
-
-
-@dataclass(frozen=True)
-class ModeSnr:
-    """Detection-weighted SNR of a single mode."""
-
-    mode: int
-    snr_linear: float
-    branch: str
-
-    def __post_init__(self) -> None:
-        if self.branch not in (JAMMED, UNJAMMED):
-            raise ValueError(f"unknown branch {self.branch!r}")
-        if self.snr_linear < 0.0:
-            raise ValueError(f"snr must be >= 0, got {self.snr_linear}")
 
 
 @dataclass(frozen=True)
@@ -104,69 +87,112 @@ class SweepOptions:
                 f"mode_jam_variance must be positive, got {self.mode_jam_variance}")
         if self.snr_reference not in (SNR_OVER_NOISE, SNR_OVER_NOISE_PLUS_JAMMING):
             raise ConfigurationError(f"unknown snr_reference {self.snr_reference!r}")
+        for name in ("ber_trials", "ber_symbols"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
-def allocate_power(config: LinkConfig, partition: ModePartition) -> np.ndarray:
-    """Per-mode transmit power, aligned with ``partition.modes``.
+def allocate_power(config: LinkConfig, flagged) -> np.ndarray:
+    """Per-mode transmit power, shaped like the jammed-mode mask ``flagged``.
 
-    The total budget is split evenly over the clean modes; jammed modes carry
-    no transmit power (their signal rides on the reflected jamming). All-jammed
-    partitions yield an all-zero allocation.
+    ``flagged`` is (..., N), one row per trial. The total budget is split
+    evenly over each row's clean modes; jammed modes carry no transmit power
+    (their signal rides on the reflected jamming). An all-jammed row gets an
+    all-zero allocation.
     """
-    powers = np.zeros(len(partition.modes))
-    n_clean = len(partition.unjammed)
-    if n_clean == 0:
-        return powers
-    share = config.transmit_power_total / n_clean
-    for i, mode in enumerate(partition.modes):
-        if mode in partition.unjammed:
-            powers[i] = share
-    return powers
+    flagged = np.asarray(flagged, dtype=bool)
+    n_clean = flagged.shape[-1] - flagged.sum(axis=-1, keepdims=True)
+    share = np.where(n_clean > 0,
+                     config.transmit_power_total / np.maximum(n_clean, 1), 0.0)
+    return np.where(flagged, 0.0, share)
 
 
-def mode_snr(config: LinkConfig, mode: int, partition: ModePartition,
-             detection: DetectionStats, p_c: float = 1.0,
-             signal_power: float | None = None,
-             link_gain: complex | None = None) -> ModeSnr:
-    """Detection-weighted power-ratio SNR of one mode.
+def mode_snr(config: LinkConfig, flagged, link_gains: np.ndarray,
+             carrier_variance: float, p_j: float, p_u: float,
+             p_c=1.0) -> np.ndarray:
+    """Detection-weighted power-ratio SNR of every mode, shaped like ``flagged``.
 
-    gamma = w * |kappa|^2 * E|s|^2 / (M * (noise + jamming variance)), where
-    kappa is the composite through-link mode gain and w is P_j * P_c on a
-    jammed mode or P_u on a clean one. ``signal_power`` defaults to the even
-    split of the power budget (clean) or the mean reflected jamming power
-    (jammed); ``link_gain`` defaults to the expanded-matrix composite gain.
+    gamma = w * |kappa|^2 * P / (M * (noise + jamming variance)), where kappa
+    is the composite through-link mode gain (``link_gains``, canonical mode
+    order). A clean mode has w = p_u and P its :func:`allocate_power` share;
+    a jammed mode has w = p_j * p_c (``p_c`` scalar or per mode) and P the
+    mean reflected jamming power, mean PGA power gain * ``carrier_variance``.
     """
-    if mode not in partition.modes:
-        raise ValueError(f"mode {mode} not in partition range {partition.modes}")
-    if not 0.0 <= p_c <= 1.0:
-        raise ValueError(f"p_c must lie in [0, 1], got {p_c}")
-    branch = JAMMED if mode in partition.jammed else UNJAMMED
-    if link_gain is None:
-        gains = mode_link_gains(config)
-        link_gain = gains[config.mode_indices().index(mode)]
-    if signal_power is None:
-        if branch == JAMMED:
-            alphabet = PgaAlphabet.from_config(config)
-            signal_power = alphabet.mean_power_gain * config.jam_variance_tx
-        else:
-            signal_power = float(allocate_power(config, partition)[
-                partition.modes.index(mode)])
-    if signal_power < 0.0:
-        raise ValueError(f"signal power must be >= 0, got {signal_power}")
-    weight = detection.p_jammed * p_c if branch == JAMMED else detection.p_unjammed
-    gamma = weight * abs(link_gain) ** 2 * signal_power / receiver_background_variance(config)
-    return ModeSnr(mode=mode, snr_linear=float(gamma), branch=branch)
+    if np.shape(flagged)[-1] != len(link_gains):
+        raise ValueError(f"flag mask of shape {np.shape(flagged)} does not cover "
+                         f"the {len(link_gains)} link-gain modes")
+    p_c = np.asarray(p_c, dtype=float)
+    for name, p in (("p_j", p_j), ("p_u", p_u), ("p_c", p_c)):
+        if np.any((p < 0.0) | (p > 1.0)):
+            raise ValueError(f"{name} must lie in [0, 1], got {p}")
+    if carrier_variance < 0.0:
+        raise ValueError(f"carrier variance must be >= 0, got {carrier_variance}")
+    kappa2 = np.abs(link_gains) ** 2
+    floor = receiver_background_variance(config)
+    gamma_clean = p_u * kappa2 * allocate_power(config, flagged) / floor
+    gamma_jam = p_j * p_c * kappa2 \
+        * PgaAlphabet.from_config(config).mean_power_gain * carrier_variance / floor
+    return np.where(flagged, gamma_jam, gamma_clean)
 
 
-def spectral_efficiency(mode_snrs) -> float:
-    """Aggregate rate sum C = sum_l log2(1 + gamma_l) in bits/s/Hz."""
-    total = 0.0
-    for entry in mode_snrs:
-        gamma = entry.snr_linear if isinstance(entry, ModeSnr) else float(entry)
-        if gamma < 0.0:
-            raise ValueError(f"negative SNR {gamma} is invalid")
-        total += math.log2(1.0 + gamma)
-    return total
+def spectral_efficiency(gamma, modes=None):
+    """Rate sum C = sum_l log2(1 + gamma_l) in bits/s/Hz over the last axis.
+
+    ``modes``, a boolean mask broadcastable to ``gamma``, restricts the sum to
+    the selected modes (e.g. the clean ones of a trial).
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    if np.any(gamma < 0.0):
+        raise ValueError(f"negative SNR in {gamma}")
+    terms = np.log2(1.0 + gamma)
+    if modes is not None:
+        terms = np.where(modes, terms, 0.0)
+    return terms.sum(axis=-1)
+
+
+def _power_and_disturbance(config: LinkConfig, snr_db: float,
+                           options: SweepOptions) -> tuple[float, float]:
+    """Per-mode transmit power and the receiver noise variance it implies at one SNR."""
+    per_mode = (options.power_per_mode if options.power_per_mode is not None
+                else config.transmit_power_total / config.n_tx)
+    snr_linear = 10.0 ** (snr_db / 10.0)
+    disturbance = per_mode / snr_linear
+    if options.snr_reference == SNR_OVER_NOISE_PLUS_JAMMING:
+        # the fixed receiver jamming power is part of the SNR denominator
+        disturbance -= config.jam_variance_rx
+    return per_mode, disturbance
+
+
+def validate_axes(axes: SweepAxes) -> None:
+    """Reject a grid whose ring sizes or jammed-mode counts cannot run.
+
+    Every ring size must be >= 1 and every jammed-mode count must lie in
+    0..N for every ring size N.
+    """
+    for n_el in axes.n_elements:
+        if n_el < 1:
+            raise ConfigurationError(f"ring size must be >= 1, got {n_el}")
+        for n_jam in axes.n_jammed:
+            if not 0 <= n_jam <= n_el:
+                raise ConfigurationError(
+                    f"n_jammed {n_jam} outside 0..{n_el} for N={n_el}")
+
+
+def validate_grid(config: LinkConfig, axes: SweepAxes, options: SweepOptions) -> None:
+    """Reject a sweep grid that holds a point which cannot run.
+
+    On top of :func:`validate_axes`, every SNR must leave a positive noise
+    variance (the noise-plus-jamming reference subtracts the receiver jamming
+    power from the disturbance the SNR implies).
+    """
+    validate_axes(axes)
+    for snr_db in axes.snr_db:
+        per_mode, disturbance = _power_and_disturbance(config, snr_db, options)
+        if disturbance <= 0.0:
+            raise ConfigurationError(
+                f"snr {snr_db} dB infeasible: per-mode power {per_mode} W over "
+                f"noise+jamming requires noise below 0 at jamming "
+                f"{config.jam_variance_rx} W")
 
 
 def _point_generator(seed: int, point_index: int, purpose: int) -> np.random.Generator:
@@ -174,37 +200,11 @@ def _point_generator(seed: int, point_index: int, purpose: int) -> np.random.Gen
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _sense_energies(rng: np.random.Generator, trials: int, n_elements: int,
-                    n_samples: int, jam_model: str, mode_variance: float,
-                    jam_sets: np.ndarray | None) -> np.ndarray:
-    """Mode energies seen by the transmitter detector, one row per trial.
-
-    Runs the real multiplex/decompose chain on the drawn jamming so the
-    detector sees exactly what the product path produces.
-    """
-    from .signals import mode_transform
-
-    w = mode_transform(n_elements)
-    if jam_model == BROADBAND:
-        element = complex_gaussian(rng, (trials, n_elements, n_samples), mode_variance)
-        mode_domain = np.einsum("ln,tnk->tlk", w, element)
-    else:
-        source = np.zeros((trials, n_elements, n_samples), dtype=complex)
-        if jam_sets is not None and jam_sets.shape[1] > 0:
-            draws = complex_gaussian(rng, jam_sets.shape + (n_samples,), mode_variance)
-            rows = np.arange(trials)[:, None]
-            source[rows, jam_sets] = draws
-        element = np.einsum("nl,tlk->tnk", w.conj().T, source)
-        mode_domain = np.einsum("ln,tnk->tlk", w, element)
-    return np.mean(np.abs(mode_domain) ** 2, axis=2)
-
-
-def _point_thresholds(cfg: LinkConfig, channel, alphabet: PgaAlphabet,
+def _point_thresholds(cfg: LinkConfig, channel, kappas: np.ndarray, alphabet: PgaAlphabet,
                       carrier_variance: float, rng: np.random.Generator,
                       options: SweepOptions) -> tuple[list[EnergyThreshold], np.ndarray]:
     """Per-mode calibrated thresholds and analytic correct-decision probabilities."""
     preamble = alternating_preamble(cfg.preamble_length)
-    kappas = mode_link_gains(cfg, channel)
     k = cfg.samples_per_symbol
     thresholds: list[EnergyThreshold] = []
     p_c = np.empty(len(kappas))
@@ -250,28 +250,12 @@ def _sweep_point(config: LinkConfig, n_elements: int, n_jammed: int, snr_db: flo
                  trials: int, seed: int, point_index: int,
                  options: SweepOptions) -> dict:
     """All Monte Carlo work for one grid point; schemes share the trials."""
-    per_mode = (options.power_per_mode if options.power_per_mode is not None
-                else config.transmit_power_total / config.n_tx)
-    snr_linear = 10.0 ** (snr_db / 10.0)
-    disturbance = per_mode / snr_linear
-    if options.snr_reference == SNR_OVER_NOISE_PLUS_JAMMING:
-        # the fixed receiver jamming power is part of the SNR denominator
-        disturbance -= config.jam_variance_rx
-        if disturbance <= 0.0:
-            raise ConfigurationError(
-                f"snr {snr_db} dB infeasible: per-mode power {per_mode} W over "
-                f"noise+jamming requires noise below 0 at jamming "
-                f"{config.jam_variance_rx} W")
+    per_mode, disturbance = _power_and_disturbance(config, snr_db, options)
     cfg = replace(config, n_tx=n_elements, n_rx=n_elements,
                   noise_variance_rx=max(disturbance, NOISE_VARIANCE_FLOOR),
                   transmit_power_total=per_mode * max(n_elements - n_jammed, 1))
-    if n_jammed > cfg.mode_count:
-        raise ConfigurationError(
-            f"n_jammed {n_jammed} exceeds the {cfg.mode_count}-mode range")
     channel = build_channel_matrix(cfg, APPROXIMATE)
     kappas = mode_link_gains(cfg, channel)
-    kappa2 = np.abs(kappas) ** 2
-    floor = receiver_background_variance(cfg)
     alphabet = PgaAlphabet.from_config(cfg)
     carrier_variance = (options.mode_jam_variance if options.jam_model == TARGETED
                         else cfg.jam_variance_tx)
@@ -285,9 +269,10 @@ def _sweep_point(config: LinkConfig, n_elements: int, n_jammed: int, snr_db: flo
                                             cfg.jam_variance_tx)
 
     rng_cal = _point_generator(seed, point_index, 0)
-    thresholds, p_c_modes = _point_thresholds(cfg, channel, alphabet,
+    thresholds, p_c_modes = _point_thresholds(cfg, channel, kappas, alphabet,
                                               carrier_variance, rng_cal, options)
 
+    # the detector sees the jamming on the elements, as sense_modes does
     rng_trials = _point_generator(seed, point_index, 1)
     n = cfg.mode_count
     if options.jam_model == TARGETED and n_jammed > 0:
@@ -295,20 +280,20 @@ def _sweep_point(config: LinkConfig, n_elements: int, n_jammed: int, snr_db: flo
                              for _ in range(trials)])
     else:
         jam_sets = np.empty((trials, 0), dtype=int)
-    energies = _sense_energies(rng_trials, trials, n, k_sense, options.jam_model,
-                               carrier_variance, jam_sets if n_jammed else None)
-    flagged = energies >= cfg.energy_threshold_tx          # (trials, N)
+    if options.jam_model == BROADBAND:
+        element = complex_gaussian(rng_trials, (trials, n, k_sense), carrier_variance)
+    else:
+        source = np.zeros((trials, n, k_sense), dtype=complex)
+        if jam_sets.size:
+            source[np.arange(trials)[:, None], jam_sets] = complex_gaussian(
+                rng_trials, jam_sets.shape + (k_sense,), carrier_variance)
+        element = mode_transform(n).conj().T @ source
+    flagged = mode_energies(element) >= cfg.energy_threshold_tx   # (trials, N)
 
-    n_clean = n - flagged.sum(axis=1)
-    share = np.where(n_clean > 0, cfg.transmit_power_total / np.maximum(n_clean, 1), 0.0)
-    gamma_clean = det_clean.p_unjammed * kappa2[None, :] * share[:, None] / floor
-    gamma_jam = det_jam.p_jammed * p_c_modes * kappa2 \
-        * alphabet.mean_power_gain * carrier_variance / floor
-
-    se_clean_terms = np.where(~flagged, np.log2(1.0 + gamma_clean), 0.0).sum(axis=1)
-    se_jam_terms = np.where(flagged, np.log2(1.0 + gamma_jam)[None, :], 0.0).sum(axis=1)
-    se_proposed = se_clean_terms + se_jam_terms
-    se_baseline = se_clean_terms
+    gamma = mode_snr(cfg, flagged, kappas, carrier_variance,
+                     det_jam.p_jammed, det_clean.p_unjammed, p_c_modes)
+    se_baseline = spectral_efficiency(gamma, ~flagged)
+    se_proposed = se_baseline + spectral_efficiency(gamma, flagged)
 
     rng_ber = _point_generator(seed, point_index, 2)
     ber = _measure_ber(cfg, channel, alphabet, thresholds, carrier_variance,
@@ -344,6 +329,7 @@ def run_sweep(config: LinkConfig, axes: SweepAxes,
         if s not in (PROPOSED, BASELINE):
             raise ConfigurationError(f"unknown scheme {s!r}")
     options = options or SweepOptions()
+    validate_grid(config, axes, options)
     results: list[SweepResult] = []
     point_index = 0
     for n_elements in axes.n_elements:

@@ -16,7 +16,7 @@ from scipy import special
 
 from .config import mode_index_range
 from .jamming import RandomStream, complex_gaussian
-from .signals import UNIT, SampleBlock, block_energies, decompose_modes
+from .signals import ELEMENT, SampleBlock, mode_energies
 
 ANALYTIC = "analytic"
 EMPIRICAL = "empirical"
@@ -68,8 +68,9 @@ def sense_modes(jam_block: SampleBlock, energy_threshold: float) -> ModePartitio
     """
     if energy_threshold <= 0.0:
         raise ValueError(f"energy threshold must be positive, got {energy_threshold}")
-    mode_block = decompose_modes(jam_block, UNIT)
-    energies = block_energies(mode_block)
+    if jam_block.domain != ELEMENT:
+        raise ValueError(f"expected an element-domain block, got {jam_block.domain!r}")
+    energies = mode_energies(jam_block.samples)
     modes = mode_index_range(jam_block.n_rows)
     flagged = energies >= energy_threshold
     jammed = tuple(l for l, f in zip(modes, flagged) if f)

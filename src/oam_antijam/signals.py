@@ -21,8 +21,6 @@ MODE = "mode"
 UNIT = "unit"                  # 1/sqrt(N)-normalized forward transform
 UNNORMALIZED = "unnormalized"  # plain sum across elements
 
-DEFAULT_SAMPLE_INTERVAL = 1e-6  # seconds; carried along, enters no statistic
-
 
 @dataclass(frozen=True)
 class SampleBlock:
@@ -33,7 +31,6 @@ class SampleBlock:
     """
 
     samples: np.ndarray
-    sample_interval: float = DEFAULT_SAMPLE_INTERVAL
     domain: str = ELEMENT
 
     def __post_init__(self) -> None:
@@ -44,8 +41,6 @@ class SampleBlock:
             raise ValueError("sample block needs at least one sample per row")
         if self.domain not in (ELEMENT, MODE):
             raise ValueError(f"unknown block domain {self.domain!r}")
-        if self.sample_interval <= 0.0:
-            raise ValueError(f"sample interval must be positive, got {self.sample_interval}")
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -81,7 +76,7 @@ def multiplex_modes(per_mode_signals: SampleBlock, n_elements: int) -> SampleBlo
             f"for {n_elements} elements needs {n_elements}")
     w = mode_transform(n_elements)
     element_samples = w.conj().T @ per_mode_signals.samples
-    return SampleBlock(element_samples, per_mode_signals.sample_interval, ELEMENT)
+    return SampleBlock(element_samples, ELEMENT)
 
 
 def decompose_modes(element_signals: SampleBlock, normalization: str = UNIT) -> SampleBlock:
@@ -98,7 +93,18 @@ def decompose_modes(element_signals: SampleBlock, normalization: str = UNIT) -> 
     w = mode_transform(n)
     if normalization == UNNORMALIZED:
         w = w * np.sqrt(n)
-    return SampleBlock(w @ element_signals.samples, element_signals.sample_interval, MODE)
+    return SampleBlock(w @ element_signals.samples, MODE)
+
+
+def mode_energies(element_samples: np.ndarray) -> np.ndarray:
+    """Block-average energy of every mode under the unitary transform.
+
+    ``element_samples`` holds K samples per element on its last axis, shape
+    (..., N, K); leading axes (trials) are batched. Returns shape (..., N),
+    rows in canonical mode order: (1/K) * sum_k |(W x)_l[k]|^2.
+    """
+    w = mode_transform(element_samples.shape[-2])
+    return np.mean(np.abs(w @ element_samples) ** 2, axis=-1)
 
 
 def sample_block_energy(block: SampleBlock, row: int) -> float:

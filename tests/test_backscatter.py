@@ -344,11 +344,3 @@ class TestEndToEnd:
         stderr = math.sqrt(max(pooled * (1 - pooled), 1e-9) / n_bits)
         # calibration varies per seed too, so allow a small extra margin
         assert all(abs(r - pooled) <= 3 * stderr + 0.01 for r in rates)
-
-    def test_hypothesis_variance_background_only_switch(self):
-        cfg = normalized_config()
-        kappa = mode_link_gains(cfg)[0]
-        full = hypothesis_variance(cfg, kappa, 2.0, 1.0)
-        floor = hypothesis_variance(cfg, kappa, 2.0, 1.0, background_only=True)
-        assert floor == pytest.approx(cfg.noise_variance_rx + cfg.jam_variance_rx)
-        assert full > floor

@@ -162,6 +162,27 @@ ber_symbols = 2
         assert main(["--config", path, "--output", str(tmp_path / "x.csv")]) == 1
 
 
+class TestValidationBeforeAnyPoint:
+    @pytest.mark.parametrize("sweep", [
+        "n_jammed = -3",
+        "snr_reference = noise-plus-jamming\nsnr_db = 0, 10, 30\nn_jammed = 0",
+        "ber_trials = -5",
+        "ber_symbols = -1",
+    ])
+    def test_invalid_grid_or_probe_budget(self, tmp_path, monkeypatch, capsys, sweep):
+        from oam_antijam import metrics
+
+        def no_point(*args):
+            raise AssertionError("a grid point ran")
+
+        monkeypatch.setattr(metrics, "_sweep_point", no_point)
+        path = write(tmp_path, f"[sweep]\ntrials = 2\n{sweep}\n")
+        out = tmp_path / "out.csv"
+        assert main(["--config", path, "--output", str(out)]) == 1
+        assert "validation error" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSeedPrecedence:
     def test_environment_overrides_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "777")

@@ -5,14 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oam_antijam import metrics
 from oam_antijam import (
     APPROXIMATE,
     BASELINE,
     ConfigurationError,
-    DetectionStats,
     LinkConfig,
-    ModePartition,
-    ModeSnr,
     PROPOSED,
     SweepAxes,
     SweepOptions,
@@ -21,6 +19,7 @@ from oam_antijam import (
     check_trends,
     element_azimuths,
     mode_index_range,
+    mode_link_gains,
     mode_snr,
     run_sweep,
     spectral_efficiency,
@@ -29,44 +28,48 @@ from oam_antijam import (
 MODES_16 = tuple(mode_index_range(16))
 
 
-def partition_with_jammed(jammed=()):
-    jammed = tuple(jammed)
-    clean = tuple(l for l in MODES_16 if l not in jammed)
-    energies = [1.0 if l in jammed else 0.0 for l in MODES_16]
-    return ModePartition(MODES_16, np.array(energies), jammed, clean)
+def flags_for(jammed=()):
+    return np.isin(MODES_16, jammed)
 
 
 class TestAllocatePower:
     def test_uniform_split_when_nothing_jammed(self):
         cfg = LinkConfig(transmit_power_total=16.0)
-        powers = allocate_power(cfg, partition_with_jammed())
+        powers = allocate_power(cfg, flags_for())
         assert np.allclose(powers, 1.0)
 
     def test_all_jammed_gives_zero_allocation(self):
         cfg = LinkConfig()
-        powers = allocate_power(cfg, partition_with_jammed(MODES_16))
+        powers = allocate_power(cfg, flags_for(MODES_16))
         assert not powers.any()
 
     def test_four_of_sixteen(self):
         cfg = LinkConfig(transmit_power_total=12.0)
-        part = partition_with_jammed((0, 1, 2, 3))
-        powers = allocate_power(cfg, part)
-        for i, l in enumerate(part.modes):
-            expected = 0.0 if l in part.jammed else 1.0
+        jammed = (0, 1, 2, 3)
+        powers = allocate_power(cfg, flags_for(jammed))
+        for i, l in enumerate(MODES_16):
+            expected = 0.0 if l in jammed else 1.0
             assert powers[i] == pytest.approx(expected)
+
+    def test_each_trial_splits_over_its_own_clean_modes(self):
+        cfg = LinkConfig(transmit_power_total=12.0)
+        rows = [flags_for(), flags_for((0, 1, 2, 3)), flags_for(MODES_16)]
+        powers = allocate_power(cfg, np.stack(rows))
+        assert powers.shape == (3, 16)
+        assert powers.sum(axis=1) == pytest.approx([12.0, 12.0, 0.0])
+        for row, flagged in zip(powers, rows):
+            assert np.array_equal(row, allocate_power(cfg, flagged))
 
 
 class TestSpectralEfficiency:
     def test_all_zero(self):
-        snrs = [ModeSnr(l, 0.0, "unjammed") for l in MODES_16]
-        assert spectral_efficiency(snrs) == 0.0
+        assert spectral_efficiency(np.zeros(16)) == 0.0
 
     def test_single_unit_snr(self):
-        assert spectral_efficiency([ModeSnr(0, 1.0, "unjammed")]) == pytest.approx(1.0)
+        assert spectral_efficiency([1.0]) == pytest.approx(1.0)
 
     def test_two_modes_at_three(self):
-        snrs = [ModeSnr(0, 3.0, "unjammed"), ModeSnr(1, 3.0, "jammed")]
-        assert spectral_efficiency(snrs) == pytest.approx(4.0)
+        assert spectral_efficiency([3.0, 3.0]) == pytest.approx(4.0)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -80,40 +83,49 @@ class TestSpectralEfficiency:
             bumped[i] += 0.1
             assert spectral_efficiency(bumped) > c0
 
+    def test_mask_restricts_the_sum_per_trial(self):
+        gamma = np.array([[3.0, 1.0, 7.0], [1.0, 1.0, 1.0]])
+        modes = np.array([[True, False, True], [False, False, False]])
+        assert spectral_efficiency(gamma, modes) == pytest.approx([5.0, 0.0])
+        assert spectral_efficiency(gamma, modes) + spectral_efficiency(gamma, ~modes) \
+            == pytest.approx(spectral_efficiency(gamma))
+
 
 class TestModeSnr:
+    CFG = LinkConfig().with_unit_element_gain()
+
+    def gains(self, cfg=CFG):
+        return mode_link_gains(cfg)
+
     def test_zero_weight_annihilates(self):
-        cfg = LinkConfig()
-        stats = DetectionStats(p_jammed=1.0, p_unjammed=0.0)
-        out = mode_snr(cfg, 0, partition_with_jammed(), stats)
-        assert out.snr_linear == 0.0
-        assert out.branch == "unjammed"
+        out = mode_snr(self.CFG, flags_for(), self.gains(), 1.0, p_j=1.0, p_u=0.0)
+        assert not out.any()
 
     def test_huge_disturbance_drives_snr_to_zero(self):
         cfg = LinkConfig(noise_variance_rx=1e12, jam_variance_rx=1e12)
-        stats = DetectionStats(p_jammed=0.0, p_unjammed=1.0)
-        out = mode_snr(cfg, 0, partition_with_jammed(), stats)
-        assert out.snr_linear < 1e-9
+        out = mode_snr(cfg, flags_for(), self.gains(cfg), 1.0, p_j=0.0, p_u=1.0)
+        assert out.max() < 1e-9
 
     def test_jammed_branch_uses_reflected_power(self):
-        cfg = LinkConfig().with_unit_element_gain()
-        part = partition_with_jammed((2,))
-        stats = DetectionStats(p_jammed=1.0, p_unjammed=0.0)
-        out = mode_snr(cfg, 2, part, stats, p_c=0.5)
-        assert out.branch == "jammed"
-        assert out.snr_linear > 0.0
+        flagged = flags_for((2,))
+        row = MODES_16.index(2)
+        out = mode_snr(self.CFG, flagged, self.gains(), 1.0, p_j=1.0, p_u=0.0, p_c=0.5)
+        assert out[row] > 0.0
+        assert not np.delete(out, row).any()
         # halving p_c halves the weighted snr
-        half = mode_snr(cfg, 2, part, stats, p_c=0.25)
-        assert half.snr_linear == pytest.approx(0.5 * out.snr_linear, rel=1e-12)
+        half = mode_snr(self.CFG, flagged, self.gains(), 1.0, p_j=1.0, p_u=0.0, p_c=0.25)
+        assert half[row] == pytest.approx(0.5 * out[row], rel=1e-12)
+        # and the carrier variance scales it linearly
+        double = mode_snr(self.CFG, flagged, self.gains(), 2.0, p_j=1.0, p_u=0.0, p_c=0.5)
+        assert double[row] == pytest.approx(2.0 * out[row], rel=1e-12)
 
     def test_formula_against_matrix_oracle(self):
         # independent evaluation with the mode gain taken from the full matrix
-        cfg = replace(LinkConfig().with_unit_element_gain(),
-                      noise_variance_rx=0.1, transmit_power_total=1600.0)
-        part = partition_with_jammed((0, 1, 2, 3))
-        stats = DetectionStats(p_jammed=0.0, p_unjammed=1.0)
+        cfg = replace(self.CFG, noise_variance_rx=0.1, transmit_power_total=1600.0)
         l = 4
-        out = mode_snr(cfg, l, part, stats)
+        gammas = mode_snr(cfg, flags_for((0, 1, 2, 3)), mode_link_gains(cfg), 1.0,
+                          p_j=0.0, p_u=1.0)
+        out = gammas[MODES_16.index(l)]
 
         h = build_channel_matrix(cfg, APPROXIMATE).gains
         phi = element_azimuths(16)
@@ -124,13 +136,25 @@ class TestModeSnr:
         kappa /= 16.0  # 1/sqrt(M*N)
         expected = (abs(kappa) ** 2 * (1600.0 / 12.0)
                     / (16 * (cfg.noise_variance_rx + cfg.jam_variance_rx)))
-        assert out.snr_linear == pytest.approx(expected, rel=1e-9)
+        assert out == pytest.approx(expected, rel=1e-9)
 
-    def test_mode_must_be_in_partition(self):
-        cfg = LinkConfig()
-        stats = DetectionStats(p_jammed=0.0, p_unjammed=1.0)
+    def test_mask_must_cover_every_mode(self):
         with pytest.raises(ValueError):
-            mode_snr(cfg, 99, partition_with_jammed(), stats)
+            mode_snr(self.CFG, np.zeros(99, dtype=bool), self.gains(), 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("probs", [dict(p_c=1.5), dict(p_j=-0.1), dict(p_u=1.2)])
+    def test_probability_outside_unit_interval_rejected(self, probs):
+        args = dict(p_j=1.0, p_u=0.0) | probs
+        with pytest.raises(ValueError, match=next(iter(probs))):
+            mode_snr(self.CFG, flags_for((2,)), self.gains(), 1.0, **args)
+
+    def test_batched_rows_match_single_trial_calls(self):
+        flagged = np.random.default_rng(3).random((5, 16)) < 0.4
+        p_c = np.linspace(0.5, 1.0, 16)
+        batch = mode_snr(self.CFG, flagged, self.gains(), 1.0, 0.7, 0.9, p_c)
+        for row, mask in zip(batch, flagged):
+            assert np.array_equal(row, mode_snr(self.CFG, mask, self.gains(), 1.0,
+                                                0.7, 0.9, p_c))
 
 
 class TestRunSweep:
@@ -212,3 +236,32 @@ class TestRunSweep:
     def test_unknown_snr_reference(self):
         with pytest.raises(ConfigurationError):
             SweepOptions(snr_reference="sinr")
+
+    def test_empty_ring_rejected(self):
+        cfg = LinkConfig().with_unit_element_gain()
+        axes = SweepAxes(snr_db=(10.0,), n_jammed=(0,), n_elements=(16, 0))
+        with pytest.raises(ConfigurationError, match="ring size"):
+            run_sweep(cfg, axes, trials=2, seed=0)
+
+    def test_negative_jammed_count_rejected(self):
+        # used to run with the power budget of N + 3 modes
+        cfg = LinkConfig().with_unit_element_gain()
+        axes = SweepAxes(snr_db=(10.0,), n_jammed=(-3,), n_elements=(16,))
+        with pytest.raises(ConfigurationError, match="n_jammed -3"):
+            run_sweep(cfg, axes, trials=2, seed=0)
+
+    def test_infeasible_last_snr_rejected_before_any_point(self, monkeypatch):
+        computed = []
+        monkeypatch.setattr(metrics, "_sweep_point",
+                            lambda *args: computed.append(args))
+        cfg = LinkConfig().with_unit_element_gain()
+        axes = SweepAxes(snr_db=(0.0, 10.0, 30.0), n_jammed=(0,), n_elements=(16,))
+        opts = SweepOptions(snr_reference="noise-plus-jamming")
+        with pytest.raises(ConfigurationError, match="snr 30.0 dB infeasible"):
+            run_sweep(cfg, axes, trials=2, seed=0, options=opts)
+        assert computed == []
+
+    @pytest.mark.parametrize("knob", ["ber_trials", "ber_symbols"])
+    def test_negative_probe_budget_rejected(self, knob):
+        with pytest.raises(ConfigurationError, match=knob):
+            SweepOptions(**{knob: -1})

@@ -48,6 +48,11 @@ def test_boundary_energy_counts_as_jammed():
     assert 1 in part.jammed
 
 
+def test_mode_domain_block_rejected():
+    with pytest.raises(ValueError, match="element-domain"):
+        sense_modes(SampleBlock(np.zeros((4, 8), dtype=complex), domain=MODE), 0.5)
+
+
 def test_partition_invariants_on_random_inputs():
     modes = mode_index_range(16)
     for trial in range(200):

@@ -13,6 +13,7 @@ from oam_antijam import (
     block_energies,
     build_channel_matrix,
     decompose_modes,
+    mode_energies,
     mode_index_range,
     multiplex_modes,
     sample_block_energy,
@@ -117,6 +118,15 @@ class TestBlockEnergy:
         block = SampleBlock(np.zeros((2, 5), dtype=complex))
         with pytest.raises(IndexError):
             sample_block_energy(block, 2)
+
+    def test_mode_energies_batch_matches_each_decomposed_block(self):
+        rng = np.random.default_rng(8)
+        batch = rng.normal(size=(4, 8, 16)) + 1j * rng.normal(size=(4, 8, 16))
+        energies = mode_energies(batch)
+        assert energies.shape == (4, 8)
+        for element, row in zip(batch, energies):
+            expected = block_energies(decompose_modes(SampleBlock(element), UNIT))
+            assert np.allclose(row, expected, rtol=1e-12, atol=0.0)
 
 
 class TestValidation:
