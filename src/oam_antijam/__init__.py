@@ -4,7 +4,7 @@ The transmitter senses which spatial modes the jammer occupies, multiplexes
 its payload over the clean modes, and re-modulates the received jamming on the
 occupied modes with a switched-gain amplifier so the jammer's own energy
 carries data to the receiver. The package provides the geometry and channel
-model, mode multiplexing, reproducible jamming/noise sources, the energy
+model, mode multiplexing, reproducible jamming sources, the energy
 detector, the reflected-jamming link, and Monte Carlo sweep tooling with a CSV
 command-line front end.
 """
@@ -12,27 +12,24 @@ command-line front end.
 from .backscatter import (CalibrationError, EnergyThreshold, PgaAlphabet, Preamble,
                           alternating_preamble, average_correct_detection,
                           calibrate_from_preamble, calibrate_threshold,
-                          chi_square_cdf, correct_detection_prob, decide_bit,
-                          hypothesis_variance, pga_modulate,
-                          receiver_background_variance, receiver_mode_energy,
-                          run_backscatter_symbol, simulate_backscatter_bits)
+                          chi_square_cdf, correct_detection_prob,
+                          hypothesis_variance, receiver_background_variance,
+                          simulate_backscatter_bits)
 from .channel import (APPROXIMATE, EXACT, ChannelMatrix, bessel_j,
                       build_channel_matrix, element_azimuths, element_channel_gain,
                       mode_channel_gain, mode_link_gains, pairwise_distance,
                       ring_sampled_bessel)
 from .config import (ConfigurationError, LinkConfig, mode_index_range,
                      wavelength_for_frequency)
-from .jamming import (RandomStream, draw_jamming_block, draw_noise_block,
-                      draw_payload_bits, draw_targeted_jamming_block)
+from .jamming import RandomStream, draw_jamming_block, draw_targeted_jamming_block
 from .metrics import (BASELINE, PROPOSED, SweepAxes, SweepOptions, SweepResult,
                       allocate_power, check_trends, mode_snr, run_sweep,
                       spectral_efficiency, validate_grid)
 from .sensing import (DetectionStats, ModePartition, detection_probabilities,
-                      empirical_detection_probabilities, gamma_cdf, sense_modes,
-                      threshold_for_quantile)
+                      empirical_detection_probabilities, gamma_cdf, sense_modes)
 from .signals import (ELEMENT, MODE, UNIT, UNNORMALIZED, SampleBlock,
                       block_energies, decompose_modes, mode_energies,
-                      mode_transform, multiplex_modes, sample_block_energy)
+                      mode_transform, multiplex_modes)
 
 __version__ = "0.1.0"
 
@@ -45,17 +42,14 @@ __all__ = [
     "allocate_power", "alternating_preamble", "average_correct_detection",
     "bessel_j", "block_energies", "build_channel_matrix",
     "calibrate_from_preamble", "calibrate_threshold", "check_trends",
-    "chi_square_cdf", "correct_detection_prob", "decide_bit",
-    "decompose_modes", "detection_probabilities", "draw_jamming_block",
-    "draw_noise_block", "draw_payload_bits", "draw_targeted_jamming_block",
+    "chi_square_cdf", "correct_detection_prob", "decompose_modes",
+    "detection_probabilities", "draw_jamming_block", "draw_targeted_jamming_block",
     "element_azimuths", "element_channel_gain",
     "empirical_detection_probabilities", "gamma_cdf", "hypothesis_variance",
     "mode_channel_gain", "mode_energies", "mode_index_range",
     "mode_link_gains", "mode_snr", "mode_transform", "multiplex_modes",
-    "pairwise_distance", "pga_modulate",
-    "receiver_background_variance", "receiver_mode_energy",
-    "ring_sampled_bessel", "run_backscatter_symbol", "run_sweep",
-    "sample_block_energy", "sense_modes", "simulate_backscatter_bits",
-    "spectral_efficiency", "threshold_for_quantile", "validate_grid",
+    "pairwise_distance", "receiver_background_variance", "ring_sampled_bessel",
+    "run_sweep", "sense_modes", "simulate_backscatter_bits",
+    "spectral_efficiency", "validate_grid",
     "wavelength_for_frequency",
 ]

@@ -21,9 +21,10 @@ import numpy as np
 from scipy import special
 
 from .channel import ChannelMatrix
-from .config import LinkConfig, mode_index_range
+from .config import LinkConfig, mode_index_range, pga_levels
 from .jamming import NOISE_VARIANCE_FLOOR, complex_gaussian
-from .signals import MODE, SampleBlock
+
+SYMBOL_CHUNK = 1024  # symbols synthesised per block of draws
 
 
 class CalibrationError(RuntimeError):
@@ -38,24 +39,11 @@ class PgaAlphabet:
     priors: tuple[float, ...] = (0.5, 0.5)
 
     def __post_init__(self) -> None:
-        gains = tuple(float(g) for g in self.gains)
-        priors = tuple(float(p) for p in self.priors)
-        object.__setattr__(self, "gains", gains)
-        object.__setattr__(self, "priors", priors)
-        if len(gains) < 2:
-            raise ValueError("alphabet needs at least two gain levels")
-        if len(gains) != len(priors):
-            raise ValueError(f"gains/priors length mismatch: {len(gains)} vs {len(priors)}")
-        if any(g < 0.0 for g in gains):
-            raise ValueError(f"gains must be non-negative, got {gains}")
         # ties allowed so degenerate (equal-gain) experiments stay expressible;
         # calibration rejects them at use time via CalibrationError
-        if any(b < a for a, b in zip(gains, gains[1:])):
-            raise ValueError(f"gains must be non-decreasing, got {gains}")
-        if any(p <= 0.0 for p in priors):
-            raise ValueError(f"priors must be positive, got {priors}")
-        if abs(sum(priors) - 1.0) > 1e-12:
-            raise ValueError(f"priors must sum to 1, got {sum(priors)!r}")
+        gains, priors = pga_levels(self.gains, self.priors, allow_ties=True)
+        object.__setattr__(self, "gains", gains)
+        object.__setattr__(self, "priors", priors)
 
     @classmethod
     def from_config(cls, config: LinkConfig) -> "PgaAlphabet":
@@ -117,56 +105,6 @@ class EnergyThreshold:
                 f"q1_hat must exceed q0_hat, got {self.q1_hat} <= {self.q0_hat}")
 
 
-def pga_modulate(jam_mode_block: SampleBlock, bits, alphabet: PgaAlphabet,
-                 mode: int) -> SampleBlock:
-    """Scale one mode's received jamming by the per-symbol gain levels.
-
-    Each bit selects the gain for one K-sample symbol interval, K inferred
-    from the block length; other modes pass through untouched.
-    """
-    if jam_mode_block.domain != MODE:
-        raise ValueError(f"expected a mode-domain block, got {jam_mode_block.domain!r}")
-    bits = np.asarray(bits, dtype=int)
-    if bits.ndim != 1 or bits.size < 1:
-        raise ValueError("bits must be a non-empty 1-D sequence")
-    if np.any((bits < 0) | (bits >= len(alphabet.gains))):
-        raise ValueError(f"bit values must index the {len(alphabet.gains)}-level alphabet")
-    n_samples = jam_mode_block.n_samples
-    if n_samples % bits.size != 0:
-        raise ValueError(
-            f"block length {n_samples} is not a whole number of {bits.size} symbols")
-    modes = mode_index_range(jam_mode_block.n_rows)
-    if mode not in modes:
-        raise ValueError(f"mode {mode} outside supported range {modes}")
-    per_symbol = n_samples // bits.size
-    gains = np.repeat(np.asarray(alphabet.gains)[bits], per_symbol)
-    samples = jam_mode_block.samples.copy()
-    samples[modes.index(mode)] *= gains
-    return SampleBlock(samples, MODE)
-
-
-def receiver_mode_energy(y_mode_block: SampleBlock, mode: int, symbol_index: int,
-                         samples_per_symbol: int) -> float:
-    """Average energy of one symbol interval on one recovered mode.
-
-    ``symbol_index`` is 1-based: P_i = (1/K) * sum_k |y_l[(i-1)K + k]|^2.
-    """
-    if y_mode_block.domain != MODE:
-        raise ValueError(f"expected a mode-domain block, got {y_mode_block.domain!r}")
-    modes = mode_index_range(y_mode_block.n_rows)
-    if mode not in modes:
-        raise ValueError(f"mode {mode} outside supported range {modes}")
-    if samples_per_symbol < 1:
-        raise ValueError(f"samples_per_symbol must be >= 1, got {samples_per_symbol}")
-    n_symbols = y_mode_block.n_samples // samples_per_symbol
-    if not 1 <= symbol_index <= n_symbols:
-        raise IndexError(f"symbol index {symbol_index} outside 1..{n_symbols}")
-    row = y_mode_block.samples[modes.index(mode)]
-    start = (symbol_index - 1) * samples_per_symbol
-    segment = row[start:start + samples_per_symbol]
-    return float(np.mean(np.abs(segment) ** 2))
-
-
 def calibrate_threshold(preamble_energies, preamble: Preamble, n_samples: int,
                         verbatim_means: bool = False) -> EnergyThreshold:
     """Decision threshold from per-symbol preamble energies.
@@ -198,11 +136,6 @@ def calibrate_threshold(preamble_energies, preamble: Preamble, n_samples: int,
     log_term = np.log(p0 / p1) + n_samples * np.log(q1 / q0)
     q_th = (q0 * q1 / (q1 - q0)) * log_term / n_samples
     return EnergyThreshold(q_th=float(q_th), q0_hat=q0, q1_hat=q1)
-
-
-def decide_bit(energy: float, threshold: EnergyThreshold) -> int:
-    """1 when the symbol energy reaches the threshold (boundary inclusive)."""
-    return 1 if energy >= threshold.q_th else 0
 
 
 def chi_square_cdf(x: float, dof: int) -> float:
@@ -257,62 +190,22 @@ def average_correct_detection(q_th: float, n_samples: int, sigma2_k0: float,
             + p1 * correct_detection_prob(q_th, n_samples, sigma2_k1, 1))
 
 
-def run_backscatter_symbol(config: LinkConfig, channel: ChannelMatrix, mode: int,
-                           bit: int, alphabet: PgaAlphabet,
-                           threshold: EnergyThreshold, carrier: np.ndarray,
-                           rx_jamming: SampleBlock,
-                           noise: SampleBlock) -> tuple[int, float]:
-    """One reflected-jamming symbol end to end.
-
-    ``carrier`` holds the K received jamming samples on the jammed mode at the
-    transmitter; the symbol is scaled by the bit's gain level, mapped onto the
-    transmit elements, passed through the element channel, summed with receiver
-    noise and direct-path jamming, recovered by the plain mode sum, and decided
-    by energy against the calibrated threshold. Returns (decided bit, energy).
-    """
-    bits_hat, energies = _run_backscatter_block(
-        config, channel, mode, np.array([bit]), alphabet, threshold,
-        np.asarray(carrier, dtype=complex)[None, :],
-        rx_jamming.samples[None, :, :], noise.samples[None, :, :])
-    return int(bits_hat[0]), float(energies[0])
-
-
 def simulate_backscatter_bits(config: LinkConfig, channel: ChannelMatrix, mode: int,
                               bits, alphabet: PgaAlphabet,
                               threshold: EnergyThreshold, carrier_variance: float,
-                              rng: np.random.Generator,
-                              chunk_size: int = 1024) -> tuple[np.ndarray, np.ndarray]:
+                              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo run of many symbols through the element-level path.
 
-    Draws the per-symbol carrier, receiver noise and direct-path jamming from
-    ``rng`` and reuses the single-symbol synthesis, chunked to bound memory.
-    Returns (decided bits, per-symbol energies).
+    Per symbol, draws the K carrier samples received on the jammed mode, the
+    receiver noise and the direct-path jamming from ``rng``; scales the
+    carrier by the bit's gain level, maps it onto the transmit elements,
+    passes it through the element channel, adds noise and jamming, recovers
+    the mode by the plain sum over receive elements and decides by energy
+    against the threshold (boundary inclusive). Symbols run in chunks of
+    ``SYMBOL_CHUNK`` to bound memory. Returns (decided bits, per-symbol
+    energies).
     """
     bits = np.asarray(bits, dtype=int)
-    k = config.samples_per_symbol
-    m = config.n_rx
-    decided = np.empty(bits.size, dtype=int)
-    energies = np.empty(bits.size, dtype=float)
-    noise_var = max(config.noise_variance_rx, NOISE_VARIANCE_FLOOR)
-    for start in range(0, bits.size, chunk_size):
-        stop = min(start + chunk_size, bits.size)
-        b = stop - start
-        carrier = complex_gaussian(rng, (b, k), carrier_variance)
-        noise = complex_gaussian(rng, (b, m, k), noise_var)
-        rx_jam = complex_gaussian(rng, (b, m, k), config.jam_variance_rx)
-        d, q = _run_backscatter_block(config, channel, mode, bits[start:stop],
-                                      alphabet, threshold, carrier, rx_jam, noise)
-        decided[start:stop] = d
-        energies[start:stop] = q
-    return decided, energies
-
-
-def _run_backscatter_block(config: LinkConfig, channel: ChannelMatrix, mode: int,
-                           bits: np.ndarray, alphabet: PgaAlphabet,
-                           threshold: EnergyThreshold, carrier: np.ndarray,
-                           rx_jamming: np.ndarray,
-                           noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized symbol synthesis shared by the single and batched runners."""
     n, m = config.n_tx, config.n_rx
     if channel.gains.shape != (m, n):
         raise ValueError(
@@ -320,22 +213,26 @@ def _run_backscatter_block(config: LinkConfig, channel: ChannelMatrix, mode: int
     modes = mode_index_range(n)
     if mode not in modes:
         raise ValueError(f"mode {mode} outside supported range {modes}")
-    k = carrier.shape[1]
-    if rx_jamming.shape[1:] != (m, k) or noise.shape[1:] != (m, k):
-        raise ValueError("noise and jamming blocks must be (symbols, M, K)")
-    gains = np.asarray(alphabet.gains)[bits]               # (B,)
-    s = gains[:, None] * carrier                           # (B, K)
+    k = config.samples_per_symbol
     phi = 2.0 * np.pi * np.arange(n) / n
     psi = 2.0 * np.pi * np.arange(m) / m
-    tx_ramp = np.exp(1j * phi * mode) / np.sqrt(n)         # (N,)
-    x = tx_ramp[None, :, None] * s[:, None, :]             # (B, N, K)
-    y = np.einsum("mn,bnk->bmk", channel.gains, x) / np.sqrt(m)
-    y = y + noise + rx_jamming
-    rx_ramp = np.exp(-1j * psi * mode)                     # (M,)
-    y_mode = np.einsum("m,bmk->bk", rx_ramp, y)            # (B, K)
-    energies = np.mean(np.abs(y_mode) ** 2, axis=1)        # (B,)
-    decided = (energies >= threshold.q_th).astype(int)
-    return decided, energies
+    tx_ramp = np.exp(1j * phi * mode) / np.sqrt(n)                             # (N,)
+    rx_ramp = np.exp(-1j * psi * mode)                                         # (M,)
+    noise_var = max(config.noise_variance_rx, NOISE_VARIANCE_FLOOR)
+    energies = np.empty(bits.size, dtype=float)
+    for start in range(0, bits.size, SYMBOL_CHUNK):
+        stop = min(start + SYMBOL_CHUNK, bits.size)
+        b = stop - start
+        carrier = complex_gaussian(rng, (b, k), carrier_variance)
+        noise = complex_gaussian(rng, (b, m, k), noise_var)
+        rx_jam = complex_gaussian(rng, (b, m, k), config.jam_variance_rx)
+        s = np.asarray(alphabet.gains)[bits[start:stop], None] * carrier       # (B, K)
+        x = tx_ramp[None, :, None] * s[:, None, :]                             # (B, N, K)
+        y = np.einsum("mn,bnk->bmk", channel.gains, x) / np.sqrt(m)
+        y = y + noise + rx_jam
+        y_mode = np.einsum("m,bmk->bk", rx_ramp, y)                            # (B, K)
+        energies[start:stop] = np.mean(np.abs(y_mode) ** 2, axis=1)
+    return (energies >= threshold.q_th).astype(int), energies
 
 
 def calibrate_from_preamble(config: LinkConfig, channel: ChannelMatrix, mode: int,

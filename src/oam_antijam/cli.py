@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -206,6 +205,8 @@ def parse_scenario(path: str | None) -> Scenario:
     if trials < 1:
         raise ConfigurationError("[sweep] trials must be >= 1")
     seed = _parse_int(_get(parser, "sweep", "seed", str(DEFAULT_SEED)), "[sweep] seed")
+    if seed < 0:
+        raise ConfigurationError(f"[sweep] seed must be >= 0, got {seed}")
 
     return Scenario(config=config, axes=axes, options=options, schemes=schemes,
                     trials=trials, seed=seed,
@@ -265,42 +266,6 @@ def run_scenario(scenario: Scenario, output_path: str,
     return 0
 
 
-def run_oracle_suite(seed: int) -> int:
-    """Slow brute-force self-checks: mode-gain equivalence and detector accuracy."""
-    from .channel import build_channel_matrix, element_azimuths, mode_channel_gain
-    from .config import mode_index_range
-    from .jamming import RandomStream
-    from .sensing import detection_probabilities, empirical_detection_probabilities
-
-    failures = 0
-    for n in (8, 16):
-        cfg = LinkConfig(n_tx=n, n_rx=n)
-        h = build_channel_matrix(cfg).gains
-        phi = element_azimuths(n)
-        ratios = []
-        for l in mode_index_range(n):
-            g = np.exp(-1j * phi * l) @ h @ np.exp(1j * phi * l) / np.sqrt(n)
-            ratios.append(abs(g) / abs(mode_channel_gain(cfg, l)))
-        spread = (max(ratios) - min(ratios)) / np.mean(ratios)
-        ok = spread < 1e-9
-        failures += not ok
-        print(f"oracle {'PASS' if ok else 'FAIL'}: mode-gain/matrix constant at N={n} "
-              f"(relative spread {spread:.3e})")
-
-    for i, (k, sigma2, e_th) in enumerate([(16, 0.1, 0.12), (64, 1.0, 0.5)]):
-        analytic = detection_probabilities(e_th, k, sigma2)
-        empirical = empirical_detection_probabilities(
-            RandomStream(seed, 900 + i), e_th, k, sigma2, trials=20_000)
-        err = abs(analytic.p_jammed - empirical.p_jammed)
-        bound = 4.0 * math.sqrt(max(analytic.p_jammed * analytic.p_unjammed, 1e-12) / 20_000)
-        ok = err <= max(bound, 1e-3)
-        failures += not ok
-        print(f"oracle {'PASS' if ok else 'FAIL'}: detector K={k} sigma2={sigma2} "
-              f"E_th={e_th} (|analytic-empirical| = {err:.4f})")
-
-    return 0 if failures == 0 else 2
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="oam-antijam",
@@ -312,8 +277,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--output", default="sweep.csv", help="CSV output path")
     parser.add_argument("--check-trends", action="store_true",
                         help="append trend property checks to the summary")
-    parser.add_argument("--oracle", action="store_true",
-                        help="run the brute-force validation suite instead of a sweep")
     args = parser.parse_args(argv)
 
     try:
@@ -338,9 +301,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     scenario = replace(scenario, seed=seed,
                        trials=scenario.trials if args.trials is None else args.trials)
-
-    if args.oracle:
-        return run_oracle_suite(scenario.seed)
     return run_scenario(scenario, args.output, trend_report=args.check_trends)
 
 

@@ -39,6 +39,33 @@ def mode_index_range(n_elements: int) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def pga_levels(gains, priors, allow_ties: bool) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Checked PGA gain levels and their transmit priors, as float tuples.
+
+    Needs at least two levels, one prior per level, non-negative gains in
+    increasing order and positive priors summing to 1 within 1e-12. Equal
+    adjacent gains pass only under ``allow_ties``.
+    """
+    gains = tuple(float(g) for g in gains)
+    priors = tuple(float(p) for p in priors)
+    if len(gains) < 2:
+        raise ConfigurationError("PGA needs at least two gain levels")
+    if len(gains) != len(priors):
+        raise ConfigurationError(
+            f"PGA gains and priors lengths differ: {len(gains)} vs {len(priors)}")
+    if any(g < 0.0 for g in gains):
+        raise ConfigurationError(f"PGA gains must be non-negative, got {gains}")
+    if any(b < a or (b == a and not allow_ties) for a, b in zip(gains, gains[1:])):
+        order = "non-decreasing" if allow_ties else "strictly increasing"
+        raise ConfigurationError(f"PGA gains must be {order}, got {gains}")
+    if any(p <= 0.0 for p in priors):
+        raise ConfigurationError(f"PGA priors must be positive, got {priors}")
+    if abs(sum(priors) - 1.0) > 1e-12:
+        raise ConfigurationError(
+            f"PGA priors must sum to 1 within 1e-12, got sum {sum(priors)!r}")
+    return gains, priors
+
+
 @dataclass(frozen=True)
 class LinkConfig:
     """Physical and protocol parameters of one transmitter/receiver ring pair.
@@ -80,9 +107,10 @@ class LinkConfig:
     transmit_power_total: float = 1600.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pga_gains", tuple(float(g) for g in self.pga_gains))
-        object.__setattr__(self, "pga_priors", tuple(float(p) for p in self.pga_priors))
         self._validate()
+        gains, priors = pga_levels(self.pga_gains, self.pga_priors, allow_ties=False)
+        object.__setattr__(self, "pga_gains", gains)
+        object.__setattr__(self, "pga_priors", priors)
 
     def _validate(self) -> None:
         if self.n_tx < 1:
@@ -101,22 +129,6 @@ class LinkConfig:
         if self.preamble_length < 2:
             raise ConfigurationError(
                 f"preamble_length must be >= 2, got {self.preamble_length}")
-        if len(self.pga_gains) < 2:
-            raise ConfigurationError("pga_gains needs at least two levels")
-        if len(self.pga_gains) != len(self.pga_priors):
-            raise ConfigurationError(
-                f"pga_gains and pga_priors lengths differ: "
-                f"{len(self.pga_gains)} vs {len(self.pga_priors)}")
-        if any(g < 0.0 for g in self.pga_gains):
-            raise ConfigurationError(f"pga_gains must be non-negative, got {self.pga_gains}")
-        if any(b <= a for a, b in zip(self.pga_gains, self.pga_gains[1:])):
-            raise ConfigurationError(
-                f"pga_gains must be strictly increasing, got {self.pga_gains}")
-        if any(p <= 0.0 for p in self.pga_priors):
-            raise ConfigurationError(f"pga_priors must be positive, got {self.pga_priors}")
-        if abs(sum(self.pga_priors) - 1.0) > 1e-12:
-            raise ConfigurationError(
-                f"pga_priors must sum to 1 within 1e-12, got sum {sum(self.pga_priors)!r}")
 
     # --- derived geometry ---------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Reproducible jamming, noise and payload sources.
+"""Reproducible random substreams and jamming sources.
 
 Every draw goes through a :class:`RandomStream` keyed by (seed, stream_id);
 identical keys reproduce identical samples bit-exactly, and distinct
@@ -28,13 +28,18 @@ NOISE_VARIANCE_FLOOR = 1e-30  # watts; keeps the zero-noise limit well-posed
 
 @dataclass(frozen=True)
 class RandomStream:
-    """Deterministic substream of a global seed."""
+    """Deterministic substream of a global seed.
+
+    An integer ``stream_id`` keys the substream ``(stream_id,)``; a tuple keys
+    itself, e.g. ``(point_index, purpose)`` for one stage of one sweep point.
+    """
 
     seed: int
-    stream_id: int = 0
+    stream_id: int | tuple[int, ...] = 0
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
+        key = self.stream_id if isinstance(self.stream_id, tuple) else (self.stream_id,)
+        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=key)
         return np.random.Generator(np.random.PCG64(seq))
 
 
@@ -79,24 +84,3 @@ def draw_targeted_jamming_block(stream: RandomStream, n_elements: int, n_samples
         mode_samples[modes.index(l)] = complex_gaussian(rng, n_samples, mode_variance)
     block = SampleBlock(mode_samples, MODE)
     return multiplex_modes(block, n_elements)
-
-
-def draw_noise_block(stream: RandomStream, n_elements: int, n_samples: int,
-                     variance: float) -> SampleBlock:
-    """Receiver thermal noise; variance is floored at 1e-30 W."""
-    if variance < 0.0:
-        raise ConfigurationError(f"noise variance must be non-negative, got {variance}")
-    rng = stream.generator()
-    samples = complex_gaussian(rng, (n_elements, n_samples),
-                               max(variance, NOISE_VARIANCE_FLOOR))
-    return SampleBlock(samples)
-
-
-def draw_payload_bits(stream: RandomStream, count: int, p_one: float = 0.5) -> np.ndarray:
-    """i.i.d. payload bits; equiprobable unless a prior for '1' is given."""
-    if count < 1:
-        raise ConfigurationError(f"bit count must be >= 1, got {count}")
-    if not 0.0 <= p_one <= 1.0:
-        raise ConfigurationError(f"p_one must lie in [0, 1], got {p_one}")
-    rng = stream.generator()
-    return (rng.random(count) < p_one).astype(np.int8)

@@ -27,7 +27,7 @@ from .backscatter import (CalibrationError, EnergyThreshold, PgaAlphabet,
                           receiver_background_variance, simulate_backscatter_bits)
 from .channel import APPROXIMATE, build_channel_matrix, mode_link_gains
 from .config import ConfigurationError, LinkConfig
-from .jamming import NOISE_VARIANCE_FLOOR, complex_gaussian
+from .jamming import NOISE_VARIANCE_FLOOR, RandomStream, complex_gaussian
 from .sensing import DetectionStats, detection_probabilities
 from .signals import mode_energies, mode_transform
 
@@ -164,11 +164,14 @@ def _power_and_disturbance(config: LinkConfig, snr_db: float,
 
 
 def validate_axes(axes: SweepAxes) -> None:
-    """Reject a grid whose ring sizes or jammed-mode counts cannot run.
+    """Reject a grid whose SNRs, ring sizes or jammed-mode counts cannot run.
 
-    Every ring size must be >= 1 and every jammed-mode count must lie in
-    0..N for every ring size N.
+    Every SNR must be finite, every ring size must be >= 1 and every
+    jammed-mode count must lie in 0..N for every ring size N.
     """
+    for snr_db in axes.snr_db:
+        if not math.isfinite(snr_db):
+            raise ConfigurationError(f"snr {snr_db} dB is not a finite number")
     for n_el in axes.n_elements:
         if n_el < 1:
             raise ConfigurationError(f"ring size must be >= 1, got {n_el}")
@@ -181,23 +184,25 @@ def validate_axes(axes: SweepAxes) -> None:
 def validate_grid(config: LinkConfig, axes: SweepAxes, options: SweepOptions) -> None:
     """Reject a sweep grid that holds a point which cannot run.
 
-    On top of :func:`validate_axes`, every SNR must leave a positive noise
-    variance (the noise-plus-jamming reference subtracts the receiver jamming
-    power from the disturbance the SNR implies).
+    On top of :func:`validate_axes`, every SNR must imply a finite noise
+    variance that stays positive (the noise-plus-jamming reference subtracts
+    the receiver jamming power from the disturbance the SNR implies).
     """
     validate_axes(axes)
     for snr_db in axes.snr_db:
-        per_mode, disturbance = _power_and_disturbance(config, snr_db, options)
+        try:
+            per_mode, disturbance = _power_and_disturbance(config, snr_db, options)
+        except (OverflowError, ZeroDivisionError):
+            disturbance = math.inf
+        if not math.isfinite(disturbance):
+            raise ConfigurationError(
+                f"snr {snr_db} dB out of range: the noise variance it implies "
+                f"is not a finite number")
         if disturbance <= 0.0:
             raise ConfigurationError(
                 f"snr {snr_db} dB infeasible: per-mode power {per_mode} W over "
                 f"noise+jamming requires noise below 0 at jamming "
                 f"{config.jam_variance_rx} W")
-
-
-def _point_generator(seed: int, point_index: int, purpose: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(point_index, purpose))
-    return np.random.Generator(np.random.PCG64(seq))
 
 
 def _point_thresholds(cfg: LinkConfig, channel, kappas: np.ndarray, alphabet: PgaAlphabet,
@@ -268,12 +273,12 @@ def _sweep_point(config: LinkConfig, n_elements: int, n_jammed: int, snr_db: flo
         det_clean = detection_probabilities(cfg.energy_threshold_tx, k_sense,
                                             cfg.jam_variance_tx)
 
-    rng_cal = _point_generator(seed, point_index, 0)
+    rng_cal = RandomStream(seed, (point_index, 0)).generator()
     thresholds, p_c_modes = _point_thresholds(cfg, channel, kappas, alphabet,
                                               carrier_variance, rng_cal, options)
 
     # the detector sees the jamming on the elements, as sense_modes does
-    rng_trials = _point_generator(seed, point_index, 1)
+    rng_trials = RandomStream(seed, (point_index, 1)).generator()
     n = cfg.mode_count
     if options.jam_model == TARGETED and n_jammed > 0:
         jam_sets = np.array([rng_trials.choice(n, size=n_jammed, replace=False)
@@ -295,7 +300,7 @@ def _sweep_point(config: LinkConfig, n_elements: int, n_jammed: int, snr_db: flo
     se_baseline = spectral_efficiency(gamma, ~flagged)
     se_proposed = se_baseline + spectral_efficiency(gamma, flagged)
 
-    rng_ber = _point_generator(seed, point_index, 2)
+    rng_ber = RandomStream(seed, (point_index, 2)).generator()
     ber = _measure_ber(cfg, channel, alphabet, thresholds, carrier_variance,
                        jam_sets, rng_ber, options)
 
@@ -325,6 +330,8 @@ def run_sweep(config: LinkConfig, axes: SweepAxes,
     """
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     for s in schemes:
         if s not in (PROPOSED, BASELINE):
             raise ConfigurationError(f"unknown scheme {s!r}")

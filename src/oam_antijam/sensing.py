@@ -38,9 +38,6 @@ class ModePartition:
         if set(self.jammed) & set(self.unjammed):
             raise ValueError("jammed and unjammed sets must be disjoint")
 
-    def energy_of(self, mode: int) -> float:
-        return float(self.energies[self.modes.index(mode)])
-
 
 @dataclass(frozen=True)
 class DetectionStats:
@@ -118,21 +115,3 @@ def empirical_detection_probabilities(stream: RandomStream, energy_threshold: fl
     energies = np.mean(np.abs(samples) ** 2, axis=1)
     p_flag = float(np.mean(energies >= energy_threshold))
     return DetectionStats(p_jammed=p_flag, p_unjammed=1.0 - p_flag, source=EMPIRICAL)
-
-
-def threshold_for_quantile(n_samples: int, mode_variance: float,
-                           no_flag_probability: float) -> float:
-    """Threshold whose analytic no-flag probability hits the requested target.
-
-    Inverts the Gamma(K, sigma2/K) CDF, an alternative to a fixed raw
-    threshold when the background level is known.
-    """
-    if not 0.0 < no_flag_probability < 1.0:
-        raise ValueError(
-            f"target probability must lie in (0, 1), got {no_flag_probability}")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if mode_variance <= 0.0:
-        raise ValueError(f"mode variance must be positive, got {mode_variance}")
-    return float(special.gammaincinv(n_samples, no_flag_probability)
-                 * mode_variance / n_samples)

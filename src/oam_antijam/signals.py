@@ -107,13 +107,6 @@ def mode_energies(element_samples: np.ndarray) -> np.ndarray:
     return np.mean(np.abs(w @ element_samples) ** 2, axis=-1)
 
 
-def sample_block_energy(block: SampleBlock, row: int) -> float:
-    """Block-average power (1/K) * sum_k |x[row, k]|^2 of one row."""
-    if not 0 <= row < block.n_rows:
-        raise IndexError(f"row {row} outside 0..{block.n_rows - 1}")
-    return float(np.mean(np.abs(block.samples[row]) ** 2))
-
-
 def block_energies(block: SampleBlock) -> np.ndarray:
     """Block-average power of every row at once."""
     return np.mean(np.abs(block.samples) ** 2, axis=1)

@@ -10,10 +10,8 @@ from oam_antijam import (
     CalibrationError,
     EnergyThreshold,
     LinkConfig,
-    MODE,
     PgaAlphabet,
     Preamble,
-    SampleBlock,
     alternating_preamble,
     average_correct_detection,
     build_channel_matrix,
@@ -21,14 +19,10 @@ from oam_antijam import (
     calibrate_threshold,
     chi_square_cdf,
     correct_detection_prob,
-    decide_bit,
     hypothesis_variance,
     mode_index_range,
     mode_link_gains,
-    pga_modulate,
     receiver_background_variance,
-    receiver_mode_energy,
-    run_backscatter_symbol,
     simulate_backscatter_bits,
 )
 from oam_antijam.jamming import RandomStream, complex_gaussian
@@ -42,6 +36,16 @@ def normalized_config(**overrides) -> LinkConfig:
 
 def mode_row(n, mode):
     return mode_index_range(n).index(mode)
+
+
+def run_link(cfg, bits, alphabet=None, threshold=None, carrier_variance=1.0, mode=2,
+             seed=0):
+    """Decisions and energies of ``bits`` on ``mode``, drawn from stream (seed, 0)."""
+    threshold = threshold or EnergyThreshold(q_th=1.0, q0_hat=0.5, q1_hat=2.0)
+    return simulate_backscatter_bits(
+        cfg, build_channel_matrix(cfg, APPROXIMATE), mode, np.asarray(bits),
+        alphabet or PgaAlphabet(), threshold, carrier_variance,
+        RandomStream(seed, 0).generator())
 
 
 class TestAlphabetAndPreamble:
@@ -76,50 +80,44 @@ class TestAlphabetAndPreamble:
 
 
 class TestPgaModulate:
-    def setup_method(self):
-        rng = np.random.default_rng(2)
-        self.n = 8
-        self.samples = rng.normal(size=(self.n, 12)) + 1j * rng.normal(size=(self.n, 12))
-        self.block = SampleBlock(self.samples, domain=MODE)
-
     def test_gain_levels_applied_per_symbol(self):
-        out = pga_modulate(self.block, [0, 1, 0], PgaAlphabet(), mode=2)
-        row = mode_row(self.n, 2)
-        expected = self.samples[row] * np.repeat([0.5, 2.0, 0.5], 4)
-        assert np.allclose(out.samples[row], expected)
-        others = np.delete(np.arange(self.n), row)
-        assert np.allclose(out.samples[others], self.samples[others])
+        # same draws, only the bits differ; with the receiver floor at 1e-30 W
+        # each symbol's energy scales with its squared gain level, (2/0.5)^2
+        cfg = normalized_config(noise_variance_rx=1e-30, jam_variance_rx=1e-30)
+        bits = np.array([0, 1, 0, 1, 1])
+        _, q = run_link(cfg, bits, seed=2)
+        _, q_zeros = run_link(cfg, np.zeros(5, dtype=int), seed=2)
+        assert np.allclose(q / q_zeros, np.where(bits == 1, 16.0, 1.0), rtol=1e-9, atol=0.0)
 
     def test_identity_alphabet_passes_through(self):
-        out = pga_modulate(self.block, [1, 0, 1], PgaAlphabet((1.0, 1.0)), mode=0)
-        assert np.allclose(out.samples, self.samples)
-
-    def test_shape_error_on_bit_count(self):
-        with pytest.raises(ValueError):
-            pga_modulate(self.block, [0, 1, 1, 0, 1], PgaAlphabet(), mode=0)
+        cfg = normalized_config()
+        alb = PgaAlphabet((1.0, 1.0))
+        _, q_zeros = run_link(cfg, [0, 0, 0], alb, seed=3)
+        _, q_ones = run_link(cfg, [1, 1, 1], alb, seed=3)
+        assert np.array_equal(q_zeros, q_ones)
 
     def test_mode_out_of_range(self):
         with pytest.raises(ValueError):
-            pga_modulate(self.block, [0, 1, 0], PgaAlphabet(), mode=7)
+            run_link(normalized_config(), [0, 1, 0], mode=9)
 
 
 class TestReceiverModeEnergy:
-    def test_zero_and_constant(self):
-        block = SampleBlock(np.zeros((4, 12), dtype=complex), domain=MODE)
-        assert receiver_mode_energy(block, 0, 1, 4) == 0.0
-        block = SampleBlock(np.full((4, 12), 0.5j), domain=MODE)
-        assert receiver_mode_energy(block, 1, 3, 4) == pytest.approx(0.25)
-
     def test_gaussian_moment(self):
-        rng = np.random.default_rng(4)
-        samples = complex_gaussian(rng, (1, 10_000), 0.8)
-        block = SampleBlock(samples, domain=MODE)
-        assert receiver_mode_energy(block, 0, 1, 10_000) == pytest.approx(0.8, rel=0.05)
+        # the mean symbol energy is the per-sample variance of the recovered mode
+        cfg = normalized_config()
+        kappa = mode_link_gains(cfg)[mode_row(cfg.n_tx, 2)]
+        for bit, gain in ((0, 0.5), (1, 2.0)):
+            _, q = run_link(cfg, np.full(2000, bit), seed=4)
+            expected = hypothesis_variance(cfg, kappa, gain, 1.0)
+            assert q.mean() == pytest.approx(expected, rel=0.03)
 
-    def test_symbol_out_of_range(self):
-        block = SampleBlock(np.zeros((4, 12), dtype=complex), domain=MODE)
-        with pytest.raises(IndexError):
-            receiver_mode_energy(block, 0, 4, 4)
+    @pytest.mark.parametrize("noise_variance, expected", [(0.37, 0.37), (1e-40, 1e-30)])
+    def test_receiver_noise_variance_and_floor(self, noise_variance, expected):
+        # a zero gain level and negligible jamming leave only the receiver
+        # noise, floored at 1e-30 W, summed over the M receive elements
+        cfg = normalized_config(noise_variance_rx=noise_variance, jam_variance_rx=1e-45)
+        _, q = run_link(cfg, np.zeros(500, dtype=int), PgaAlphabet((0.0, 1.0)), seed=6)
+        assert q.mean() == pytest.approx(cfg.n_rx * expected, rel=0.05)
 
 
 class TestCalibrateThreshold:
@@ -186,19 +184,31 @@ class TestCalibrateThreshold:
 
 class TestDecideBit:
     def test_rule(self):
-        thr = EnergyThreshold(q_th=1.5, q0_hat=1.0, q1_hat=2.0)
-        assert decide_bit(1.5, thr) == 1  # boundary inclusive
-        assert decide_bit(0.0, thr) == 0
-        assert decide_bit(3.0, thr) == 1
+        cfg = normalized_config()
+        bits = [0, 1] * 4
+        _, q = run_link(cfg, bits, seed=9)
+        q_th = float(np.sort(q)[3])
+        thr = EnergyThreshold(q_th=q_th, q0_hat=0.5 * q_th, q1_hat=2.0 * q_th)
+        decided, again = run_link(cfg, bits, threshold=thr, seed=9)
+        assert np.array_equal(again, q)
+        assert np.array_equal(decided, (q >= q_th).astype(int))
+        assert decided[np.argsort(q)[3]] == 1  # boundary inclusive
+        assert decided.sum() == 5
 
     def test_scale_consistency(self):
-        rng = np.random.default_rng(9)
-        thr = EnergyThreshold(q_th=0.8, q0_hat=0.5, q1_hat=1.4)
+        # scaling every power by the same factor scales the energies and
+        # leaves the decisions against a scaled threshold unchanged
+        bits = [0, 1] * 25
+        thr = EnergyThreshold(q_th=40.0, q0_hat=20.0, q1_hat=80.0)
+        decided, q = run_link(normalized_config(), bits, threshold=thr, seed=10)
+        assert 0 < decided.sum() < len(bits)
         for scale in (0.25, 7.0):
-            scaled = EnergyThreshold(q_th=0.8 * scale, q0_hat=0.5 * scale,
-                                     q1_hat=1.4 * scale)
-            for q in rng.uniform(0.0, 3.0, 50):
-                assert decide_bit(q, thr) == decide_bit(q * scale, scaled)
+            cfg = normalized_config(noise_variance_rx=scale, jam_variance_rx=0.1 * scale)
+            scaled = EnergyThreshold(q_th=40.0 * scale, q0_hat=20.0 * scale,
+                                     q1_hat=80.0 * scale)
+            d, qs = run_link(cfg, bits, threshold=scaled, carrier_variance=scale, seed=10)
+            assert np.allclose(qs, q * scale, rtol=1e-12, atol=0.0)
+            assert np.array_equal(d, decided)
 
 
 class TestChiSquare:
@@ -273,23 +283,25 @@ class TestEndToEnd:
 
     def test_single_symbol_matches_batch_path(self):
         cfg = normalized_config()
-        ch = build_channel_matrix(cfg, APPROXIMATE)
         alb = PgaAlphabet()
         thr = EnergyThreshold(q_th=5.0, q0_hat=1.0, q1_hat=9.0)
-        rng = RandomStream(17, 0).generator()
-        k, m = cfg.samples_per_symbol, cfg.n_rx
-        carrier = complex_gaussian(rng, k, 1.0)
-        jam = SampleBlock(complex_gaussian(rng, (m, k), cfg.jam_variance_rx))
-        noise = SampleBlock(complex_gaussian(rng, (m, k), cfg.noise_variance_rx))
-        bit, q = run_backscatter_symbol(cfg, ch, 3, 1, alb, thr, carrier, jam, noise)
-        # independent synthesis of the same symbol
-        kappa = mode_link_gains(cfg, ch)[mode_row(cfg.n_tx, 3)]
-        y = kappa * 2.0 * carrier
+        bits = np.array([1, 0, 1])
+        decided, q = run_link(cfg, bits, alb, thr, mode=3, seed=17)
+        # replay the batch path's draws from a twin generator
+        twin = RandomStream(17, 0).generator()
+        b, k, m = bits.size, cfg.samples_per_symbol, cfg.n_rx
+        carrier = complex_gaussian(twin, (b, k), 1.0)
+        noise = complex_gaussian(twin, (b, m, k), cfg.noise_variance_rx)
+        jam = complex_gaussian(twin, (b, m, k), cfg.jam_variance_rx)
+        # independent synthesis, one symbol at a time
+        kappa = mode_link_gains(cfg)[mode_row(cfg.n_tx, 3)]
         psi = 2 * np.pi * np.arange(m) / m
-        y = y + np.exp(-1j * psi * 3) @ (jam.samples + noise.samples)
-        q_expected = float(np.mean(np.abs(y) ** 2))
-        assert q == pytest.approx(q_expected, rel=1e-9)
-        assert bit == (1 if q >= 5.0 else 0)
+        for i, bit in enumerate(bits):
+            y = kappa * alb.gains[bit] * carrier[i]
+            y = y + np.exp(-1j * psi * 3) @ (jam[i] + noise[i])
+            q_expected = float(np.mean(np.abs(y) ** 2))
+            assert q[i] == pytest.approx(q_expected, rel=1e-9)
+            assert decided[i] == (1 if q[i] >= 5.0 else 0)
 
     def test_empirical_error_rate_matches_analytic(self):
         cfg = normalized_config(noise_variance_rx=10.0)

@@ -163,24 +163,45 @@ ber_symbols = 2
 
 
 class TestValidationBeforeAnyPoint:
-    @pytest.mark.parametrize("sweep", [
-        "n_jammed = -3",
-        "snr_reference = noise-plus-jamming\nsnr_db = 0, 10, 30\nn_jammed = 0",
-        "ber_trials = -5",
-        "ber_symbols = -1",
-    ])
-    def test_invalid_grid_or_probe_budget(self, tmp_path, monkeypatch, capsys, sweep):
+    @pytest.fixture
+    def rejected(self, tmp_path, monkeypatch, capsys):
+        """Run the CLI on a [sweep] section; it must exit 1 before any grid point."""
         from oam_antijam import metrics
 
         def no_point(*args):
             raise AssertionError("a grid point ran")
 
         monkeypatch.setattr(metrics, "_sweep_point", no_point)
-        path = write(tmp_path, f"[sweep]\ntrials = 2\n{sweep}\n")
-        out = tmp_path / "out.csv"
-        assert main(["--config", path, "--output", str(out)]) == 1
-        assert "validation error" in capsys.readouterr().err
-        assert not out.exists()
+
+        def run(sweep, *args):
+            path = write(tmp_path, f"[sweep]\ntrials = 2\n{sweep}\n")
+            out = tmp_path / "out.csv"
+            assert main(["--config", path, "--output", str(out), *args]) == 1
+            assert "validation error" in capsys.readouterr().err
+            assert not out.exists()
+
+        return run
+
+    @pytest.mark.parametrize("sweep", [
+        "n_jammed = -3",
+        "snr_reference = noise-plus-jamming\nsnr_db = 0, 10, 30\nn_jammed = 0",
+        "ber_trials = -5",
+        "ber_symbols = -1",
+        "seed = -1",
+        "snr_db = 0, 4000",
+        "snr_db = -4000",
+        "snr_db = 0, nan",
+        "snr_db = inf",
+    ])
+    def test_invalid_grid_or_probe_budget(self, rejected, sweep):
+        rejected(sweep)
+
+    def test_negative_seed_flag(self, rejected):
+        rejected("", "--seed", "-1")
+
+    def test_negative_environment_seed(self, rejected, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "-1")
+        rejected("")
 
 
 class TestSeedPrecedence:
@@ -211,14 +232,6 @@ class TestSeedPrecedence:
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-seed")
         scenario_path = write(tmp_path, "")
         assert main(["--config", scenario_path]) == 1
-
-
-class TestOracleMode:
-    def test_oracle_suite_passes(self, capsys):
-        assert main(["--oracle"]) == 0
-        stdout = capsys.readouterr().out
-        assert "oracle PASS: mode-gain/matrix constant at N=16" in stdout
-        assert "FAIL" not in stdout
 
 
 def test_format_sweep_csv_handles_nan():

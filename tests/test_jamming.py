@@ -1,4 +1,4 @@
-"""Reproducibility and moment checks of the jamming/noise/payload sources."""
+"""Reproducibility and moment checks of the random streams and jamming sources."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,6 @@ from oam_antijam import (
     block_energies,
     decompose_modes,
     draw_jamming_block,
-    draw_noise_block,
-    draw_payload_bits,
     draw_targeted_jamming_block,
     mode_index_range,
 )
@@ -32,26 +30,13 @@ def test_jamming_moments():
     assert abs(np.mean(row)) < 3 * sigma / np.sqrt(k)
 
 
-def test_noise_block_variance():
-    block = draw_noise_block(RandomStream(6, 2), 2, 10_000, 0.37)
-    assert np.mean(np.abs(block.samples) ** 2) == pytest.approx(0.37, rel=0.05)
-
-
-def test_noise_zero_variance_floored():
-    block = draw_noise_block(RandomStream(6, 3), 1, 100, 0.0)
-    energy = np.mean(np.abs(block.samples) ** 2)
-    assert 0.0 < energy < 1e-28
-
-
 def test_moments_within_five_standard_errors_at_large_k():
-    k = 100_000
-    for draw, variance in ((draw_jamming_block, 0.25), (draw_noise_block, 1.5)):
-        block = draw(RandomStream(14, 1), 1, k, variance)
-        row = block.samples[0]
-        # |z|^2 is exponential with mean and std both equal to the variance
-        energy_err = abs(np.mean(np.abs(row) ** 2) - variance)
-        assert energy_err <= 5 * variance / np.sqrt(k)
-        assert abs(np.mean(row)) <= 5 * np.sqrt(variance / k)
+    k, variance = 100_000, 0.25
+    row = draw_jamming_block(RandomStream(14, 1), 1, k, variance).samples[0]
+    # |z|^2 is exponential with mean and std both equal to the variance
+    energy_err = abs(np.mean(np.abs(row) ** 2) - variance)
+    assert energy_err <= 5 * variance / np.sqrt(k)
+    assert abs(np.mean(row)) <= 5 * np.sqrt(variance / k)
 
 
 def test_streams_are_independent():
@@ -62,16 +47,12 @@ def test_streams_are_independent():
     assert corr < 5.0 / np.sqrt(k)
 
 
-def test_payload_bits_frequency_and_determinism():
-    bits = draw_payload_bits(RandomStream(11, 0), 10_000)
-    assert 0.48 <= bits.mean() <= 0.52
-    again = draw_payload_bits(RandomStream(11, 0), 10_000)
-    assert np.array_equal(bits, again)
-
-
-def test_payload_degenerate_prior():
-    bits = draw_payload_bits(RandomStream(11, 1), 500, p_one=0.0)
-    assert not bits.any()
+@pytest.mark.parametrize("stream_id, spawn_key", [(7, (7,)), ((3, 1), (3, 1))],
+                         ids=["int", "tuple"])
+def test_stream_id_keys_the_seed_sequence(stream_id, spawn_key):
+    seq = np.random.SeedSequence(entropy=42, spawn_key=spawn_key)
+    expected = np.random.Generator(np.random.PCG64(seq)).random(8)
+    assert np.array_equal(RandomStream(42, stream_id).generator().random(8), expected)
 
 
 def test_targeted_jamming_hits_only_requested_modes():
@@ -102,8 +83,3 @@ def test_targeted_jamming_unknown_mode():
 def test_invalid_jamming_variance(variance):
     with pytest.raises(ConfigurationError):
         draw_jamming_block(RandomStream(1, 0), 4, 16, variance)
-
-
-def test_invalid_bit_count():
-    with pytest.raises(ConfigurationError):
-        draw_payload_bits(RandomStream(1, 0), 0)

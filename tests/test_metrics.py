@@ -261,6 +261,22 @@ class TestRunSweep:
             run_sweep(cfg, axes, trials=2, seed=0, options=opts)
         assert computed == []
 
+    def test_negative_seed_rejected(self):
+        axes = SweepAxes(snr_db=(10.0,), n_jammed=(0,), n_elements=(8,))
+        with pytest.raises(ConfigurationError, match="seed"):
+            run_sweep(LinkConfig().with_unit_element_gain(), axes, trials=2, seed=-1)
+
+    @pytest.mark.parametrize("snr_db, reason", [
+        (float("nan"), "not a finite number"),
+        (float("inf"), "not a finite number"),
+        (4000.0, "out of range"),
+        (-4000.0, "out of range"),
+    ])
+    def test_out_of_range_snr_rejected(self, snr_db, reason):
+        axes = SweepAxes(snr_db=(0.0, snr_db), n_jammed=(0,), n_elements=(8,))
+        with pytest.raises(ConfigurationError, match=reason):
+            run_sweep(LinkConfig().with_unit_element_gain(), axes, trials=2, seed=0)
+
     @pytest.mark.parametrize("knob", ["ber_trials", "ber_symbols"])
     def test_negative_probe_budget_rejected(self, knob):
         with pytest.raises(ConfigurationError, match=knob):

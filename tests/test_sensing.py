@@ -17,7 +17,6 @@ from oam_antijam import (
     mode_index_range,
     multiplex_modes,
     sense_modes,
-    threshold_for_quantile,
 )
 
 
@@ -139,19 +138,3 @@ def test_exceedance_grid_within_three_standard_errors(k, sigma2):
             RandomStream(500 + k, int(factor * 4)), e_th, k, sigma2, trials=trials)
         stderr = math.sqrt(max(p * (1 - p), 1e-12) / trials)
         assert abs(emp.p_jammed - p) <= 3 * stderr + 1e-9
-
-
-class TestQuantileThreshold:
-    def test_round_trips_through_analytic_probability(self):
-        for target in (0.5, 0.9, 0.99):
-            e_th = threshold_for_quantile(64, 0.1, target)
-            assert detection_probabilities(e_th, 64, 0.1).p_unjammed == pytest.approx(
-                target, abs=1e-10)
-
-    def test_monotone_in_target(self):
-        values = [threshold_for_quantile(16, 0.1, q) for q in (0.1, 0.5, 0.9)]
-        assert values[0] < values[1] < values[2]
-
-    def test_invalid_target(self):
-        with pytest.raises(ValueError):
-            threshold_for_quantile(16, 0.1, 1.0)

@@ -16,7 +16,6 @@ from oam_antijam import (
     mode_energies,
     mode_index_range,
     multiplex_modes,
-    sample_block_energy,
 )
 
 
@@ -102,22 +101,17 @@ def test_mode_orthogonality_through_expanded_channel():
 class TestBlockEnergy:
     def test_zero_row(self):
         block = SampleBlock(np.zeros((2, 5), dtype=complex))
-        assert sample_block_energy(block, 0) == 0.0
+        assert np.array_equal(block_energies(block), [0.0, 0.0])
 
     def test_constant_modulus(self):
         block = SampleBlock(np.full((1, 8), 0.3 * np.exp(1j)))
-        assert sample_block_energy(block, 0) == pytest.approx(0.09, rel=1e-12)
+        assert block_energies(block)[0] == pytest.approx(0.09, rel=1e-12)
 
     def test_gaussian_concentration(self):
         rng = np.random.default_rng(21)
         k = 10_000
         row = (rng.normal(size=k) + 1j * rng.normal(size=k)) / np.sqrt(2)
-        assert sample_block_energy(SampleBlock(row[None, :]), 0) == pytest.approx(1.0, abs=0.05)
-
-    def test_row_out_of_range(self):
-        block = SampleBlock(np.zeros((2, 5), dtype=complex))
-        with pytest.raises(IndexError):
-            sample_block_energy(block, 2)
+        assert block_energies(SampleBlock(row[None, :]))[0] == pytest.approx(1.0, abs=0.05)
 
     def test_mode_energies_batch_matches_each_decomposed_block(self):
         rng = np.random.default_rng(8)
