@@ -5,6 +5,10 @@ switching a gain amplifier between levels a_0 < a_1 (on-off keying for the
 binary case), and the receiver decodes by comparing the block-average energy
 of the recovered mode against a threshold calibrated from a known preamble.
 
+Symbols are drawn in the mode domain, not element by element: the recovered
+mode is linear in every draw, so this is exact in distribution for any M x N
+channel (the element-level path survives only as a test oracle).
+
 Energy statistics: with every contribution circular complex Gaussian, the
 K-sample average energy Q under gain level b satisfies
 2*K*Q / sigma2(b) ~ chi-square(2K), with sigma2(b) the per-sample variance of
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .channel import ChannelMatrix
+from .channel import ChannelMatrix, element_azimuths
 from .config import LinkConfig, mode_index_range, pga_levels
 from .jamming import NOISE_VARIANCE_FLOOR, complex_gaussian
 
@@ -151,9 +155,11 @@ def receiver_background_variance(config: LinkConfig) -> float:
     """Per-sample variance of the recovered mode's noise-plus-jamming floor.
 
     The unnormalized receive-side mode sum adds M independent element
-    contributions, so the floor is M * (noise + jamming variance).
+    contributions, so the floor is M * (noise + jamming variance), with the
+    noise floored at ``NOISE_VARIANCE_FLOOR``.
     """
-    return config.n_rx * (config.noise_variance_rx + config.jam_variance_rx)
+    noise = max(config.noise_variance_rx, NOISE_VARIANCE_FLOOR)
+    return config.n_rx * (noise + config.jam_variance_rx)
 
 
 def hypothesis_variance(config: LinkConfig, link_gain: complex, gain_level: float,
@@ -194,18 +200,17 @@ def simulate_backscatter_bits(config: LinkConfig, channel: ChannelMatrix, mode: 
                               bits, alphabet: PgaAlphabet,
                               threshold: EnergyThreshold, carrier_variance: float,
                               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo run of many symbols through the element-level path.
+    """Monte Carlo run of many symbols through the reflected link.
 
-    Per symbol, draws the K carrier samples received on the jammed mode, the
-    receiver noise and the direct-path jamming from ``rng``; scales the
-    carrier by the bit's gain level, maps it onto the transmit elements,
-    passes it through the element channel, adds noise and jamming, recovers
-    the mode by the plain sum over receive elements and decides by energy
-    against the threshold (boundary inclusive). Symbols run in chunks of
-    ``SYMBOL_CHUNK`` to bound memory. Returns (decided bits, per-symbol
-    energies).
+    Draws each symbol's recovered mode directly, y[k] = kappa*a_b*c[k] + w[k]:
+    kappa is the ``mode_link_gains`` value of ``mode``, a_b the bit's gain
+    level, c the K carrier samples received on the jammed mode and w the
+    receive-ramp sum of the elements' i.i.d. noise and jamming, which is
+    CN(0, :func:`receiver_background_variance`). Per chunk of ``SYMBOL_CHUNK``
+    symbols, ``rng`` draws c, then w. Decides by energy against the threshold
+    (boundary inclusive). Returns (decided bits, per-symbol energies).
     """
-    bits = np.asarray(bits, dtype=int)
+    bits = np.asarray(bits)
     n, m = config.n_tx, config.n_rx
     if channel.gains.shape != (m, n):
         raise ValueError(
@@ -213,24 +218,18 @@ def simulate_backscatter_bits(config: LinkConfig, channel: ChannelMatrix, mode: 
     modes = mode_index_range(n)
     if mode not in modes:
         raise ValueError(f"mode {mode} outside supported range {modes}")
-    k = config.samples_per_symbol
-    phi = 2.0 * np.pi * np.arange(n) / n
-    psi = 2.0 * np.pi * np.arange(m) / m
-    tx_ramp = np.exp(1j * phi * mode) / np.sqrt(n)                             # (N,)
-    rx_ramp = np.exp(-1j * psi * mode)                                         # (M,)
-    noise_var = max(config.noise_variance_rx, NOISE_VARIANCE_FLOOR)
+    if np.any((bits < 0) | (bits >= len(alphabet.gains)) | (bits % 1 != 0)):
+        raise ValueError(f"bits must be integers in 0..{len(alphabet.gains) - 1}, got {bits}")
+    kappa = (np.exp(-1j * mode * element_azimuths(m)) @ channel.gains
+             @ np.exp(1j * mode * element_azimuths(n))) / np.sqrt(m * n)
+    amplitudes = kappa * np.asarray(alphabet.gains)[bits.astype(int)]
+    background = receiver_background_variance(config)
     energies = np.empty(bits.size, dtype=float)
     for start in range(0, bits.size, SYMBOL_CHUNK):
         stop = min(start + SYMBOL_CHUNK, bits.size)
-        b = stop - start
-        carrier = complex_gaussian(rng, (b, k), carrier_variance)
-        noise = complex_gaussian(rng, (b, m, k), noise_var)
-        rx_jam = complex_gaussian(rng, (b, m, k), config.jam_variance_rx)
-        s = np.asarray(alphabet.gains)[bits[start:stop], None] * carrier       # (B, K)
-        x = tx_ramp[None, :, None] * s[:, None, :]                             # (B, N, K)
-        y = np.einsum("mn,bnk->bmk", channel.gains, x) / np.sqrt(m)
-        y = y + noise + rx_jam
-        y_mode = np.einsum("m,bmk->bk", rx_ramp, y)                            # (B, K)
+        shape = (stop - start, config.samples_per_symbol)
+        carrier = complex_gaussian(rng, shape, carrier_variance)
+        y_mode = amplitudes[start:stop, None] * carrier + complex_gaussian(rng, shape, background)
         energies[start:stop] = np.mean(np.abs(y_mode) ** 2, axis=1)
     return (energies >= threshold.q_th).astype(int), energies
 

@@ -251,6 +251,11 @@ def _measure_ber(cfg: LinkConfig, channel, alphabet: PgaAlphabet,
     return errors / total if total else float("nan")
 
 
+def _draw_jam_sets(rng: np.random.Generator, trials: int, n: int, n_jammed: int) -> np.ndarray:
+    """(trials, n_jammed) mode rows, each a uniformly random subset of range(n)."""
+    return np.argsort(rng.random((trials, n)), axis=1)[:, :n_jammed]
+
+
 def _sweep_point(config: LinkConfig, n_elements: int, n_jammed: int, snr_db: float,
                  trials: int, seed: int, point_index: int,
                  options: SweepOptions) -> dict:
@@ -280,18 +285,14 @@ def _sweep_point(config: LinkConfig, n_elements: int, n_jammed: int, snr_db: flo
     # the detector sees the jamming on the elements, as sense_modes does
     rng_trials = RandomStream(seed, (point_index, 1)).generator()
     n = cfg.mode_count
-    if options.jam_model == TARGETED and n_jammed > 0:
-        jam_sets = np.array([rng_trials.choice(n, size=n_jammed, replace=False)
-                             for _ in range(trials)])
-    else:
-        jam_sets = np.empty((trials, 0), dtype=int)
+    jam_sets = np.empty((trials, 0), dtype=int)
     if options.jam_model == BROADBAND:
         element = complex_gaussian(rng_trials, (trials, n, k_sense), carrier_variance)
     else:
+        jam_sets = _draw_jam_sets(rng_trials, trials, n, n_jammed)
         source = np.zeros((trials, n, k_sense), dtype=complex)
-        if jam_sets.size:
-            source[np.arange(trials)[:, None], jam_sets] = complex_gaussian(
-                rng_trials, jam_sets.shape + (k_sense,), carrier_variance)
+        source[np.arange(trials)[:, None], jam_sets] = complex_gaussian(
+            rng_trials, jam_sets.shape + (k_sense,), carrier_variance)
         element = mode_transform(n).conj().T @ source
     flagged = mode_energies(element) >= cfg.energy_threshold_tx   # (trials, N)
 

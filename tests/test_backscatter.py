@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from oam_antijam import (
     APPROXIMATE,
+    EXACT,
     CalibrationError,
     EnergyThreshold,
     LinkConfig,
@@ -36,6 +38,29 @@ def normalized_config(**overrides) -> LinkConfig:
 
 def mode_row(n, mode):
     return mode_index_range(n).index(mode)
+
+
+def element_level_energies(cfg, channel, mode, bits, alphabet, carrier_variance, rng):
+    """Reference synthesis of the reflected link, element by element.
+
+    Maps each gain-scaled carrier symbol onto the N transmit elements with the
+    mode's phase ramp, passes it through the M x N channel (H x / sqrt(M)),
+    adds i.i.d. receiver noise (floored at 1e-30 W) and direct-path jamming on
+    every receive element, recovers the mode by the receive-ramp sum and
+    returns one mean energy per symbol.
+    """
+    bits = np.asarray(bits)
+    n, m, k = cfg.n_tx, cfg.n_rx, cfg.samples_per_symbol
+    tx_ramp = np.exp(1j * mode * 2 * np.pi * np.arange(n) / n) / np.sqrt(n)
+    rx_ramp = np.exp(-1j * mode * 2 * np.pi * np.arange(m) / m)
+    carrier = complex_gaussian(rng, (bits.size, k), carrier_variance)
+    noise = complex_gaussian(rng, (bits.size, m, k), max(cfg.noise_variance_rx, 1e-30))
+    jam = complex_gaussian(rng, (bits.size, m, k), cfg.jam_variance_rx)
+    s = np.asarray(alphabet.gains)[bits][:, None] * carrier               # (B, K)
+    x = tx_ramp[None, :, None] * s[:, None, :]                            # (B, N, K)
+    y = np.einsum("mn,bnk->bmk", channel.gains, x) / np.sqrt(m) + noise + jam
+    y_mode = np.einsum("m,bmk->bk", rx_ramp, y)                           # (B, K)
+    return np.mean(np.abs(y_mode) ** 2, axis=1)
 
 
 def run_link(cfg, bits, alphabet=None, threshold=None, carrier_variance=1.0, mode=2,
@@ -99,6 +124,17 @@ class TestPgaModulate:
     def test_mode_out_of_range(self):
         with pytest.raises(ValueError):
             run_link(normalized_config(), [0, 1, 0], mode=9)
+
+    @pytest.mark.parametrize("bits", [[-1, 0], [2], [0, 1, 3], [0.9, 1]])
+    def test_bits_outside_the_alphabet_rejected_before_any_draw(self, bits):
+        cfg = normalized_config()
+        rng = RandomStream(21, 0).generator()
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"bits must be integers in 0\.\.1"):
+            simulate_backscatter_bits(
+                cfg, build_channel_matrix(cfg, APPROXIMATE), 2, np.array(bits),
+                PgaAlphabet(), EnergyThreshold(q_th=1.0, q0_hat=0.5, q1_hat=2.0), 1.0, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestReceiverModeEnergy:
@@ -287,18 +323,17 @@ class TestEndToEnd:
         thr = EnergyThreshold(q_th=5.0, q0_hat=1.0, q1_hat=9.0)
         bits = np.array([1, 0, 1])
         decided, q = run_link(cfg, bits, alb, thr, mode=3, seed=17)
-        # replay the batch path's draws from a twin generator
+        # replay the batch path's draws from a twin generator: the carrier,
+        # then the recovered mode's background, M * (noise + jamming) per sample
         twin = RandomStream(17, 0).generator()
-        b, k, m = bits.size, cfg.samples_per_symbol, cfg.n_rx
+        b, k = bits.size, cfg.samples_per_symbol
         carrier = complex_gaussian(twin, (b, k), 1.0)
-        noise = complex_gaussian(twin, (b, m, k), cfg.noise_variance_rx)
-        jam = complex_gaussian(twin, (b, m, k), cfg.jam_variance_rx)
+        background = complex_gaussian(
+            twin, (b, k), cfg.n_rx * (cfg.noise_variance_rx + cfg.jam_variance_rx))
         # independent synthesis, one symbol at a time
         kappa = mode_link_gains(cfg)[mode_row(cfg.n_tx, 3)]
-        psi = 2 * np.pi * np.arange(m) / m
         for i, bit in enumerate(bits):
-            y = kappa * alb.gains[bit] * carrier[i]
-            y = y + np.exp(-1j * psi * 3) @ (jam[i] + noise[i])
+            y = kappa * alb.gains[bit] * carrier[i] + background[i]
             q_expected = float(np.mean(np.abs(y) ** 2))
             assert q[i] == pytest.approx(q_expected, rel=1e-9)
             assert decided[i] == (1 if q[i] >= 5.0 else 0)
@@ -356,3 +391,40 @@ class TestEndToEnd:
         stderr = math.sqrt(max(pooled * (1 - pooled), 1e-9) / n_bits)
         # calibration varies per seed too, so allow a small extra margin
         assert all(abs(r - pooled) <= 3 * stderr + 0.01 for r in rates)
+
+
+class TestModeDomainAgainstElementLevel:
+    """The mode-domain draw matches the element-level oracle in distribution."""
+
+    SYMBOLS = 2000
+
+    @pytest.mark.parametrize("n, m, k, noise, jam, gains, variant", [
+        (16, 16, 1, 1.0, 0.1, (0.5, 2.0), APPROXIMATE),
+        (16, 16, 4, 100.0, 0.1, (0.0, 1.0), APPROXIMATE),
+        (16, 16, 16, 1e-30, 1e-30, (0.0, 2.0), APPROXIMATE),
+        (16, 16, 4, 0.37, 0.1, (0.5, 2.0), EXACT),
+        (5, 5, 16, 1e-30, 0.1, (0.0, 1.0), EXACT),
+        (8, 12, 4, 1.0, 0.1, (0.5, 2.0), APPROXIMATE),
+        (8, 12, 16, 100.0, 1e-30, (0.0, 3.0), EXACT),
+        (8, 12, 1, 1e-30, 0.1, (0.5, 2.0), EXACT),
+    ])
+    def test_energies_agree_per_gain_level(self, n, m, k, noise, jam, gains, variant):
+        cfg = normalized_config(n_tx=n, n_rx=m, samples_per_symbol=k,
+                                noise_variance_rx=noise, jam_variance_rx=jam)
+        channel = build_channel_matrix(cfg, variant)
+        alb = PgaAlphabet(gains)
+        mode = 2
+        kappa = mode_link_gains(cfg, channel)[mode_row(n, mode)]
+        thr = EnergyThreshold(q_th=1.0, q0_hat=0.5, q1_hat=2.0)
+        for bit, gain in enumerate(gains):
+            bits = np.full(self.SYMBOLS, bit)
+            rng = RandomStream(31, (n, m, k, bit)).generator()
+            _, fast = simulate_backscatter_bits(cfg, channel, mode, bits, alb, thr, 1.0, rng)
+            oracle = element_level_energies(
+                cfg, channel, mode, bits, alb, 1.0, RandomStream(32, (n, m, k, bit)).generator())
+            # K-sample mean energy: mean sigma2, standard deviation sigma2 / sqrt(K)
+            sigma2 = hypothesis_variance(cfg, kappa, gain, 1.0)
+            stderr = sigma2 / math.sqrt(k * self.SYMBOLS)
+            for energies in (fast, oracle):
+                assert abs(energies.mean() - sigma2) <= 5 * stderr
+            assert stats.ks_2samp(fast, oracle).pvalue > 1e-3

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from oam_antijam import metrics
 from oam_antijam import (
@@ -24,6 +25,7 @@ from oam_antijam import (
     run_sweep,
     spectral_efficiency,
 )
+from oam_antijam.jamming import RandomStream
 
 MODES_16 = tuple(mode_index_range(16))
 
@@ -155,6 +157,28 @@ class TestModeSnr:
         for row, mask in zip(batch, flagged):
             assert np.array_equal(row, mode_snr(self.CFG, mask, self.gains(), 1.0,
                                                 0.7, 0.9, p_c))
+
+
+class TestDrawJamSets:
+    @pytest.mark.parametrize("n, n_jammed", [(16, 5), (8, 8), (8, 0), (1, 1)])
+    def test_rows_hold_distinct_in_range_modes(self, n, n_jammed):
+        sets = metrics._draw_jam_sets(RandomStream(6, 0).generator(), 300, n, n_jammed)
+        assert sets.shape == (300, n_jammed)
+        assert np.all((sets >= 0) & (sets < n))
+        assert all(len(set(row)) == n_jammed for row in sets)
+
+    def test_mode_hit_counts_are_uniform(self):
+        trials, n, n_jammed = 4000, 16, 4
+        sets = metrics._draw_jam_sets(RandomStream(7, 0).generator(), trials, n, n_jammed)
+        hits = np.bincount(sets.ravel(), minlength=n)
+        assert hits.sum() == trials * n_jammed
+        assert stats.chisquare(hits).pvalue > 1e-3
+
+    def test_same_seed_same_sets(self):
+        def draw(seed):
+            return metrics._draw_jam_sets(RandomStream(seed, (3, 1)).generator(), 50, 16, 4)
+        assert np.array_equal(draw(8), draw(8))
+        assert not np.array_equal(draw(8), draw(9))
 
 
 class TestRunSweep:
