@@ -107,12 +107,6 @@ class LinkConfig:
     transmit_power_total: float = 1600.0
 
     def __post_init__(self) -> None:
-        self._validate()
-        gains, priors = pga_levels(self.pga_gains, self.pga_priors, allow_ties=False)
-        object.__setattr__(self, "pga_gains", gains)
-        object.__setattr__(self, "pga_priors", priors)
-
-    def _validate(self) -> None:
         if self.n_tx < 1:
             raise ConfigurationError(f"n_tx must be >= 1, got {self.n_tx}")
         if self.n_rx < 1:
@@ -129,6 +123,9 @@ class LinkConfig:
         if self.preamble_length < 2:
             raise ConfigurationError(
                 f"preamble_length must be >= 2, got {self.preamble_length}")
+        gains, priors = pga_levels(self.pga_gains, self.pga_priors, allow_ties=False)
+        object.__setattr__(self, "pga_gains", gains)
+        object.__setattr__(self, "pga_priors", priors)
 
     # --- derived geometry ---------------------------------------------------
 

@@ -49,6 +49,11 @@ def complex_gaussian(rng: np.random.Generator, shape, variance: float) -> np.nda
     return rng.normal(0.0, scale, shape) + 1j * rng.normal(0.0, scale, shape)
 
 
+def gamma_energies(rng: np.random.Generator, shape, variance: float, k: int) -> np.ndarray:
+    """K-sample average energies of i.i.d. CN(0, variance) modes: Gamma(K, variance/K)."""
+    return rng.standard_gamma(k, shape) * (variance / k)
+
+
 def draw_jamming_block(stream: RandomStream, n_elements: int, n_samples: int,
                        variance: float) -> SampleBlock:
     """Broadband jamming: i.i.d. complex Gaussian per element and sample."""

@@ -27,7 +27,7 @@ from .backscatter import (CalibrationError, EnergyThreshold, PgaAlphabet,
                           receiver_background_variance, simulate_backscatter_bits)
 from .channel import APPROXIMATE, build_channel_matrix, mode_link_gains
 from .config import ConfigurationError, LinkConfig
-from .jamming import NOISE_VARIANCE_FLOOR, RandomStream, complex_gaussian
+from .jamming import NOISE_VARIANCE_FLOOR, RandomStream, complex_gaussian, gamma_energies
 from .sensing import DetectionStats, detection_probabilities
 from .signals import mode_energies, mode_transform
 
@@ -186,9 +186,14 @@ def validate_grid(config: LinkConfig, axes: SweepAxes, options: SweepOptions) ->
 
     On top of :func:`validate_axes`, every SNR must imply a finite noise
     variance that stays positive (the noise-plus-jamming reference subtracts
-    the receiver jamming power from the disturbance the SNR implies).
+    the receiver jamming power from the disturbance the SNR implies), and the
+    PGA must have exactly two gain levels, one per bit of the reflected link.
     """
     validate_axes(axes)
+    if len(config.pga_gains) != 2:
+        raise ConfigurationError(
+            f"the reflected link is binary: its PGA needs exactly two gain levels "
+            f"(bits 0 and 1), got {len(config.pga_gains)}")
     for snr_db in axes.snr_db:
         try:
             per_mode, disturbance = _power_and_disturbance(config, snr_db, options)
@@ -282,19 +287,19 @@ def _sweep_point(config: LinkConfig, n_elements: int, n_jammed: int, snr_db: flo
     thresholds, p_c_modes = _point_thresholds(cfg, channel, kappas, alphabet,
                                               carrier_variance, rng_cal, options)
 
-    # the detector sees the jamming on the elements, as sense_modes does
+    # the unitary W keeps iid element jamming iid per mode, so draw iid energies directly
     rng_trials = RandomStream(seed, (point_index, 1)).generator()
     n = cfg.mode_count
     jam_sets = np.empty((trials, 0), dtype=int)
     if options.jam_model == BROADBAND:
-        element = complex_gaussian(rng_trials, (trials, n, k_sense), carrier_variance)
+        energies = gamma_energies(rng_trials, (trials, n), carrier_variance, k_sense)
     else:
         jam_sets = _draw_jam_sets(rng_trials, trials, n, n_jammed)
         source = np.zeros((trials, n, k_sense), dtype=complex)
         source[np.arange(trials)[:, None], jam_sets] = complex_gaussian(
             rng_trials, jam_sets.shape + (k_sense,), carrier_variance)
-        element = mode_transform(n).conj().T @ source
-    flagged = mode_energies(element) >= cfg.energy_threshold_tx   # (trials, N)
+        energies = mode_energies(mode_transform(n).conj().T @ source)
+    flagged = energies >= cfg.energy_threshold_tx   # (trials, N)
 
     gamma = mode_snr(cfg, flagged, kappas, carrier_variance,
                      det_jam.p_jammed, det_clean.p_unjammed, p_c_modes)
@@ -314,7 +319,7 @@ def _sweep_point(config: LinkConfig, n_elements: int, n_jammed: int, snr_db: flo
         BASELINE: mean_and_stderr(se_baseline),
         "p_j": det_jam.p_jammed,
         "p_u": det_clean.p_unjammed,
-        "p_c": float(p_c_modes.mean()) if n_jammed > 0 else float("nan"),
+        "p_c": float(p_c_modes.mean()) if n_jammed or options.jam_model == BROADBAND else np.nan,
         "ber": ber,
     }
 

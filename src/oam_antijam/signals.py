@@ -47,10 +47,6 @@ class SampleBlock:
     def n_rows(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def n_samples(self) -> int:
-        return self.samples.shape[1]
-
 
 def mode_transform(n_elements: int) -> np.ndarray:
     """Unitary element->mode matrix W with rows ordered by canonical mode index.

@@ -192,6 +192,7 @@ class TestValidationBeforeAnyPoint:
         "snr_db = -4000",
         "snr_db = 0, nan",
         "snr_db = inf",
+        "[pga]\ngains = 0.5, 1.0, 2.0\npriors = 0.25, 0.25, 0.5",
     ])
     def test_invalid_grid_or_probe_budget(self, rejected, sweep):
         rejected(sweep)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from oam_antijam import (
     ConfigurationError,
@@ -12,7 +13,8 @@ from oam_antijam import (
     draw_targeted_jamming_block,
     mode_index_range,
 )
-from oam_antijam.signals import UNIT
+from oam_antijam.jamming import complex_gaussian, gamma_energies
+from oam_antijam.signals import UNIT, mode_energies
 
 
 def test_same_stream_reproduces_bit_exactly():
@@ -83,3 +85,20 @@ def test_targeted_jamming_unknown_mode():
 def test_invalid_jamming_variance(variance):
     with pytest.raises(ConfigurationError):
         draw_jamming_block(RandomStream(1, 0), 4, 16, variance)
+
+
+@pytest.mark.parametrize("variance", [0.01, 1.0])
+@pytest.mark.parametrize("n", [1, 5, 16])
+@pytest.mark.parametrize("k", [1, 4, 64])
+def test_gamma_energies_match_element_level_sensing(k, n, variance):
+    # oracle: i.i.d. element jamming decomposed by the unitary transform
+    trials = 4000 // n
+    oracle = mode_energies(complex_gaussian(
+        RandomStream(31, (k, n)).generator(), (trials, n, k), variance))
+    drawn = gamma_energies(RandomStream(32, (k, n)).generator(), (trials, n), variance, k)
+    assert drawn.shape == oracle.shape == (trials, n)
+    assert stats.ks_2samp(drawn.ravel(), oracle.ravel()).pvalue > 1e-3
+    # each energy is Gamma(K, sigma2/K): mean sigma2, standard deviation sigma2/sqrt(K)
+    stderr = variance / np.sqrt(k * trials * n)
+    for energies in (drawn, oracle):
+        assert abs(energies.mean() - variance) < 5 * stderr

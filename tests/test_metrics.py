@@ -1,5 +1,6 @@
 """Per-mode SNR weighting, power allocation, spectrum efficiency, sweeps."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -305,3 +306,63 @@ class TestRunSweep:
     def test_negative_probe_budget_rejected(self, knob):
         with pytest.raises(ConfigurationError, match=knob):
             SweepOptions(**{knob: -1})
+
+    def test_three_level_pga_rejected_before_any_point(self, monkeypatch):
+        computed = []
+        monkeypatch.setattr(metrics, "_sweep_point", lambda *args: computed.append(args))
+        cfg = replace(LinkConfig().with_unit_element_gain(),
+                      pga_gains=(0.5, 1.0, 2.0), pga_priors=(0.25, 0.25, 0.5))
+        axes = SweepAxes(snr_db=(10.0,), n_jammed=(0,), n_elements=(8,))
+        with pytest.raises(ConfigurationError, match="reflected link is binary"):
+            run_sweep(cfg, axes, trials=2, seed=0)
+        assert computed == []
+
+
+class TestBroadbandSensing:
+    """The iid path draws each mode's energy as Gamma(K, sigma2/K)."""
+
+    CFG = replace(LinkConfig().with_unit_element_gain(), energy_threshold_tx=0.1)
+    OPTS = SweepOptions(jam_model="iid", ber_trials=0)
+
+    def test_flag_rate_matches_analytic_p_j(self, monkeypatch):
+        masks = []
+
+        def spy(cfg, flagged, *args):
+            masks.append(flagged)
+            return mode_snr(cfg, flagged, *args)
+
+        monkeypatch.setattr(metrics, "mode_snr", spy)
+        axes = SweepAxes(snr_db=(10.0,), n_jammed=(0,), n_elements=(16,))
+        res = run_sweep(self.CFG, axes, trials=2000, seed=8, options=self.OPTS)
+        (flagged,) = masks
+        p_j = res[0].p_j
+        assert 0.2 < p_j < 0.8
+        sigma = np.sqrt(p_j * (1.0 - p_j) / flagged.size)
+        assert abs(flagged.mean() - p_j) < 5 * sigma
+
+    def test_p_c_reported_on_every_iid_row(self):
+        axes = SweepAxes(snr_db=(-10.0, 30.0), n_jammed=(0, 2), n_elements=(8,))
+        res = run_sweep(self.CFG, axes, trials=10, seed=3, options=self.OPTS)
+        assert all(0.0 < r.p_c <= 1.0 for r in res)
+        # at l_j = 0 flagged modes still ride the reflected link, weighted by p_c
+        at_30 = {r.scheme: r.se_bits for r in res if r.n_jammed == 0 and r.snr_db == 30.0}
+        assert at_30[PROPOSED] > at_30[BASELINE]
+
+    def test_p_c_is_nan_only_on_targeted_rows_without_jamming(self):
+        axes = SweepAxes(snr_db=(10.0,), n_jammed=(0, 2), n_elements=(8,))
+        res = run_sweep(LinkConfig().with_unit_element_gain(), axes, trials=10, seed=3,
+                        options=SweepOptions(ber_trials=0))
+        assert all(np.isnan(r.p_c) == (r.n_jammed == 0) for r in res)
+
+    def test_sensing_memory_is_bounded_by_trials_times_modes(self):
+        trials, n, k = 2000, 16, 64
+        cfg = replace(self.CFG, samples_per_symbol=k)
+        axes = SweepAxes(snr_db=(10.0,), n_jammed=(0,), n_elements=(n,))
+        tracemalloc.start()
+        try:
+            run_sweep(cfg, axes, trials=trials, seed=1, options=self.OPTS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one (trials, N, K) complex array would take 32.8 MB
+        assert peak < trials * n * k * np.dtype(complex).itemsize / 8
