@@ -12,24 +12,21 @@ command-line front end.
 from .backscatter import (CalibrationError, EnergyThreshold, PgaAlphabet, Preamble,
                           alternating_preamble, average_correct_detection,
                           calibrate_from_preamble, calibrate_threshold,
-                          chi_square_cdf, correct_detection_prob,
-                          hypothesis_variance, receiver_background_variance,
-                          simulate_backscatter_bits)
+                          correct_detection_prob, hypothesis_variance,
+                          receiver_background_variance, simulate_backscatter_bits)
 from .channel import (APPROXIMATE, EXACT, ChannelMatrix, bessel_j,
-                      build_channel_matrix, element_azimuths, element_channel_gain,
-                      mode_channel_gain, mode_link_gains, pairwise_distance,
-                      ring_sampled_bessel)
+                      build_channel_matrix, element_azimuths, mode_channel_gain,
+                      mode_link_gains, ring_sampled_bessel)
 from .config import (ConfigurationError, LinkConfig, mode_index_range,
                      wavelength_for_frequency)
-from .jamming import RandomStream, draw_jamming_block, draw_targeted_jamming_block
+from .jamming import RandomStream, draw_targeted_jamming_block
 from .metrics import (BASELINE, PROPOSED, SweepAxes, SweepOptions, SweepResult,
                       allocate_power, check_trends, mode_snr, run_sweep,
                       spectral_efficiency, validate_grid)
 from .sensing import (DetectionStats, ModePartition, detection_probabilities,
-                      empirical_detection_probabilities, gamma_cdf, sense_modes)
+                      gamma_cdf, sense_modes)
 from .signals import (ELEMENT, MODE, UNIT, UNNORMALIZED, SampleBlock,
-                      block_energies, decompose_modes, mode_energies,
-                      mode_transform, multiplex_modes)
+                      decompose_modes, mode_energies, mode_transform, multiplex_modes)
 
 __version__ = "0.1.0"
 
@@ -40,15 +37,14 @@ __all__ = [
     "PROPOSED", "PgaAlphabet", "Preamble", "RandomStream", "SampleBlock",
     "SweepAxes", "SweepOptions", "SweepResult", "UNIT", "UNNORMALIZED",
     "allocate_power", "alternating_preamble", "average_correct_detection",
-    "bessel_j", "block_energies", "build_channel_matrix",
+    "bessel_j", "build_channel_matrix",
     "calibrate_from_preamble", "calibrate_threshold", "check_trends",
-    "chi_square_cdf", "correct_detection_prob", "decompose_modes",
-    "detection_probabilities", "draw_jamming_block", "draw_targeted_jamming_block",
-    "element_azimuths", "element_channel_gain",
-    "empirical_detection_probabilities", "gamma_cdf", "hypothesis_variance",
+    "correct_detection_prob", "decompose_modes",
+    "detection_probabilities", "draw_targeted_jamming_block",
+    "element_azimuths", "gamma_cdf", "hypothesis_variance",
     "mode_channel_gain", "mode_energies", "mode_index_range",
     "mode_link_gains", "mode_snr", "mode_transform", "multiplex_modes",
-    "pairwise_distance", "receiver_background_variance", "ring_sampled_bessel",
+    "receiver_background_variance", "ring_sampled_bessel",
     "run_sweep", "sense_modes", "simulate_backscatter_bits",
     "spectral_efficiency", "validate_grid",
     "wavelength_for_frequency",

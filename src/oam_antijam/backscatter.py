@@ -66,10 +66,9 @@ class Preamble:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        bits = tuple(int(b) for b in self.bits)
-        object.__setattr__(self, "bits", bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("preamble bits must be 0 or 1")
+        if any(b not in (0, 1) for b in self.bits):
+            raise ValueError(f"preamble bits must be 0 or 1, got {self.bits}")
+        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
         if not self.zeros or not self.ones:
             raise ValueError("preamble must contain both bit values")
 
@@ -142,15 +141,6 @@ def calibrate_threshold(preamble_energies, preamble: Preamble, n_samples: int,
     return EnergyThreshold(q_th=float(q_th), q0_hat=q0, q1_hat=q1)
 
 
-def chi_square_cdf(x: float, dof: int) -> float:
-    """Chi-square CDF via the regularized lower incomplete gamma function."""
-    if x < 0.0:
-        raise ValueError(f"chi_square_cdf argument must be >= 0, got {x}")
-    if dof < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got {dof}")
-    return float(special.gammainc(dof / 2.0, x / 2.0))
-
-
 def receiver_background_variance(config: LinkConfig) -> float:
     """Per-sample variance of the recovered mode's noise-plus-jamming floor.
 
@@ -176,15 +166,14 @@ def correct_detection_prob(q_th: float, n_samples: int, sigma2_k: float,
                            true_bit: int) -> float:
     """Probability of deciding the transmitted bit correctly.
 
-    Conditions on the true bit: normalizes the energy statistic to
-    2*K*q_th / sigma2_k(bit) and takes the matching chi-square(2K) tail.
+    Conditions on the true bit: the energy is Gamma(K, sigma2_k(bit)/K), whose
+    CDF at q_th is the regularized lower incomplete gamma at K*q_th/sigma2_k.
     """
     if sigma2_k <= 0.0:
         raise ValueError(f"sigma2_k must be positive, got {sigma2_k}")
     if true_bit not in (0, 1):
         raise ValueError(f"true_bit must be 0 or 1, got {true_bit}")
-    scaled = max(q_th, 0.0) * 2.0 * n_samples / sigma2_k
-    below = chi_square_cdf(scaled, 2 * n_samples)
+    below = float(special.gammainc(n_samples, max(q_th, 0.0) * n_samples / sigma2_k))
     return below if true_bit == 0 else 1.0 - below
 
 

@@ -57,47 +57,6 @@ def element_azimuths(count: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(count) / count
 
 
-def _check_indices(config: LinkConfig, n: int, m: int) -> None:
-    if not 1 <= n <= config.n_tx:
-        raise IndexError(f"transmit index {n} outside 1..{config.n_tx}")
-    if not 1 <= m <= config.n_rx:
-        raise IndexError(f"receive index {m} outside 1..{config.n_rx}")
-
-
-def pairwise_distance(config: LinkConfig, n: int, m: int, variant: str = EXACT) -> float:
-    """Distance between transmit element n and receive element m (1-based).
-
-    The exact variant evaluates sqrt(d^2 + r^2 + R^2 - 2 r R cos(phi_n - psi_m));
-    the approximate variant its first-order expansion in r*R / (d^2+r^2+R^2).
-    """
-    _check_indices(config, n, m)
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown distance variant {variant!r}")
-    phi = 2.0 * np.pi * (n - 1) / config.n_tx
-    psi = 2.0 * np.pi * (m - 1) / config.n_rx
-    cross = config.r_tx * config.r_rx * np.cos(phi - psi)
-    diag = config.diagonal_distance
-    if variant == EXACT:
-        return float(np.sqrt(diag * diag - 2.0 * cross))
-    return float(diag - cross / diag)
-
-
-def element_channel_gain(config: LinkConfig, n: int, m: int) -> complex:
-    """Expanded-distance gain between one element pair.
-
-    Constant modulus beta*lambda/(4*pi*d); the azimuthal dependence sits purely
-    in the phase term exp(j*alpha*cos(phi_n - psi_m)).
-    """
-    _check_indices(config, n, m)
-    lam = config.wavelength
-    phi = 2.0 * np.pi * (n - 1) / config.n_tx
-    psi = 2.0 * np.pi * (m - 1) / config.n_rx
-    amplitude = config.beta * lam / (4.0 * np.pi * config.axial_distance)
-    phase = (-2.0 * np.pi * config.diagonal_distance / lam
-             + config.bessel_argument * np.cos(phi - psi))
-    return complex(amplitude * np.exp(1j * phase))
-
-
 def build_channel_matrix(config: LinkConfig, variant: str = APPROXIMATE) -> ChannelMatrix:
     """All M x N element-pair gains under the chosen distance variant."""
     if variant not in _VARIANTS:

@@ -174,7 +174,6 @@ def parse_scenario(path: str | None) -> Scenario:
         jam_model=model,
         mode_jam_variance=_parse_float(_get(parser, "jamming", "mode_power", "1.0"),
                                        "[jamming] mode_power"),
-        power_per_mode=power_per_mode,
         ber_trials=_parse_int(_get(parser, "sweep", "ber_trials", "25"),
                               "[sweep] ber_trials"),
         ber_symbols=_parse_int(_get(parser, "sweep", "ber_symbols", "8"),

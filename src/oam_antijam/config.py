@@ -42,12 +42,14 @@ def mode_index_range(n_elements: int) -> list[int]:
 def pga_levels(gains, priors, allow_ties: bool) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Checked PGA gain levels and their transmit priors, as float tuples.
 
-    Needs at least two levels, one prior per level, non-negative gains in
-    increasing order and positive priors summing to 1 within 1e-12. Equal
-    adjacent gains pass only under ``allow_ties``.
+    Needs at least two levels, one prior per level, finite non-negative gains
+    in increasing order and finite positive priors summing to 1 within 1e-12.
+    Equal adjacent gains pass only under ``allow_ties``.
     """
     gains = tuple(float(g) for g in gains)
     priors = tuple(float(p) for p in priors)
+    if not all(math.isfinite(v) for v in gains + priors):
+        raise ConfigurationError(f"PGA gains and priors must be finite, got {gains}, {priors}")
     if len(gains) < 2:
         raise ConfigurationError("PGA needs at least two gain levels")
     if len(gains) != len(priors):
@@ -115,8 +117,9 @@ class LinkConfig:
                      "noise_variance_rx", "jam_variance_tx", "jam_variance_rx",
                      "energy_threshold_tx", "transmit_power_total"):
             value = getattr(self, name)
-            if not value > 0.0:
-                raise ConfigurationError(f"{name} must be strictly positive, got {value}")
+            if not 0.0 < value < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be strictly positive and finite, got {value}")
         if self.samples_per_symbol < 1:
             raise ConfigurationError(
                 f"samples_per_symbol must be >= 1, got {self.samples_per_symbol}")
@@ -128,10 +131,6 @@ class LinkConfig:
         object.__setattr__(self, "pga_priors", priors)
 
     # --- derived geometry ---------------------------------------------------
-
-    @property
-    def mode_count(self) -> int:
-        return self.n_tx
 
     def mode_indices(self) -> list[int]:
         """Mode indices supported by the transmit ring, ascending."""

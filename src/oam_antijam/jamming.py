@@ -5,12 +5,13 @@ identical keys reproduce identical samples bit-exactly, and distinct
 stream_ids give statistically independent substreams, so Monte Carlo trials
 can run in parallel without shared state.
 
-Two jamming models are provided. The broadband model draws independent
-samples per element, which spreads energy uniformly over all modes after
-decomposition. The targeted model synthesizes mode-domain jamming on a chosen
-mode set and multiplexes it onto the elements, making the jammed/clean
-partition controllable; it is an implementation construct for experiments
-that vary the jammed-mode count.
+Two jamming models are provided. Broadband jamming, i.i.d. per element,
+stays i.i.d. per mode under the unitary transform, so its sensing energies
+are drawn directly as Gamma(K, sigma2/K) (:func:`gamma_energies`). The
+targeted model synthesizes mode-domain jamming on a chosen mode set and
+multiplexes it onto the elements, making the jammed/clean partition
+controllable; it is an implementation construct for experiments that vary
+the jammed-mode count.
 """
 
 from __future__ import annotations
@@ -52,19 +53,6 @@ def complex_gaussian(rng: np.random.Generator, shape, variance: float) -> np.nda
 def gamma_energies(rng: np.random.Generator, shape, variance: float, k: int) -> np.ndarray:
     """K-sample average energies of i.i.d. CN(0, variance) modes: Gamma(K, variance/K)."""
     return rng.standard_gamma(k, shape) * (variance / k)
-
-
-def draw_jamming_block(stream: RandomStream, n_elements: int, n_samples: int,
-                       variance: float) -> SampleBlock:
-    """Broadband jamming: i.i.d. complex Gaussian per element and sample."""
-    if variance <= 0.0:
-        raise ConfigurationError(f"jamming variance must be positive, got {variance}")
-    if n_elements < 1 or n_samples < 1:
-        raise ConfigurationError(
-            f"block shape must be positive, got ({n_elements}, {n_samples})")
-    rng = stream.generator()
-    samples = complex_gaussian(rng, (n_elements, n_samples), variance)
-    return SampleBlock(samples)
 
 
 def draw_targeted_jamming_block(stream: RandomStream, n_elements: int, n_samples: int,

@@ -73,7 +73,6 @@ class SweepOptions:
 
     jam_model: str = TARGETED
     mode_jam_variance: float = 1.0   # per-jammed-mode variance of targeted jamming
-    power_per_mode: float | None = None  # None: config.transmit_power_total / n_tx
     ber_trials: int = 25
     ber_symbols: int = 8
     verbatim_means: bool = False
@@ -82,9 +81,9 @@ class SweepOptions:
     def __post_init__(self) -> None:
         if self.jam_model not in (TARGETED, BROADBAND):
             raise ConfigurationError(f"unknown jamming model {self.jam_model!r}")
-        if self.mode_jam_variance <= 0.0:
-            raise ConfigurationError(
-                f"mode_jam_variance must be positive, got {self.mode_jam_variance}")
+        if not 0.0 < self.mode_jam_variance < math.inf:
+            raise ConfigurationError(f"mode_jam_variance must be positive and finite, "
+                                     f"got {self.mode_jam_variance}")
         if self.snr_reference not in (SNR_OVER_NOISE, SNR_OVER_NOISE_PLUS_JAMMING):
             raise ConfigurationError(f"unknown snr_reference {self.snr_reference!r}")
         for name in ("ber_trials", "ber_symbols"):
@@ -153,8 +152,7 @@ def spectral_efficiency(gamma, modes=None):
 def _power_and_disturbance(config: LinkConfig, snr_db: float,
                            options: SweepOptions) -> tuple[float, float]:
     """Per-mode transmit power and the receiver noise variance it implies at one SNR."""
-    per_mode = (options.power_per_mode if options.power_per_mode is not None
-                else config.transmit_power_total / config.n_tx)
+    per_mode = config.transmit_power_total / config.n_tx
     snr_linear = 10.0 ** (snr_db / 10.0)
     disturbance = per_mode / snr_linear
     if options.snr_reference == SNR_OVER_NOISE_PLUS_JAMMING:
@@ -186,10 +184,14 @@ def validate_grid(config: LinkConfig, axes: SweepAxes, options: SweepOptions) ->
 
     On top of :func:`validate_axes`, every SNR must imply a finite noise
     variance that stays positive (the noise-plus-jamming reference subtracts
-    the receiver jamming power from the disturbance the SNR implies), and the
-    PGA must have exactly two gain levels, one per bit of the reflected link.
+    the receiver jamming power from the disturbance the SNR implies), the
+    PGA must have exactly two gain levels, one per bit of the reflected link,
+    and the iid model, which jams no chosen modes, takes only n_jammed = 0.
     """
     validate_axes(axes)
+    if options.jam_model == BROADBAND and any(axes.n_jammed):
+        raise ConfigurationError(
+            f"the iid model jams no chosen modes: n_jammed must be 0, got {axes.n_jammed}")
     if len(config.pga_gains) != 2:
         raise ConfigurationError(
             f"the reflected link is binary: its PGA needs exactly two gain levels "
@@ -289,7 +291,7 @@ def _sweep_point(config: LinkConfig, n_elements: int, n_jammed: int, snr_db: flo
 
     # the unitary W keeps iid element jamming iid per mode, so draw iid energies directly
     rng_trials = RandomStream(seed, (point_index, 1)).generator()
-    n = cfg.mode_count
+    n = cfg.n_tx
     jam_sets = np.empty((trials, 0), dtype=int)
     if options.jam_model == BROADBAND:
         energies = gamma_energies(rng_trials, (trials, n), carrier_variance, k_sense)

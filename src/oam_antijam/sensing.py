@@ -15,11 +15,7 @@ import numpy as np
 from scipy import special
 
 from .config import mode_index_range
-from .jamming import RandomStream, complex_gaussian
 from .signals import ELEMENT, SampleBlock, mode_energies
-
-ANALYTIC = "analytic"
-EMPIRICAL = "empirical"
 
 
 @dataclass(frozen=True)
@@ -45,16 +41,13 @@ class DetectionStats:
 
     p_jammed: float
     p_unjammed: float
-    source: str = ANALYTIC
 
     def __post_init__(self) -> None:
-        if self.source not in (ANALYTIC, EMPIRICAL):
-            raise ValueError(f"unknown stats source {self.source!r}")
         for name in ("p_jammed", "p_unjammed"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
-        if self.source == ANALYTIC and abs(self.p_jammed + self.p_unjammed - 1.0) > 1e-12:
+        if abs(self.p_jammed + self.p_unjammed - 1.0) > 1e-12:
             raise ValueError("analytic probabilities must sum to 1")
 
 
@@ -101,17 +94,4 @@ def detection_probabilities(energy_threshold: float, n_samples: int,
     if mode_variance < 0.0:
         raise ValueError(f"mode variance must be >= 0, got {mode_variance}")
     below = gamma_cdf(energy_threshold, n_samples, mode_variance / n_samples)
-    return DetectionStats(p_jammed=1.0 - below, p_unjammed=below, source=ANALYTIC)
-
-
-def empirical_detection_probabilities(stream: RandomStream, energy_threshold: float,
-                                      n_samples: int, mode_variance: float,
-                                      trials: int = 10_000) -> DetectionStats:
-    """Monte Carlo counterpart of :func:`detection_probabilities`."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = stream.generator()
-    samples = complex_gaussian(rng, (trials, n_samples), mode_variance)
-    energies = np.mean(np.abs(samples) ** 2, axis=1)
-    p_flag = float(np.mean(energies >= energy_threshold))
-    return DetectionStats(p_jammed=p_flag, p_unjammed=1.0 - p_flag, source=EMPIRICAL)
+    return DetectionStats(p_jammed=1.0 - below, p_unjammed=below)

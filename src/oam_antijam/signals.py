@@ -102,7 +102,3 @@ def mode_energies(element_samples: np.ndarray) -> np.ndarray:
     w = mode_transform(element_samples.shape[-2])
     return np.mean(np.abs(w @ element_samples) ** 2, axis=-1)
 
-
-def block_energies(block: SampleBlock) -> np.ndarray:
-    """Block-average power of every row at once."""
-    return np.mean(np.abs(block.samples) ** 2, axis=1)

@@ -19,7 +19,6 @@ from oam_antijam import (
     build_channel_matrix,
     calibrate_from_preamble,
     calibrate_threshold,
-    chi_square_cdf,
     correct_detection_prob,
     hypothesis_variance,
     mode_index_range,
@@ -98,6 +97,12 @@ class TestAlphabetAndPreamble:
     def test_preamble_needs_both_values(self):
         with pytest.raises(ValueError):
             Preamble((1, 1, 1))
+
+    @pytest.mark.parametrize("bits", [(0.5, 1), (0, 1.9), (0, 1, float("nan")), (0, 2)])
+    def test_preamble_bits_must_be_zero_or_one(self, bits):
+        # fractional bits used to be truncated: Preamble((0.5, 1)).bits == (0, 1)
+        with pytest.raises(ValueError, match="0 or 1"):
+            Preamble(bits)
 
     def test_alternating_preamble_balanced(self):
         pre = alternating_preamble(16)
@@ -248,13 +253,16 @@ class TestDecideBit:
 
 
 class TestChiSquare:
+    """2*K*Q/sigma2 ~ chi-square(2K): P[Q < q] from ``correct_detection_prob`` at bit 0."""
+
     def test_at_origin(self):
-        assert chi_square_cdf(0.0, 8) == 0.0
+        assert correct_detection_prob(0.0, 8, 1.0, true_bit=0) == 0.0
 
     def test_two_dof_closed_form(self):
-        for x in (0.5, 2.0, 7.0):
-            assert chi_square_cdf(x, 2) == pytest.approx(1 - math.exp(-x / 2), abs=1e-12)
-        assert chi_square_cdf(2.0, 2) == pytest.approx(1 - math.exp(-1), abs=1e-12)
+        # K = 1: Q is exponential with mean sigma2
+        for q, sigma2 in ((0.5, 2.0), (2.0, 2.0), (7.0, 2.0), (1.0, 0.3)):
+            assert correct_detection_prob(q, 1, sigma2, 0) == pytest.approx(
+                1 - math.exp(-q / sigma2), abs=1e-12)
 
     def test_median_against_wilson_hilferty(self):
         k = 8
@@ -262,17 +270,14 @@ class TestChiSquare:
         lo, hi = 0.0, 100.0
         for _ in range(100):
             mid = 0.5 * (lo + hi)
-            if chi_square_cdf(mid, dof) < 0.5:
+            # at sigma2 = 2K the statistic 2*K*Q/sigma2 is Q itself
+            if correct_detection_prob(mid, k, float(dof), 0) < 0.5:
                 lo = mid
             else:
                 hi = mid
         median = 0.5 * (lo + hi)
         approx = dof * (1 - 2 / (9 * dof)) ** 3
         assert median == pytest.approx(approx, rel=0.01)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            chi_square_cdf(-1.0, 4)
 
 
 class TestCorrectDetection:

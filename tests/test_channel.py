@@ -13,10 +13,8 @@ from oam_antijam import (
     bessel_j,
     build_channel_matrix,
     element_azimuths,
-    element_channel_gain,
     mode_channel_gain,
     mode_link_gains,
-    pairwise_distance,
     ring_sampled_bessel,
 )
 from oam_antijam.config import ConfigurationError, mode_index_range
@@ -62,48 +60,56 @@ class TestAzimuths:
 
 
 class TestPairwiseDistance:
+    """The element-pair distances behind the two channel-matrix variants."""
+
     def test_degenerate_radii_give_axial_distance(self):
         cfg = LinkConfig(r_tx=TINY, r_rx=TINY)
+        lam = cfg.wavelength
+        point_to_point = cfg.beta * lam * np.exp(-2j * np.pi * 15.0 / lam) / (4 * np.pi * 15.0)
         for variant in (EXACT, APPROXIMATE):
-            assert pairwise_distance(cfg, 3, 7, variant) == pytest.approx(15.0, abs=1e-12)
+            gains = build_channel_matrix(cfg, variant).gains
+            assert np.allclose(gains, point_to_point, rtol=1e-9, atol=0.0)
 
     def test_aligned_elements_equal_radii(self):
         # phi_1 = psi_1 = 0 and r = R collapse the exact form to d
-        assert pairwise_distance(REFERENCE, 1, 1, EXACT) == pytest.approx(15.0, rel=1e-14)
+        h = build_channel_matrix(REFERENCE, EXACT).gains
+        distance = REFERENCE.beta * REFERENCE.wavelength / (4 * np.pi * abs(h[0, 0]))
+        assert distance == pytest.approx(15.0, rel=1e-14)
 
     def test_max_gap_matches_high_precision_value(self):
-        gaps = [
-            abs(pairwise_distance(REFERENCE, n, m, EXACT) - pairwise_distance(REFERENCE, n, m, APPROXIMATE))
-            for n in range(1, 17)
-            for m in range(1, 17)
-        ]
-        assert max(gaps) == pytest.approx(MAX_DISTANCE_GAP, rel=1e-9)
-        assert max(gaps) < REFERENCE.wavelength / 100.0
-
-    def test_index_errors(self):
-        with pytest.raises(IndexError):
-            pairwise_distance(REFERENCE, 0, 1)
-        with pytest.raises(IndexError):
-            pairwise_distance(REFERENCE, 1, 17)
+        exact = build_channel_matrix(REFERENCE, EXACT).gains
+        approx = build_channel_matrix(REFERENCE, APPROXIMATE).gains
+        # the two variants differ in phase by 2*pi*(distance gap)/lambda
+        phase = np.abs(np.angle(exact * np.conj(approx)))
+        max_gap = phase.max() * REFERENCE.wavelength / (2 * np.pi)
+        assert max_gap == pytest.approx(MAX_DISTANCE_GAP, rel=1e-9)
+        assert max_gap < REFERENCE.wavelength / 100.0
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
-            pairwise_distance(REFERENCE, 1, 1, "guessed")
+            build_channel_matrix(REFERENCE, "guessed")
 
 
 class TestElementGain:
     def test_modulus_is_index_independent(self):
-        values = [abs(element_channel_gain(REFERENCE, n, m)) for n in (1, 5, 9) for m in (1, 8)]
-        assert np.allclose(values, ELEMENT_GAIN_MODULUS, rtol=1e-12)
+        h = build_channel_matrix(REFERENCE, APPROXIMATE).gains
+        assert np.allclose(np.abs(h), ELEMENT_GAIN_MODULUS, rtol=1e-12)
 
     def test_tiny_radius_removes_azimuthal_dependence(self):
         cfg = LinkConfig(r_tx=TINY, r_rx=0.75)
-        gains = [element_channel_gain(cfg, n, m) for n in range(1, 17) for m in range(1, 17)]
-        assert np.max(np.abs(np.diff(gains))) < 1e-12
+        gains = build_channel_matrix(cfg, APPROXIMATE).gains
+        assert np.max(np.abs(np.diff(gains.ravel()))) < 1e-12
 
     def test_matches_matrix_entry(self):
-        h = build_channel_matrix(REFERENCE, APPROXIMATE).gains
-        assert element_channel_gain(REFERENCE, 3, 5) == pytest.approx(h[4, 2], rel=1e-12)
+        # transmit element n = 3 to receive element m = 5, expanded distance
+        cfg = REFERENCE
+        lam = cfg.wavelength
+        phi, psi = 2 * np.pi * 2 / 16, 2 * np.pi * 4 / 16
+        expected = (cfg.beta * lam / (4 * np.pi * cfg.axial_distance)
+                    * np.exp(1j * (-2 * np.pi * cfg.diagonal_distance / lam
+                                   + cfg.bessel_argument * np.cos(phi - psi))))
+        h = build_channel_matrix(cfg, APPROXIMATE).gains
+        assert h[4, 2] == pytest.approx(expected, rel=1e-12)
 
 
 class TestChannelMatrix:

@@ -193,6 +193,18 @@ class TestValidationBeforeAnyPoint:
         "snr_db = 0, nan",
         "snr_db = inf",
         "[pga]\ngains = 0.5, 1.0, 2.0\npriors = 0.25, 0.25, 0.5",
+        "[jamming]\nmodel = iid",
+        "[jamming]\nmode_power = nan",
+        "[jamming]\nmode_power = inf",
+        "[jamming]\npower_rx = inf",
+        "[jamming]\npower_tx = inf",
+        "[link]\ndistance = inf",
+        "[link]\nradius_tx = inf",
+        "[link]\nbeta = inf",
+        "[detection]\nenergy_threshold = inf",
+        "[pga]\ngains = 0.5, nan",
+        "[pga]\ngains = 0.5, inf",
+        "[pga]\npriors = nan, nan",
     ])
     def test_invalid_grid_or_probe_budget(self, rejected, sweep):
         rejected(sweep)

@@ -73,7 +73,6 @@ def test_derived_geometry():
     cfg = LinkConfig()
     assert cfg.diagonal_distance == pytest.approx(math.sqrt(15.0 ** 2 + 2 * 0.75 ** 2))
     assert cfg.bessel_argument == pytest.approx(4.547109323738533, rel=1e-12)
-    assert cfg.mode_count == 16
 
 
 def test_unit_element_gain_normalization():

@@ -341,12 +341,21 @@ class TestBroadbandSensing:
         assert abs(flagged.mean() - p_j) < 5 * sigma
 
     def test_p_c_reported_on_every_iid_row(self):
-        axes = SweepAxes(snr_db=(-10.0, 30.0), n_jammed=(0, 2), n_elements=(8,))
+        axes = SweepAxes(snr_db=(-10.0, 30.0), n_jammed=(0,), n_elements=(8,))
         res = run_sweep(self.CFG, axes, trials=10, seed=3, options=self.OPTS)
         assert all(0.0 < r.p_c <= 1.0 for r in res)
         # at l_j = 0 flagged modes still ride the reflected link, weighted by p_c
         at_30 = {r.scheme: r.se_bits for r in res if r.n_jammed == 0 and r.snr_db == 30.0}
         assert at_30[PROPOSED] > at_30[BASELINE]
+
+    def test_jammed_count_rejected_before_any_point(self, monkeypatch):
+        # the iid draws jam no chosen modes, so l_j would only cut the power budget
+        computed = []
+        monkeypatch.setattr(metrics, "_sweep_point", lambda *args: computed.append(args))
+        axes = SweepAxes(snr_db=(10.0,), n_jammed=(0, 2), n_elements=(8,))
+        with pytest.raises(ConfigurationError, match="n_jammed must be 0"):
+            run_sweep(self.CFG, axes, trials=2, seed=0, options=self.OPTS)
+        assert computed == []
 
     def test_p_c_is_nan_only_on_targeted_rows_without_jamming(self):
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(0, 2), n_elements=(8,))

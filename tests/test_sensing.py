@@ -1,4 +1,4 @@
-"""Energy detector: partitions, gamma CDF, and analytic/empirical agreement."""
+"""Energy detector: partitions, gamma CDF, and analytic/Monte Carlo agreement."""
 
 import math
 
@@ -10,14 +10,13 @@ from oam_antijam import (
     RandomStream,
     SampleBlock,
     detection_probabilities,
-    draw_jamming_block,
     draw_targeted_jamming_block,
-    empirical_detection_probabilities,
     gamma_cdf,
     mode_index_range,
     multiplex_modes,
     sense_modes,
 )
+from oam_antijam.jamming import complex_gaussian
 
 
 def test_zero_block_is_all_clean():
@@ -55,7 +54,7 @@ def test_mode_domain_block_rejected():
 def test_partition_invariants_on_random_inputs():
     modes = mode_index_range(16)
     for trial in range(200):
-        block = draw_jamming_block(RandomStream(1000, trial), 16, 8, 0.3)
+        block = SampleBlock(complex_gaussian(RandomStream(1000, trial).generator(), (16, 8), 0.3))
         part = sense_modes(block, 0.3)
         assert sorted(part.jammed + part.unjammed) == sorted(modes)
         assert not set(part.jammed) & set(part.unjammed)
@@ -121,10 +120,9 @@ class TestDetectionProbabilities:
 
     def test_reference_setting_against_monte_carlo(self):
         analytic = detection_probabilities(0.5, 64, 0.1)
-        empirical = empirical_detection_probabilities(
-            RandomStream(31, 0), 0.5, 64, 0.1, trials=100_000)
-        assert empirical.p_unjammed == pytest.approx(analytic.p_unjammed, abs=0.01)
-        assert empirical.source == "empirical"
+        samples = complex_gaussian(RandomStream(31, 0).generator(), (100_000, 64), 0.1)
+        energies = np.mean(np.abs(samples) ** 2, axis=1)
+        assert np.mean(energies < 0.5) == pytest.approx(analytic.p_unjammed, abs=0.01)
 
 
 @pytest.mark.parametrize("k", [4, 16, 64])
@@ -134,7 +132,8 @@ def test_exceedance_grid_within_three_standard_errors(k, sigma2):
     for factor in (0.25, 1.0, 4.0):
         e_th = factor * sigma2
         p = detection_probabilities(e_th, k, sigma2).p_jammed
-        emp = empirical_detection_probabilities(
-            RandomStream(500 + k, int(factor * 4)), e_th, k, sigma2, trials=trials)
+        samples = complex_gaussian(RandomStream(500 + k, int(factor * 4)).generator(),
+                                   (trials, k), sigma2)
+        p_flag = np.mean(np.mean(np.abs(samples) ** 2, axis=1) >= e_th)
         stderr = math.sqrt(max(p * (1 - p), 1e-12) / trials)
-        assert abs(emp.p_jammed - p) <= 3 * stderr + 1e-9
+        assert abs(p_flag - p) <= 3 * stderr + 1e-9

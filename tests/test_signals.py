@@ -10,7 +10,6 @@ from oam_antijam import (
     SampleBlock,
     UNIT,
     UNNORMALIZED,
-    block_energies,
     build_channel_matrix,
     decompose_modes,
     mode_energies,
@@ -92,26 +91,30 @@ def test_mode_orthogonality_through_expanded_channel():
         x = multiplex_modes(SampleBlock(samples, domain=MODE), n)
         y = SampleBlock(h @ x.samples / np.sqrt(n))
         recovered = decompose_modes(y, UNNORMALIZED)
-        energies = block_energies(recovered)
+        energies = np.mean(np.abs(recovered.samples) ** 2, axis=1)
         on = energies[cfg.mode_indices().index(l)]
         leakage = energies.sum() - on
         assert leakage < 1e-10 * on
 
 
 class TestBlockEnergy:
+    """Block-average mode energies, (1/K) * sum_k |(W x)_l[k]|^2 (``mode_energies``).
+
+    On a one-element ring W = 1, so the energy is the row's own mean power.
+    """
+
     def test_zero_row(self):
-        block = SampleBlock(np.zeros((2, 5), dtype=complex))
-        assert np.array_equal(block_energies(block), [0.0, 0.0])
+        assert np.array_equal(mode_energies(np.zeros((2, 5), dtype=complex)), [0.0, 0.0])
 
     def test_constant_modulus(self):
-        block = SampleBlock(np.full((1, 8), 0.3 * np.exp(1j)))
-        assert block_energies(block)[0] == pytest.approx(0.09, rel=1e-12)
+        row = np.full((1, 8), 0.3 * np.exp(1j))
+        assert mode_energies(row)[0] == pytest.approx(0.09, rel=1e-12)
 
     def test_gaussian_concentration(self):
         rng = np.random.default_rng(21)
         k = 10_000
         row = (rng.normal(size=k) + 1j * rng.normal(size=k)) / np.sqrt(2)
-        assert block_energies(SampleBlock(row[None, :]))[0] == pytest.approx(1.0, abs=0.05)
+        assert mode_energies(row[None, :])[0] == pytest.approx(1.0, abs=0.05)
 
     def test_mode_energies_batch_matches_each_decomposed_block(self):
         rng = np.random.default_rng(8)
@@ -119,7 +122,8 @@ class TestBlockEnergy:
         energies = mode_energies(batch)
         assert energies.shape == (4, 8)
         for element, row in zip(batch, energies):
-            expected = block_energies(decompose_modes(SampleBlock(element), UNIT))
+            modes = decompose_modes(SampleBlock(element), UNIT).samples
+            expected = np.mean(np.abs(modes) ** 2, axis=1)
             assert np.allclose(row, expected, rtol=1e-12, atol=0.0)
 
 
