@@ -23,29 +23,22 @@ from .jamming import RandomStream, draw_targeted_jamming_block
 from .metrics import (BASELINE, PROPOSED, SweepAxes, SweepOptions, SweepResult,
                       allocate_power, check_trends, mode_snr, run_sweep,
                       spectral_efficiency, validate_grid)
-from .sensing import (DetectionStats, ModePartition, detection_probabilities,
-                      gamma_cdf, sense_modes)
-from .signals import (ELEMENT, MODE, UNIT, UNNORMALIZED, SampleBlock,
-                      decompose_modes, mode_energies, mode_transform, multiplex_modes)
+from .sensing import DetectionStats, detection_probabilities, gamma_cdf
+from .signals import mode_energies, mode_transform
 
 __version__ = "0.1.0"
 
 __all__ = [
     "APPROXIMATE", "BASELINE", "CalibrationError", "ChannelMatrix",
-    "ConfigurationError", "DetectionStats", "ELEMENT", "EXACT",
-    "EnergyThreshold", "LinkConfig", "MODE", "ModePartition",
-    "PROPOSED", "PgaAlphabet", "Preamble", "RandomStream", "SampleBlock",
-    "SweepAxes", "SweepOptions", "SweepResult", "UNIT", "UNNORMALIZED",
-    "allocate_power", "alternating_preamble", "average_correct_detection",
-    "bessel_j", "build_channel_matrix",
-    "calibrate_from_preamble", "calibrate_threshold", "check_trends",
-    "correct_detection_prob", "decompose_modes",
-    "detection_probabilities", "draw_targeted_jamming_block",
-    "element_azimuths", "gamma_cdf", "hypothesis_variance",
-    "mode_channel_gain", "mode_energies", "mode_index_range",
-    "mode_link_gains", "mode_snr", "mode_transform", "multiplex_modes",
-    "receiver_background_variance", "ring_sampled_bessel",
-    "run_sweep", "sense_modes", "simulate_backscatter_bits",
-    "spectral_efficiency", "validate_grid",
-    "wavelength_for_frequency",
+    "ConfigurationError", "DetectionStats", "EXACT", "EnergyThreshold",
+    "LinkConfig", "PROPOSED", "PgaAlphabet", "Preamble", "RandomStream",
+    "SweepAxes", "SweepOptions", "SweepResult", "allocate_power",
+    "alternating_preamble", "average_correct_detection", "bessel_j",
+    "build_channel_matrix", "calibrate_from_preamble", "calibrate_threshold",
+    "check_trends", "correct_detection_prob", "detection_probabilities",
+    "draw_targeted_jamming_block", "element_azimuths", "gamma_cdf",
+    "hypothesis_variance", "mode_channel_gain", "mode_energies", "mode_index_range",
+    "mode_link_gains", "mode_snr", "mode_transform", "receiver_background_variance",
+    "ring_sampled_bessel", "run_sweep", "simulate_backscatter_bits",
+    "spectral_efficiency", "validate_grid", "wavelength_for_frequency",
 ]

@@ -41,14 +41,6 @@ class ChannelMatrix:
             raise ValueError(f"channel matrix must be 2-D, got shape {gains.shape}")
         object.__setattr__(self, "gains", gains)
 
-    @property
-    def n_rx(self) -> int:
-        return self.gains.shape[0]
-
-    @property
-    def n_tx(self) -> int:
-        return self.gains.shape[1]
-
 
 def element_azimuths(count: int) -> np.ndarray:
     """Azimuthal angles 2*pi*(n-1)/count of a uniformly spaced ring, radians."""

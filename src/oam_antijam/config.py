@@ -9,6 +9,7 @@ r = R = 0.75 m, d = 15 m, 5.8 GHz carrier, E_th = 0.5 W, PGA gains
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -109,10 +110,11 @@ class LinkConfig:
     transmit_power_total: float = 1600.0
 
     def __post_init__(self) -> None:
-        if self.n_tx < 1:
-            raise ConfigurationError(f"n_tx must be >= 1, got {self.n_tx}")
-        if self.n_rx < 1:
-            raise ConfigurationError(f"n_rx must be >= 1, got {self.n_rx}")
+        for name, low in (("n_tx", 1), ("n_rx", 1), ("samples_per_symbol", 1),
+                          ("preamble_length", 2)):
+            if not low <= getattr(self, name) <= sys.maxsize:  # counts size arrays
+                raise ConfigurationError(
+                    f"{name} must lie in {low}..{sys.maxsize}, got {getattr(self, name)}")
         for name in ("r_tx", "r_rx", "axial_distance", "wavelength", "beta",
                      "noise_variance_rx", "jam_variance_tx", "jam_variance_rx",
                      "energy_threshold_tx", "transmit_power_total"):
@@ -120,12 +122,15 @@ class LinkConfig:
             if not 0.0 < value < math.inf:
                 raise ConfigurationError(
                     f"{name} must be strictly positive and finite, got {value}")
-        if self.samples_per_symbol < 1:
+        try:
+            derived = (self.diagonal_distance, self.bessel_argument,
+                       (self.beta * self.wavelength / (4.0 * math.pi * self.axial_distance)) ** 2)
+        except OverflowError:
+            derived = (math.inf,)
+        if not all(math.isfinite(v) for v in derived):
             raise ConfigurationError(
-                f"samples_per_symbol must be >= 1, got {self.samples_per_symbol}")
-        if self.preamble_length < 2:
-            raise ConfigurationError(
-                f"preamble_length must be >= 2, got {self.preamble_length}")
+                "radii, distance, wavelength and beta overflow the link geometry or the "
+                "element power gain (beta*wavelength / (4*pi*distance))^2")
         gains, priors = pga_levels(self.pga_gains, self.pga_priors, allow_ties=False)
         object.__setattr__(self, "pga_gains", gains)
         object.__setattr__(self, "pga_priors", priors)

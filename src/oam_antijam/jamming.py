@@ -9,9 +9,9 @@ Two jamming models are provided. Broadband jamming, i.i.d. per element,
 stays i.i.d. per mode under the unitary transform, so its sensing energies
 are drawn directly as Gamma(K, sigma2/K) (:func:`gamma_energies`). The
 targeted model synthesizes mode-domain jamming on a chosen mode set and
-multiplexes it onto the elements, making the jammed/clean partition
-controllable; it is an implementation construct for experiments that vary
-the jammed-mode count.
+multiplexes it onto the elements with ``mode_transform(N).conj().T``, making
+the jammed/clean partition controllable; it is an implementation construct
+for experiments that vary the jammed-mode count.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigurationError, mode_index_range
-from .signals import MODE, SampleBlock, multiplex_modes
+from .signals import mode_transform
 
 NOISE_VARIANCE_FLOOR = 1e-30  # watts; keeps the zero-noise limit well-posed
 
@@ -57,15 +57,16 @@ def gamma_energies(rng: np.random.Generator, shape, variance: float, k: int) -> 
 
 def draw_targeted_jamming_block(stream: RandomStream, n_elements: int, n_samples: int,
                                 mode_variance: float,
-                                jammed_modes: Iterable[int]) -> SampleBlock:
-    """Jamming synthesized on a specific mode set, then mapped onto elements.
+                                jammed_modes: Iterable[int]) -> np.ndarray:
+    """(N, K) element samples of jamming synthesized on a specific mode set.
 
     Each listed mode carries i.i.d. complex Gaussian samples of the given
     variance; all other modes carry exactly zero energy. Per-element variance
     is len(jammed_modes) * mode_variance / n_elements.
     """
-    if mode_variance <= 0.0:
-        raise ConfigurationError(f"mode variance must be positive, got {mode_variance}")
+    if not 0.0 < mode_variance < np.inf:
+        raise ConfigurationError(
+            f"mode variance must be positive and finite, got {mode_variance}")
     modes = mode_index_range(n_elements)
     targets = sorted(set(jammed_modes))
     unknown = [l for l in targets if l not in modes]
@@ -75,5 +76,4 @@ def draw_targeted_jamming_block(stream: RandomStream, n_elements: int, n_samples
     mode_samples = np.zeros((n_elements, n_samples), dtype=complex)
     for l in targets:
         mode_samples[modes.index(l)] = complex_gaussian(rng, n_samples, mode_variance)
-    block = SampleBlock(mode_samples, MODE)
-    return multiplex_modes(block, n_elements)
+    return mode_transform(n_elements).conj().T @ mode_samples

@@ -17,6 +17,7 @@ per-mode allocation constant across the jammed-count and ring-size axes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -87,8 +88,9 @@ class SweepOptions:
         if self.snr_reference not in (SNR_OVER_NOISE, SNR_OVER_NOISE_PLUS_JAMMING):
             raise ConfigurationError(f"unknown snr_reference {self.snr_reference!r}")
         for name in ("ber_trials", "ber_symbols"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) <= sys.maxsize:  # counts size arrays
+                raise ConfigurationError(
+                    f"{name} must lie in 0..{sys.maxsize}, got {getattr(self, name)}")
 
 
 def allocate_power(config: LinkConfig, flagged) -> np.ndarray:
@@ -164,15 +166,15 @@ def _power_and_disturbance(config: LinkConfig, snr_db: float,
 def validate_axes(axes: SweepAxes) -> None:
     """Reject a grid whose SNRs, ring sizes or jammed-mode counts cannot run.
 
-    Every SNR must be finite, every ring size must be >= 1 and every
-    jammed-mode count must lie in 0..N for every ring size N.
+    Every SNR must be finite, every ring size must lie in 1..sys.maxsize and
+    every jammed-mode count must lie in 0..N for every ring size N.
     """
     for snr_db in axes.snr_db:
         if not math.isfinite(snr_db):
             raise ConfigurationError(f"snr {snr_db} dB is not a finite number")
     for n_el in axes.n_elements:
-        if n_el < 1:
-            raise ConfigurationError(f"ring size must be >= 1, got {n_el}")
+        if not 1 <= n_el <= sys.maxsize:
+            raise ConfigurationError(f"ring size must lie in 1..{sys.maxsize}, got {n_el}")
         for n_jam in axes.n_jammed:
             if not 0 <= n_jam <= n_el:
                 raise ConfigurationError(
@@ -336,8 +338,8 @@ def run_sweep(config: LinkConfig, axes: SweepAxes,
     ``trials`` independent sense/partition/allocate/decide trials on its own
     substream, and both schemes are evaluated on the same realizations.
     """
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials <= sys.maxsize:
+        raise ConfigurationError(f"trials must lie in 1..{sys.maxsize}, got {trials}")
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
     for s in schemes:

@@ -1,38 +1,16 @@
-"""Transmitter-side energy detection of jammed modes.
+"""Closed-form detection probabilities of the transmitter's energy detector.
 
-The received jamming block is decomposed with the unitary transform, each
-mode's block-average energy E_l is compared against a threshold, and modes at
-or above the threshold are flagged as jammed. For i.i.d. complex Gaussian
-jamming of variance sigma2 per element, E_l follows Gamma(K, sigma2/K), which
-gives closed-form flag/no-flag probabilities.
+The detector flags a mode as jammed when its block-average energy
+``signals.mode_energies`` reaches the threshold E_th. For i.i.d. complex
+Gaussian jamming of variance sigma2 per mode, that energy follows
+Gamma(K, sigma2/K), which gives the flag/no-flag probabilities here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import special
-
-from .config import mode_index_range
-from .signals import ELEMENT, SampleBlock, mode_energies
-
-
-@dataclass(frozen=True)
-class ModePartition:
-    """Result of one sensing pass: which modes look jammed, and their energies."""
-
-    modes: tuple[int, ...]
-    energies: np.ndarray
-    jammed: tuple[int, ...]
-    unjammed: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "energies", np.asarray(self.energies, dtype=float))
-        if set(self.jammed) | set(self.unjammed) != set(self.modes):
-            raise ValueError("jammed and unjammed sets must cover the full mode range")
-        if set(self.jammed) & set(self.unjammed):
-            raise ValueError("jammed and unjammed sets must be disjoint")
 
 
 @dataclass(frozen=True)
@@ -49,23 +27,6 @@ class DetectionStats:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
         if abs(self.p_jammed + self.p_unjammed - 1.0) > 1e-12:
             raise ValueError("analytic probabilities must sum to 1")
-
-
-def sense_modes(jam_block: SampleBlock, energy_threshold: float) -> ModePartition:
-    """Partition modes by block-average energy against the threshold.
-
-    A mode whose energy equals the threshold exactly counts as jammed.
-    """
-    if energy_threshold <= 0.0:
-        raise ValueError(f"energy threshold must be positive, got {energy_threshold}")
-    if jam_block.domain != ELEMENT:
-        raise ValueError(f"expected an element-domain block, got {jam_block.domain!r}")
-    energies = mode_energies(jam_block.samples)
-    modes = mode_index_range(jam_block.n_rows)
-    flagged = energies >= energy_threshold
-    jammed = tuple(l for l, f in zip(modes, flagged) if f)
-    unjammed = tuple(l for l, f in zip(modes, flagged) if not f)
-    return ModePartition(tuple(modes), energies, jammed, unjammed)
 
 
 def gamma_cdf(x: float, shape: int, scale: float) -> float:

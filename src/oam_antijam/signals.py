@@ -1,51 +1,19 @@
-"""Mode multiplexing and decomposition across ring elements.
+"""Mode decomposition across ring elements, on plain sample arrays.
 
-Blocks of K complex baseband samples are held per element (element domain) or
-per mode (mode domain). Multiplexing applies the unitary inverse phase-ramp
-transform across elements; decomposition applies the forward transform, either
-unitary (1/sqrt(N), used by the transmitter-side detector) or as a plain sum
-(used by the receiver).
+Samples are held as (..., N, K) arrays: K complex baseband samples per ring
+element, with any leading (trials) axes batched. The one unitary phase-ramp
+matrix W = :func:`mode_transform` carries them between domains: ``W @ x``
+decomposes element samples into modes, rows in canonical mode order, and
+``W.conj().T @ s`` multiplexes mode samples onto the elements. The detector
+flags a mode as jammed when its block-average energy, :func:`mode_energies`,
+reaches the threshold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import mode_index_range
-
-ELEMENT = "element"
-MODE = "mode"
-
-UNIT = "unit"                  # 1/sqrt(N)-normalized forward transform
-UNNORMALIZED = "unnormalized"  # plain sum across elements
-
-
-@dataclass(frozen=True)
-class SampleBlock:
-    """2-D block of complex samples, rows indexed by element or by mode.
-
-    Mode-domain rows follow the canonical ascending mode order
-    floor((2-N)/2) .. floor(N/2) for N rows.
-    """
-
-    samples: np.ndarray
-    domain: str = ELEMENT
-
-    def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=complex)
-        if samples.ndim != 2:
-            raise ValueError(f"sample block must be 2-D, got shape {samples.shape}")
-        if samples.shape[1] < 1:
-            raise ValueError("sample block needs at least one sample per row")
-        if self.domain not in (ELEMENT, MODE):
-            raise ValueError(f"unknown block domain {self.domain!r}")
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def n_rows(self) -> int:
-        return self.samples.shape[0]
 
 
 def mode_transform(n_elements: int) -> np.ndarray:
@@ -59,39 +27,6 @@ def mode_transform(n_elements: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(modes, n) / n_elements) / np.sqrt(n_elements)
 
 
-def multiplex_modes(per_mode_signals: SampleBlock, n_elements: int) -> SampleBlock:
-    """Map a mode-domain block onto ring elements.
-
-    x_n[k] = (1/sqrt(N)) * sum_l s_l[k] * exp(j*2*pi*(n-1)*l/N).
-    """
-    if per_mode_signals.domain != MODE:
-        raise ValueError(f"expected a mode-domain block, got {per_mode_signals.domain!r}")
-    if per_mode_signals.n_rows != n_elements:
-        raise ValueError(
-            f"mode block has {per_mode_signals.n_rows} rows; the full mode range "
-            f"for {n_elements} elements needs {n_elements}")
-    w = mode_transform(n_elements)
-    element_samples = w.conj().T @ per_mode_signals.samples
-    return SampleBlock(element_samples, ELEMENT)
-
-
-def decompose_modes(element_signals: SampleBlock, normalization: str = UNIT) -> SampleBlock:
-    """Separate superposed modes by the phase-ramp transform across elements.
-
-    Under ``UNIT``: T_l[k] = (1/sqrt(N)) * sum_n x_n[k] * exp(-j*2*pi*(n-1)*l/N);
-    under ``UNNORMALIZED`` the 1/sqrt(N) factor is dropped (plain sum).
-    """
-    if element_signals.domain != ELEMENT:
-        raise ValueError(f"expected an element-domain block, got {element_signals.domain!r}")
-    if normalization not in (UNIT, UNNORMALIZED):
-        raise ValueError(f"unknown normalization {normalization!r}")
-    n = element_signals.n_rows
-    w = mode_transform(n)
-    if normalization == UNNORMALIZED:
-        w = w * np.sqrt(n)
-    return SampleBlock(w @ element_signals.samples, MODE)
-
-
 def mode_energies(element_samples: np.ndarray) -> np.ndarray:
     """Block-average energy of every mode under the unitary transform.
 
@@ -101,4 +36,3 @@ def mode_energies(element_samples: np.ndarray) -> np.ndarray:
     """
     w = mode_transform(element_samples.shape[-2])
     return np.mean(np.abs(w @ element_samples) ** 2, axis=-1)
-

@@ -201,6 +201,11 @@ class TestValidationBeforeAnyPoint:
         "[link]\ndistance = inf",
         "[link]\nradius_tx = inf",
         "[link]\nbeta = inf",
+        "[link]\nradius_tx = 1e200",
+        "[link]\nradius_rx = 1e200",
+        "[link]\ndistance = 1e300",
+        "[link]\nbeta = 1e200",
+        "n_elements = 1" + "0" * 29,
         "[detection]\nenergy_threshold = inf",
         "[pga]\ngains = 0.5, nan",
         "[pga]\ngains = 0.5, inf",
@@ -211,6 +216,9 @@ class TestValidationBeforeAnyPoint:
 
     def test_negative_seed_flag(self, rejected):
         rejected("", "--seed", "-1")
+
+    def test_trials_flag_beyond_any_array_size(self, rejected):
+        rejected("", "--trials", "1" + "0" * 29)
 
     def test_negative_environment_seed(self, rejected, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "-1")

@@ -57,7 +57,7 @@ def test_targeted_jamming_hits_only_requested_modes():
     n, k = 16, 512
     targets = [2, -3]
     block = draw_targeted_jamming_block(RandomStream(3, 4), n, k, 1.0, targets)
-    energies = mode_energies(block.samples)
+    energies = mode_energies(block)
     modes = mode_index_range(n)
     on = {l: energies[modes.index(l)] for l in targets}
     off = [energies[i] for i, l in enumerate(modes) if l not in targets]
@@ -68,7 +68,7 @@ def test_targeted_jamming_hits_only_requested_modes():
 def test_targeted_jamming_element_variance():
     n, k = 16, 50_000
     block = draw_targeted_jamming_block(RandomStream(8, 0), n, k, 1.0, [0, 1, 2, 3])
-    per_element = np.mean(np.abs(block.samples) ** 2)
+    per_element = np.mean(np.abs(block) ** 2)
     assert per_element == pytest.approx(4.0 * 1.0 / n, rel=0.05)
 
 
@@ -77,7 +77,7 @@ def test_targeted_jamming_unknown_mode():
         draw_targeted_jamming_block(RandomStream(1, 0), 8, 16, 1.0, [5])
 
 
-@pytest.mark.parametrize("variance", [0.0, -1.0])
+@pytest.mark.parametrize("variance", [0.0, -1.0, float("nan"), float("inf")])
 def test_invalid_jamming_variance(variance):
     with pytest.raises(ConfigurationError):
         draw_targeted_jamming_block(RandomStream(1, 0), 4, 16, variance, [0])

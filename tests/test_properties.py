@@ -1,6 +1,6 @@
 """Hypothesis properties: sweep invariants on small random grids of both
-jamming models, the mode index range, the mode transform round trip and
-LinkConfig validation."""
+jamming models, the mode index range, the mode transform round trip,
+LinkConfig validation and scenario-file validation."""
 
 import math
 from dataclasses import replace
@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oam_antijam import (BASELINE, MODE, PROPOSED, UNIT, ConfigurationError, LinkConfig,
-                         SampleBlock, SweepAxes, SweepOptions, decompose_modes,
-                         mode_index_range, multiplex_modes, run_sweep)
+from oam_antijam import (BASELINE, PROPOSED, ConfigurationError, LinkConfig, SweepAxes,
+                         SweepOptions, mode_index_range, mode_transform, run_sweep,
+                         validate_grid)
+from oam_antijam.cli import _KNOWN_KEYS, parse_scenario
 
 FLOAT_FIELDS = ("r_tx", "r_rx", "axial_distance", "wavelength", "beta", "noise_variance_rx",
                 "jam_variance_tx", "jam_variance_rx", "energy_threshold_tx",
@@ -63,9 +64,9 @@ def test_mode_index_range_is_n_consecutive_integers(n):
 def test_multiplex_then_decompose_round_trip(n, k, seed):
     rng = np.random.default_rng(seed)
     samples = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
-    recovered = decompose_modes(multiplex_modes(SampleBlock(samples, MODE), n), UNIT)
-    assert recovered.domain == MODE
-    assert np.max(np.abs(recovered.samples - samples)) <= 1e-12 * np.max(np.abs(samples))
+    w = mode_transform(n)
+    recovered = w @ (w.conj().T @ samples)
+    assert np.max(np.abs(recovered - samples)) <= 1e-12 * np.max(np.abs(samples))
 
 
 @given(st.sampled_from(FLOAT_FIELDS),
@@ -74,3 +75,29 @@ def test_multiplex_then_decompose_round_trip(n, k, seed):
 def test_link_config_rejects_non_positive_or_non_finite_floats(name, value):
     with pytest.raises(ConfigurationError, match=name):
         LinkConfig(**{name: value})
+
+
+SCENARIO_KEYS = sorted((section, key) for section, keys in _KNOWN_KEYS.items() for key in keys)
+SCENARIO_VALUES = ("", "nan", "inf", "-inf", "-1", "0", "1e200", "1e-300", "abc", "1,",
+                   "1" + "0" * 29)
+
+
+@settings(max_examples=400, deadline=None)  # enough to try every (key, value) pair
+@given(st.sampled_from(SCENARIO_KEYS), st.sampled_from(SCENARIO_VALUES))
+def test_scenario_value_is_rejected_or_runs(tmp_path_factory, section_key, value):
+    section, key = section_key
+    path = tmp_path_factory.mktemp("scenario") / "scenario.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    try:
+        scenario = parse_scenario(str(path))
+        validate_grid(scenario.config, scenario.axes, scenario.options)
+    except ConfigurationError:
+        return
+    # an accepted scenario runs: a tiny sweep keeps every parsed value but the grid size
+    axes = SweepAxes(snr_db=scenario.axes.snr_db[:1], n_elements=(4,),
+                     n_jammed=tuple(j for j in scenario.axes.n_jammed if j <= 4))
+    try:
+        run_sweep(scenario.config, axes, scenario.schemes, trials=2, seed=scenario.seed,
+                  options=scenario.options)
+    except FloatingPointError:
+        pass

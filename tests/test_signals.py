@@ -1,4 +1,4 @@
-"""Mode multiplexing/decomposition and block energy statistics."""
+"""The mode transform W: multiplexing (W^H), decomposition (W) and block energies."""
 
 import numpy as np
 import pytest
@@ -6,79 +6,72 @@ import pytest
 from oam_antijam import (
     APPROXIMATE,
     LinkConfig,
-    MODE,
-    SampleBlock,
-    UNIT,
-    UNNORMALIZED,
     build_channel_matrix,
-    decompose_modes,
     mode_energies,
     mode_index_range,
-    multiplex_modes,
+    mode_transform,
 )
 
 
-def random_mode_block(n, k, rng):
-    samples = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
-    return SampleBlock(samples, domain=MODE)
+def random_mode_samples(n, k, rng):
+    return rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+
+
+def multiplex(mode_samples):
+    """Element samples of an (N, K) mode block: W^H @ s."""
+    return mode_transform(mode_samples.shape[0]).conj().T @ mode_samples
 
 
 def test_single_mode_zero_is_constant_across_elements():
     n = 4
     samples = np.zeros((n, 3), dtype=complex)
     samples[mode_index_range(n).index(0)] = 1.0
-    out = multiplex_modes(SampleBlock(samples, domain=MODE), n)
-    assert np.allclose(out.samples, 0.5)
+    assert np.allclose(multiplex(samples), 0.5)
 
 
 def test_single_mode_one_has_quarter_turn_phase_steps():
     n = 4
     samples = np.zeros((n, 1), dtype=complex)
     samples[mode_index_range(n).index(1)] = 1.0
-    out = multiplex_modes(SampleBlock(samples, domain=MODE), n)
-    assert np.allclose(np.abs(out.samples), 0.5)
-    phases = np.angle(out.samples[:, 0])
+    out = multiplex(samples)
+    assert np.allclose(np.abs(out), 0.5)
+    phases = np.angle(out[:, 0])
     steps = np.mod(np.diff(phases), 2 * np.pi)
     assert np.allclose(steps, np.pi / 2, atol=1e-12)
 
 
 def test_multiplex_preserves_energy():
     rng = np.random.default_rng(3)
-    block = random_mode_block(8, 50, rng)
-    out = multiplex_modes(block, 8)
-    assert np.sum(np.abs(out.samples) ** 2) == pytest.approx(
-        np.sum(np.abs(block.samples) ** 2), rel=1e-12)
+    samples = random_mode_samples(8, 50, rng)
+    assert np.sum(np.abs(multiplex(samples)) ** 2) == pytest.approx(
+        np.sum(np.abs(samples) ** 2), rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 32])
 def test_round_trip(n):
     rng = np.random.default_rng(n)
-    block = random_mode_block(n, 25, rng)
-    recovered = decompose_modes(multiplex_modes(block, n), UNIT)
-    err = np.max(np.abs(recovered.samples - block.samples)) / np.max(np.abs(block.samples))
+    samples = random_mode_samples(n, 25, rng)
+    recovered = mode_transform(n) @ multiplex(samples)
+    err = np.max(np.abs(recovered - samples)) / np.max(np.abs(samples))
     assert err < 1e-12
 
 
 def test_decompose_constant_input():
     c = 0.7 - 0.2j
     n = 9
-    block = SampleBlock(np.full((n, 4), c), domain="element")
-    unit = decompose_modes(block, UNIT)
+    unit = mode_transform(n) @ np.full((n, 4), c)
     modes = mode_index_range(n)
-    assert unit.samples[modes.index(0)] == pytest.approx(c * np.sqrt(n), rel=1e-12)
-    off = np.delete(unit.samples, modes.index(0), axis=0)
+    assert unit[modes.index(0)] == pytest.approx(c * np.sqrt(n), rel=1e-12)
+    off = np.delete(unit, modes.index(0), axis=0)
     assert np.max(np.abs(off)) < 1e-12
-
-    plain = decompose_modes(block, UNNORMALIZED)
-    assert plain.samples[modes.index(0)] == pytest.approx(c * n, rel=1e-12)
 
 
 def test_parseval_under_unit_normalization():
     rng = np.random.default_rng(11)
-    element = SampleBlock(rng.normal(size=(16, 40)) + 1j * rng.normal(size=(16, 40)))
-    modes = decompose_modes(element, UNIT)
-    assert np.sum(np.abs(modes.samples) ** 2) == pytest.approx(
-        np.sum(np.abs(element.samples) ** 2), rel=1e-12)
+    element = rng.normal(size=(16, 40)) + 1j * rng.normal(size=(16, 40))
+    modes = mode_transform(16) @ element
+    assert np.sum(np.abs(modes) ** 2) == pytest.approx(
+        np.sum(np.abs(element) ** 2), rel=1e-12)
 
 
 def test_mode_orthogonality_through_expanded_channel():
@@ -88,10 +81,9 @@ def test_mode_orthogonality_through_expanded_channel():
     for l in (0, 3, -5, 8):
         samples = np.zeros((n, 1), dtype=complex)
         samples[cfg.mode_indices().index(l)] = 1.0
-        x = multiplex_modes(SampleBlock(samples, domain=MODE), n)
-        y = SampleBlock(h @ x.samples / np.sqrt(n))
-        recovered = decompose_modes(y, UNNORMALIZED)
-        energies = np.mean(np.abs(recovered.samples) ** 2, axis=1)
+        y = h @ multiplex(samples) / np.sqrt(n)
+        recovered = np.sqrt(n) * mode_transform(n) @ y   # the receiver's plain sum
+        energies = np.mean(np.abs(recovered) ** 2, axis=1)
         on = energies[cfg.mode_indices().index(l)]
         leakage = energies.sum() - on
         assert leakage < 1e-10 * on
@@ -122,30 +114,13 @@ class TestBlockEnergy:
         energies = mode_energies(batch)
         assert energies.shape == (4, 8)
         for element, row in zip(batch, energies):
-            modes = decompose_modes(SampleBlock(element), UNIT).samples
+            modes = mode_transform(8) @ element
             expected = np.mean(np.abs(modes) ** 2, axis=1)
             assert np.allclose(row, expected, rtol=1e-12, atol=0.0)
 
 
 class TestValidation:
-    def test_empty_block_rejected(self):
-        with pytest.raises(ValueError):
-            SampleBlock(np.zeros((3, 0), dtype=complex))
-
-    def test_bad_domain_rejected(self):
-        with pytest.raises(ValueError):
-            SampleBlock(np.zeros((2, 2), dtype=complex), domain="antenna")
-
-    def test_multiplex_requires_mode_domain(self):
-        with pytest.raises(ValueError):
-            multiplex_modes(SampleBlock(np.zeros((4, 2), dtype=complex)), 4)
-
     def test_multiplex_shape_mismatch(self):
-        block = SampleBlock(np.zeros((4, 2), dtype=complex), domain=MODE)
+        """A 4-row mode block does not multiplex onto an 8-element ring."""
         with pytest.raises(ValueError):
-            multiplex_modes(block, 8)
-
-    def test_decompose_unknown_normalization(self):
-        block = SampleBlock(np.zeros((4, 2), dtype=complex))
-        with pytest.raises(ValueError):
-            decompose_modes(block, "orthonormal-ish")
+            mode_transform(8).conj().T @ np.zeros((4, 2), dtype=complex)
