@@ -14,7 +14,8 @@ K-sample average energy Q under gain level b satisfies
 2*K*Q / sigma2(b) ~ chi-square(2K), with sigma2(b) the per-sample variance of
 the recovered mode signal. That gives closed-form decision error rates, and
 the preamble threshold below is exactly the equal-likelihood point of the two
-Gamma(K, Qhat_b / K) hypotheses.
+Gamma(K, Qhat_b / K) hypotheses. Those error rates use the same integer-shape
+gamma CDF as the transmitter's detector (:func:`sensing.gamma_cdf`).
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .channel import ChannelMatrix, element_azimuths
 from .config import LinkConfig, mode_index_range, pga_levels
 from .jamming import NOISE_VARIANCE_FLOOR, complex_gaussian
+from .sensing import gamma_cdf
 
 SYMBOL_CHUNK = 1024  # symbols synthesised per block of draws
 
@@ -166,14 +167,14 @@ def correct_detection_prob(q_th: float, n_samples: int, sigma2_k: float,
                            true_bit: int) -> float:
     """Probability of deciding the transmitted bit correctly.
 
-    Conditions on the true bit: the energy is Gamma(K, sigma2_k(bit)/K), whose
-    CDF at q_th is the regularized lower incomplete gamma at K*q_th/sigma2_k.
+    Conditions on the true bit: the energy is Gamma(K, sigma2_k(bit)/K), and
+    bit 0 is decided below q_th, with probability :func:`sensing.gamma_cdf`.
     """
     if sigma2_k <= 0.0:
         raise ValueError(f"sigma2_k must be positive, got {sigma2_k}")
     if true_bit not in (0, 1):
         raise ValueError(f"true_bit must be 0 or 1, got {true_bit}")
-    below = float(special.gammainc(n_samples, max(q_th, 0.0) * n_samples / sigma2_k))
+    below = gamma_cdf(max(q_th, 0.0), n_samples, sigma2_k / n_samples)
     return below if true_bit == 0 else 1.0 - below
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .config import ConfigurationError, LinkConfig
 
@@ -79,6 +78,8 @@ def bessel_j(order: int, argument: float) -> float:
     if abs(argument) > BESSEL_MAX_ARGUMENT:
         raise ValueError(
             f"argument {argument} outside supported range |a| <= {BESSEL_MAX_ARGUMENT}")
+    from scipy import special  # the only scipy use: kept off the package's import path
+
     return float(special.jv(int(order), argument))
 
 

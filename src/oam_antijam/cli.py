@@ -36,8 +36,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ConfigurationError, LinkConfig, wavelength_for_frequency
-from .metrics import (BASELINE, PROPOSED, SweepAxes, SweepOptions, SweepResult,
-                      check_trends, run_sweep, validate_axes)
+from .metrics import (SweepAxes, SweepOptions, SweepResult, check_trends, run_sweep,
+                      validate_axes, validate_schemes)
 
 SEED_ENV_VAR = "OAM_SIM_SEED"
 DEFAULT_SEED = 1234
@@ -196,9 +196,7 @@ def parse_scenario(path: str | None) -> Scenario:
     schemes = tuple(s.strip().lower() for s in
                    _get(parser, "sweep", "schemes", "proposed, baseline").split(",")
                    if s.strip())
-    for s in schemes:
-        if s not in (PROPOSED, BASELINE):
-            raise ConfigurationError(f"[sweep] unknown scheme {s!r}")
+    validate_schemes(schemes)
 
     trials = _parse_int(_get(parser, "sweep", "trials", "1000"), "[sweep] trials")
     if trials < 1:
@@ -236,6 +234,11 @@ def run_scenario(scenario: Scenario, output_path: str,
 
     Returns the process exit code (0 success, 1 validation, 2 numeric).
     """
+    out_dir = os.path.dirname(os.path.abspath(output_path))
+    if os.path.isdir(output_path) or not os.path.isdir(out_dir):
+        print(f"cannot write output {output_path!r}: not a file path in a directory",
+              file=sys.stderr)
+        return 1
     try:
         results = run_sweep(scenario.config, scenario.axes, scenario.schemes,
                             scenario.trials, scenario.seed, scenario.options)

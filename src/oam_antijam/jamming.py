@@ -20,6 +20,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 
 from .config import ConfigurationError, mode_index_range
 from .signals import mode_transform
@@ -38,10 +39,9 @@ class RandomStream:
     seed: int
     stream_id: int | tuple[int, ...] = 0
 
-    def generator(self) -> np.random.Generator:
+    def generator(self) -> Generator:
         key = self.stream_id if isinstance(self.stream_id, tuple) else (self.stream_id,)
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=key)
-        return np.random.Generator(np.random.PCG64(seq))
+        return Generator(PCG64(SeedSequence(entropy=self.seed, spawn_key=key)))
 
 
 def complex_gaussian(rng: np.random.Generator, shape, variance: float) -> np.ndarray:

@@ -181,6 +181,12 @@ def validate_axes(axes: SweepAxes) -> None:
                     f"n_jammed {n_jam} outside 0..{n_el} for N={n_el}")
 
 
+def validate_schemes(schemes: tuple[str, ...]) -> None:
+    """Reject an empty or repeated scheme list, or an unknown scheme in it."""
+    if not schemes or len(set(schemes)) < len(schemes) or set(schemes) - {PROPOSED, BASELINE}:
+        raise ConfigurationError(f"need distinct schemes out of proposed, baseline; got {schemes}")
+
+
 def validate_grid(config: LinkConfig, axes: SweepAxes, options: SweepOptions) -> None:
     """Reject a sweep grid that holds a point which cannot run.
 
@@ -342,9 +348,7 @@ def run_sweep(config: LinkConfig, axes: SweepAxes,
         raise ConfigurationError(f"trials must lie in 1..{sys.maxsize}, got {trials}")
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
-    for s in schemes:
-        if s not in (PROPOSED, BASELINE):
-            raise ConfigurationError(f"unknown scheme {s!r}")
+    validate_schemes(schemes)
     options = options or SweepOptions()
     validate_grid(config, axes, options)
     results: list[SweepResult] = []

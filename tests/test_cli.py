@@ -1,6 +1,10 @@
 """Scenario parsing, CSV output, determinism and exit codes of the CLI."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +214,8 @@ class TestValidationBeforeAnyPoint:
         "[pga]\ngains = 0.5, nan",
         "[pga]\ngains = 0.5, inf",
         "[pga]\npriors = nan, nan",
+        "schemes =",
+        "schemes = proposed, Proposed",
     ])
     def test_invalid_grid_or_probe_budget(self, rejected, sweep):
         rejected(sweep)
@@ -223,6 +229,52 @@ class TestValidationBeforeAnyPoint:
     def test_negative_environment_seed(self, rejected, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "-1")
         rejected("")
+
+
+class TestUnwritableOutput:
+    @pytest.fixture(autouse=True)
+    def no_sweep(self, monkeypatch):
+        from oam_antijam import cli
+
+        def no_sweep(*args):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+
+    @pytest.mark.parametrize("output", ["missing/out.csv", "a-file/out.csv", "a-dir"])
+    def test_fails_before_the_sweep(self, tmp_path, capsys, output):
+        (tmp_path / "a-file").write_text("")
+        (tmp_path / "a-dir").mkdir()
+        out = str(tmp_path / output)
+        assert main(["--config", write(tmp_path, TINY_SCENARIO), "--output", out]) == 1
+        assert "cannot write output" in capsys.readouterr().err
+
+    def test_existing_output_untouched_when_the_sweep_fails(self, tmp_path, monkeypatch):
+        from oam_antijam import cli
+
+        def failing_sweep(*args):
+            raise FloatingPointError("non-finite spectrum efficiency")
+
+        monkeypatch.setattr(cli, "run_sweep", failing_sweep)
+        out = tmp_path / "out.csv"
+        out.write_text("previous run\n")
+        assert main(["--config", write(tmp_path, TINY_SCENARIO), "--output", str(out)]) == 2
+        assert out.read_text() == "previous run\n"
+
+
+def test_import_loads_no_scipy():
+    """A fresh interpreter: in this one, the tests' own scipy imports would hide a regression."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import oam_antijam.cli, sys; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy']); "
+            "print('numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    scipy_modules, numpy_random = proc.stdout.splitlines()
+    assert scipy_modules == "[]"
+    assert numpy_random == "True"
 
 
 class TestSeedPrecedence:

@@ -239,6 +239,16 @@ class TestRunSweep:
         with pytest.raises(ConfigurationError):
             run_sweep(cfg, self.AXES, schemes=("improved",), trials=2, seed=0)
 
+    @pytest.mark.parametrize("schemes", [(), (PROPOSED, PROPOSED)])
+    def test_empty_or_repeated_schemes_rejected_before_any_point(self, schemes, monkeypatch):
+        def no_point(*args):
+            raise AssertionError("a grid point ran")
+
+        monkeypatch.setattr(metrics, "_sweep_point", no_point)
+        cfg = LinkConfig().with_unit_element_gain()
+        with pytest.raises(ConfigurationError, match="schemes"):
+            run_sweep(cfg, self.AXES, schemes=schemes, trials=2, seed=0)
+
     def test_snr_reference_including_jamming(self):
         cfg = LinkConfig().with_unit_element_gain()
         axes = SweepAxes(snr_db=(0.0,), n_jammed=(0,), n_elements=(16,))

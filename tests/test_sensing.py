@@ -2,11 +2,15 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy import special
 
 from oam_antijam import (
     RandomStream,
+    correct_detection_prob,
     detection_probabilities,
     draw_targeted_jamming_block,
     gamma_cdf,
@@ -72,6 +76,58 @@ class TestGammaCdf:
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
             gamma_cdf(-0.1, 2, 1.0)
+
+    def test_edges(self):
+        assert gamma_cdf(0.0, 64, 1.0) == 0.0
+        assert gamma_cdf(math.inf, 64, 1.0) == 1.0
+        assert gamma_cdf(1.0, 64, 1e-320) == 1.0  # x / scale overflows to inf
+
+    @pytest.mark.parametrize("shape", [2.5, 2.0, "3", math.nan, 0, -1])
+    def test_non_integer_or_non_positive_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            gamma_cdf(1.0, shape, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_nan_argument_or_scale_rejected(self, bad):
+        with pytest.raises(ValueError):
+            gamma_cdf(bad, 4, 1.0)
+        with pytest.raises(ValueError):
+            gamma_cdf(1.0, 4, bad)
+
+    def test_numpy_scalars_give_the_float_result(self):
+        x, shape, scale = np.float64(0.5), np.int64(64), np.float64(1 / 64)
+        assert type(gamma_cdf(x, shape, scale)) is float
+        assert gamma_cdf(x, shape, scale) == gamma_cdf(0.5, 64, 1 / 64)
+
+    @pytest.mark.parametrize("k", [1, 2, 8, 16, 64, 256, 1024, 4096])
+    def test_relative_error_against_mpmath(self, k):
+        # both branches (series below x = k + 1, continued fraction above),
+        # dense around the crossover at x ~ k where both converge slowest
+        xs = np.concatenate([k * np.geomspace(0.01, 10.0, 40),
+                             k * np.linspace(0.95, 1.05, 21), [k + 1.0, k + 1.0 - 1e-9]])
+        for x in xs:
+            with mpmath.workdps(40):
+                ref = mpmath.gammainc(k, 0, float(x), regularized=True)
+            if ref > 1e-300:
+                got = gamma_cdf(float(x), k, 1.0)
+                assert abs(got - float(ref)) <= 1e-11 * float(ref), (k, x, got, ref)
+
+
+@given(st.integers(1, 2048), st.floats(0.0, 50.0), st.floats(0.0, 1.0))
+def test_gamma_cdf_matches_scipy_and_is_a_cdf(k, x_over_k, step):
+    x = x_over_k * k
+    p = gamma_cdf(x, k, 1.0)
+    assert abs(p - special.gammainc(k, x)) <= 1e-11
+    assert 0.0 <= p <= 1.0
+    assert gamma_cdf(x + step * math.sqrt(k), k, 1.0) >= p
+
+
+@pytest.mark.parametrize("q_th, k, sigma2", [(0.3, 1, 0.5), (1.2, 8, 1.0), (0.5, 64, 0.6),
+                                            (-1.0, 16, 1.0), (1e9, 16, 1.0)])
+def test_correct_detection_prob_is_gamma_cdf_at_both_bits(q_th, k, sigma2):
+    below = gamma_cdf(max(q_th, 0.0), k, sigma2 / k)
+    assert correct_detection_prob(q_th, k, sigma2, 0) == below
+    assert correct_detection_prob(q_th, k, sigma2, 1) == 1.0 - below
 
 
 class TestDetectionProbabilities:
