@@ -9,14 +9,13 @@ detector, the reflected-jamming link, and Monte Carlo sweep tooling with a CSV
 command-line front end.
 """
 
-from .backscatter import (CalibrationError, EnergyThreshold, PgaAlphabet, Preamble,
-                          alternating_preamble, average_correct_detection,
+from .backscatter import (CalibrationError, average_correct_detection,
                           calibrate_from_preamble, calibrate_threshold,
                           correct_detection_prob, hypothesis_variance,
                           receiver_background_variance, simulate_backscatter_bits)
-from .channel import (APPROXIMATE, EXACT, ChannelMatrix, bessel_j,
-                      build_channel_matrix, element_azimuths, mode_channel_gain,
-                      mode_link_gains, ring_sampled_bessel)
+from .channel import (APPROXIMATE, EXACT, bessel_j, build_channel_matrix,
+                      element_azimuths, mode_channel_gain, mode_link_gains,
+                      ring_sampled_bessel)
 from .config import (ConfigurationError, LinkConfig, mode_index_range,
                      wavelength_for_frequency)
 from .jamming import RandomStream, draw_targeted_jamming_block
@@ -29,11 +28,10 @@ from .signals import mode_energies, mode_transform
 __version__ = "0.1.0"
 
 __all__ = [
-    "APPROXIMATE", "BASELINE", "CalibrationError", "ChannelMatrix",
-    "ConfigurationError", "DetectionStats", "EXACT", "EnergyThreshold",
-    "LinkConfig", "PROPOSED", "PgaAlphabet", "Preamble", "RandomStream",
+    "APPROXIMATE", "BASELINE", "CalibrationError", "ConfigurationError",
+    "DetectionStats", "EXACT", "LinkConfig", "PROPOSED", "RandomStream",
     "SweepAxes", "SweepOptions", "SweepResult", "allocate_power",
-    "alternating_preamble", "average_correct_detection", "bessel_j",
+    "average_correct_detection", "bessel_j",
     "build_channel_matrix", "calibrate_from_preamble", "calibrate_threshold",
     "check_trends", "correct_detection_prob", "detection_probabilities",
     "draw_targeted_jamming_block", "element_azimuths", "gamma_cdf",

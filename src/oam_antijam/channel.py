@@ -6,11 +6,13 @@ exact pairwise distance or its second-order expansion around the boresight
 axis. Per-mode gains come from the ring-sampled Bessel factor, which is the
 exact eigenvalue structure of the expanded (circulant) matrix and converges to
 the continuum Bessel value as the element count grows.
+
+The channel is a plain (M, N) complex array, and :func:`mode_link_gains` is the
+one place that turns it into the composite per-mode gains kappa_l which the
+reflected link, the per-mode SNR and the decision probabilities all use.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,22 +27,6 @@ BESSEL_MAX_ORDER = 60
 BESSEL_MAX_ARGUMENT = 100.0
 
 
-@dataclass(frozen=True)
-class ChannelMatrix:
-    """M x N complex element-pair gains plus the distance variant that built it."""
-
-    gains: np.ndarray
-    variant: str
-
-    def __post_init__(self) -> None:
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"unknown channel variant {self.variant!r}")
-        gains = np.asarray(self.gains, dtype=complex)
-        if gains.ndim != 2:
-            raise ValueError(f"channel matrix must be 2-D, got shape {gains.shape}")
-        object.__setattr__(self, "gains", gains)
-
-
 def element_azimuths(count: int) -> np.ndarray:
     """Azimuthal angles 2*pi*(n-1)/count of a uniformly spaced ring, radians."""
     if count < 1:
@@ -48,8 +34,8 @@ def element_azimuths(count: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(count) / count
 
 
-def build_channel_matrix(config: LinkConfig, variant: str = APPROXIMATE) -> ChannelMatrix:
-    """All M x N element-pair gains under the chosen distance variant."""
+def build_channel_matrix(config: LinkConfig, variant: str = APPROXIMATE) -> np.ndarray:
+    """The (M, N) complex element-pair gains under the chosen distance variant."""
     if variant not in _VARIANTS:
         raise ValueError(f"unknown channel variant {variant!r}")
     lam = config.wavelength
@@ -64,7 +50,7 @@ def build_channel_matrix(config: LinkConfig, variant: str = APPROXIMATE) -> Chan
         amplitude = config.beta * lam / (4.0 * np.pi * config.axial_distance)
         phase = -2.0 * np.pi * config.diagonal_distance / lam + config.bessel_argument * cosines
         gains = amplitude * np.exp(1j * phase)
-    return ChannelMatrix(gains=gains, variant=variant)
+    return gains
 
 
 def bessel_j(order: int, argument: float) -> float:
@@ -119,21 +105,19 @@ def mode_channel_gain(config: LinkConfig, l: int) -> complex:
                    * ring_sampled_bessel(config.n_tx, l, config.bessel_argument))
 
 
-def mode_link_gains(config: LinkConfig, channel: ChannelMatrix | None = None) -> np.ndarray:
+def mode_link_gains(config: LinkConfig, channel: np.ndarray | None = None) -> np.ndarray:
     """Composite through-link gain kappa_l for every mode, canonical order.
 
     kappa_l is the end-to-end linear coefficient from a unit mode-domain symbol
     to the unnormalized receive-side mode sum: (1/sqrt(M*N)) * v_l^T H u_l with
     u_l, v_l the transmit/receive phase-ramp vectors. For matched rings and the
-    expanded matrix, |kappa_l| = sqrt(M) * |mode_channel_gain(l)|.
+    expanded matrix, |kappa_l| = sqrt(M) * |mode_channel_gain(l)|. ``channel``
+    is the (M, N) element-gain array, by default the approximate-distance one.
     """
-    if channel is None:
-        channel = build_channel_matrix(config, APPROXIMATE)
-    h = channel.gains
-    m_rx, n_tx = h.shape
-    if n_tx != config.n_tx or m_rx != config.n_rx:
-        raise ValueError(
-            f"channel shape {h.shape} does not match config ({config.n_rx}, {config.n_tx})")
+    h = build_channel_matrix(config, APPROXIMATE) if channel is None else channel
+    m_rx, n_tx = config.n_rx, config.n_tx
+    if np.shape(h) != (m_rx, n_tx):
+        raise ValueError(f"channel shape {np.shape(h)} does not match config ({m_rx}, {n_tx})")
     modes = np.array(config.mode_indices())
     phi = element_azimuths(n_tx)
     psi = element_azimuths(m_rx)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .config import ConfigurationError, LinkConfig, wavelength_for_frequency
 from .metrics import (SweepAxes, SweepOptions, SweepResult, check_trends, run_sweep,
-                      validate_axes, validate_schemes)
+                      validate_grid, validate_schemes)
 
 SEED_ENV_VAR = "OAM_SIM_SEED"
 DEFAULT_SEED = 1234
@@ -191,7 +191,7 @@ def parse_scenario(path: str | None) -> Scenario:
         n_elements=_parse_list(_get(parser, "sweep", "n_elements", str(n_elements)),
                                "[sweep] n_elements", _parse_int),
     )
-    validate_axes(axes)
+    validate_grid(config, axes, options)
 
     schemes = tuple(s.strip().lower() for s in
                    _get(parser, "sweep", "schemes", "proposed, baseline").split(",")

@@ -40,12 +40,12 @@ def mode_index_range(n_elements: int) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def pga_levels(gains, priors, allow_ties: bool) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def pga_levels(gains, priors) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Checked PGA gain levels and their transmit priors, as float tuples.
 
     Needs at least two levels, one prior per level, finite non-negative gains
-    in increasing order and finite positive priors summing to 1 within 1e-12.
-    Equal adjacent gains pass only under ``allow_ties``.
+    in strictly increasing order and finite positive priors summing to 1
+    within 1e-12.
     """
     gains = tuple(float(g) for g in gains)
     priors = tuple(float(p) for p in priors)
@@ -58,9 +58,8 @@ def pga_levels(gains, priors, allow_ties: bool) -> tuple[tuple[float, ...], tupl
             f"PGA gains and priors lengths differ: {len(gains)} vs {len(priors)}")
     if any(g < 0.0 for g in gains):
         raise ConfigurationError(f"PGA gains must be non-negative, got {gains}")
-    if any(b < a or (b == a and not allow_ties) for a, b in zip(gains, gains[1:])):
-        order = "non-decreasing" if allow_ties else "strictly increasing"
-        raise ConfigurationError(f"PGA gains must be {order}, got {gains}")
+    if any(b <= a for a, b in zip(gains, gains[1:])):
+        raise ConfigurationError(f"PGA gains must be strictly increasing, got {gains}")
     if any(p <= 0.0 for p in priors):
         raise ConfigurationError(f"PGA priors must be positive, got {priors}")
     if abs(sum(priors) - 1.0) > 1e-12:
@@ -131,7 +130,7 @@ class LinkConfig:
             raise ConfigurationError(
                 "radii, distance, wavelength and beta overflow the link geometry or the "
                 "element power gain (beta*wavelength / (4*pi*distance))^2")
-        gains, priors = pga_levels(self.pga_gains, self.pga_priors, allow_ties=False)
+        gains, priors = pga_levels(self.pga_gains, self.pga_priors)
         object.__setattr__(self, "pga_gains", gains)
         object.__setattr__(self, "pga_priors", priors)
 

@@ -22,8 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .backscatter import (CalibrationError, EnergyThreshold, PgaAlphabet,
-                          alternating_preamble, average_correct_detection,
+from .backscatter import (CalibrationError, average_correct_detection,
                           calibrate_from_preamble, hypothesis_variance,
                           receiver_background_variance, simulate_backscatter_bits)
 from .channel import APPROXIMATE, build_channel_matrix, mode_link_gains
@@ -131,8 +130,8 @@ def mode_snr(config: LinkConfig, flagged, link_gains: np.ndarray,
     kappa2 = np.abs(link_gains) ** 2
     floor = receiver_background_variance(config)
     gamma_clean = p_u * kappa2 * allocate_power(config, flagged) / floor
-    gamma_jam = p_j * p_c * kappa2 \
-        * PgaAlphabet.from_config(config).mean_power_gain * carrier_variance / floor
+    mean_power_gain = sum(p * g * g for g, p in zip(config.pga_gains, config.pga_priors))
+    gamma_jam = p_j * p_c * kappa2 * mean_power_gain * carrier_variance / floor
     return np.where(flagged, gamma_jam, gamma_clean)
 
 
@@ -163,24 +162,6 @@ def _power_and_disturbance(config: LinkConfig, snr_db: float,
     return per_mode, disturbance
 
 
-def validate_axes(axes: SweepAxes) -> None:
-    """Reject a grid whose SNRs, ring sizes or jammed-mode counts cannot run.
-
-    Every SNR must be finite, every ring size must lie in 1..sys.maxsize and
-    every jammed-mode count must lie in 0..N for every ring size N.
-    """
-    for snr_db in axes.snr_db:
-        if not math.isfinite(snr_db):
-            raise ConfigurationError(f"snr {snr_db} dB is not a finite number")
-    for n_el in axes.n_elements:
-        if not 1 <= n_el <= sys.maxsize:
-            raise ConfigurationError(f"ring size must lie in 1..{sys.maxsize}, got {n_el}")
-        for n_jam in axes.n_jammed:
-            if not 0 <= n_jam <= n_el:
-                raise ConfigurationError(
-                    f"n_jammed {n_jam} outside 0..{n_el} for N={n_el}")
-
-
 def validate_schemes(schemes: tuple[str, ...]) -> None:
     """Reject an empty or repeated scheme list, or an unknown scheme in it."""
     if not schemes or len(set(schemes)) < len(schemes) or set(schemes) - {PROPOSED, BASELINE}:
@@ -190,13 +171,20 @@ def validate_schemes(schemes: tuple[str, ...]) -> None:
 def validate_grid(config: LinkConfig, axes: SweepAxes, options: SweepOptions) -> None:
     """Reject a sweep grid that holds a point which cannot run.
 
-    On top of :func:`validate_axes`, every SNR must imply a finite noise
-    variance that stays positive (the noise-plus-jamming reference subtracts
-    the receiver jamming power from the disturbance the SNR implies), the
-    PGA must have exactly two gain levels, one per bit of the reflected link,
-    and the iid model, which jams no chosen modes, takes only n_jammed = 0.
+    Every ring size must lie in 1..sys.maxsize and every jammed-mode count in
+    0..N for every ring size N; the iid model, which jams no chosen modes,
+    takes only n_jammed = 0. The PGA must have exactly two gain levels, one
+    per bit of the reflected link. Every SNR must be finite and imply a finite
+    noise variance that stays positive (the noise-plus-jamming reference
+    subtracts the receiver jamming power from the disturbance the SNR implies).
     """
-    validate_axes(axes)
+    for n_el in axes.n_elements:
+        if not 1 <= n_el <= sys.maxsize:
+            raise ConfigurationError(f"ring size must lie in 1..{sys.maxsize}, got {n_el}")
+        for n_jam in axes.n_jammed:
+            if not 0 <= n_jam <= n_el:
+                raise ConfigurationError(
+                    f"n_jammed {n_jam} outside 0..{n_el} for N={n_el}")
     if options.jam_model == BROADBAND and any(axes.n_jammed):
         raise ConfigurationError(
             f"the iid model jams no chosen modes: n_jammed must be 0, got {axes.n_jammed}")
@@ -205,6 +193,8 @@ def validate_grid(config: LinkConfig, axes: SweepAxes, options: SweepOptions) ->
             f"the reflected link is binary: its PGA needs exactly two gain levels "
             f"(bits 0 and 1), got {len(config.pga_gains)}")
     for snr_db in axes.snr_db:
+        if not math.isfinite(snr_db):
+            raise ConfigurationError(f"snr {snr_db} dB is not a finite number")
         try:
             per_mode, disturbance = _power_and_disturbance(config, snr_db, options)
         except (OverflowError, ZeroDivisionError):
@@ -220,48 +210,42 @@ def validate_grid(config: LinkConfig, axes: SweepAxes, options: SweepOptions) ->
                 f"{config.jam_variance_rx} W")
 
 
-def _point_thresholds(cfg: LinkConfig, channel, kappas: np.ndarray, alphabet: PgaAlphabet,
-                      carrier_variance: float, rng: np.random.Generator,
-                      options: SweepOptions) -> tuple[list[EnergyThreshold], np.ndarray]:
-    """Per-mode calibrated thresholds and analytic correct-decision probabilities."""
-    preamble = alternating_preamble(cfg.preamble_length)
-    k = cfg.samples_per_symbol
-    thresholds: list[EnergyThreshold] = []
+def _point_thresholds(cfg: LinkConfig, kappas: np.ndarray, carrier_variance: float,
+                      rng: np.random.Generator,
+                      options: SweepOptions) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode calibrated thresholds q_th and analytic correct-decision probabilities."""
+    bits = np.arange(cfg.preamble_length) % 2   # the alternating 0101... preamble
+    gains, priors = cfg.pga_gains, cfg.pga_priors
+    q_th = np.empty(len(kappas))
     p_c = np.empty(len(kappas))
     for i, kappa in enumerate(kappas):
-        s2k0 = hypothesis_variance(cfg, kappa, alphabet.gains[0], carrier_variance)
-        s2k1 = hypothesis_variance(cfg, kappa, alphabet.gains[-1], carrier_variance)
+        s2k0 = hypothesis_variance(cfg, kappa, gains[0], carrier_variance)
+        s2k1 = hypothesis_variance(cfg, kappa, gains[-1], carrier_variance)
         try:
-            thr = calibrate_from_preamble(cfg, channel, cfg.mode_indices()[i], preamble,
-                                          alphabet, carrier_variance, rng,
-                                          verbatim_means=options.verbatim_means)
+            q_th[i] = calibrate_from_preamble(cfg, kappa, gains, bits, carrier_variance, rng,
+                                              verbatim_means=options.verbatim_means)
         except CalibrationError:
             # deep-noise fallback: pooled mean energy; averaged P_c is ~0.5 anyway
-            pooled = 0.5 * (s2k0 + s2k1)
-            thr = EnergyThreshold(q_th=pooled, q0_hat=pooled, q1_hat=2.0 * pooled)
-        thresholds.append(thr)
-        p_c[i] = average_correct_detection(thr.q_th, k, s2k0, s2k1,
-                                           (alphabet.priors[0], alphabet.priors[-1]))
-    return thresholds, p_c
+            q_th[i] = 0.5 * (s2k0 + s2k1)
+        p_c[i] = average_correct_detection(q_th[i], cfg.samples_per_symbol, s2k0, s2k1,
+                                           (priors[0], priors[-1]))
+    return q_th, p_c
 
 
-def _measure_ber(cfg: LinkConfig, channel, alphabet: PgaAlphabet,
-                 thresholds: list[EnergyThreshold], carrier_variance: float,
-                 jam_sets: np.ndarray, rng: np.random.Generator,
-                 options: SweepOptions) -> float:
+def _measure_ber(cfg: LinkConfig, kappas: np.ndarray, q_th: np.ndarray,
+                 carrier_variance: float, jam_sets: np.ndarray,
+                 rng: np.random.Generator, options: SweepOptions) -> float:
     """Empirical symbol error rate of the reflected link on a probe budget."""
     if jam_sets.size == 0 or options.ber_trials == 0 or options.ber_symbols == 0:
         return float("nan")
-    modes = cfg.mode_indices()
     errors = 0
     total = 0
     for row in jam_sets[:options.ber_trials]:
         for idx in row:
-            bits = (rng.random(options.ber_symbols) < alphabet.priors[-1]).astype(int)
-            decided, _ = simulate_backscatter_bits(
-                cfg, channel, modes[idx], bits, alphabet, thresholds[idx],
-                carrier_variance, rng)
-            errors += int(np.sum(decided != bits))
+            bits = (rng.random(options.ber_symbols) < cfg.pga_priors[-1]).astype(int)
+            energies = simulate_backscatter_bits(cfg, kappas[idx], cfg.pga_gains, bits,
+                                                 carrier_variance, rng)
+            errors += int(np.sum((energies >= q_th[idx]) != bits))
             total += bits.size
     return errors / total if total else float("nan")
 
@@ -281,7 +265,6 @@ def _sweep_point(config: LinkConfig, n_elements: int, n_jammed: int, snr_db: flo
                   transmit_power_total=per_mode * max(n_elements - n_jammed, 1))
     channel = build_channel_matrix(cfg, APPROXIMATE)
     kappas = mode_link_gains(cfg, channel)
-    alphabet = PgaAlphabet.from_config(cfg)
     carrier_variance = (options.mode_jam_variance if options.jam_model == TARGETED
                         else cfg.jam_variance_tx)
     k_sense = cfg.samples_per_symbol
@@ -294,8 +277,7 @@ def _sweep_point(config: LinkConfig, n_elements: int, n_jammed: int, snr_db: flo
                                             cfg.jam_variance_tx)
 
     rng_cal = RandomStream(seed, (point_index, 0)).generator()
-    thresholds, p_c_modes = _point_thresholds(cfg, channel, kappas, alphabet,
-                                              carrier_variance, rng_cal, options)
+    q_th, p_c_modes = _point_thresholds(cfg, kappas, carrier_variance, rng_cal, options)
 
     # the unitary W keeps iid element jamming iid per mode, so draw iid energies directly
     rng_trials = RandomStream(seed, (point_index, 1)).generator()
@@ -317,8 +299,7 @@ def _sweep_point(config: LinkConfig, n_elements: int, n_jammed: int, snr_db: flo
     se_proposed = se_baseline + spectral_efficiency(gamma, flagged)
 
     rng_ber = RandomStream(seed, (point_index, 2)).generator()
-    ber = _measure_ber(cfg, channel, alphabet, thresholds, carrier_variance,
-                       jam_sets, rng_ber, options)
+    ber = _measure_ber(cfg, kappas, q_th, carrier_variance, jam_sets, rng_ber, options)
 
     def mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
         err = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0

@@ -17,15 +17,11 @@ from oam_antijam import (
     APPROXIMATE,
     BASELINE,
     EXACT,
-    EnergyThreshold,
     LinkConfig,
     PROPOSED,
-    PgaAlphabet,
-    Preamble,
     RandomStream,
     SweepAxes,
     SweepOptions,
-    alternating_preamble,
     average_correct_detection,
     bessel_j,
     build_channel_matrix,
@@ -104,7 +100,7 @@ def test_criterion_03_channel_gain_equivalence():
     spreads = {}
     for n in (8, 16):
         cfg = LinkConfig(n_tx=n, n_rx=n)
-        h = build_channel_matrix(cfg, APPROXIMATE).gains
+        h = build_channel_matrix(cfg, APPROXIMATE)
         phi = element_azimuths(n)
         ratios = []
         for l in mode_index_range(n):
@@ -113,8 +109,8 @@ def test_criterion_03_channel_gain_equivalence():
         spreads[n] = (max(ratios) - min(ratios)) / np.mean(ratios)
         assert spreads[n] < 1e-9
 
-    exact = build_channel_matrix(REFERENCE, EXACT).gains
-    approx = build_channel_matrix(REFERENCE, APPROXIMATE).gains
+    exact = build_channel_matrix(REFERENCE, EXACT)
+    approx = build_channel_matrix(REFERENCE, APPROXIMATE)
     modulus_err = float(np.max(np.abs(np.abs(exact) - np.abs(approx)) / np.abs(exact)))
     phase_err = float(np.max(np.abs(np.angle(exact * np.conj(approx)))))
     assert modulus_err < 0.01
@@ -175,8 +171,8 @@ def test_criterion_05_chi_square_statistic():
 def test_criterion_06_threshold_equals_likelihood_crossing():
     started = time.perf_counter()
     q0, q1 = 1.0, 2.0
-    hand = calibrate_threshold([q0, q1], Preamble((0, 1)), n_samples=1)
-    assert hand.q_th == pytest.approx(2 * math.log(2), rel=1e-12)
+    hand = calibrate_threshold([q0, q1], (0, 1), n_samples=1)
+    assert hand == pytest.approx(2 * math.log(2), rel=1e-12)
 
     for k in (1, 8, 32):
         for p0 in (0.5, 0.75):  # prior ratios 1 and 3
@@ -184,7 +180,7 @@ def test_criterion_06_threshold_equals_likelihood_crossing():
             n_pre = 4
             bits = [0] * int(round(p0 * n_pre)) + [1] * int(round(p1 * n_pre))
             energies = [q0 if b == 0 else q1 for b in bits]
-            thr = calibrate_threshold(energies, Preamble(tuple(bits)), n_samples=k)
+            q_th = calibrate_threshold(energies, bits, n_samples=k)
 
             def log_diff(q):
                 return (math.log(p0) - k * math.log(q0) - q * k / q0
@@ -198,8 +194,8 @@ def test_criterion_06_threshold_equals_likelihood_crossing():
                 else:
                     hi = mid
             crossing = 0.5 * (lo + hi)
-            assert thr.q_th == pytest.approx(crossing, rel=1e-9), (
-                f"K={k}, p0={p0}: threshold {thr.q_th} vs crossing {crossing}")
+            assert q_th == pytest.approx(crossing, rel=1e-9), (
+                f"K={k}, p0={p0}: threshold {q_th} vs crossing {crossing}")
     report(6, "calibrated threshold equals the bisection likelihood crossing "
               "(K in {1, 8, 32}, prior ratios {1, 3}; hand value 2 ln 2)",
            started, 1.0)
@@ -214,42 +210,38 @@ def test_criterion_07_backscatter_link_sanity():
     started = time.perf_counter()
     mode = 3
     carrier_variance = 1.0
+    preamble = np.arange(16) % 2
     # per-mode power 100 W at SNRs {0, 10, 20} dB -> noise 100, 10, 1 W
     for i, noise_var in enumerate((100.0, 10.0, 1.0)):
         cfg = _backscatter_config(noise_var)
-        channel = build_channel_matrix(cfg, APPROXIMATE)
-        alphabet = PgaAlphabet((0.5, 2.0))
+        kappa = mode_link_gains(cfg)[mode_index_range(cfg.n_tx).index(mode)]
+        gains = (0.5, 2.0)
         rng = RandomStream(4200 + i, 0).generator()
-        thr = calibrate_from_preamble(cfg, channel, mode, alternating_preamble(16),
-                                      alphabet, carrier_variance, rng)
+        q_th = calibrate_from_preamble(cfg, kappa, gains, preamble, carrier_variance, rng)
         bits = (rng.random(100_000) < 0.5).astype(int)
-        decided, _ = simulate_backscatter_bits(cfg, channel, mode, bits, alphabet,
-                                               thr, carrier_variance, rng)
-        ber = float(np.mean(decided != bits))
-        kappa = mode_link_gains(cfg, channel)[mode_index_range(cfg.n_tx).index(mode)]
+        energies = simulate_backscatter_bits(cfg, kappa, gains, bits, carrier_variance, rng)
+        ber = float(np.mean((energies >= q_th) != bits))
         s2k0 = hypothesis_variance(cfg, kappa, 0.5, carrier_variance)
         s2k1 = hypothesis_variance(cfg, kappa, 2.0, carrier_variance)
-        analytic = 1.0 - average_correct_detection(thr.q_th, cfg.samples_per_symbol,
+        analytic = 1.0 - average_correct_detection(q_th, cfg.samples_per_symbol,
                                                    s2k0, s2k1)
         assert abs(ber - analytic) <= 0.01, (
             f"noise {noise_var}: BER {ber:.4f} vs analytic {analytic:.4f}")
 
     cfg = _backscatter_config(10.0)
-    channel = build_channel_matrix(cfg, APPROXIMATE)
+    kappa = mode_link_gains(cfg)[mode_index_range(cfg.n_tx).index(mode)]
     bers = []
     for ratio in (1.0, 2.0, 4.0, 8.0):
-        alphabet = PgaAlphabet((0.5, 0.5 * ratio))
+        gains = (0.5, 0.5 * ratio)
         rng = RandomStream(4300 + int(ratio), 0).generator()
         if ratio == 1.0:
             # identical hypotheses: any threshold halves the symbols
-            thr = EnergyThreshold(q_th=cfg.n_rx * 10.0, q0_hat=1.0, q1_hat=2.0)
+            q_th = cfg.n_rx * 10.0
         else:
-            thr = calibrate_from_preamble(cfg, channel, mode, alternating_preamble(16),
-                                          alphabet, carrier_variance, rng)
+            q_th = calibrate_from_preamble(cfg, kappa, gains, preamble, carrier_variance, rng)
         bits = (rng.random(20_000) < 0.5).astype(int)
-        decided, _ = simulate_backscatter_bits(cfg, channel, mode, bits, alphabet,
-                                               thr, carrier_variance, rng)
-        bers.append(float(np.mean(decided != bits)))
+        energies = simulate_backscatter_bits(cfg, kappa, gains, bits, carrier_variance, rng)
+        bers.append(float(np.mean((energies >= q_th) != bits)))
     assert abs(bers[0] - 0.5) <= 0.02, f"ratio-1 error rate {bers[0]:.3f}"
     assert all(b <= a for a, b in zip(bers, bers[1:])), f"not monotone: {bers}"
     report(7, "error rate matches analytic within 0.01 and falls with the gain ratio "

@@ -1,20 +1,20 @@
 """Gain-switched reflected-jamming link: modulation, calibration, decisions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from oam_antijam import metrics
 from oam_antijam import (
     APPROXIMATE,
     EXACT,
     CalibrationError,
-    EnergyThreshold,
     LinkConfig,
-    PgaAlphabet,
-    Preamble,
-    alternating_preamble,
+    SweepAxes,
+    SweepOptions,
     average_correct_detection,
     build_channel_matrix,
     calibrate_from_preamble,
@@ -23,10 +23,14 @@ from oam_antijam import (
     hypothesis_variance,
     mode_index_range,
     mode_link_gains,
+    mode_snr,
     receiver_background_variance,
+    run_sweep,
     simulate_backscatter_bits,
 )
 from oam_antijam.jamming import RandomStream, complex_gaussian
+
+DEFAULT_GAINS = (0.5, 2.0)
 
 
 def normalized_config(**overrides) -> LinkConfig:
@@ -39,7 +43,16 @@ def mode_row(n, mode):
     return mode_index_range(n).index(mode)
 
 
-def element_level_energies(cfg, channel, mode, bits, alphabet, carrier_variance, rng):
+def link_gain(cfg, mode, channel=None):
+    """kappa of ``mode``, as the sweep takes it from ``mode_link_gains``."""
+    return mode_link_gains(cfg, channel)[mode_row(cfg.n_tx, mode)]
+
+
+def alternating(length):
+    return np.arange(length) % 2
+
+
+def element_level_energies(cfg, channel, mode, bits, gains, carrier_variance, rng):
     """Reference synthesis of the reflected link, element by element.
 
     Maps each gain-scaled carrier symbol onto the N transmit elements with the
@@ -55,58 +68,79 @@ def element_level_energies(cfg, channel, mode, bits, alphabet, carrier_variance,
     carrier = complex_gaussian(rng, (bits.size, k), carrier_variance)
     noise = complex_gaussian(rng, (bits.size, m, k), max(cfg.noise_variance_rx, 1e-30))
     jam = complex_gaussian(rng, (bits.size, m, k), cfg.jam_variance_rx)
-    s = np.asarray(alphabet.gains)[bits][:, None] * carrier               # (B, K)
+    s = np.asarray(gains)[bits][:, None] * carrier                        # (B, K)
     x = tx_ramp[None, :, None] * s[:, None, :]                            # (B, N, K)
-    y = np.einsum("mn,bnk->bmk", channel.gains, x) / np.sqrt(m) + noise + jam
+    y = np.einsum("mn,bnk->bmk", channel, x) / np.sqrt(m) + noise + jam
     y_mode = np.einsum("m,bmk->bk", rx_ramp, y)                           # (B, K)
     return np.mean(np.abs(y_mode) ** 2, axis=1)
 
 
-def run_link(cfg, bits, alphabet=None, threshold=None, carrier_variance=1.0, mode=2,
-             seed=0):
-    """Decisions and energies of ``bits`` on ``mode``, drawn from stream (seed, 0)."""
-    threshold = threshold or EnergyThreshold(q_th=1.0, q0_hat=0.5, q1_hat=2.0)
-    return simulate_backscatter_bits(
-        cfg, build_channel_matrix(cfg, APPROXIMATE), mode, np.asarray(bits),
-        alphabet or PgaAlphabet(), threshold, carrier_variance,
-        RandomStream(seed, 0).generator())
+def run_link(cfg, bits, gains=DEFAULT_GAINS, carrier_variance=1.0, mode=2, seed=0):
+    """Energies of ``bits`` on ``mode``, drawn from stream (seed, 0)."""
+    return simulate_backscatter_bits(cfg, link_gain(cfg, mode), gains, np.asarray(bits),
+                                     carrier_variance, RandomStream(seed, 0).generator())
+
+
+def likelihood_crossing(q0, q1, p0, p1, k):
+    """Bisection oracle: where the log-posteriors of Gamma(K, Qhat_b/K) cross."""
+    def log_diff(q):
+        ll0 = math.log(p0) - k * math.log(q0) - q * k / q0
+        ll1 = math.log(p1) - k * math.log(q1) - q * k / q1
+        return ll0 - ll1
+
+    lo, hi = 1e-9, 50.0
+    assert log_diff(lo) > 0 > log_diff(hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if log_diff(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 class TestAlphabetAndPreamble:
     def test_default_alphabet(self):
-        alb = PgaAlphabet()
-        assert alb.gains == (0.5, 2.0)
-        assert alb.mean_power_gain == pytest.approx(0.5 * 0.25 + 0.5 * 4.0)
-
-    def test_equal_gains_allowed(self):
-        assert PgaAlphabet((1.0, 1.0)).gains == (1.0, 1.0)
-
-    def test_decreasing_gains_rejected(self):
-        with pytest.raises(ValueError):
-            PgaAlphabet((2.0, 0.5))
-
-    def test_bad_priors(self):
-        with pytest.raises(ValueError):
-            PgaAlphabet((0.5, 2.0), (0.6, 0.6))
+        cfg = LinkConfig().with_unit_element_gain()
+        assert cfg.pga_gains == DEFAULT_GAINS
+        assert cfg.pga_priors == (0.5, 0.5)
+        # a flagged mode at p_j = p_c = 1 carries the mean PGA power gain
+        flagged = np.arange(cfg.n_tx) == 0
+        kappas = mode_link_gains(cfg)
+        gamma = mode_snr(cfg, flagged, kappas, 1.0, p_j=1.0, p_u=0.0)[0]
+        mean_power_gain = gamma * receiver_background_variance(cfg) / abs(kappas[0]) ** 2
+        assert mean_power_gain == pytest.approx(0.5 * 0.25 + 0.5 * 4.0, rel=1e-12)
 
     def test_preamble_index_sets(self):
-        pre = Preamble((0, 1, 1, 0, 1))
-        assert pre.zeros == (0, 3)
-        assert pre.ones == (1, 2, 4)
+        # zeros at 0, 3 and ones at 1, 2, 4: Qhat0 = 1.5, Qhat1 = 4, priors 2/5, 3/5
+        q_th = calibrate_threshold([1.0, 3.0, 5.0, 2.0, 4.0], (0, 1, 1, 0, 1), n_samples=4)
+        assert q_th == pytest.approx(likelihood_crossing(1.5, 4.0, 0.4, 0.6, 4), rel=1e-9)
 
     def test_preamble_needs_both_values(self):
-        with pytest.raises(ValueError):
-            Preamble((1, 1, 1))
+        with pytest.raises(ValueError, match="both bit values"):
+            calibrate_threshold([1.0, 2.0, 3.0], (1, 1, 1), n_samples=4)
 
     @pytest.mark.parametrize("bits", [(0.5, 1), (0, 1.9), (0, 1, float("nan")), (0, 2)])
     def test_preamble_bits_must_be_zero_or_one(self, bits):
-        # fractional bits used to be truncated: Preamble((0.5, 1)).bits == (0, 1)
+        # fractional bits used to be truncated: (0.5, 1) was read as (0, 1)
         with pytest.raises(ValueError, match="0 or 1"):
-            Preamble(bits)
+            calibrate_threshold(np.arange(1.0, len(bits) + 1), bits, n_samples=4)
 
-    def test_alternating_preamble_balanced(self):
-        pre = alternating_preamble(16)
-        assert len(pre.zeros) == len(pre.ones) == 8
+    def test_alternating_preamble_balanced(self, monkeypatch):
+        # the sweep calibrates every mode of every point once, on 0101...
+        preambles = []
+
+        def record(cfg, kappa, gains, bits, *args, **kwargs):
+            preambles.append(np.array(bits))
+            return 1.0
+
+        monkeypatch.setattr(metrics, "calibrate_from_preamble", record)
+        cfg = LinkConfig(preamble_length=7).with_unit_element_gain()
+        axes = SweepAxes(snr_db=(0.0, 10.0), n_jammed=(2,), n_elements=(8,))
+        run_sweep(cfg, axes, trials=4, seed=1, options=SweepOptions(ber_trials=0))
+        assert len(preambles) == 2 * 8
+        for bits in preambles:
+            assert bits.tolist() == [0, 1, 0, 1, 0, 1, 0]
 
 
 class TestPgaModulate:
@@ -115,20 +149,15 @@ class TestPgaModulate:
         # each symbol's energy scales with its squared gain level, (2/0.5)^2
         cfg = normalized_config(noise_variance_rx=1e-30, jam_variance_rx=1e-30)
         bits = np.array([0, 1, 0, 1, 1])
-        _, q = run_link(cfg, bits, seed=2)
-        _, q_zeros = run_link(cfg, np.zeros(5, dtype=int), seed=2)
+        q = run_link(cfg, bits, seed=2)
+        q_zeros = run_link(cfg, np.zeros(5, dtype=int), seed=2)
         assert np.allclose(q / q_zeros, np.where(bits == 1, 16.0, 1.0), rtol=1e-9, atol=0.0)
 
     def test_identity_alphabet_passes_through(self):
         cfg = normalized_config()
-        alb = PgaAlphabet((1.0, 1.0))
-        _, q_zeros = run_link(cfg, [0, 0, 0], alb, seed=3)
-        _, q_ones = run_link(cfg, [1, 1, 1], alb, seed=3)
+        q_zeros = run_link(cfg, [0, 0, 0], (1.0, 1.0), seed=3)
+        q_ones = run_link(cfg, [1, 1, 1], (1.0, 1.0), seed=3)
         assert np.array_equal(q_zeros, q_ones)
-
-    def test_mode_out_of_range(self):
-        with pytest.raises(ValueError):
-            run_link(normalized_config(), [0, 1, 0], mode=9)
 
     @pytest.mark.parametrize("bits", [[-1, 0], [2], [0, 1, 3], [0.9, 1]])
     def test_bits_outside_the_alphabet_rejected_before_any_draw(self, bits):
@@ -136,19 +165,31 @@ class TestPgaModulate:
         rng = RandomStream(21, 0).generator()
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match=r"bits must be integers in 0\.\.1"):
-            simulate_backscatter_bits(
-                cfg, build_channel_matrix(cfg, APPROXIMATE), 2, np.array(bits),
-                PgaAlphabet(), EnergyThreshold(q_th=1.0, q0_hat=0.5, q1_hat=2.0), 1.0, rng)
+            simulate_backscatter_bits(cfg, link_gain(cfg, 2), DEFAULT_GAINS,
+                                      np.array(bits), 1.0, rng)
         assert rng.bit_generator.state == state
+
+    def test_memory_stays_bounded_by_the_symbol_chunk(self):
+        # unchunked, the carrier and background draws of 100 000 symbols at
+        # K = 64 take several hundred MB; per chunk they take a few MB
+        cfg = normalized_config(samples_per_symbol=64)
+        bits = alternating(100_000)
+        tracemalloc.start()
+        try:
+            run_link(cfg, bits, seed=22)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 class TestReceiverModeEnergy:
     def test_gaussian_moment(self):
         # the mean symbol energy is the per-sample variance of the recovered mode
         cfg = normalized_config()
-        kappa = mode_link_gains(cfg)[mode_row(cfg.n_tx, 2)]
+        kappa = link_gain(cfg, 2)
         for bit, gain in ((0, 0.5), (1, 2.0)):
-            _, q = run_link(cfg, np.full(2000, bit), seed=4)
+            q = run_link(cfg, np.full(2000, bit), seed=4)
             expected = hypothesis_variance(cfg, kappa, gain, 1.0)
             assert q.mean() == pytest.approx(expected, rel=0.03)
 
@@ -157,41 +198,42 @@ class TestReceiverModeEnergy:
         # a zero gain level and negligible jamming leave only the receiver
         # noise, floored at 1e-30 W, summed over the M receive elements
         cfg = normalized_config(noise_variance_rx=noise_variance, jam_variance_rx=1e-45)
-        _, q = run_link(cfg, np.zeros(500, dtype=int), PgaAlphabet((0.0, 1.0)), seed=6)
+        q = run_link(cfg, np.zeros(500, dtype=int), (0.0, 1.0), seed=6)
         assert q.mean() == pytest.approx(cfg.n_rx * expected, rel=0.05)
 
 
 class TestCalibrateThreshold:
     def test_hand_value_two_ln_two(self):
-        pre = Preamble((0, 1))
-        thr = calibrate_threshold([1.0, 2.0], pre, n_samples=1)
-        assert thr.q_th == pytest.approx(2 * math.log(2), rel=1e-12)
-        assert (thr.q0_hat, thr.q1_hat) == (1.0, 2.0)
+        q_th = calibrate_threshold([1.0, 2.0], (0, 1), n_samples=1)
+        assert q_th == pytest.approx(2 * math.log(2), rel=1e-12)
 
     def test_no_separation_raises(self):
-        pre = Preamble((0, 1))
         with pytest.raises(CalibrationError):
-            calibrate_threshold([2.0, 2.0], pre, n_samples=4)
+            calibrate_threshold([2.0, 2.0], (0, 1), n_samples=4)
         with pytest.raises(CalibrationError):
-            calibrate_threshold([3.0, 1.0], pre, n_samples=4)
+            calibrate_threshold([3.0, 1.0], (0, 1), n_samples=4)
+
+    def test_one_energy_per_preamble_bit(self):
+        with pytest.raises(ValueError, match="one energy per preamble symbol"):
+            calibrate_threshold([1.0, 2.0, 3.0], (0, 1), n_samples=4)
 
     @pytest.mark.parametrize("k", [1, 4, 16, 64])
     def test_symmetric_priors_crossing_inside_interval(self, k):
-        pre = alternating_preamble(8)
         energies = [1.0, 2.5] * 4
-        thr = calibrate_threshold(energies, pre, n_samples=k)
-        assert thr.q0_hat < thr.q_th < thr.q1_hat
+        q_th = calibrate_threshold(energies, alternating(8), n_samples=k)
+        assert 1.0 < q_th < 2.5
 
     def test_verbatim_versus_per_class_means(self):
-        pre = Preamble((0, 0, 0, 1))
+        bits = (0, 0, 0, 1)
         energies = [1.0, 1.2, 0.8, 4.0]
-        corrected = calibrate_threshold(energies, pre, n_samples=8)
-        verbatim = calibrate_threshold(energies, pre, n_samples=8, verbatim_means=True)
-        assert corrected.q0_hat == pytest.approx(1.0)
-        assert corrected.q1_hat == pytest.approx(4.0)
-        assert verbatim.q0_hat == pytest.approx(3.0 / 4.0)
-        assert verbatim.q1_hat == pytest.approx(1.0)
-        assert corrected.q_th != verbatim.q_th
+        corrected = calibrate_threshold(energies, bits, n_samples=8)
+        verbatim = calibrate_threshold(energies, bits, n_samples=8, verbatim_means=True)
+        # per class: Qhat0 = 3.0 / 3, Qhat1 = 4.0 / 1; verbatim: both sums over 4
+        assert corrected == pytest.approx(
+            likelihood_crossing(1.0, 4.0, 0.75, 0.25, 8), rel=1e-9)
+        assert verbatim == pytest.approx(
+            likelihood_crossing(3.0 / 4.0, 1.0, 0.75, 0.25, 8), rel=1e-9)
+        assert corrected != verbatim
 
     @pytest.mark.parametrize("k", [1, 8, 32])
     @pytest.mark.parametrize("priors", [(0.5, 0.5), (0.75, 0.25)])
@@ -202,54 +244,42 @@ class TestCalibrateThreshold:
         p0, p1 = priors
         n_pre = int(round(1 / min(p0, p1)))
         bits = [0] * int(round(p0 * n_pre)) + [1] * int(round(p1 * n_pre))
-        pre = Preamble(tuple(bits))
         energies = [q0 if b == 0 else q1 for b in bits]
-        thr = calibrate_threshold(energies, pre, n_samples=k)
-
-        def log_diff(q):
-            ll0 = math.log(p0) - k * math.log(q0) - q * k / q0
-            ll1 = math.log(p1) - k * math.log(q1) - q * k / q1
-            return ll0 - ll1
-
-        lo, hi = 1e-9, 50.0
-        assert log_diff(lo) > 0 > log_diff(hi)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if log_diff(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        crossing = 0.5 * (lo + hi)
-        assert thr.q_th == pytest.approx(crossing, rel=1e-9)
+        q_th = calibrate_threshold(energies, bits, n_samples=k)
+        assert q_th == pytest.approx(likelihood_crossing(q0, q1, p0, p1, k), rel=1e-9)
 
 
 class TestDecideBit:
     def test_rule(self):
+        # the BER probe decides bit 1 at energies >= q_th, boundary inclusive:
+        # replay its bit and energy draws, put q_th on the 4th-lowest energy
         cfg = normalized_config()
-        bits = [0, 1] * 4
-        _, q = run_link(cfg, bits, seed=9)
-        q_th = float(np.sort(q)[3])
-        thr = EnergyThreshold(q_th=q_th, q0_hat=0.5 * q_th, q1_hat=2.0 * q_th)
-        decided, again = run_link(cfg, bits, threshold=thr, seed=9)
-        assert np.array_equal(again, q)
-        assert np.array_equal(decided, (q >= q_th).astype(int))
-        assert decided[np.argsort(q)[3]] == 1  # boundary inclusive
+        kappas = mode_link_gains(cfg)
+        idx = mode_row(cfg.n_tx, 2)
+        options = SweepOptions(ber_trials=1, ber_symbols=8)
+        twin = RandomStream(9, 0).generator()
+        bits = (twin.random(8) < cfg.pga_priors[-1]).astype(int)
+        q = simulate_backscatter_bits(cfg, kappas[idx], cfg.pga_gains, bits, 1.0, twin)
+        q_th = np.full(cfg.n_tx, np.sort(q)[3])
+        decided = (q >= q_th[idx]).astype(int)
+        assert decided[np.argsort(q)[3]] == 1
         assert decided.sum() == 5
+        ber = metrics._measure_ber(cfg, kappas, q_th, 1.0, np.array([[idx]]),
+                                   RandomStream(9, 0).generator(), options)
+        assert ber == np.mean(decided != bits)
 
     def test_scale_consistency(self):
         # scaling every power by the same factor scales the energies and
         # leaves the decisions against a scaled threshold unchanged
         bits = [0, 1] * 25
-        thr = EnergyThreshold(q_th=40.0, q0_hat=20.0, q1_hat=80.0)
-        decided, q = run_link(normalized_config(), bits, threshold=thr, seed=10)
+        q = run_link(normalized_config(), bits, seed=10)
+        decided = q >= 40.0
         assert 0 < decided.sum() < len(bits)
         for scale in (0.25, 7.0):
             cfg = normalized_config(noise_variance_rx=scale, jam_variance_rx=0.1 * scale)
-            scaled = EnergyThreshold(q_th=40.0 * scale, q0_hat=20.0 * scale,
-                                     q1_hat=80.0 * scale)
-            d, qs = run_link(cfg, bits, threshold=scaled, carrier_variance=scale, seed=10)
+            qs = run_link(cfg, bits, carrier_variance=scale, seed=10)
             assert np.allclose(qs, q * scale, rtol=1e-12, atol=0.0)
-            assert np.array_equal(d, decided)
+            assert np.array_equal(qs >= 40.0 * scale, decided)
 
 
 class TestChiSquare:
@@ -298,36 +328,28 @@ class TestCorrectDetection:
 class TestEndToEnd:
     def test_noiseless_perfect_separation(self):
         cfg = normalized_config(noise_variance_rx=1e-30, jam_variance_rx=1e-30)
-        ch = build_channel_matrix(cfg, APPROXIMATE)
-        alb = PgaAlphabet((0.0, 1.0))
-        kappa = mode_link_gains(cfg, ch)[mode_row(cfg.n_tx, 1)]
+        kappa = link_gain(cfg, 1)
         # zero-gain symbols sit at the 1e-30 noise floor while the carrier's
         # own energy fluctuation keeps bit-1 energies many decades above any
         # threshold placed deep inside the gap
-        thr = EnergyThreshold(q_th=1e-6 * abs(kappa) ** 2, q0_hat=1e-6,
-                              q1_hat=abs(kappa) ** 2)
+        q_th = 1e-6 * abs(kappa) ** 2
         rng = RandomStream(15, 0).generator()
         bits = (rng.random(300) < 0.5).astype(int)
-        decided, _ = simulate_backscatter_bits(cfg, ch, 1, bits, alb, thr, 1.0, rng)
-        assert np.array_equal(decided, bits)
+        q = simulate_backscatter_bits(cfg, kappa, (0.0, 1.0), bits, 1.0, rng)
+        assert np.array_equal(q >= q_th, bits)
 
     def test_equal_gains_give_half_error_rate(self):
         cfg = normalized_config()
-        ch = build_channel_matrix(cfg, APPROXIMATE)
-        alb = PgaAlphabet((1.0, 1.0))
-        thr = EnergyThreshold(q_th=receiver_background_variance(cfg), q0_hat=1.0,
-                              q1_hat=2.0)
+        q_th = receiver_background_variance(cfg)
         rng = RandomStream(16, 0).generator()
         bits = (rng.random(4000) < 0.5).astype(int)
-        decided, _ = simulate_backscatter_bits(cfg, ch, 2, bits, alb, thr, 1.0, rng)
-        assert np.mean(decided != bits) == pytest.approx(0.5, abs=0.03)
+        q = simulate_backscatter_bits(cfg, link_gain(cfg, 2), (1.0, 1.0), bits, 1.0, rng)
+        assert np.mean((q >= q_th) != bits) == pytest.approx(0.5, abs=0.03)
 
     def test_single_symbol_matches_batch_path(self):
         cfg = normalized_config()
-        alb = PgaAlphabet()
-        thr = EnergyThreshold(q_th=5.0, q0_hat=1.0, q1_hat=9.0)
         bits = np.array([1, 0, 1])
-        decided, q = run_link(cfg, bits, alb, thr, mode=3, seed=17)
+        q = run_link(cfg, bits, mode=3, seed=17)
         # replay the batch path's draws from a twin generator: the carrier,
         # then the recovered mode's background, M * (noise + jamming) per sample
         twin = RandomStream(17, 0).generator()
@@ -336,62 +358,51 @@ class TestEndToEnd:
         background = complex_gaussian(
             twin, (b, k), cfg.n_rx * (cfg.noise_variance_rx + cfg.jam_variance_rx))
         # independent synthesis, one symbol at a time
-        kappa = mode_link_gains(cfg)[mode_row(cfg.n_tx, 3)]
+        kappa = link_gain(cfg, 3)
         for i, bit in enumerate(bits):
-            y = kappa * alb.gains[bit] * carrier[i] + background[i]
+            y = kappa * DEFAULT_GAINS[bit] * carrier[i] + background[i]
             q_expected = float(np.mean(np.abs(y) ** 2))
             assert q[i] == pytest.approx(q_expected, rel=1e-9)
-            assert decided[i] == (1 if q[i] >= 5.0 else 0)
 
     def test_empirical_error_rate_matches_analytic(self):
         cfg = normalized_config(noise_variance_rx=10.0)
-        ch = build_channel_matrix(cfg, APPROXIMATE)
-        alb = PgaAlphabet()
-        mode = 3
+        kappa = link_gain(cfg, 3)
         rng = RandomStream(18, 0).generator()
-        thr = calibrate_from_preamble(cfg, ch, mode, alternating_preamble(32), alb,
-                                      1.0, rng)
+        q_th = calibrate_from_preamble(cfg, kappa, DEFAULT_GAINS, alternating(32), 1.0, rng)
         bits = (rng.random(40_000) < 0.5).astype(int)
-        decided, _ = simulate_backscatter_bits(cfg, ch, mode, bits, alb, thr, 1.0, rng)
-        ber = float(np.mean(decided != bits))
-        kappa = mode_link_gains(cfg, ch)[mode_row(cfg.n_tx, mode)]
+        q = simulate_backscatter_bits(cfg, kappa, DEFAULT_GAINS, bits, 1.0, rng)
+        ber = float(np.mean((q >= q_th) != bits))
         s2k0 = hypothesis_variance(cfg, kappa, 0.5, 1.0)
         s2k1 = hypothesis_variance(cfg, kappa, 2.0, 1.0)
-        analytic = 1.0 - average_correct_detection(thr.q_th, cfg.samples_per_symbol,
+        analytic = 1.0 - average_correct_detection(q_th, cfg.samples_per_symbol,
                                                    s2k0, s2k1)
         assert ber == pytest.approx(analytic, abs=0.01)
 
     def test_error_rate_monotone_in_gain_ratio(self):
         cfg = normalized_config(noise_variance_rx=10.0)
-        ch = build_channel_matrix(cfg, APPROXIMATE)
-        mode = 3
+        kappa = link_gain(cfg, 3)
         bers = []
         for ratio in (2.0, 4.0, 8.0):
-            alb = PgaAlphabet((0.5, 0.5 * ratio))
+            gains = (0.5, 0.5 * ratio)
             rng = RandomStream(19, int(ratio)).generator()
-            thr = calibrate_from_preamble(cfg, ch, mode, alternating_preamble(32),
-                                          alb, 1.0, rng)
+            q_th = calibrate_from_preamble(cfg, kappa, gains, alternating(32), 1.0, rng)
             bits = (rng.random(10_000) < 0.5).astype(int)
-            decided, _ = simulate_backscatter_bits(cfg, ch, mode, bits, alb, thr,
-                                                   1.0, rng)
-            bers.append(float(np.mean(decided != bits)))
+            q = simulate_backscatter_bits(cfg, kappa, gains, bits, 1.0, rng)
+            bers.append(float(np.mean((q >= q_th) != bits)))
         assert all(b <= a for a, b in zip(bers, bers[1:]))
 
     def test_error_rate_stable_across_seeds(self):
         cfg = normalized_config(noise_variance_rx=10.0)
-        ch = build_channel_matrix(cfg, APPROXIMATE)
-        alb = PgaAlphabet()
-        mode = 2
+        kappa = link_gain(cfg, 2)
         n_bits = 2000
         rates = []
         for seed in range(10):
             rng = RandomStream(700 + seed, 0).generator()
-            thr = calibrate_from_preamble(cfg, ch, mode, alternating_preamble(32),
-                                          alb, 1.0, rng)
+            q_th = calibrate_from_preamble(cfg, kappa, DEFAULT_GAINS, alternating(32),
+                                           1.0, rng)
             bits = (rng.random(n_bits) < 0.5).astype(int)
-            decided, _ = simulate_backscatter_bits(cfg, ch, mode, bits, alb, thr,
-                                                   1.0, rng)
-            rates.append(float(np.mean(decided != bits)))
+            q = simulate_backscatter_bits(cfg, kappa, DEFAULT_GAINS, bits, 1.0, rng)
+            rates.append(float(np.mean((q >= q_th) != bits)))
         pooled = float(np.mean(rates))
         stderr = math.sqrt(max(pooled * (1 - pooled), 1e-9) / n_bits)
         # calibration varies per seed too, so allow a small extra margin
@@ -417,16 +428,14 @@ class TestModeDomainAgainstElementLevel:
         cfg = normalized_config(n_tx=n, n_rx=m, samples_per_symbol=k,
                                 noise_variance_rx=noise, jam_variance_rx=jam)
         channel = build_channel_matrix(cfg, variant)
-        alb = PgaAlphabet(gains)
         mode = 2
-        kappa = mode_link_gains(cfg, channel)[mode_row(n, mode)]
-        thr = EnergyThreshold(q_th=1.0, q0_hat=0.5, q1_hat=2.0)
+        kappa = link_gain(cfg, mode, channel)
         for bit, gain in enumerate(gains):
             bits = np.full(self.SYMBOLS, bit)
             rng = RandomStream(31, (n, m, k, bit)).generator()
-            _, fast = simulate_backscatter_bits(cfg, channel, mode, bits, alb, thr, 1.0, rng)
+            fast = simulate_backscatter_bits(cfg, kappa, gains, bits, 1.0, rng)
             oracle = element_level_energies(
-                cfg, channel, mode, bits, alb, 1.0, RandomStream(32, (n, m, k, bit)).generator())
+                cfg, channel, mode, bits, gains, 1.0, RandomStream(32, (n, m, k, bit)).generator())
             # K-sample mean energy: mean sigma2, standard deviation sigma2 / sqrt(K)
             sigma2 = hypothesis_variance(cfg, kappa, gain, 1.0)
             stderr = sigma2 / math.sqrt(k * self.SYMBOLS)

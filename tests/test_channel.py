@@ -67,18 +67,18 @@ class TestPairwiseDistance:
         lam = cfg.wavelength
         point_to_point = cfg.beta * lam * np.exp(-2j * np.pi * 15.0 / lam) / (4 * np.pi * 15.0)
         for variant in (EXACT, APPROXIMATE):
-            gains = build_channel_matrix(cfg, variant).gains
+            gains = build_channel_matrix(cfg, variant)
             assert np.allclose(gains, point_to_point, rtol=1e-9, atol=0.0)
 
     def test_aligned_elements_equal_radii(self):
         # phi_1 = psi_1 = 0 and r = R collapse the exact form to d
-        h = build_channel_matrix(REFERENCE, EXACT).gains
+        h = build_channel_matrix(REFERENCE, EXACT)
         distance = REFERENCE.beta * REFERENCE.wavelength / (4 * np.pi * abs(h[0, 0]))
         assert distance == pytest.approx(15.0, rel=1e-14)
 
     def test_max_gap_matches_high_precision_value(self):
-        exact = build_channel_matrix(REFERENCE, EXACT).gains
-        approx = build_channel_matrix(REFERENCE, APPROXIMATE).gains
+        exact = build_channel_matrix(REFERENCE, EXACT)
+        approx = build_channel_matrix(REFERENCE, APPROXIMATE)
         # the two variants differ in phase by 2*pi*(distance gap)/lambda
         phase = np.abs(np.angle(exact * np.conj(approx)))
         max_gap = phase.max() * REFERENCE.wavelength / (2 * np.pi)
@@ -92,12 +92,12 @@ class TestPairwiseDistance:
 
 class TestElementGain:
     def test_modulus_is_index_independent(self):
-        h = build_channel_matrix(REFERENCE, APPROXIMATE).gains
+        h = build_channel_matrix(REFERENCE, APPROXIMATE)
         assert np.allclose(np.abs(h), ELEMENT_GAIN_MODULUS, rtol=1e-12)
 
     def test_tiny_radius_removes_azimuthal_dependence(self):
         cfg = LinkConfig(r_tx=TINY, r_rx=0.75)
-        gains = build_channel_matrix(cfg, APPROXIMATE).gains
+        gains = build_channel_matrix(cfg, APPROXIMATE)
         assert np.max(np.abs(np.diff(gains.ravel()))) < 1e-12
 
     def test_matches_matrix_entry(self):
@@ -108,36 +108,36 @@ class TestElementGain:
         expected = (cfg.beta * lam / (4 * np.pi * cfg.axial_distance)
                     * np.exp(1j * (-2 * np.pi * cfg.diagonal_distance / lam
                                    + cfg.bessel_argument * np.cos(phi - psi))))
-        h = build_channel_matrix(cfg, APPROXIMATE).gains
+        h = build_channel_matrix(cfg, APPROXIMATE)
         assert h[4, 2] == pytest.approx(expected, rel=1e-12)
 
 
 class TestChannelMatrix:
     def test_point_to_point_entry(self):
         cfg = LinkConfig(n_tx=1, n_rx=1, r_tx=TINY, r_rx=TINY)
-        entry = build_channel_matrix(cfg, EXACT).gains[0, 0]
+        entry = build_channel_matrix(cfg, EXACT)[0, 0]
         lam = cfg.wavelength
         expected = cfg.beta * lam * np.exp(-2j * np.pi * 15.0 / lam) / (4 * np.pi * 15.0)
         assert entry == pytest.approx(expected, rel=1e-9)
 
     def test_approximate_matrix_is_circulant_like(self):
-        h = build_channel_matrix(REFERENCE, APPROXIMATE).gains
+        h = build_channel_matrix(REFERENCE, APPROXIMATE)
         n = REFERENCE.n_tx
         for shift in range(n):
             diagonal = [h[m, (m + shift) % n] for m in range(n)]
             assert np.allclose(diagonal, diagonal[0], rtol=1e-12)
 
     def test_exact_close_to_approximate(self):
-        exact = build_channel_matrix(REFERENCE, EXACT).gains
-        approx = build_channel_matrix(REFERENCE, APPROXIMATE).gains
+        exact = build_channel_matrix(REFERENCE, EXACT)
+        approx = build_channel_matrix(REFERENCE, APPROXIMATE)
         rel_modulus = np.abs(np.abs(exact) - np.abs(approx)) / np.abs(exact)
         phase = np.abs(np.angle(exact * np.conj(approx)))
         assert rel_modulus.max() < 0.01
         assert phase.max() < 0.01
 
     def test_phase_error_loose_bound(self):
-        exact = build_channel_matrix(REFERENCE, EXACT).gains
-        approx = build_channel_matrix(REFERENCE, APPROXIMATE).gains
+        exact = build_channel_matrix(REFERENCE, EXACT)
+        approx = build_channel_matrix(REFERENCE, APPROXIMATE)
         phase = np.abs(np.angle(exact * np.conj(approx)))
         assert phase.max() < 0.1
 
@@ -203,7 +203,7 @@ class TestModeGain:
     def test_matches_matrix_sandwich_up_to_constant(self, n):
         # oracle: mode decomposition of the full expanded matrix
         cfg = LinkConfig(n_tx=n, n_rx=n)
-        h = build_channel_matrix(cfg, APPROXIMATE).gains
+        h = build_channel_matrix(cfg, APPROXIMATE)
         phi = element_azimuths(n)
         ratios = []
         for l in mode_index_range(n):
@@ -218,6 +218,11 @@ class TestModeGain:
         for i, l in enumerate(REFERENCE.mode_indices()):
             assert abs(kappas[i]) == pytest.approx(
                 math.sqrt(REFERENCE.n_rx) * abs(mode_channel_gain(REFERENCE, l)), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(16, 8), (8, 16), (16,), (16, 16, 1)])
+    def test_link_gains_reject_a_channel_of_another_shape(self, shape):
+        with pytest.raises(ValueError, match="does not match config"):
+            mode_link_gains(REFERENCE, np.ones(shape, dtype=complex))
 
     def test_sampled_factor_converges_to_bessel(self):
         alpha = REFERENCE.bessel_argument

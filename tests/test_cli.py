@@ -105,11 +105,23 @@ class TestParseScenario:
             parse_scenario(path)
 
     def test_snr_reference_key(self, tmp_path):
-        path = write(tmp_path, "[sweep]\nsnr_reference = noise-plus-jamming\n")
+        # the default grid's 25 and 30 dB leave no room for noise under this reference
+        path = write(tmp_path, "[sweep]\nsnr_reference = noise-plus-jamming\nsnr_db = 0, 10\n")
         assert parse_scenario(path).options.snr_reference == "noise-plus-jamming"
         bad = write(tmp_path, "[sweep]\nsnr_reference = sinr\n", name="bad.ini")
         with pytest.raises(ConfigurationError):
             parse_scenario(bad)
+
+
+    @pytest.mark.parametrize("text", [
+        "[jamming]\nmodel = iid\n",
+        "[pga]\ngains = 0.5, 1.0, 2.0\npriors = 0.25, 0.25, 0.5\n",
+        "[sweep]\nsnr_reference = noise-plus-jamming\nsnr_db = 0, 10, 30\n",
+    ])
+    def test_grid_that_cannot_run_rejected_at_parse_time(self, tmp_path, text):
+        # iid with the default n_jammed, a 3-level PGA, an infeasible SNR
+        with pytest.raises(ConfigurationError):
+            parse_scenario(write(tmp_path, text))
 
 
 class TestRunScenario:

@@ -80,5 +80,5 @@ def test_unit_element_gain_normalization():
     assert cfg.beta == pytest.approx(4 * math.pi * 15.0 / cfg.wavelength)
     from oam_antijam import build_channel_matrix
 
-    gains = build_channel_matrix(cfg).gains
+    gains = build_channel_matrix(cfg)
     assert abs(gains[0, 0]) == pytest.approx(1.0, rel=1e-12)

@@ -1,5 +1,6 @@
 """Per-mode SNR weighting, power allocation, spectrum efficiency, sweeps."""
 
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -130,7 +131,7 @@ class TestModeSnr:
                           p_j=0.0, p_u=1.0)
         out = gammas[MODES_16.index(l)]
 
-        h = build_channel_matrix(cfg, APPROXIMATE).gains
+        h = build_channel_matrix(cfg, APPROXIMATE)
         phi = element_azimuths(16)
         kappa = 0.0
         for m in range(16):
@@ -326,6 +327,16 @@ class TestRunSweep:
         with pytest.raises(ConfigurationError, match="reflected link is binary"):
             run_sweep(cfg, axes, trials=2, seed=0)
         assert computed == []
+
+
+    @pytest.mark.parametrize("length", [sys.maxsize, 2 ** 62])
+    def test_preamble_beyond_any_array_fails_at_once(self, length):
+        # the preamble is one numpy array, so numpy refuses it before any
+        # memory is taken; a symbol-by-symbol build would grow until none is left
+        cfg = replace(LinkConfig().with_unit_element_gain(), preamble_length=length)
+        axes = SweepAxes(snr_db=(10.0,), n_jammed=(2,), n_elements=(8,))
+        with pytest.raises(ValueError):
+            run_sweep(cfg, axes, trials=2, seed=0)
 
 
 class TestBroadbandSensing:

@@ -76,7 +76,7 @@ def test_parseval_under_unit_normalization():
 
 def test_mode_orthogonality_through_expanded_channel():
     cfg = LinkConfig()
-    h = build_channel_matrix(cfg, APPROXIMATE).gains
+    h = build_channel_matrix(cfg, APPROXIMATE)
     n = cfg.n_tx
     for l in (0, 3, -5, 8):
         samples = np.zeros((n, 1), dtype=complex)
