@@ -21,7 +21,7 @@ from .config import (ConfigurationError, LinkConfig, mode_index_range,
 from .jamming import RandomStream, draw_targeted_jamming_block
 from .metrics import (BASELINE, PROPOSED, SweepAxes, SweepOptions, SweepResult,
                       allocate_power, check_trends, mode_snr, run_sweep,
-                      spectral_efficiency, validate_grid)
+                      spectral_efficiency, validate_sweep)
 from .sensing import DetectionStats, detection_probabilities, gamma_cdf
 from .signals import mode_energies, mode_transform
 
@@ -38,5 +38,5 @@ __all__ = [
     "hypothesis_variance", "mode_channel_gain", "mode_energies", "mode_index_range",
     "mode_link_gains", "mode_snr", "mode_transform", "receiver_background_variance",
     "ring_sampled_bessel", "run_sweep", "simulate_backscatter_bits",
-    "spectral_efficiency", "validate_grid", "wavelength_for_frequency",
+    "spectral_efficiency", "validate_sweep", "wavelength_for_frequency",
 ]

@@ -1,21 +1,10 @@
 """Command-line front end: scenario files in, CSV sweeps out.
 
 Scenario files are INI documents with sections [link], [jamming], [detection],
-[pga] and [sweep]; every key is optional and falls back to the documented
-default (the reference numerical setup), unknown keys are rejected. An empty
-or missing file therefore runs the full default sweep.
-
-Section keys and defaults::
-
-    [link]      n_elements=16  radius_tx=0.75  radius_rx=0.75  distance=15.0
-                frequency_ghz=5.8  wavelength=<derived>  beta=normalized
-                power_per_mode=100.0  samples_per_symbol=64  preamble_length=16
-    [jamming]   model=targeted  power_tx=0.1  power_rx=0.1  mode_power=1.0
-    [detection] energy_threshold=0.5  calibration_means=per-class
-    [pga]       gains=0.5,2.0  priors=0.5,0.5
-    [sweep]     snr_db=-10,...,30  n_jammed=0,2,4,8  n_elements=<link value>
-                schemes=proposed,baseline  trials=1000  seed=1234
-                ber_trials=25  ber_symbols=8
+[pga] and [sweep]. :data:`SCENARIO_KEYS` maps every key to the field it sets;
+an absent key keeps that field's dataclass default, so an empty or missing
+file runs the full default sweep, and unknown keys are rejected. The README's
+"Scenario files" block lists every key with its default; a test parses it.
 
 ``beta`` is either a number or ``normalized`` (element gains of unit modulus,
 which puts transmit power, noise and jamming on one scale). The CSV schema is
@@ -36,65 +25,97 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ConfigurationError, LinkConfig, wavelength_for_frequency
-from .metrics import (SweepAxes, SweepOptions, SweepResult, check_trends, run_sweep,
-                      validate_grid, validate_schemes)
+from .metrics import (BASELINE, PROPOSED, SweepAxes, SweepOptions, SweepResult,
+                      check_trends, run_sweep, validate_sweep)
 
 SEED_ENV_VAR = "OAM_SIM_SEED"
 DEFAULT_SEED = 1234
+DEFAULT_POWER_PER_MODE = 100.0  # W; [link] power_per_mode * n_elements is the transmit total
 
 CSV_COLUMNS = ("scheme", "snr_db", "n_elements", "n_jammed", "se_bits_per_hz",
                "p_j", "p_u", "p_c", "ber", "trials", "seed")
 
-_KNOWN_KEYS = {
-    "link": {"n_elements", "radius_tx", "radius_rx", "distance", "frequency_ghz",
-             "wavelength", "beta", "power_per_mode", "samples_per_symbol",
-             "preamble_length"},
-    "jamming": {"model", "power_tx", "power_rx", "mode_power"},
-    "detection": {"energy_threshold", "calibration_means"},
-    "pga": {"gains", "priors"},
-    "sweep": {"snr_db", "n_jammed", "n_elements", "schemes", "trials", "seed",
-              "ber_trials", "ber_symbols", "snr_reference"},
-}
-
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything one sweep run needs, as parsed from a scenario file."""
+    """Everything one sweep run needs; every construction runs :func:`validate_sweep`."""
 
     config: LinkConfig
     axes: SweepAxes
     options: SweepOptions
-    schemes: tuple[str, ...]
-    trials: int
-    seed: int
+    schemes: tuple[str, ...] = (PROPOSED, BASELINE)
+    trials: int = 1000
+    seed: int = DEFAULT_SEED
     seed_in_file: bool = False  # [sweep] seed was given, so OAM_SIM_SEED does not apply
 
-
-def _get(parser: configparser.ConfigParser, section: str, key: str, default: str) -> str:
-    if parser.has_option(section, key):
-        return parser.get(section, key)
-    return default
+    def __post_init__(self) -> None:
+        validate_sweep(self.config, self.axes, self.options, self.schemes, self.trials,
+                       self.seed)
 
 
-def _parse_float(raw: str, label: str) -> float:
+def _list_of(caster):
+    """Parser of a non-empty comma-separated list, each item through ``caster``."""
+    def parse(raw: str) -> tuple:
+        items = [part.strip() for part in raw.split(",") if part.strip()]
+        if not items:
+            raise ValueError("empty list")
+        return tuple(caster(item) for item in items)
+    return parse
+
+
+def _beta(raw: str) -> float | None:
+    """A number, or ``normalized`` (None, the default): unit-modulus element gains."""
+    return None if raw.lower() == "normalized" else float(raw)
+
+
+def _calibration_means(raw: str) -> bool:
+    """``per-class`` (the default) or ``preamble-average``, as ``verbatim_means``."""
+    if raw.lower() not in ("per-class", "preamble-average"):
+        raise ValueError(f"must be per-class or preamble-average, got {raw!r}")
+    return raw.lower() == "preamble-average"
+
+
+# [section] key -> (parser, dataclass, field it sets). ``wavelength`` follows
+# ``frequency_ghz`` so that it wins when both are given. ``beta`` (None for
+# normalized) and ``power_per_mode`` are resolved by parse_scenario, which also
+# sets n_rx = n_tx and the transmit total to power_per_mode times the ring size.
+SCENARIO_KEYS = {
+    ("link", "n_elements"): (int, LinkConfig, "n_tx"),
+    ("link", "radius_tx"): (float, LinkConfig, "r_tx"),
+    ("link", "radius_rx"): (float, LinkConfig, "r_rx"),
+    ("link", "distance"): (float, LinkConfig, "axial_distance"),
+    ("link", "frequency_ghz"): (lambda raw: wavelength_for_frequency(float(raw) * 1e9),
+                                LinkConfig, "wavelength"),
+    ("link", "wavelength"): (float, LinkConfig, "wavelength"),
+    ("link", "beta"): (_beta, LinkConfig, "beta"),
+    ("link", "power_per_mode"): (float, LinkConfig, "power_per_mode"),
+    ("link", "samples_per_symbol"): (int, LinkConfig, "samples_per_symbol"),
+    ("link", "preamble_length"): (int, LinkConfig, "preamble_length"),
+    ("jamming", "model"): (str.lower, SweepOptions, "jam_model"),
+    ("jamming", "power_tx"): (float, LinkConfig, "jam_variance_tx"),
+    ("jamming", "power_rx"): (float, LinkConfig, "jam_variance_rx"),
+    ("jamming", "mode_power"): (float, SweepOptions, "mode_jam_variance"),
+    ("detection", "energy_threshold"): (float, LinkConfig, "energy_threshold_tx"),
+    ("detection", "calibration_means"): (_calibration_means, SweepOptions, "verbatim_means"),
+    ("pga", "gains"): (_list_of(float), LinkConfig, "pga_gains"),
+    ("pga", "priors"): (_list_of(float), LinkConfig, "pga_priors"),
+    ("sweep", "snr_db"): (_list_of(float), SweepAxes, "snr_db"),
+    ("sweep", "n_jammed"): (_list_of(int), SweepAxes, "n_jammed"),
+    ("sweep", "n_elements"): (_list_of(int), SweepAxes, "n_elements"),
+    ("sweep", "schemes"): (_list_of(str.lower), Scenario, "schemes"),
+    ("sweep", "trials"): (int, Scenario, "trials"),
+    ("sweep", "seed"): (int, Scenario, "seed"),
+    ("sweep", "ber_trials"): (int, SweepOptions, "ber_trials"),
+    ("sweep", "ber_symbols"): (int, SweepOptions, "ber_symbols"),
+    ("sweep", "snr_reference"): (str.lower, SweepOptions, "snr_reference"),
+}
+
+
+def _parse(parse, raw: str, label: str):
     try:
-        return float(raw)
+        return parse(raw)
     except ValueError as exc:
-        raise ConfigurationError(f"{label}: expected a number, got {raw!r}") from exc
-
-
-def _parse_int(raw: str, label: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"{label}: expected an integer, got {raw!r}") from exc
-
-
-def _parse_list(raw: str, label: str, caster) -> tuple:
-    items = [part.strip() for part in raw.split(",") if part.strip()]
-    if not items:
-        raise ConfigurationError(f"{label}: empty list")
-    return tuple(caster(item, f"{label} entry") for item in items)
+        raise ConfigurationError(f"{label}: {exc}") from exc
 
 
 def parse_scenario(path: str | None) -> Scenario:
@@ -113,101 +134,31 @@ def parse_scenario(path: str | None) -> Scenario:
         except configparser.Error as exc:
             raise ConfigurationError(f"scenario parse error: {exc}") from exc
 
+    if parser.defaults():  # configparser would copy them into every section
+        raise ConfigurationError(f"unknown scenario section [{parser.default_section}]")
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        known = {key for sec, key in SCENARIO_KEYS if sec == section}
+        if not known:
             raise ConfigurationError(f"unknown scenario section [{section}]")
-        unknown = set(parser.options(section)) - _KNOWN_KEYS[section]
+        unknown = set(parser.options(section)) - known
         if unknown:
             raise ConfigurationError(
                 f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}")
 
-    n_elements = _parse_int(_get(parser, "link", "n_elements", "16"), "[link] n_elements")
-    if parser.has_option("link", "wavelength"):
-        wavelength = _parse_float(parser.get("link", "wavelength"), "[link] wavelength")
-    else:
-        freq_ghz = _parse_float(_get(parser, "link", "frequency_ghz", "5.8"),
-                                "[link] frequency_ghz")
-        wavelength = wavelength_for_frequency(freq_ghz * 1e9)
-    power_per_mode = _parse_float(_get(parser, "link", "power_per_mode", "100.0"),
-                                  "[link] power_per_mode")
-    if power_per_mode <= 0.0:
-        raise ConfigurationError("[link] power_per_mode must be positive")
+    fields = {cls: {} for cls in (LinkConfig, SweepAxes, SweepOptions, Scenario)}
+    for (section, key), (parse, cls, name) in SCENARIO_KEYS.items():
+        if parser.has_option(section, key):
+            fields[cls][name] = _parse(parse, parser.get(section, key), f"[{section}] {key}")
 
-    raw_beta = _get(parser, "link", "beta", "normalized").strip().lower()
-    config = LinkConfig(
-        n_tx=n_elements,
-        n_rx=n_elements,
-        r_tx=_parse_float(_get(parser, "link", "radius_tx", "0.75"), "[link] radius_tx"),
-        r_rx=_parse_float(_get(parser, "link", "radius_rx", "0.75"), "[link] radius_rx"),
-        axial_distance=_parse_float(_get(parser, "link", "distance", "15.0"),
-                                    "[link] distance"),
-        wavelength=wavelength,
-        beta=1.0 if raw_beta == "normalized" else _parse_float(raw_beta, "[link] beta"),
-        noise_variance_rx=0.1,  # replaced per sweep point from the SNR axis
-        jam_variance_tx=_parse_float(_get(parser, "jamming", "power_tx", "0.1"),
-                                     "[jamming] power_tx"),
-        jam_variance_rx=_parse_float(_get(parser, "jamming", "power_rx", "0.1"),
-                                     "[jamming] power_rx"),
-        energy_threshold_tx=_parse_float(
-            _get(parser, "detection", "energy_threshold", "0.5"),
-            "[detection] energy_threshold"),
-        pga_gains=_parse_list(_get(parser, "pga", "gains", "0.5, 2.0"),
-                              "[pga] gains", _parse_float),
-        pga_priors=_parse_list(_get(parser, "pga", "priors", "0.5, 0.5"),
-                               "[pga] priors", _parse_float),
-        samples_per_symbol=_parse_int(_get(parser, "link", "samples_per_symbol", "64"),
-                                      "[link] samples_per_symbol"),
-        preamble_length=_parse_int(_get(parser, "link", "preamble_length", "16"),
-                                   "[link] preamble_length"),
-        transmit_power_total=power_per_mode * n_elements,
-    )
-    if raw_beta == "normalized":
-        config = config.with_unit_element_gain()
-
-    model = _get(parser, "jamming", "model", "targeted").strip().lower()
-    means = _get(parser, "detection", "calibration_means", "per-class").strip().lower()
-    if means not in ("per-class", "preamble-average"):
-        raise ConfigurationError(
-            f"[detection] calibration_means must be per-class or preamble-average, "
-            f"got {means!r}")
-    options = SweepOptions(
-        jam_model=model,
-        mode_jam_variance=_parse_float(_get(parser, "jamming", "mode_power", "1.0"),
-                                       "[jamming] mode_power"),
-        ber_trials=_parse_int(_get(parser, "sweep", "ber_trials", "25"),
-                              "[sweep] ber_trials"),
-        ber_symbols=_parse_int(_get(parser, "sweep", "ber_symbols", "8"),
-                               "[sweep] ber_symbols"),
-        verbatim_means=(means == "preamble-average"),
-        snr_reference=_get(parser, "sweep", "snr_reference", "noise").strip().lower(),
-    )
-
-    axes = SweepAxes(
-        snr_db=_parse_list(_get(parser, "sweep", "snr_db",
-                                "-10,-5,0,5,10,15,20,25,30"),
-                           "[sweep] snr_db", _parse_float),
-        n_jammed=_parse_list(_get(parser, "sweep", "n_jammed", "0,2,4,8"),
-                             "[sweep] n_jammed", _parse_int),
-        n_elements=_parse_list(_get(parser, "sweep", "n_elements", str(n_elements)),
-                               "[sweep] n_elements", _parse_int),
-    )
-    validate_grid(config, axes, options)
-
-    schemes = tuple(s.strip().lower() for s in
-                   _get(parser, "sweep", "schemes", "proposed, baseline").split(",")
-                   if s.strip())
-    validate_schemes(schemes)
-
-    trials = _parse_int(_get(parser, "sweep", "trials", "1000"), "[sweep] trials")
-    if trials < 1:
-        raise ConfigurationError("[sweep] trials must be >= 1")
-    seed = _parse_int(_get(parser, "sweep", "seed", str(DEFAULT_SEED)), "[sweep] seed")
-    if seed < 0:
-        raise ConfigurationError(f"[sweep] seed must be >= 0, got {seed}")
-
-    return Scenario(config=config, axes=axes, options=options, schemes=schemes,
-                    trials=trials, seed=seed,
-                    seed_in_file=parser.has_option("sweep", "seed"))
+    link = fields[LinkConfig]
+    beta = link.pop("beta", None)
+    power_per_mode = link.pop("power_per_mode", DEFAULT_POWER_PER_MODE)
+    config = LinkConfig(**link)
+    config = replace(config, n_rx=config.n_tx, transmit_power_total=power_per_mode * config.n_tx)
+    config = config.with_unit_element_gain() if beta is None else replace(config, beta=beta)
+    fields[SweepAxes].setdefault("n_elements", (config.n_tx,))
+    return Scenario(config, SweepAxes(**fields[SweepAxes]), SweepOptions(**fields[SweepOptions]),
+                    seed_in_file=parser.has_option("sweep", "seed"), **fields[Scenario])
 
 
 def _format_value(value) -> str:
@@ -283,26 +234,15 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         scenario = parse_scenario(args.config)
+        seed = scenario.seed
+        env_seed = os.environ.get(SEED_ENV_VAR)
+        if env_seed is not None and not scenario.seed_in_file:
+            seed = _parse(int, env_seed, SEED_ENV_VAR)
+        scenario = replace(scenario, seed=seed if args.seed is None else args.seed,
+                           trials=scenario.trials if args.trials is None else args.trials)
     except ConfigurationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-
-    seed = scenario.seed
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None and not scenario.seed_in_file:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            print(f"validation error: {SEED_ENV_VAR}={env_seed!r} is not an "
-                  f"integer", file=sys.stderr)
-            return 1
-    if args.seed is not None:
-        seed = args.seed
-    if args.trials is not None and args.trials < 1:
-        print("validation error: --trials must be >= 1", file=sys.stderr)
-        return 1
-    scenario = replace(scenario, seed=seed,
-                       trials=scenario.trials if args.trials is None else args.trials)
     return run_scenario(scenario, args.output, trend_report=args.check_trends)
 
 

@@ -43,16 +43,18 @@ def mode_index_range(n_elements: int) -> list[int]:
 def pga_levels(gains, priors) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Checked PGA gain levels and their transmit priors, as float tuples.
 
-    Needs at least two levels, one prior per level, finite non-negative gains
-    in strictly increasing order and finite positive priors summing to 1
-    within 1e-12.
+    Needs exactly two levels (the reflected link is binary), one prior per
+    level, finite non-negative gains in strictly increasing order and finite
+    positive priors summing to 1 within 1e-12.
     """
     gains = tuple(float(g) for g in gains)
     priors = tuple(float(p) for p in priors)
     if not all(math.isfinite(v) for v in gains + priors):
         raise ConfigurationError(f"PGA gains and priors must be finite, got {gains}, {priors}")
-    if len(gains) < 2:
-        raise ConfigurationError("PGA needs at least two gain levels")
+    if len(gains) != 2:
+        raise ConfigurationError(
+            f"the reflected link is binary: its PGA needs exactly two gain levels "
+            f"(bits 0 and 1), got {len(gains)}")
     if len(gains) != len(priors):
         raise ConfigurationError(
             f"PGA gains and priors lengths differ: {len(gains)} vs {len(priors)}")
@@ -84,7 +86,7 @@ class LinkConfig:
         jam_variance_tx: per-element jamming variance seen at the transmitter.
         jam_variance_rx: per-element jamming variance seen at the receiver.
         energy_threshold_tx: mode-energy threshold for jamming detection, watts.
-        pga_gains: amplification factors a_0 < a_1 < ... of the gain amplifier.
+        pga_gains: amplification factors a_0 < a_1 of the gain amplifier.
         pga_priors: transmit probabilities of each gain level, summing to 1.
         samples_per_symbol: samples per modulation symbol (K).
         preamble_length: number of calibration symbols (I).

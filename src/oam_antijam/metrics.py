@@ -162,22 +162,29 @@ def _power_and_disturbance(config: LinkConfig, snr_db: float,
     return per_mode, disturbance
 
 
-def validate_schemes(schemes: tuple[str, ...]) -> None:
-    """Reject an empty or repeated scheme list, or an unknown scheme in it."""
+def validate_sweep(config: LinkConfig, axes: SweepAxes, options: SweepOptions,
+                   schemes: tuple[str, ...], trials: int, seed: int) -> None:
+    """Reject a sweep that holds a point which cannot run, before any point runs.
+
+    ``trials`` must lie in 1..sys.maxsize and ``seed`` be >= 0; ``schemes``
+    must be distinct and drawn from proposed, baseline. No axis may repeat a
+    value. Every ring size must lie in 1..sys.maxsize and every jammed-mode
+    count in 0..N for every ring size N; the iid model, which jams no chosen
+    modes, takes only n_jammed = 0. Every SNR must be finite and imply a
+    finite noise variance that stays positive (the noise-plus-jamming
+    reference subtracts the receiver jamming power from the disturbance the
+    SNR implies).
+    """
+    if not 1 <= trials <= sys.maxsize:
+        raise ConfigurationError(f"trials must lie in 1..{sys.maxsize}, got {trials}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     if not schemes or len(set(schemes)) < len(schemes) or set(schemes) - {PROPOSED, BASELINE}:
         raise ConfigurationError(f"need distinct schemes out of proposed, baseline; got {schemes}")
-
-
-def validate_grid(config: LinkConfig, axes: SweepAxes, options: SweepOptions) -> None:
-    """Reject a sweep grid that holds a point which cannot run.
-
-    Every ring size must lie in 1..sys.maxsize and every jammed-mode count in
-    0..N for every ring size N; the iid model, which jams no chosen modes,
-    takes only n_jammed = 0. The PGA must have exactly two gain levels, one
-    per bit of the reflected link. Every SNR must be finite and imply a finite
-    noise variance that stays positive (the noise-plus-jamming reference
-    subtracts the receiver jamming power from the disturbance the SNR implies).
-    """
+    for name in ("snr_db", "n_jammed", "n_elements"):
+        values = getattr(axes, name)
+        if len(set(values)) < len(values):
+            raise ConfigurationError(f"the {name} axis repeats a value: {values}")
     for n_el in axes.n_elements:
         if not 1 <= n_el <= sys.maxsize:
             raise ConfigurationError(f"ring size must lie in 1..{sys.maxsize}, got {n_el}")
@@ -188,10 +195,6 @@ def validate_grid(config: LinkConfig, axes: SweepAxes, options: SweepOptions) ->
     if options.jam_model == BROADBAND and any(axes.n_jammed):
         raise ConfigurationError(
             f"the iid model jams no chosen modes: n_jammed must be 0, got {axes.n_jammed}")
-    if len(config.pga_gains) != 2:
-        raise ConfigurationError(
-            f"the reflected link is binary: its PGA needs exactly two gain levels "
-            f"(bits 0 and 1), got {len(config.pga_gains)}")
     for snr_db in axes.snr_db:
         if not math.isfinite(snr_db):
             raise ConfigurationError(f"snr {snr_db} dB is not a finite number")
@@ -325,13 +328,8 @@ def run_sweep(config: LinkConfig, axes: SweepAxes,
     ``trials`` independent sense/partition/allocate/decide trials on its own
     substream, and both schemes are evaluated on the same realizations.
     """
-    if not 1 <= trials <= sys.maxsize:
-        raise ConfigurationError(f"trials must lie in 1..{sys.maxsize}, got {trials}")
-    if seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {seed}")
-    validate_schemes(schemes)
     options = options or SweepOptions()
-    validate_grid(config, axes, options)
+    validate_sweep(config, axes, options, schemes, trials, seed)
     results: list[SweepResult] = []
     point_index = 0
     for n_elements in axes.n_elements:
@@ -370,58 +368,33 @@ def check_trends(results: list[SweepResult]) -> list[TrendCheck]:
     monotone improvement with element count at non-negative SNR.
     """
     by_key = {(r.scheme, r.n_elements, r.n_jammed, r.snr_db): r for r in results}
-    schemes = sorted({r.scheme for r in results})
-    n_els = sorted({r.n_elements for r in results})
-    n_jams = sorted({r.n_jammed for r in results})
-    snrs = sorted({r.snr_db for r in results})
     checks: list[TrendCheck] = []
 
-    def slack(a: SweepResult, b: SweepResult) -> float:
-        return math.hypot(a.se_stderr, b.se_stderr)
+    def along(name: str, axis: int, increasing: bool, keep=lambda key: True) -> TrendCheck:
+        """Mean SE along key position ``axis`` with the other positions held fixed."""
+        lines: dict[tuple, list[tuple]] = {}
+        for key in sorted(k for k in by_key if keep(k)):
+            lines.setdefault(key[:axis] + key[axis + 1:], []).append(key)
+        bad = []
+        for line in sorted(lines):
+            for ka, kb in zip(lines[line], lines[line][1:]):
+                a, b = by_key[ka], by_key[kb]
+                slack = math.hypot(a.se_stderr, b.se_stderr)
+                if (b.se_bits < a.se_bits - slack if increasing
+                        else b.se_bits > a.se_bits + slack):
+                    bad.append(line + (ka[axis], kb[axis]))
+        return TrendCheck(name, not bad, "ok" if not bad else f"violated at {bad[:4]}")
 
-    if PROPOSED in schemes and BASELINE in schemes:
+    if {PROPOSED, BASELINE} <= {r.scheme for r in results}:
         bad = [k for k in by_key if k[0] == PROPOSED
                and by_key[k].se_bits < by_key[(BASELINE,) + k[1:]].se_bits]
         checks.append(TrendCheck(
             "proposed >= baseline at every grid point", not bad,
             "ok" if not bad else f"violated at {sorted(bad)[:4]}"))
-
-    if len(n_jams) > 1:
-        bad = []
-        for scheme in schemes:
-            for n_el in n_els:
-                for snr in snrs:
-                    rs = [by_key[(scheme, n_el, j, snr)] for j in n_jams]
-                    for a, b in zip(rs, rs[1:]):
-                        if b.se_bits > a.se_bits + slack(a, b):
-                            bad.append((scheme, n_el, snr, a.n_jammed, b.n_jammed))
-        checks.append(TrendCheck(
-            "mean SE non-increasing in jammed-mode count", not bad,
-            "ok" if not bad else f"violated at {bad[:4]}"))
-
-    bad = []
-    for scheme in schemes:
-        for n_el in n_els:
-            for j in n_jams:
-                rs = [by_key[(scheme, n_el, j, s)] for s in snrs]
-                for a, b in zip(rs, rs[1:]):
-                    if b.se_bits < a.se_bits - slack(a, b):
-                        bad.append((scheme, n_el, j, a.snr_db, b.snr_db))
-    checks.append(TrendCheck(
-        "mean SE non-decreasing in SNR", not bad,
-        "ok" if not bad else f"violated at {bad[:4]}"))
-
-    if len(n_els) > 1:
-        bad = []
-        for scheme in schemes:
-            for j in n_jams:
-                for snr in [s for s in snrs if s >= 0.0]:
-                    rs = [by_key[(scheme, n, j, snr)] for n in n_els]
-                    for a, b in zip(rs, rs[1:]):
-                        if b.se_bits < a.se_bits - slack(a, b):
-                            bad.append((scheme, j, snr, a.n_elements, b.n_elements))
-        checks.append(TrendCheck(
-            "mean SE non-decreasing in element count at SNR >= 0 dB", not bad,
-            "ok" if not bad else f"violated at {bad[:4]}"))
-
+    if len({r.n_jammed for r in results}) > 1:
+        checks.append(along("mean SE non-increasing in jammed-mode count", 2, False))
+    checks.append(along("mean SE non-decreasing in SNR", 3, True))
+    if len({r.n_elements for r in results}) > 1:
+        checks.append(along("mean SE non-decreasing in element count at SNR >= 0 dB", 1,
+                            True, keep=lambda key: key[3] >= 0.0))
     return checks

@@ -2,21 +2,27 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from oam_antijam import BASELINE, PROPOSED, LinkConfig, SweepAxes, SweepOptions
 from oam_antijam.cli import (
     CSV_COLUMNS,
     DEFAULT_SEED,
     SEED_ENV_VAR,
+    Scenario,
     format_sweep_csv,
     main,
     parse_scenario,
 )
 from oam_antijam.config import ConfigurationError
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 TINY_SCENARIO = """
 [sweep]
@@ -73,6 +79,13 @@ class TestParseScenario:
         with pytest.raises(ConfigurationError, match="channel"):
             parse_scenario(path)
 
+    @pytest.mark.parametrize("text", ["[DEFAULT]\nfoo = 1\n",
+                                      "[DEFAULT]\ntrials = 5\n[sweep]\nseed = 3\n"])
+    def test_default_section_rejected(self, tmp_path, text):
+        # its keys would be copied into every other section, or ignored without one
+        with pytest.raises(ConfigurationError, match="DEFAULT"):
+            parse_scenario(write(tmp_path, text))
+
     def test_zero_elements_named_error(self, tmp_path):
         path = write(tmp_path, "[link]\nn_elements = 0\n")
         with pytest.raises(ConfigurationError, match="n_tx"):
@@ -122,6 +135,29 @@ class TestParseScenario:
         # iid with the default n_jammed, a 3-level PGA, an infeasible SNR
         with pytest.raises(ConfigurationError):
             parse_scenario(write(tmp_path, text))
+
+
+class TestOneSourceOfDefaults:
+    """Every scenario default is a dataclass default; the README states the same ones."""
+
+    DEFAULT = Scenario(LinkConfig().with_unit_element_gain(), SweepAxes(), SweepOptions(),
+                       (PROPOSED, BASELINE), 1000, DEFAULT_SEED)
+
+    def test_no_file_gives_the_dataclass_defaults(self):
+        assert parse_scenario(None) == self.DEFAULT
+
+    def test_readme_scenario_block_states_the_defaults(self, tmp_path):
+        section = README.read_text().split("## Scenario files", 1)[1]
+        block = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+        parsed = parse_scenario(write(tmp_path, block))
+        assert parsed.seed_in_file
+        assert replace(parsed, seed_in_file=False) == self.DEFAULT
+
+    @pytest.mark.parametrize("override", [{"trials": 0}, {"seed": -1},
+                                          {"trials": sys.maxsize + 1}, {"schemes": ()}])
+    def test_overrides_are_checked_like_the_file(self, override):
+        with pytest.raises(ConfigurationError):
+            replace(parse_scenario(None), **override)
 
 
 class TestRunScenario:
@@ -228,6 +264,9 @@ class TestValidationBeforeAnyPoint:
         "[pga]\npriors = nan, nan",
         "schemes =",
         "schemes = proposed, Proposed",
+        "snr_db = 0, 0",
+        "n_jammed = 2, 2",
+        "n_elements = 8, 8",
     ])
     def test_invalid_grid_or_probe_budget(self, rejected, sweep):
         rejected(sweep)

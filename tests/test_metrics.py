@@ -17,6 +17,7 @@ from oam_antijam import (
     PROPOSED,
     SweepAxes,
     SweepOptions,
+    SweepResult,
     allocate_power,
     build_channel_matrix,
     check_trends,
@@ -318,16 +319,23 @@ class TestRunSweep:
         with pytest.raises(ConfigurationError, match=knob):
             SweepOptions(**{knob: -1})
 
-    def test_three_level_pga_rejected_before_any_point(self, monkeypatch):
+    def test_three_level_pga_rejected_before_any_point(self):
+        # the config itself refuses it, so no sweep can be given one
+        with pytest.raises(ConfigurationError, match="reflected link is binary"):
+            replace(LinkConfig().with_unit_element_gain(),
+                    pga_gains=(0.5, 1.0, 2.0), pga_priors=(0.25, 0.25, 0.5))
+
+
+    @pytest.mark.parametrize("axis", ["snr_db", "n_jammed", "n_elements"])
+    def test_repeated_axis_value_rejected_before_any_point(self, axis, monkeypatch):
+        # a repeated value used to give several rows, each with its own SE, for one key
         computed = []
         monkeypatch.setattr(metrics, "_sweep_point", lambda *args: computed.append(args))
-        cfg = replace(LinkConfig().with_unit_element_gain(),
-                      pga_gains=(0.5, 1.0, 2.0), pga_priors=(0.25, 0.25, 0.5))
-        axes = SweepAxes(snr_db=(10.0,), n_jammed=(0,), n_elements=(8,))
-        with pytest.raises(ConfigurationError, match="reflected link is binary"):
-            run_sweep(cfg, axes, trials=2, seed=0)
+        grid = {"snr_db": (10.0,), "n_jammed": (2,), "n_elements": (8,)}
+        grid[axis] *= 2
+        with pytest.raises(ConfigurationError, match=f"{axis} axis repeats"):
+            run_sweep(LinkConfig().with_unit_element_gain(), SweepAxes(**grid), trials=2, seed=0)
         assert computed == []
-
 
     @pytest.mark.parametrize("length", [sys.maxsize, 2 ** 62])
     def test_preamble_beyond_any_array_fails_at_once(self, length):
@@ -337,6 +345,47 @@ class TestRunSweep:
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(2,), n_elements=(8,))
         with pytest.raises(ValueError):
             run_sweep(cfg, axes, trials=2, seed=0)
+
+
+class TestCheckTrends:
+    """Each trend check fails on a result list made to violate it, and only that check."""
+
+    @staticmethod
+    def results(changes=(), se_stderr=0.0):
+        # SE grows with ring size and SNR, falls with the jammed count; baseline is 0.1 lower
+        rows = []
+        for n_el in (8, 16):
+            for n_jam in (0, 2):
+                for snr in (0.0, 10.0):
+                    for scheme, offset in ((PROPOSED, 0.0), (BASELINE, -0.1)):
+                        key = (scheme, n_el, n_jam, snr)
+                        se = dict(changes).get(key, n_el / 8 - n_jam / 4 + snr / 10 + 1 + offset)
+                        rows.append(SweepResult(scheme=scheme, snr_db=snr, n_elements=n_el,
+                                                n_jammed=n_jam, se_bits=se, p_j=1.0, p_u=1.0,
+                                                p_c=np.nan, ber=np.nan, trials=10, seed=0,
+                                                se_stderr=se_stderr))
+        return rows
+
+    def test_monotone_results_pass_every_check(self):
+        checks = check_trends(self.results())
+        assert len(checks) == 4
+        assert all(chk.passed for chk in checks)
+
+    @pytest.mark.parametrize("name, changes", [
+        ("proposed >= baseline at every grid point", {(BASELINE, 16, 2, 10.0): 3.55}),
+        ("mean SE non-increasing in jammed-mode count", {(PROPOSED, 8, 2, 0.0): 2.2}),
+        ("mean SE non-decreasing in SNR", {(PROPOSED, 16, 0, 0.0): 4.5}),
+        ("mean SE non-decreasing in element count at SNR >= 0 dB",
+         {(PROPOSED, 16, 2, 0.0): 1.4, (BASELINE, 16, 2, 0.0): 1.3}),
+    ])
+    def test_each_violation_fails_its_check(self, name, changes):
+        failed = {chk.name for chk in check_trends(self.results(changes)) if chk.passed is False}
+        assert failed == {name}
+
+    def test_one_standard_error_of_slack(self):
+        changes = {(PROPOSED, 16, 0, 0.0): 4.5}   # 0.5 above the 10 dB point
+        assert all(chk.passed for chk in check_trends(self.results(changes, se_stderr=0.5)))
+        assert not all(chk.passed for chk in check_trends(self.results(changes, se_stderr=0.3)))
 
 
 class TestBroadbandSensing:

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oam_antijam import (BASELINE, PROPOSED, ConfigurationError, LinkConfig, SweepAxes,
-                         SweepOptions, mode_index_range, mode_transform, run_sweep,
-                         validate_grid)
-from oam_antijam.cli import _KNOWN_KEYS, parse_scenario
+                         SweepOptions, mode_index_range, mode_transform, run_sweep)
+from oam_antijam.cli import SCENARIO_KEYS, parse_scenario
 
 FLOAT_FIELDS = ("r_tx", "r_rx", "axial_distance", "wavelength", "beta", "noise_variance_rx",
                 "jam_variance_tx", "jam_variance_rx", "energy_threshold_tx",
@@ -77,20 +76,18 @@ def test_link_config_rejects_non_positive_or_non_finite_floats(name, value):
         LinkConfig(**{name: value})
 
 
-SCENARIO_KEYS = sorted((section, key) for section, keys in _KNOWN_KEYS.items() for key in keys)
 SCENARIO_VALUES = ("", "nan", "inf", "-inf", "-1", "0", "1e200", "1e-300", "abc", "1,",
                    "1" + "0" * 29)
 
 
 @settings(max_examples=400, deadline=None)  # enough to try every (key, value) pair
-@given(st.sampled_from(SCENARIO_KEYS), st.sampled_from(SCENARIO_VALUES))
+@given(st.sampled_from(sorted(SCENARIO_KEYS)), st.sampled_from(SCENARIO_VALUES))
 def test_scenario_value_is_rejected_or_runs(tmp_path_factory, section_key, value):
     section, key = section_key
     path = tmp_path_factory.mktemp("scenario") / "scenario.ini"
     path.write_text(f"[{section}]\n{key} = {value}\n")
     try:
         scenario = parse_scenario(str(path))
-        validate_grid(scenario.config, scenario.axes, scenario.options)
     except ConfigurationError:
         return
     # an accepted scenario runs: a tiny sweep keeps every parsed value but the grid size
