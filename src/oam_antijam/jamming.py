@@ -47,7 +47,10 @@ class RandomStream:
 def complex_gaussian(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
     """Circularly-symmetric complex Gaussian samples with per-sample variance."""
     scale = np.sqrt(variance / 2.0)
-    return rng.normal(0.0, scale, shape) + 1j * rng.normal(0.0, scale, shape)
+    samples = np.empty(shape, dtype=complex)   # filled in place: no full-size temporaries
+    samples.real = rng.normal(0.0, scale, shape)
+    samples.imag = rng.normal(0.0, scale, shape)
+    return samples
 
 
 def gamma_energies(rng: np.random.Generator, shape, variance: float, k: int) -> np.ndarray:

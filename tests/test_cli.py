@@ -271,6 +271,17 @@ class TestValidationBeforeAnyPoint:
     def test_invalid_grid_or_probe_budget(self, rejected, sweep):
         rejected(sweep)
 
+    @pytest.mark.parametrize("sweep", [
+        "[link]\npreamble_length = 4611686018427387904",
+        "[link]\npreamble_length = 9223372036854775807",
+        "[link]\nsamples_per_symbol = 4611686018427387904",
+        "ber_symbols = 4611686018427387904",
+        "trials = 1152921504606846976\nn_jammed = 0",
+    ])
+    def test_count_beyond_any_array_size(self, rejected, sweep):
+        # each used to pass and then fail inside the first point with a traceback
+        rejected(sweep)
+
     def test_negative_seed_flag(self, rejected):
         rejected("", "--seed", "-1")
 

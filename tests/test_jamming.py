@@ -20,6 +20,18 @@ def test_same_stream_reproduces_bit_exactly():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("shape", [(3, 5, 7), 11, (4, 0, 64), 0], ids=repr)
+def test_in_place_draw_matches_the_sum_expression(shape):
+    # oracle: the real part, then 1j times the imaginary part, from one stream
+    variance = 0.3
+    scale = np.sqrt(variance / 2.0)
+    rng = RandomStream(21, 3).generator()
+    expected = rng.normal(0.0, scale, shape) + 1j * rng.normal(0.0, scale, shape)
+    got = complex_gaussian(RandomStream(21, 3).generator(), shape, variance)
+    assert got.dtype == np.complex128 and got.shape == expected.shape
+    assert np.array_equal(got.view(np.float64), expected.view(np.float64))
+
+
 def test_jamming_moments():
     k = 10_000
     row = complex_gaussian(RandomStream(5, 0).generator(), (1, k), 0.1)[0]

@@ -27,10 +27,22 @@ from oam_antijam import (
     mode_snr,
     run_sweep,
     spectral_efficiency,
+    validate_sweep,
 )
-from oam_antijam.jamming import RandomStream
+from oam_antijam.jamming import RandomStream, complex_gaussian
+from oam_antijam.signals import mode_energies, mode_transform
 
 MODES_16 = tuple(mode_index_range(16))
+
+
+def traced_peak(run) -> int:
+    """Peak traced allocation, in bytes, while ``run()`` executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def flags_for(jammed=()):
@@ -339,12 +351,36 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("length", [sys.maxsize, 2 ** 62])
     def test_preamble_beyond_any_array_fails_at_once(self, length):
-        # the preamble is one numpy array, so numpy refuses it before any
-        # memory is taken; a symbol-by-symbol build would grow until none is left
+        # the preamble's per-symbol gains are one complex array, so a length
+        # numpy cannot hold is refused before any memory is taken
         cfg = replace(LinkConfig().with_unit_element_gain(), preamble_length=length)
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(2,), n_elements=(8,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="beyond numpy"):
             run_sweep(cfg, axes, trials=2, seed=0)
+
+    @pytest.mark.parametrize("count, largest", [
+        ("preamble_length", sys.maxsize // 16),     # one complex gain per symbol
+        ("ber_symbols", sys.maxsize // 16),
+        ("samples_per_symbol", sys.maxsize // (16 * 16)),   # a 16-symbol preamble chunk
+        ("trials", sys.maxsize // (16 * 2 * 64)),   # the (trials, l_j, K) sensing draw
+    ])
+    def test_array_bound_is_numpys_byte_limit(self, count, largest):
+        # at the largest count whose arrays numpy can hold, one more is refused
+        def validate(value):
+            cfg = LinkConfig().with_unit_element_gain()
+            options, trials = SweepOptions(), 2
+            if count == "trials":
+                trials = value
+            elif count == "ber_symbols":
+                options = SweepOptions(ber_symbols=value)
+            else:
+                cfg = replace(cfg, **{count: value})
+            axes = SweepAxes(snr_db=(10.0,), n_jammed=(2,), n_elements=(8,))
+            validate_sweep(cfg, axes, options, (PROPOSED,), trials, 0)
+
+        validate(largest)
+        with pytest.raises(ConfigurationError, match="beyond numpy"):
+            validate(largest + 1)
 
 
 class TestCheckTrends:
@@ -437,11 +473,50 @@ class TestBroadbandSensing:
         trials, n, k = 2000, 16, 64
         cfg = replace(self.CFG, samples_per_symbol=k)
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(0,), n_elements=(n,))
-        tracemalloc.start()
-        try:
-            run_sweep(cfg, axes, trials=trials, seed=1, options=self.OPTS)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: run_sweep(cfg, axes, trials=trials, seed=1,
+                                             options=self.OPTS))
         # one (trials, N, K) complex array would take 32.8 MB
         assert peak < trials * n * k * np.dtype(complex).itemsize / 8
+
+
+class TestTargetedSensing:
+    """Targeted sensing multiplexes only the jammed columns of W^H, in trial blocks."""
+
+    @staticmethod
+    def dense_oracle(samples, jam_sets, n):
+        # every mode of every trial at element level: the (trials, N, K) round trip
+        source = np.zeros((len(jam_sets), n, samples.shape[-1]), dtype=complex)
+        source[np.arange(len(jam_sets))[:, None], jam_sets] = samples
+        return mode_energies(mode_transform(n).conj().T @ source)
+
+    @pytest.mark.parametrize("n", [1, 8, 128])
+    @pytest.mark.parametrize("jammed", ["none", "one", "all"])
+    def test_matches_the_dense_element_level_oracle(self, n, jammed):
+        k, variance, threshold = 16, 1.0, 0.5
+        step = max(1, metrics.SENSE_BLOCK_SAMPLES // (n * k))
+        trials = 2 * step + 3     # two full blocks and a short one
+        n_jammed = {"none": 0, "one": 1, "all": n}[jammed]
+        jam_sets = metrics._draw_jam_sets(np.random.default_rng(4), trials, n, n_jammed)
+        rng = RandomStream(9, 1).generator()
+        got = metrics._sense_targeted(rng, jam_sets, n, k, variance)
+        oracle_rng = RandomStream(9, 1).generator()
+        samples = complex_gaussian(oracle_rng, jam_sets.shape + (k,), variance)
+        expected = self.dense_oracle(samples, jam_sets, n)
+        assert got.shape == (trials, n)
+        assert np.array_equal(got >= threshold, expected >= threshold)
+        # clean modes hold rounding residue (~1e-32) in both, so the relative
+        # tolerance is taken against the jamming variance
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * variance)
+        # the same draw, so the stream stands at the same place afterwards
+        assert rng.random() == oracle_rng.random()
+        if not n_jammed:
+            assert not got.any()
+
+    def test_memory_is_bounded_by_the_jammed_modes(self):
+        trials, n, k = 2000, 16, 64
+        cfg = replace(LinkConfig().with_unit_element_gain(), samples_per_symbol=k)
+        axes = SweepAxes(snr_db=(10.0,), n_jammed=(2,), n_elements=(n,))
+        peak = traced_peak(lambda: run_sweep(cfg, axes, trials=trials, seed=1,
+                                             options=SweepOptions(ber_trials=0)))
+        # half of one dense (trials, N, K) complex array: 16.4 MB
+        assert peak < trials * n * k * np.dtype(complex).itemsize / 2
