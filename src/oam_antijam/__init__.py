@@ -13,30 +13,27 @@ from .backscatter import (CalibrationError, average_correct_detection,
                           calibrate_from_preamble, calibrate_threshold,
                           correct_detection_prob, hypothesis_variance,
                           receiver_background_variance, simulate_backscatter_bits)
-from .channel import (APPROXIMATE, EXACT, bessel_j, build_channel_matrix,
-                      element_azimuths, mode_channel_gain, mode_link_gains,
-                      ring_sampled_bessel)
+from .channel import build_channel_matrix, element_azimuths, mode_link_gains
 from .config import (ConfigurationError, LinkConfig, mode_index_range,
                      wavelength_for_frequency)
-from .jamming import RandomStream, draw_targeted_jamming_block
+from .jamming import RandomStream
 from .metrics import (BASELINE, PROPOSED, SweepAxes, SweepOptions, SweepResult,
                       allocate_power, check_trends, mode_snr, run_sweep,
-                      spectral_efficiency, validate_sweep)
+                      sense_targeted, spectral_efficiency, validate_sweep)
 from .sensing import DetectionStats, detection_probabilities, gamma_cdf
 from .signals import mode_energies, mode_transform
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "APPROXIMATE", "BASELINE", "CalibrationError", "ConfigurationError",
-    "DetectionStats", "EXACT", "LinkConfig", "PROPOSED", "RandomStream",
-    "SweepAxes", "SweepOptions", "SweepResult", "allocate_power",
-    "average_correct_detection", "bessel_j",
+    "BASELINE", "CalibrationError", "ConfigurationError", "DetectionStats",
+    "LinkConfig", "PROPOSED", "RandomStream", "SweepAxes", "SweepOptions",
+    "SweepResult", "allocate_power", "average_correct_detection",
     "build_channel_matrix", "calibrate_from_preamble", "calibrate_threshold",
     "check_trends", "correct_detection_prob", "detection_probabilities",
-    "draw_targeted_jamming_block", "element_azimuths", "gamma_cdf",
-    "hypothesis_variance", "mode_channel_gain", "mode_energies", "mode_index_range",
-    "mode_link_gains", "mode_snr", "mode_transform", "receiver_background_variance",
-    "ring_sampled_bessel", "run_sweep", "simulate_backscatter_bits",
-    "spectral_efficiency", "validate_sweep", "wavelength_for_frequency",
+    "element_azimuths", "gamma_cdf", "hypothesis_variance", "mode_energies",
+    "mode_index_range", "mode_link_gains", "mode_snr", "mode_transform",
+    "receiver_background_variance", "run_sweep", "sense_targeted",
+    "simulate_backscatter_bits", "spectral_efficiency", "validate_sweep",
+    "wavelength_for_frequency",
 ]

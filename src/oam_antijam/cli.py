@@ -11,7 +11,7 @@ which puts transmit power, noise and jamming on one scale). The CSV schema is
 ``scheme,snr_db,n_elements,n_jammed,se_bits_per_hz,p_j,p_u,p_c,ber,trials,seed``
 with floats at 9 significant digits, so a (scenario, seed) pair reproduces the
 output byte for byte. Exit codes: 0 success, 1 validation error, 2 numeric
-failure.
+failure or out of memory.
 """
 
 from __future__ import annotations
@@ -183,7 +183,8 @@ def run_scenario(scenario: Scenario, output_path: str,
                  trend_report: bool = False) -> int:
     """Execute a parsed scenario, write its CSV, print the summary.
 
-    Returns the process exit code (0 success, 1 validation, 2 numeric).
+    Returns the process exit code (0 success, 1 validation, 2 numeric failure
+    or out of memory).
     """
     out_dir = os.path.dirname(os.path.abspath(output_path))
     if os.path.isdir(output_path) or not os.path.isdir(out_dir):
@@ -198,6 +199,9 @@ def run_scenario(scenario: Scenario, output_path: str,
         return 1
     except FloatingPointError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 2
 
     try:

@@ -5,25 +5,20 @@ identical keys reproduce identical samples bit-exactly, and distinct
 stream_ids give statistically independent substreams, so Monte Carlo trials
 can run in parallel without shared state.
 
-Two jamming models are provided. Broadband jamming, i.i.d. per element,
-stays i.i.d. per mode under the unitary transform, so its sensing energies
-are drawn directly as Gamma(K, sigma2/K) (:func:`gamma_energies`). The
-targeted model synthesizes mode-domain jamming on a chosen mode set and
-multiplexes it onto the elements with ``mode_transform(N).conj().T``, making
-the jammed/clean partition controllable; it is an implementation construct
-for experiments that vary the jammed-mode count.
+The draws behind both jamming models live here. Broadband jamming, i.i.d.
+per element, stays i.i.d. per mode under the unitary transform, so its
+sensing energies are drawn directly as Gamma(K, sigma2/K)
+(:func:`gamma_energies`). Targeted jamming is mode-domain
+:func:`complex_gaussian` samples on a chosen mode set, which
+``metrics.sense_targeted`` multiplexes onto the elements and senses.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
-
-from .config import ConfigurationError, mode_index_range
-from .signals import mode_transform
 
 NOISE_VARIANCE_FLOOR = 1e-30  # watts; keeps the zero-noise limit well-posed
 
@@ -56,27 +51,3 @@ def complex_gaussian(rng: np.random.Generator, shape, variance: float) -> np.nda
 def gamma_energies(rng: np.random.Generator, shape, variance: float, k: int) -> np.ndarray:
     """K-sample average energies of i.i.d. CN(0, variance) modes: Gamma(K, variance/K)."""
     return rng.standard_gamma(k, shape) * (variance / k)
-
-
-def draw_targeted_jamming_block(stream: RandomStream, n_elements: int, n_samples: int,
-                                mode_variance: float,
-                                jammed_modes: Iterable[int]) -> np.ndarray:
-    """(N, K) element samples of jamming synthesized on a specific mode set.
-
-    Each listed mode carries i.i.d. complex Gaussian samples of the given
-    variance; all other modes carry exactly zero energy. Per-element variance
-    is len(jammed_modes) * mode_variance / n_elements.
-    """
-    if not 0.0 < mode_variance < np.inf:
-        raise ConfigurationError(
-            f"mode variance must be positive and finite, got {mode_variance}")
-    modes = mode_index_range(n_elements)
-    targets = sorted(set(jammed_modes))
-    unknown = [l for l in targets if l not in modes]
-    if unknown:
-        raise ConfigurationError(f"modes {unknown} outside supported range {modes}")
-    rng = stream.generator()
-    mode_samples = np.zeros((n_elements, n_samples), dtype=complex)
-    for l in targets:
-        mode_samples[modes.index(l)] = complex_gaussian(rng, n_samples, mode_variance)
-    return mode_transform(n_elements).conj().T @ mode_samples

@@ -25,7 +25,7 @@ import numpy as np
 from .backscatter import (SYMBOL_CHUNK, CalibrationError, average_correct_detection,
                           calibrate_from_preamble, hypothesis_variance,
                           receiver_background_variance, simulate_backscatter_bits)
-from .channel import APPROXIMATE, build_channel_matrix, mode_link_gains
+from .channel import build_channel_matrix, mode_link_gains
 from .config import ConfigurationError, LinkConfig
 from .jamming import NOISE_VARIANCE_FLOOR, RandomStream, complex_gaussian, gamma_energies
 from .sensing import DetectionStats, detection_probabilities
@@ -276,11 +276,15 @@ def _draw_jam_sets(rng: np.random.Generator, trials: int, n: int, n_jammed: int)
     return np.argsort(rng.random((trials, n)), axis=1)[:, :n_jammed]
 
 
-def _sense_targeted(rng: np.random.Generator, jam_sets: np.ndarray, n: int, k: int,
-                    variance: float) -> np.ndarray:
+def sense_targeted(rng: np.random.Generator, jam_sets: np.ndarray, n: int, k: int,
+                   variance: float) -> np.ndarray:
     """(trials, n) detector energies of CN(0, variance) jamming on the modes ``jam_sets``.
 
-    One (trials, l_j, K) draw goes through the jammed columns of W^H only and
+    ``jam_sets`` is a (trials, l_j) integer array: row t lists the positions,
+    in canonical mode order (``mode_index_range(n)``), of the modes jammed in
+    trial t. Each jammed mode carries K samples of one (trials, l_j, K)
+    :func:`complex_gaussian` draw from ``rng``; every other mode carries none.
+    The draw goes through the jammed columns of W^H only and
     :func:`mode_energies`, a block of trials at a time; l_j = 0 draws nothing.
     """
     energies = np.zeros((len(jam_sets), n))
@@ -302,7 +306,7 @@ def _sweep_point(config: LinkConfig, n_elements: int, n_jammed: int, snr_db: flo
     cfg = replace(config, n_tx=n_elements, n_rx=n_elements,
                   noise_variance_rx=max(disturbance, NOISE_VARIANCE_FLOOR),
                   transmit_power_total=per_mode * max(n_elements - n_jammed, 1))
-    channel = build_channel_matrix(cfg, APPROXIMATE)
+    channel = build_channel_matrix(cfg)
     kappas = mode_link_gains(cfg, channel)
     carrier_variance = (options.mode_jam_variance if options.jam_model == TARGETED
                         else cfg.jam_variance_tx)
@@ -326,7 +330,7 @@ def _sweep_point(config: LinkConfig, n_elements: int, n_jammed: int, snr_db: flo
         energies = gamma_energies(rng_trials, (trials, n), carrier_variance, k_sense)
     else:
         jam_sets = _draw_jam_sets(rng_trials, trials, n, n_jammed)
-        energies = _sense_targeted(rng_trials, jam_sets, n, k_sense, carrier_variance)
+        energies = sense_targeted(rng_trials, jam_sets, n, k_sense, carrier_variance)
     flagged = energies >= cfg.energy_threshold_tx   # (trials, N)
 
     gamma = mode_snr(cfg, flagged, kappas, carrier_variance,

@@ -6,7 +6,7 @@ Gaussian jamming of variance sigma2 per mode, that energy follows
 Gamma(K, sigma2/K), which gives the flag/no-flag probabilities here.
 
 K is a sample count, so :func:`gamma_cdf` needs P(K, x) at integer K only and
-computes it with ``math`` (Numerical Recipes ``gser``/``gcf``), not scipy.
+computes it in pure Python with ``math`` (Numerical Recipes ``gser``/``gcf``).
 """
 
 from __future__ import annotations

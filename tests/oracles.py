@@ -1,0 +1,134 @@
+"""Reference paths the tests compare the package against.
+
+None of these runs in a sweep. The package computes per-mode gains with
+``mode_link_gains`` on the expanded channel and senses targeted jamming with
+``metrics.sense_targeted``; the functions here reach the same quantities by
+other routes: the Bessel function (scipy and an independent power series),
+the closed-form per-mode gain of the paper, the exact-distance channel, and
+targeted jamming synthesized on every element.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Iterable
+from math import factorial
+
+import numpy as np
+
+from oam_antijam import (ConfigurationError, LinkConfig, RandomStream, element_azimuths,
+                         mode_index_range, mode_transform)
+from oam_antijam.jamming import complex_gaussian
+
+BESSEL_MAX_ORDER = 60
+BESSEL_MAX_ARGUMENT = 100.0
+
+
+def series_bessel(order: int, x: float, terms: int = 90) -> float:
+    """Independent power-series oracle for J_order(x), |x| <= ~30."""
+    l = abs(order)
+    total = 0.0
+    half = x / 2.0
+    for s in range(terms):
+        total += (-1.0) ** s * half ** (l + 2 * s) / (factorial(s) * factorial(l + s))
+    if order < 0 and l % 2 == 1:
+        total = -total
+    return total
+
+
+def bessel_j(order: int, argument: float) -> float:
+    """Bessel function of the first kind J_order(argument), through scipy.
+
+    Supported range |order| <= 60, |argument| <= 100; checked against
+    :func:`series_bessel`.
+    """
+    if abs(int(order)) > BESSEL_MAX_ORDER:
+        raise ValueError(f"order {order} outside supported range |l| <= {BESSEL_MAX_ORDER}")
+    if abs(argument) > BESSEL_MAX_ARGUMENT:
+        raise ValueError(
+            f"argument {argument} outside supported range |a| <= {BESSEL_MAX_ARGUMENT}")
+    from scipy import special
+
+    return float(special.jv(int(order), argument))
+
+
+def ring_sampled_bessel(n_elements: int, order: int, argument: float) -> complex:
+    """Discrete-ring counterpart of J_order(argument).
+
+    Evaluates j^(-l) * (1/N) * sum_u exp(j*a*cos(2*pi*u/N)) * exp(j*2*pi*l*u/N),
+    i.e. the continuum Bessel integral sampled at the N element azimuths. Equals
+    the alias sum over J_{pN-l} and tends to J_l(a) as N grows; for finite N it
+    is the exact per-mode eigenvalue factor of the expanded channel matrix.
+    """
+    if n_elements < 1:
+        raise ConfigurationError(f"element count must be >= 1, got {n_elements}")
+    theta = 2.0 * np.pi * np.arange(n_elements) / n_elements
+    samples = np.exp(1j * argument * np.cos(theta)) * np.exp(1j * order * theta)
+    return complex((1j) ** (-order) * samples.mean())
+
+
+def mode_channel_gain(config: LinkConfig, l: int) -> complex:
+    """Per-mode channel gain h_l of the expanded line-of-sight link.
+
+    h_l = beta*lambda*sqrt(N)/(4*pi*d*j^l) * exp(-j*2*pi*sqrt(d^2+r^2+R^2)/lambda)
+          * Jring_l(alpha),
+    with Jring the ring-sampled Bessel factor, so that |h_l| agrees with the
+    full-matrix mode decomposition for every mode. Requires M = N.
+    """
+    if config.n_rx != config.n_tx:
+        raise ValueError(
+            f"per-mode gains assume matched rings, got N={config.n_tx}, M={config.n_rx}")
+    if l not in config.mode_indices():
+        raise ValueError(f"mode {l} outside supported range {config.mode_indices()}")
+    lam = config.wavelength
+    scale = config.beta * lam * np.sqrt(config.n_tx) / (4.0 * np.pi * config.axial_distance)
+    phase = np.exp(-2j * np.pi * config.diagonal_distance / lam)
+    inv_jl = np.exp(-1j * np.pi * l / 2.0)  # principal continuation of 1/j^l
+    return complex(scale * phase * inv_jl
+                   * ring_sampled_bessel(config.n_tx, l, config.bessel_argument))
+
+
+def exact_channel_matrix(config: LinkConfig) -> np.ndarray:
+    """The (M, N) complex element-pair gains under the exact pairwise distance."""
+    lam = config.wavelength
+    cosines = np.cos(element_azimuths(config.n_tx)[None, :]
+                     - element_azimuths(config.n_rx)[:, None])  # (M, N)
+    diag = config.diagonal_distance
+    dist = np.sqrt(diag * diag - 2.0 * config.r_tx * config.r_rx * cosines)
+    return config.beta * lam * np.exp(-2j * np.pi * dist / lam) / (4.0 * np.pi * dist)
+
+
+def targeted_elements(samples: np.ndarray, jam_sets: np.ndarray, n: int) -> np.ndarray:
+    """(..., N, K) element samples of mode-domain jamming on the positions ``jam_sets``.
+
+    ``samples`` (..., l_j, K) sit on the canonical mode positions ``jam_sets``
+    (..., l_j); every other mode carries exactly zero. All N modes go through
+    the dense W^H, whatever l_j.
+    """
+    jam_sets = np.asarray(jam_sets, dtype=np.intp)
+    source = np.zeros(jam_sets.shape[:-1] + (n, samples.shape[-1]), dtype=complex)
+    np.put_along_axis(source, jam_sets[..., None], samples, axis=-2)
+    return mode_transform(n).conj().T @ source
+
+
+def draw_targeted_jamming_block(stream: RandomStream, n_elements: int, n_samples: int,
+                                mode_variance: float,
+                                jammed_modes: Iterable[int]) -> np.ndarray:
+    """(N, K) element samples of jamming synthesized on a specific mode set.
+
+    Each listed mode carries i.i.d. complex Gaussian samples of the given
+    variance, drawn mode by mode in ascending mode order; all other modes
+    carry exactly zero energy. Per-element variance is
+    len(jammed_modes) * mode_variance / n_elements.
+    """
+    if not 0.0 < mode_variance < np.inf:
+        raise ConfigurationError(
+            f"mode variance must be positive and finite, got {mode_variance}")
+    modes = mode_index_range(n_elements)
+    targets = sorted(set(jammed_modes))
+    unknown = [l for l in targets if l not in modes]
+    if unknown:
+        raise ConfigurationError(f"modes {unknown} outside supported range {modes}")
+    rng = stream.generator()
+    samples = np.array([complex_gaussian(rng, n_samples, mode_variance) for _ in targets],
+                       dtype=complex).reshape(len(targets), n_samples)
+    return targeted_elements(samples, [modes.index(l) for l in targets], n_elements)

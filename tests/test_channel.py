@@ -1,23 +1,14 @@
 """Geometry, element gains, Bessel evaluation, and per-mode gain equivalence."""
 
 import math
-from math import factorial
 
 import numpy as np
 import pytest
 
-from oam_antijam import (
-    APPROXIMATE,
-    EXACT,
-    LinkConfig,
-    bessel_j,
-    build_channel_matrix,
-    element_azimuths,
-    mode_channel_gain,
-    mode_link_gains,
-    ring_sampled_bessel,
-)
+from oam_antijam import LinkConfig, build_channel_matrix, element_azimuths, mode_link_gains
 from oam_antijam.config import ConfigurationError, mode_index_range
+from oracles import (bessel_j, exact_channel_matrix, mode_channel_gain, ring_sampled_bessel,
+                     series_bessel)
 
 REFERENCE = LinkConfig()  # r = R = 0.75 m, d = 15 m, 5.8 GHz, N = M = 16
 
@@ -28,18 +19,6 @@ MAX_DISTANCE_GAP = 4.6641718529779206e-05
 ELEMENT_GAIN_MODULUS = 2.7421523903660588e-04
 
 TINY = 1e-12  # stand-in radius for the degenerate r -> 0 limits
-
-
-def series_bessel(order: int, x: float, terms: int = 90) -> float:
-    """Independent power-series oracle for J_order(x), |x| <= ~30."""
-    l = abs(order)
-    total = 0.0
-    half = x / 2.0
-    for s in range(terms):
-        total += (-1.0) ** s * half ** (l + 2 * s) / (factorial(s) * factorial(l + s))
-    if order < 0 and l % 2 == 1:
-        total = -total
-    return total
 
 
 class TestAzimuths:
@@ -60,44 +39,40 @@ class TestAzimuths:
 
 
 class TestPairwiseDistance:
-    """The element-pair distances behind the two channel-matrix variants."""
+    """The element-pair distances behind the expanded channel and the exact-distance oracle."""
 
     def test_degenerate_radii_give_axial_distance(self):
         cfg = LinkConfig(r_tx=TINY, r_rx=TINY)
         lam = cfg.wavelength
         point_to_point = cfg.beta * lam * np.exp(-2j * np.pi * 15.0 / lam) / (4 * np.pi * 15.0)
-        for variant in (EXACT, APPROXIMATE):
-            gains = build_channel_matrix(cfg, variant)
+        for build in (exact_channel_matrix, build_channel_matrix):
+            gains = build(cfg)
             assert np.allclose(gains, point_to_point, rtol=1e-9, atol=0.0)
 
     def test_aligned_elements_equal_radii(self):
         # phi_1 = psi_1 = 0 and r = R collapse the exact form to d
-        h = build_channel_matrix(REFERENCE, EXACT)
+        h = exact_channel_matrix(REFERENCE)
         distance = REFERENCE.beta * REFERENCE.wavelength / (4 * np.pi * abs(h[0, 0]))
         assert distance == pytest.approx(15.0, rel=1e-14)
 
     def test_max_gap_matches_high_precision_value(self):
-        exact = build_channel_matrix(REFERENCE, EXACT)
-        approx = build_channel_matrix(REFERENCE, APPROXIMATE)
-        # the two variants differ in phase by 2*pi*(distance gap)/lambda
+        exact = exact_channel_matrix(REFERENCE)
+        approx = build_channel_matrix(REFERENCE)
+        # the two distance forms differ in phase by 2*pi*(distance gap)/lambda
         phase = np.abs(np.angle(exact * np.conj(approx)))
         max_gap = phase.max() * REFERENCE.wavelength / (2 * np.pi)
         assert max_gap == pytest.approx(MAX_DISTANCE_GAP, rel=1e-9)
         assert max_gap < REFERENCE.wavelength / 100.0
 
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            build_channel_matrix(REFERENCE, "guessed")
-
 
 class TestElementGain:
     def test_modulus_is_index_independent(self):
-        h = build_channel_matrix(REFERENCE, APPROXIMATE)
+        h = build_channel_matrix(REFERENCE)
         assert np.allclose(np.abs(h), ELEMENT_GAIN_MODULUS, rtol=1e-12)
 
     def test_tiny_radius_removes_azimuthal_dependence(self):
         cfg = LinkConfig(r_tx=TINY, r_rx=0.75)
-        gains = build_channel_matrix(cfg, APPROXIMATE)
+        gains = build_channel_matrix(cfg)
         assert np.max(np.abs(np.diff(gains.ravel()))) < 1e-12
 
     def test_matches_matrix_entry(self):
@@ -108,36 +83,36 @@ class TestElementGain:
         expected = (cfg.beta * lam / (4 * np.pi * cfg.axial_distance)
                     * np.exp(1j * (-2 * np.pi * cfg.diagonal_distance / lam
                                    + cfg.bessel_argument * np.cos(phi - psi))))
-        h = build_channel_matrix(cfg, APPROXIMATE)
+        h = build_channel_matrix(cfg)
         assert h[4, 2] == pytest.approx(expected, rel=1e-12)
 
 
 class TestChannelMatrix:
     def test_point_to_point_entry(self):
         cfg = LinkConfig(n_tx=1, n_rx=1, r_tx=TINY, r_rx=TINY)
-        entry = build_channel_matrix(cfg, EXACT)[0, 0]
+        entry = exact_channel_matrix(cfg)[0, 0]
         lam = cfg.wavelength
         expected = cfg.beta * lam * np.exp(-2j * np.pi * 15.0 / lam) / (4 * np.pi * 15.0)
         assert entry == pytest.approx(expected, rel=1e-9)
 
     def test_approximate_matrix_is_circulant_like(self):
-        h = build_channel_matrix(REFERENCE, APPROXIMATE)
+        h = build_channel_matrix(REFERENCE)
         n = REFERENCE.n_tx
         for shift in range(n):
             diagonal = [h[m, (m + shift) % n] for m in range(n)]
             assert np.allclose(diagonal, diagonal[0], rtol=1e-12)
 
     def test_exact_close_to_approximate(self):
-        exact = build_channel_matrix(REFERENCE, EXACT)
-        approx = build_channel_matrix(REFERENCE, APPROXIMATE)
+        exact = exact_channel_matrix(REFERENCE)
+        approx = build_channel_matrix(REFERENCE)
         rel_modulus = np.abs(np.abs(exact) - np.abs(approx)) / np.abs(exact)
         phase = np.abs(np.angle(exact * np.conj(approx)))
         assert rel_modulus.max() < 0.01
         assert phase.max() < 0.01
 
     def test_phase_error_loose_bound(self):
-        exact = build_channel_matrix(REFERENCE, EXACT)
-        approx = build_channel_matrix(REFERENCE, APPROXIMATE)
+        exact = exact_channel_matrix(REFERENCE)
+        approx = build_channel_matrix(REFERENCE)
         phase = np.abs(np.angle(exact * np.conj(approx)))
         assert phase.max() < 0.1
 
@@ -203,7 +178,7 @@ class TestModeGain:
     def test_matches_matrix_sandwich_up_to_constant(self, n):
         # oracle: mode decomposition of the full expanded matrix
         cfg = LinkConfig(n_tx=n, n_rx=n)
-        h = build_channel_matrix(cfg, APPROXIMATE)
+        h = build_channel_matrix(cfg)
         phi = element_azimuths(n)
         ratios = []
         for l in mode_index_range(n):

@@ -22,7 +22,8 @@ from oam_antijam.cli import (
 )
 from oam_antijam.config import ConfigurationError
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 TINY_SCENARIO = """
 [sweep]
@@ -213,6 +214,16 @@ ber_symbols = 2
         path = write(tmp_path, "[link]\nn_elements = 0\n")
         assert main(["--config", path, "--output", str(tmp_path / "x.csv")]) == 1
 
+    def test_out_of_memory_exit_code(self, tmp_path, capsys):
+        # within numpy's byte limit, so valid, but the 4 EiB preamble array is
+        # refused before any memory is touched
+        path = write(tmp_path, "[link]\npreamble_length = 576460752303423487\n"
+                               "[sweep]\nsnr_db = 0\nn_jammed = 0\ntrials = 2\n")
+        out = tmp_path / "x.csv"
+        assert main(["--config", path, "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("out of memory: ")
+        assert not out.exists()
+
 
 class TestValidationBeforeAnyPoint:
     @pytest.fixture
@@ -324,19 +335,40 @@ class TestUnwritableOutput:
         assert out.read_text() == "previous run\n"
 
 
-def test_import_loads_no_scipy():
-    """A fresh interpreter: in this one, the tests' own scipy imports would hide a regression."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
+def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter on this checkout's package.
+
+    In this interpreter, the tests' own scipy imports would hide a regression.
+    """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+
+
+def test_import_loads_no_scipy():
     code = ("import oam_antijam.cli, sys; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy']); "
             "print('numpy.random' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    scipy_modules, numpy_random = proc.stdout.splitlines()
+    scipy_modules, numpy_random = fresh_python(code).stdout.splitlines()
     assert scipy_modules == "[]"
     assert numpy_random == "True"
+
+
+def test_golden_sweeps_run_without_scipy(tmp_path):
+    # importing scipy raises ImportError in the child, so a scipy use anywhere
+    # on the sweep's path fails the run
+    code = ("import sys; sys.modules['scipy'] = None; from oam_antijam.cli import main; "
+            "sys.exit(max(main(['--config', c, '--output', o]) "
+            "for c, o in zip(sys.argv[1::2], sys.argv[2::2])))")
+    golden, names = ROOT / "tests" / "golden", ("targeted", "iid")
+    fresh_python(code, *(str(p) for name in names
+                         for p in (golden / f"{name}.ini", tmp_path / f"{name}.csv")))
+    for name in names:
+        assert (tmp_path / f"{name}.csv").read_bytes() == (golden / f"{name}.csv").read_bytes()
+    tomllib = pytest.importorskip("tomllib")   # Python >= 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]] == ["numpy"]
 
 
 class TestSeedPrecedence:

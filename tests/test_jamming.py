@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oam_antijam import (
-    ConfigurationError,
-    RandomStream,
-    draw_targeted_jamming_block,
-    mode_index_range,
-)
+from oam_antijam import ConfigurationError, RandomStream, mode_index_range
 from oam_antijam.jamming import complex_gaussian, gamma_energies
 from oam_antijam.signals import mode_energies
+from oracles import draw_targeted_jamming_block
 
 
 def test_same_stream_reproduces_bit_exactly():

@@ -10,7 +10,6 @@ from scipy import stats
 
 from oam_antijam import metrics
 from oam_antijam import (
-    APPROXIMATE,
     BASELINE,
     ConfigurationError,
     LinkConfig,
@@ -26,11 +25,13 @@ from oam_antijam import (
     mode_link_gains,
     mode_snr,
     run_sweep,
+    sense_targeted,
     spectral_efficiency,
     validate_sweep,
 )
 from oam_antijam.jamming import RandomStream, complex_gaussian
-from oam_antijam.signals import mode_energies, mode_transform
+from oam_antijam.signals import mode_energies
+from oracles import targeted_elements
 
 MODES_16 = tuple(mode_index_range(16))
 
@@ -144,7 +145,7 @@ class TestModeSnr:
                           p_j=0.0, p_u=1.0)
         out = gammas[MODES_16.index(l)]
 
-        h = build_channel_matrix(cfg, APPROXIMATE)
+        h = build_channel_matrix(cfg)
         phi = element_azimuths(16)
         kappa = 0.0
         for m in range(16):
@@ -482,13 +483,6 @@ class TestBroadbandSensing:
 class TestTargetedSensing:
     """Targeted sensing multiplexes only the jammed columns of W^H, in trial blocks."""
 
-    @staticmethod
-    def dense_oracle(samples, jam_sets, n):
-        # every mode of every trial at element level: the (trials, N, K) round trip
-        source = np.zeros((len(jam_sets), n, samples.shape[-1]), dtype=complex)
-        source[np.arange(len(jam_sets))[:, None], jam_sets] = samples
-        return mode_energies(mode_transform(n).conj().T @ source)
-
     @pytest.mark.parametrize("n", [1, 8, 128])
     @pytest.mark.parametrize("jammed", ["none", "one", "all"])
     def test_matches_the_dense_element_level_oracle(self, n, jammed):
@@ -498,10 +492,11 @@ class TestTargetedSensing:
         n_jammed = {"none": 0, "one": 1, "all": n}[jammed]
         jam_sets = metrics._draw_jam_sets(np.random.default_rng(4), trials, n, n_jammed)
         rng = RandomStream(9, 1).generator()
-        got = metrics._sense_targeted(rng, jam_sets, n, k, variance)
+        got = sense_targeted(rng, jam_sets, n, k, variance)
         oracle_rng = RandomStream(9, 1).generator()
         samples = complex_gaussian(oracle_rng, jam_sets.shape + (k,), variance)
-        expected = self.dense_oracle(samples, jam_sets, n)
+        # every mode of every trial at element level: the (trials, N, K) round trip
+        expected = mode_energies(targeted_elements(samples, jam_sets, n))
         assert got.shape == (trials, n)
         assert np.array_equal(got >= threshold, expected >= threshold)
         # clean modes hold rounding residue (~1e-32) in both, so the relative

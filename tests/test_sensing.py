@@ -12,13 +12,13 @@ from oam_antijam import (
     RandomStream,
     correct_detection_prob,
     detection_probabilities,
-    draw_targeted_jamming_block,
     gamma_cdf,
     mode_energies,
     mode_index_range,
     mode_transform,
 )
 from oam_antijam.jamming import complex_gaussian
+from oracles import draw_targeted_jamming_block
 
 
 def flagged_modes(element_samples, e_th):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from oam_antijam import (
-    APPROXIMATE,
     LinkConfig,
     build_channel_matrix,
     mode_energies,
@@ -76,7 +75,7 @@ def test_parseval_under_unit_normalization():
 
 def test_mode_orthogonality_through_expanded_channel():
     cfg = LinkConfig()
-    h = build_channel_matrix(cfg, APPROXIMATE)
+    h = build_channel_matrix(cfg)
     n = cfg.n_tx
     for l in (0, 3, -5, 8):
         samples = np.zeros((n, 1), dtype=complex)
