@@ -36,15 +36,14 @@ class CalibrationError(RuntimeError):
     """Preamble calibration could not separate the two energy levels."""
 
 
-def calibrate_threshold(energies, bits, n_samples: int,
-                        verbatim_means: bool = False) -> float:
+def calibrate_threshold(energies, bits, n_samples: int) -> float:
     """Decision threshold q_th from the per-symbol energies of a known preamble.
 
     ``bits`` is the preamble, each bit 0 or 1 and both values present, with
-    one energy per bit. Level energies Qhat_b are per-class means of the P_i
-    (the default), or the preamble-length-averaged sums when
-    ``verbatim_means`` is set; the threshold is the maximum-posterior crossing
-    of the two Gamma(K, Qhat_b/K) energy hypotheses with priors p_b = |G_b| / I:
+    one energy per bit. Level energies Qhat_b are the per-class means of the
+    energies of the symbols G_b that sent bit b; the threshold is the
+    maximum-posterior crossing of the two Gamma(K, Qhat_b/K) energy hypotheses
+    with priors p_b = |G_b| / I:
 
         q_th = (1/K) * (Q0*Q1/(Q1-Q0)) * ln((p0/p1) * (Q1/Q0)^K).
     """
@@ -62,9 +61,8 @@ def calibrate_threshold(energies, bits, n_samples: int,
             f"need one energy per preamble symbol ({bits.size}), got {energies.shape}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    divisor0, divisor1 = (bits.size, bits.size) if verbatim_means else (n0, n1)
-    q0 = float(energies[~ones].sum() / divisor0)
-    q1 = float(energies[ones].sum() / divisor1)
+    q0 = float(energies[~ones].sum() / n0)
+    q1 = float(energies[ones].sum() / n1)
     if q1 <= q0 or q0 <= 0.0:
         raise CalibrationError(
             f"insufficient level separation: Qhat0={q0:.6g}, Qhat1={q1:.6g}")
@@ -147,10 +145,8 @@ def simulate_backscatter_bits(config: LinkConfig, link_gain: complex, gains, bit
 
 
 def calibrate_from_preamble(config: LinkConfig, link_gain: complex, gains, bits,
-                            carrier_variance: float, rng: np.random.Generator,
-                            verbatim_means: bool = False) -> float:
+                            carrier_variance: float, rng: np.random.Generator) -> float:
     """Run the known preamble ``bits`` through the link and calibrate q_th."""
     energies = simulate_backscatter_bits(config, link_gain, gains, bits,
                                          carrier_variance, rng)
-    return calibrate_threshold(energies, bits, config.samples_per_symbol,
-                               verbatim_means=verbatim_means)
+    return calibrate_threshold(energies, bits, config.samples_per_symbol)

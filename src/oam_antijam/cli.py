@@ -5,6 +5,8 @@ Scenario files are INI documents with sections [link], [jamming], [detection],
 an absent key keeps that field's dataclass default, so an empty or missing
 file runs the full default sweep, and unknown keys are rejected. The README's
 "Scenario files" block lists every key with its default; a test parses it.
+:func:`metrics.validate_sweep` builds the link of every grid point before any
+point runs, so a scenario that cannot run exits 1 without writing a CSV.
 
 ``beta`` is either a number or ``normalized`` (element gains of unit modulus,
 which puts transmit power, noise and jamming on one scale). The CSV schema is
@@ -68,13 +70,6 @@ def _beta(raw: str) -> float | None:
     return None if raw.lower() == "normalized" else float(raw)
 
 
-def _calibration_means(raw: str) -> bool:
-    """``per-class`` (the default) or ``preamble-average``, as ``verbatim_means``."""
-    if raw.lower() not in ("per-class", "preamble-average"):
-        raise ValueError(f"must be per-class or preamble-average, got {raw!r}")
-    return raw.lower() == "preamble-average"
-
-
 # [section] key -> (parser, dataclass, field it sets). ``wavelength`` follows
 # ``frequency_ghz`` so that it wins when both are given. ``beta`` (None for
 # normalized) and ``power_per_mode`` are resolved by parse_scenario, which also
@@ -96,7 +91,6 @@ SCENARIO_KEYS = {
     ("jamming", "power_rx"): (float, LinkConfig, "jam_variance_rx"),
     ("jamming", "mode_power"): (float, SweepOptions, "mode_jam_variance"),
     ("detection", "energy_threshold"): (float, LinkConfig, "energy_threshold_tx"),
-    ("detection", "calibration_means"): (_calibration_means, SweepOptions, "verbatim_means"),
     ("pga", "gains"): (_list_of(float), LinkConfig, "pga_gains"),
     ("pga", "priors"): (_list_of(float), LinkConfig, "pga_priors"),
     ("sweep", "snr_db"): (_list_of(float), SweepAxes, "snr_db"),
@@ -107,7 +101,6 @@ SCENARIO_KEYS = {
     ("sweep", "seed"): (int, Scenario, "seed"),
     ("sweep", "ber_trials"): (int, SweepOptions, "ber_trials"),
     ("sweep", "ber_symbols"): (int, SweepOptions, "ber_symbols"),
-    ("sweep", "snr_reference"): (str.lower, SweepOptions, "snr_reference"),
 }
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .backscatter import (SYMBOL_CHUNK, CalibrationError, average_correct_detect
                           receiver_background_variance, simulate_backscatter_bits)
 from .channel import build_channel_matrix, mode_link_gains
 from .config import ConfigurationError, LinkConfig
-from .jamming import NOISE_VARIANCE_FLOOR, RandomStream, complex_gaussian, gamma_energies
+from .jamming import RandomStream, complex_gaussian, gamma_energies
 from .sensing import DetectionStats, detection_probabilities
 from .signals import mode_energies, mode_transform
 
@@ -68,10 +69,6 @@ class SweepAxes:
     n_elements: tuple[int, ...] = (16,)
 
 
-SNR_OVER_NOISE = "noise"
-SNR_OVER_NOISE_PLUS_JAMMING = "noise-plus-jamming"
-
-
 @dataclass(frozen=True)
 class SweepOptions:
     """Knobs of the Monte Carlo sweep beyond the physical link parameters."""
@@ -80,8 +77,6 @@ class SweepOptions:
     mode_jam_variance: float = 1.0   # per-jammed-mode variance of targeted jamming
     ber_trials: int = 25
     ber_symbols: int = 8
-    verbatim_means: bool = False
-    snr_reference: str = SNR_OVER_NOISE  # what the SNR axis divides the signal by
 
     def __post_init__(self) -> None:
         if self.jam_model not in (TARGETED, BROADBAND):
@@ -89,8 +84,6 @@ class SweepOptions:
         if not 0.0 < self.mode_jam_variance < math.inf:
             raise ConfigurationError(f"mode_jam_variance must be positive and finite, "
                                      f"got {self.mode_jam_variance}")
-        if self.snr_reference not in (SNR_OVER_NOISE, SNR_OVER_NOISE_PLUS_JAMMING):
-            raise ConfigurationError(f"unknown snr_reference {self.snr_reference!r}")
         for name in ("ber_trials", "ber_symbols"):
             if not 0 <= getattr(self, name) <= sys.maxsize:  # counts size arrays
                 raise ConfigurationError(
@@ -155,16 +148,26 @@ def spectral_efficiency(gamma, modes=None):
     return terms.sum(axis=-1)
 
 
-def _power_and_disturbance(config: LinkConfig, snr_db: float,
-                           options: SweepOptions) -> tuple[float, float]:
-    """Per-mode transmit power and the receiver noise variance it implies at one SNR."""
+def _point_config(config: LinkConfig, n_elements: int, n_jammed: int,
+                  snr_db: float) -> LinkConfig:
+    """The link of grid point (N, l_j, SNR), as both the sweep and its validation build it.
+
+    With per-mode power the scenario's transmit total over its ring size, the
+    point has N elements per ring, receiver noise variance per-mode power /
+    SNR, and transmit total per-mode power times max(N - l_j, 1) clean modes.
+    Raises :class:`ConfigurationError` for an SNR that is not finite or
+    overflows 10**(SNR/10), and for any value :class:`LinkConfig` rejects.
+    """
+    if not math.isfinite(snr_db):
+        raise ConfigurationError(f"snr {snr_db} dB is not a finite number")
     per_mode = config.transmit_power_total / config.n_tx
-    snr_linear = 10.0 ** (snr_db / 10.0)
-    disturbance = per_mode / snr_linear
-    if options.snr_reference == SNR_OVER_NOISE_PLUS_JAMMING:
-        # the fixed receiver jamming power is part of the SNR denominator
-        disturbance -= config.jam_variance_rx
-    return per_mode, disturbance
+    try:
+        noise = per_mode / 10.0 ** (snr_db / 10.0)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ConfigurationError(f"snr {snr_db} dB out of range: the noise variance it "
+                                 f"implies is not a finite number") from exc
+    return replace(config, n_tx=n_elements, n_rx=n_elements, noise_variance_rx=noise,
+                   transmit_power_total=per_mode * max(n_elements - n_jammed, 1))
 
 
 def validate_sweep(config: LinkConfig, axes: SweepAxes, options: SweepOptions,
@@ -175,11 +178,12 @@ def validate_sweep(config: LinkConfig, axes: SweepAxes, options: SweepOptions,
     and drawn from proposed, baseline. No axis may repeat a value. Every ring
     size must be >= 1 and every jammed-mode count in 0..N for every ring size
     N; the iid model, which jams no chosen modes, takes only n_jammed = 0.
-    Every SNR must be finite and imply a finite noise variance that stays
-    positive (the noise-plus-jamming reference subtracts the receiver jamming
-    power from the disturbance the SNR implies). Every array a point
-    allocates must fit numpy's limit of sys.maxsize bytes, which also bounds
-    the trial count and the ring sizes.
+    Every array a point allocates must fit numpy's limit of sys.maxsize
+    bytes, which also bounds the trial count and the ring sizes. Last, every
+    grid point's link is built by :func:`_point_config`, the builder the
+    sweep runs, so a finite SNR, a noise variance and a transmit total that
+    :class:`LinkConfig` accepts are checked at every point; the error names
+    the first point that fails.
     """
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
@@ -213,27 +217,16 @@ def validate_sweep(config: LinkConfig, axes: SweepAxes, options: SweepOptions,
     if options.jam_model == BROADBAND and any(axes.n_jammed):
         raise ConfigurationError(
             f"the iid model jams no chosen modes: n_jammed must be 0, got {axes.n_jammed}")
-    for snr_db in axes.snr_db:
-        if not math.isfinite(snr_db):
-            raise ConfigurationError(f"snr {snr_db} dB is not a finite number")
+    for n_el, n_jam, snr_db in product(axes.n_elements, axes.n_jammed, axes.snr_db):
         try:
-            per_mode, disturbance = _power_and_disturbance(config, snr_db, options)
-        except (OverflowError, ZeroDivisionError):
-            disturbance = math.inf
-        if not math.isfinite(disturbance):
+            _point_config(config, n_el, n_jam, snr_db)
+        except ConfigurationError as exc:
             raise ConfigurationError(
-                f"snr {snr_db} dB out of range: the noise variance it implies "
-                f"is not a finite number")
-        if disturbance <= 0.0:
-            raise ConfigurationError(
-                f"snr {snr_db} dB infeasible: per-mode power {per_mode} W over "
-                f"noise+jamming requires noise below 0 at jamming "
-                f"{config.jam_variance_rx} W")
+                f"grid point (N={n_el}, l_j={n_jam}, snr={snr_db:g} dB): {exc}") from exc
 
 
 def _point_thresholds(cfg: LinkConfig, kappas: np.ndarray, carrier_variance: float,
-                      rng: np.random.Generator,
-                      options: SweepOptions) -> tuple[np.ndarray, np.ndarray]:
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Per-mode calibrated thresholds q_th and analytic correct-decision probabilities."""
     bits = np.arange(cfg.preamble_length) % 2   # the alternating 0101... preamble
     gains, priors = cfg.pga_gains, cfg.pga_priors
@@ -243,8 +236,7 @@ def _point_thresholds(cfg: LinkConfig, kappas: np.ndarray, carrier_variance: flo
         s2k0 = hypothesis_variance(cfg, kappa, gains[0], carrier_variance)
         s2k1 = hypothesis_variance(cfg, kappa, gains[-1], carrier_variance)
         try:
-            q_th[i] = calibrate_from_preamble(cfg, kappa, gains, bits, carrier_variance, rng,
-                                              verbatim_means=options.verbatim_means)
+            q_th[i] = calibrate_from_preamble(cfg, kappa, gains, bits, carrier_variance, rng)
         except CalibrationError:
             # deep-noise fallback: pooled mean energy; averaged P_c is ~0.5 anyway
             q_th[i] = 0.5 * (s2k0 + s2k1)
@@ -286,7 +278,17 @@ def sense_targeted(rng: np.random.Generator, jam_sets: np.ndarray, n: int, k: in
     :func:`complex_gaussian` draw from ``rng``; every other mode carries none.
     The draw goes through the jammed columns of W^H only and
     :func:`mode_energies`, a block of trials at a time; l_j = 0 draws nothing.
+    Raises ValueError, before any draw, unless ``jam_sets`` is a 2-D integer
+    array of positions in 0..n-1 with no position repeated within a row.
     """
+    jam_sets = np.asarray(jam_sets)
+    if jam_sets.ndim != 2 or not np.issubdtype(jam_sets.dtype, np.integer):
+        raise ValueError(f"jam_sets must be a 2-D integer array, got {jam_sets.dtype} "
+                         f"of shape {jam_sets.shape}")
+    if jam_sets.size and not 0 <= jam_sets.min() <= jam_sets.max() < n:
+        raise ValueError(f"jam_sets positions must lie in 0..{n - 1}")
+    if np.any(np.diff(np.sort(jam_sets, axis=1), axis=1) == 0):
+        raise ValueError("jam_sets repeats a position within a row")
     energies = np.zeros((len(jam_sets), n))
     if jam_sets.size:
         samples = complex_gaussian(rng, jam_sets.shape + (k,), variance)
@@ -302,10 +304,7 @@ def _sweep_point(config: LinkConfig, n_elements: int, n_jammed: int, snr_db: flo
                  trials: int, seed: int, point_index: int,
                  options: SweepOptions) -> dict:
     """All Monte Carlo work for one grid point; schemes share the trials."""
-    per_mode, disturbance = _power_and_disturbance(config, snr_db, options)
-    cfg = replace(config, n_tx=n_elements, n_rx=n_elements,
-                  noise_variance_rx=max(disturbance, NOISE_VARIANCE_FLOOR),
-                  transmit_power_total=per_mode * max(n_elements - n_jammed, 1))
+    cfg = _point_config(config, n_elements, n_jammed, snr_db)
     channel = build_channel_matrix(cfg)
     kappas = mode_link_gains(cfg, channel)
     carrier_variance = (options.mode_jam_variance if options.jam_model == TARGETED
@@ -320,7 +319,7 @@ def _sweep_point(config: LinkConfig, n_elements: int, n_jammed: int, snr_db: flo
                                             cfg.jam_variance_tx)
 
     rng_cal = RandomStream(seed, (point_index, 0)).generator()
-    q_th, p_c_modes = _point_thresholds(cfg, kappas, carrier_variance, rng_cal, options)
+    q_th, p_c_modes = _point_thresholds(cfg, kappas, carrier_variance, rng_cal)
 
     # the unitary W keeps iid element jamming iid per mode, so draw iid energies directly
     rng_trials = RandomStream(seed, (point_index, 1)).generator()
@@ -368,25 +367,22 @@ def run_sweep(config: LinkConfig, axes: SweepAxes,
     options = options or SweepOptions()
     validate_sweep(config, axes, options, schemes, trials, seed)
     results: list[SweepResult] = []
-    point_index = 0
-    for n_elements in axes.n_elements:
-        for n_jammed in axes.n_jammed:
-            for snr_db in axes.snr_db:
-                point = _sweep_point(config, n_elements, n_jammed, snr_db,
-                                     trials, seed, point_index, options)
-                for scheme in schemes:
-                    se_mean, se_err = point[scheme]
-                    if not np.isfinite(se_mean):
-                        raise FloatingPointError(
-                            f"non-finite spectrum efficiency at "
-                            f"(N={n_elements}, l_j={n_jammed}, snr={snr_db})")
-                    results.append(SweepResult(
-                        scheme=scheme, snr_db=snr_db, n_elements=n_elements,
-                        n_jammed=n_jammed, se_bits=se_mean,
-                        p_j=point["p_j"], p_u=point["p_u"], p_c=point["p_c"],
-                        ber=point["ber"] if scheme == PROPOSED else float("nan"),
-                        trials=trials, seed=seed, se_stderr=se_err))
-                point_index += 1
+    grid = product(axes.n_elements, axes.n_jammed, axes.snr_db)
+    for point_index, (n_elements, n_jammed, snr_db) in enumerate(grid):
+        point = _sweep_point(config, n_elements, n_jammed, snr_db,
+                             trials, seed, point_index, options)
+        for scheme in schemes:
+            se_mean, se_err = point[scheme]
+            if not np.isfinite(se_mean):
+                raise FloatingPointError(
+                    f"non-finite spectrum efficiency at "
+                    f"(N={n_elements}, l_j={n_jammed}, snr={snr_db})")
+            results.append(SweepResult(
+                scheme=scheme, snr_db=snr_db, n_elements=n_elements,
+                n_jammed=n_jammed, se_bits=se_mean,
+                p_j=point["p_j"], p_u=point["p_u"], p_c=point["p_c"],
+                ber=point["ber"] if scheme == PROPOSED else float("nan"),
+                trials=trials, seed=seed, se_stderr=se_err))
     return results
 
 

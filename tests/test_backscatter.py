@@ -223,16 +223,14 @@ class TestCalibrateThreshold:
         assert 1.0 < q_th < 2.5
 
     def test_verbatim_versus_per_class_means(self):
+        # the level energies are per-class means, not sums over the whole preamble
         bits = (0, 0, 0, 1)
         energies = [1.0, 1.2, 0.8, 4.0]
-        corrected = calibrate_threshold(energies, bits, n_samples=8)
-        verbatim = calibrate_threshold(energies, bits, n_samples=8, verbatim_means=True)
-        # per class: Qhat0 = 3.0 / 3, Qhat1 = 4.0 / 1; verbatim: both sums over 4
-        assert corrected == pytest.approx(
-            likelihood_crossing(1.0, 4.0, 0.75, 0.25, 8), rel=1e-9)
-        assert verbatim == pytest.approx(
-            likelihood_crossing(3.0 / 4.0, 1.0, 0.75, 0.25, 8), rel=1e-9)
-        assert corrected != verbatim
+        q_th = calibrate_threshold(energies, bits, n_samples=8)
+        # per class: Qhat0 = 3.0 / 3, Qhat1 = 4.0 / 1; over the preamble: 3/4 and 1
+        assert q_th == pytest.approx(likelihood_crossing(1.0, 4.0, 0.75, 0.25, 8), rel=1e-9)
+        assert q_th != pytest.approx(
+            likelihood_crossing(3.0 / 4.0, 1.0, 0.75, 0.25, 8), rel=1e-3)
 
     @pytest.mark.parametrize("k", [1, 8, 32])
     @pytest.mark.parametrize("priors", [(0.5, 0.5), (0.75, 0.25)])

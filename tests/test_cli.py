@@ -75,6 +75,12 @@ class TestParseScenario:
         with pytest.raises(ConfigurationError, match="n_antennas"):
             parse_scenario(path)
 
+    @pytest.mark.parametrize("text", ["[sweep]\nsnr_reference = noise\n",
+                                      "[detection]\ncalibration_means = per-class\n"])
+    def test_removed_keys_rejected_as_unknown(self, tmp_path, text):
+        with pytest.raises(ConfigurationError, match=r"unknown key\(s\)"):
+            parse_scenario(write(tmp_path, text))
+
     def test_unknown_section_rejected(self, tmp_path):
         path = write(tmp_path, "[channel]\nfoo = 1\n")
         with pytest.raises(ConfigurationError, match="channel"):
@@ -118,22 +124,14 @@ class TestParseScenario:
         with pytest.raises(ConfigurationError, match="magic"):
             parse_scenario(path)
 
-    def test_snr_reference_key(self, tmp_path):
-        # the default grid's 25 and 30 dB leave no room for noise under this reference
-        path = write(tmp_path, "[sweep]\nsnr_reference = noise-plus-jamming\nsnr_db = 0, 10\n")
-        assert parse_scenario(path).options.snr_reference == "noise-plus-jamming"
-        bad = write(tmp_path, "[sweep]\nsnr_reference = sinr\n", name="bad.ini")
-        with pytest.raises(ConfigurationError):
-            parse_scenario(bad)
-
-
     @pytest.mark.parametrize("text", [
         "[jamming]\nmodel = iid\n",
         "[pga]\ngains = 0.5, 1.0, 2.0\npriors = 0.25, 0.25, 0.5\n",
-        "[sweep]\nsnr_reference = noise-plus-jamming\nsnr_db = 0, 10, 30\n",
+        "[link]\npower_per_mode = 1e306\n[sweep]\nn_elements = 16, 400\n",
     ])
     def test_grid_that_cannot_run_rejected_at_parse_time(self, tmp_path, text):
-        # iid with the default n_jammed, a 3-level PGA, an infeasible SNR
+        # iid with the default n_jammed, a 3-level PGA, a transmit total that
+        # overflows at N = 400
         with pytest.raises(ConfigurationError):
             parse_scenario(write(tmp_path, text))
 
@@ -247,7 +245,7 @@ class TestValidationBeforeAnyPoint:
 
     @pytest.mark.parametrize("sweep", [
         "n_jammed = -3",
-        "snr_reference = noise-plus-jamming\nsnr_db = 0, 10, 30\nn_jammed = 0",
+        "n_elements = 16, 400\nn_jammed = 0\nsnr_db = 0\n[link]\npower_per_mode = 1e306",
         "ber_trials = -5",
         "ber_symbols = -1",
         "seed = -1",

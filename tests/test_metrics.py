@@ -264,29 +264,6 @@ class TestRunSweep:
         with pytest.raises(ConfigurationError, match="schemes"):
             run_sweep(cfg, self.AXES, schemes=schemes, trials=2, seed=0)
 
-    def test_snr_reference_including_jamming(self):
-        cfg = LinkConfig().with_unit_element_gain()
-        axes = SweepAxes(snr_db=(0.0,), n_jammed=(0,), n_elements=(16,))
-        opts = SweepOptions(snr_reference="noise-plus-jamming", ber_trials=0)
-        with_jam = run_sweep(cfg, axes, trials=20, seed=1, options=opts)
-        plain = run_sweep(cfg, axes, trials=20, seed=1)
-        # total disturbance is exactly per-mode/SNR under the alternative
-        # reference, versus per-mode/SNR + jamming under the default
-        assert with_jam[0].se_bits > plain[0].se_bits
-        assert with_jam[0].se_bits == pytest.approx(plain[0].se_bits, rel=0.01)
-
-    def test_snr_reference_infeasible_point_rejected(self):
-        cfg = LinkConfig().with_unit_element_gain()
-        # 100 W per mode at 30 dB demands a sub-jamming disturbance level
-        axes = SweepAxes(snr_db=(30.0,), n_jammed=(0,), n_elements=(16,))
-        opts = SweepOptions(snr_reference="noise-plus-jamming")
-        with pytest.raises(ConfigurationError, match="infeasible"):
-            run_sweep(cfg, axes, trials=2, seed=0, options=opts)
-
-    def test_unknown_snr_reference(self):
-        with pytest.raises(ConfigurationError):
-            SweepOptions(snr_reference="sinr")
-
     def test_empty_ring_rejected(self):
         cfg = LinkConfig().with_unit_element_gain()
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(0,), n_elements=(16, 0))
@@ -301,15 +278,22 @@ class TestRunSweep:
             run_sweep(cfg, axes, trials=2, seed=0)
 
     def test_infeasible_last_snr_rejected_before_any_point(self, monkeypatch):
+        # the transmit total of the last point, 1e306 W per mode on 400 modes, overflows
         computed = []
         monkeypatch.setattr(metrics, "_sweep_point",
                             lambda *args: computed.append(args))
-        cfg = LinkConfig().with_unit_element_gain()
-        axes = SweepAxes(snr_db=(0.0, 10.0, 30.0), n_jammed=(0,), n_elements=(16,))
-        opts = SweepOptions(snr_reference="noise-plus-jamming")
-        with pytest.raises(ConfigurationError, match="snr 30.0 dB infeasible"):
-            run_sweep(cfg, axes, trials=2, seed=0, options=opts)
+        cfg = replace(LinkConfig().with_unit_element_gain(), transmit_power_total=16e306)
+        axes = SweepAxes(snr_db=(0.0,), n_jammed=(0,), n_elements=(16, 400))
+        with pytest.raises(ConfigurationError, match="transmit_power_total"):
+            run_sweep(cfg, axes, trials=2, seed=0)
         assert computed == []
+
+    def test_point_error_names_the_grid_point(self):
+        cfg = replace(LinkConfig().with_unit_element_gain(), transmit_power_total=16e306)
+        axes = SweepAxes(snr_db=(0.0,), n_jammed=(0,), n_elements=(16, 400))
+        with pytest.raises(ConfigurationError,
+                           match=r"^grid point \(N=400, l_j=0, snr=0 dB\): transmit_power_total"):
+            validate_sweep(cfg, axes, SweepOptions(), (PROPOSED,), 2, 0)
 
     def test_negative_seed_rejected(self):
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(0,), n_elements=(8,))
@@ -506,6 +490,19 @@ class TestTargetedSensing:
         assert rng.random() == oracle_rng.random()
         if not n_jammed:
             assert not got.any()
+
+    @pytest.mark.parametrize("jam_sets", [
+        [[3, 3]],               # a repeated position would sum two draws on one mode
+        [[-1]],                 # a negative position would wrap to the last mode
+        [[8]],                  # past the last mode
+        [[0.0, 1.0]],           # not integers
+        [0, 1],                 # not one row per trial
+    ])
+    def test_malformed_jam_sets_rejected_before_any_draw(self, jam_sets):
+        rng = RandomStream(1, 0).generator()
+        with pytest.raises(ValueError, match="jam_sets"):
+            sense_targeted(rng, np.array(jam_sets), 8, 64, 1.0)
+        assert rng.random() == RandomStream(1, 0).generator().random()
 
     def test_memory_is_bounded_by_the_jammed_modes(self):
         trials, n, k = 2000, 16, 64
