@@ -122,8 +122,8 @@ def simulate_backscatter_bits(config: LinkConfig, link_gain: complex, gains, bit
     """Per-symbol energies of many symbols through the reflected link.
 
     Draws each symbol's recovered mode directly, y[k] = kappa*a_b*c[k] + w[k]:
-    kappa is ``link_gain``, the mode's :func:`channel.mode_link_gains` value,
-    a_b = ``gains[b]`` the bit's gain level, c the K carrier samples received
+    kappa is ``link_gain``, a scalar :func:`channel.mode_link_gains` value or
+    one per bit, a_b = ``gains[b]`` the bit's gain level, c the K carrier samples received
     on the jammed mode and w the receive-ramp sum of the elements' i.i.d. noise
     and jamming, which is CN(0, :func:`receiver_background_variance`). Per
     chunk of ``SYMBOL_CHUNK`` symbols, ``rng`` draws c, then w. Returns the

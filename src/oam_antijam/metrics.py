@@ -29,7 +29,7 @@ from .backscatter import (SYMBOL_CHUNK, CalibrationError, average_correct_detect
 from .channel import build_channel_matrix, mode_link_gains
 from .config import ConfigurationError, LinkConfig
 from .jamming import RandomStream, complex_gaussian, gamma_energies
-from .sensing import DetectionStats, detection_probabilities
+from .sensing import detection_probabilities
 from .signals import mode_energies, mode_transform
 
 PROPOSED = "proposed"
@@ -202,18 +202,19 @@ def validate_sweep(config: LinkConfig, axes: SweepAxes, options: SweepOptions,
             if not 0 <= n_jam <= n_el:
                 raise ConfigurationError(
                     f"n_jammed {n_jam} outside 0..{n_el} for N={n_el}")
-    # the largest complex arrays: per-symbol gains, a link chunk, the sensing draw, a
-    # sensing block row, the channel; the largest float ones: the (trials, N) draws
-    i, s, k, n = (config.preamble_length, options.ber_symbols, config.samples_per_symbol,
-                  max(axes.n_elements, default=0))
-    largest = max(16 * max(i, s, min(max(i, s), SYMBOL_CHUNK) * k,
-                           trials * max(axes.n_jammed, default=0) * k, n * k, n * n),
-                  8 * trials * n)
+    # the largest complex arrays: per-symbol gains of the preamble and of the p probe
+    # symbols (one batch per point), a link chunk, the sensing draw, a sensing block
+    # row, the channel; the largest float ones: the (trials, N) draws
+    i, k, n, l_j = (config.preamble_length, config.samples_per_symbol,
+                    max(axes.n_elements, default=0), max(axes.n_jammed, default=0))
+    p = min(options.ber_trials, trials) * l_j * options.ber_symbols
+    largest = max(16 * max(i, p, min(max(i, p), SYMBOL_CHUNK) * k, trials * l_j * k, n * k,
+                           n * n), 8 * trials * n)
     if largest > sys.maxsize:
         raise ConfigurationError(
-            f"preamble_length {i}, ber_symbols {s}, samples_per_symbol {k}, trials {trials} "
-            f"and ring size {n} size an array of {largest} bytes, beyond numpy's limit "
-            f"of {sys.maxsize}")
+            f"preamble_length {i}, {p} probe symbols, samples_per_symbol {k}, trials "
+            f"{trials} and ring size {n} size an array of {largest} bytes, beyond numpy's "
+            f"limit of {sys.maxsize}")
     if options.jam_model == BROADBAND and any(axes.n_jammed):
         raise ConfigurationError(
             f"the iid model jams no chosen modes: n_jammed must be 0, got {axes.n_jammed}")
@@ -248,19 +249,20 @@ def _point_thresholds(cfg: LinkConfig, kappas: np.ndarray, carrier_variance: flo
 def _measure_ber(cfg: LinkConfig, kappas: np.ndarray, q_th: np.ndarray,
                  carrier_variance: float, jam_sets: np.ndarray,
                  rng: np.random.Generator, options: SweepOptions) -> float:
-    """Empirical symbol error rate of the reflected link on a probe budget."""
-    if jam_sets.size == 0 or options.ber_trials == 0 or options.ber_symbols == 0:
+    """Empirical symbol error rate of the reflected link on a probe budget.
+
+    Each jammed mode of the first ``options.ber_trials`` rows of ``jam_sets``
+    is a probe of ``options.ber_symbols`` symbols. One ``rng`` draw gives every
+    bit and one :func:`simulate_backscatter_bits` call sends every symbol at its
+    mode's link gain, decided against its mode's ``q_th``. nan if nothing is probed.
+    """
+    modes = np.repeat(jam_sets[:options.ber_trials].ravel(), options.ber_symbols)
+    if modes.size == 0:
         return float("nan")
-    errors = 0
-    total = 0
-    for row in jam_sets[:options.ber_trials]:
-        for idx in row:
-            bits = (rng.random(options.ber_symbols) < cfg.pga_priors[-1]).astype(int)
-            energies = simulate_backscatter_bits(cfg, kappas[idx], cfg.pga_gains, bits,
-                                                 carrier_variance, rng)
-            errors += int(np.sum((energies >= q_th[idx]) != bits))
-            total += bits.size
-    return errors / total if total else float("nan")
+    bits = (rng.random(modes.size) < cfg.pga_priors[-1]).astype(int)
+    energies = simulate_backscatter_bits(cfg, kappas[modes], cfg.pga_gains, bits,
+                                         carrier_variance, rng)
+    return float(np.mean((energies >= q_th[modes]) != bits))
 
 
 def _draw_jam_sets(rng: np.random.Generator, trials: int, n: int, n_jammed: int) -> np.ndarray:
@@ -307,16 +309,13 @@ def _sweep_point(config: LinkConfig, n_elements: int, n_jammed: int, snr_db: flo
     cfg = _point_config(config, n_elements, n_jammed, snr_db)
     channel = build_channel_matrix(cfg)
     kappas = mode_link_gains(cfg, channel)
-    carrier_variance = (options.mode_jam_variance if options.jam_model == TARGETED
-                        else cfg.jam_variance_tx)
+    iid = options.jam_model == BROADBAND
+    carrier_variance = cfg.jam_variance_tx if iid else options.mode_jam_variance
     k_sense = cfg.samples_per_symbol
 
-    det_jam = detection_probabilities(cfg.energy_threshold_tx, k_sense, carrier_variance)
-    if options.jam_model == TARGETED:
-        det_clean = DetectionStats(p_jammed=0.0, p_unjammed=1.0)
-    else:
-        det_clean = detection_probabilities(cfg.energy_threshold_tx, k_sense,
-                                            cfg.jam_variance_tx)
+    # iid jamming hits every mode with the carrier's variance; targeted leaves clean modes silent
+    det = detection_probabilities(cfg.energy_threshold_tx, k_sense, carrier_variance)
+    p_u = det.p_unjammed if iid else 1.0
 
     rng_cal = RandomStream(seed, (point_index, 0)).generator()
     q_th, p_c_modes = _point_thresholds(cfg, kappas, carrier_variance, rng_cal)
@@ -325,15 +324,14 @@ def _sweep_point(config: LinkConfig, n_elements: int, n_jammed: int, snr_db: flo
     rng_trials = RandomStream(seed, (point_index, 1)).generator()
     n = cfg.n_tx
     jam_sets = np.empty((trials, 0), dtype=int)
-    if options.jam_model == BROADBAND:
+    if iid:
         energies = gamma_energies(rng_trials, (trials, n), carrier_variance, k_sense)
     else:
         jam_sets = _draw_jam_sets(rng_trials, trials, n, n_jammed)
         energies = sense_targeted(rng_trials, jam_sets, n, k_sense, carrier_variance)
     flagged = energies >= cfg.energy_threshold_tx   # (trials, N)
 
-    gamma = mode_snr(cfg, flagged, kappas, carrier_variance,
-                     det_jam.p_jammed, det_clean.p_unjammed, p_c_modes)
+    gamma = mode_snr(cfg, flagged, kappas, carrier_variance, det.p_jammed, p_u, p_c_modes)
     se_baseline = spectral_efficiency(gamma, ~flagged)
     se_proposed = se_baseline + spectral_efficiency(gamma, flagged)
 
@@ -347,9 +345,9 @@ def _sweep_point(config: LinkConfig, n_elements: int, n_jammed: int, snr_db: flo
     return {
         PROPOSED: mean_and_stderr(se_proposed),
         BASELINE: mean_and_stderr(se_baseline),
-        "p_j": det_jam.p_jammed,
-        "p_u": det_clean.p_unjammed,
-        "p_c": float(p_c_modes.mean()) if n_jammed or options.jam_model == BROADBAND else np.nan,
+        "p_j": det.p_jammed,
+        "p_u": p_u,
+        "p_c": float(p_c_modes.mean()) if n_jammed or iid else np.nan,
         "ber": ber,
     }
 

@@ -265,6 +265,25 @@ class TestDecideBit:
                                    RandomStream(9, 0).generator(), options)
         assert ber == np.mean(decided != bits)
 
+    def test_batched_probe_pairs_each_symbol_with_its_modes_threshold(self):
+        # mode 1 always decides 1 (q_th 0) and mode 5 always 0 (q_th inf), so the
+        # errors are the 0 bits sent on mode 1 and the 1 bits sent on mode 5; the
+        # symbols run trial by trial, mode by mode, ber_symbols at a time, and a
+        # repeat/tile mix-up would pair them with the other mode's threshold
+        cfg = normalized_config()
+        options = SweepOptions(ber_trials=4, ber_symbols=6)
+        q_th = np.ones(cfg.n_tx)
+        q_th[1], q_th[5] = 0.0, np.inf
+        jam_sets = np.array([[1, 5], [5, 1], [5, 1], [1, 5], [1, 5]])
+        twin = RandomStream(4, 0).generator()
+        bits = twin.random(4 * 2 * 6) < cfg.pga_priors[-1]
+        modes = [m for row in jam_sets[:4] for m in row for _ in range(6)]
+        errors = sum(bit != (mode == 1) for bit, mode in zip(bits, modes))
+        assert 0 < errors < len(bits)
+        ber = metrics._measure_ber(cfg, mode_link_gains(cfg), q_th, 1.0, jam_sets,
+                                   RandomStream(4, 0).generator(), options)
+        assert ber == errors / len(bits)
+
     def test_scale_consistency(self):
         # scaling every power by the same factor scales the energies and
         # leaves the decisions against a scaled threshold unchanged

@@ -226,7 +226,11 @@ ber_symbols = 2
 class TestValidationBeforeAnyPoint:
     @pytest.fixture
     def rejected(self, tmp_path, monkeypatch, capsys):
-        """Run the CLI on a [sweep] section; it must exit 1 before any grid point."""
+        """Run the CLI on a [sweep] section; it must exit 1 before any grid point.
+
+        The section runs 2 trials unless it sets ``trials`` itself: a second
+        ``trials`` key would be rejected as a duplicate, whatever its value.
+        """
         from oam_antijam import metrics
 
         def no_point(*args):
@@ -235,7 +239,8 @@ class TestValidationBeforeAnyPoint:
         monkeypatch.setattr(metrics, "_sweep_point", no_point)
 
         def run(sweep, *args):
-            path = write(tmp_path, f"[sweep]\ntrials = 2\n{sweep}\n")
+            trials = "" if re.search(r"^trials =", sweep, re.M) else "trials = 2\n"
+            path = write(tmp_path, f"[sweep]\n{trials}{sweep}\n")
             out = tmp_path / "out.csv"
             assert main(["--config", path, "--output", str(out), *args]) == 1
             assert "validation error" in capsys.readouterr().err
@@ -286,6 +291,9 @@ class TestValidationBeforeAnyPoint:
         "[link]\nsamples_per_symbol = 4611686018427387904",
         "ber_symbols = 4611686018427387904",
         "trials = 1152921504606846976\nn_jammed = 0",
+        # one batched probe of 2 trials x 2 jammed modes x 2**58 symbols: 2**64 bytes
+        "n_jammed = 2\nber_trials = 1000\nber_symbols = 288230376151711744\n"
+        "[link]\nn_elements = 8",
     ])
     def test_count_beyond_any_array_size(self, rejected, sweep):
         # each used to pass and then fail inside the first point with a traceback

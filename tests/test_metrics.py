@@ -1,5 +1,6 @@
 """Per-mode SNR weighting, power allocation, spectrum efficiency, sweeps."""
 
+import math
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -235,6 +236,27 @@ class TestRunSweep:
         for chk in check_trends(res):
             assert chk.passed, f"{chk.name}: {chk.detail}"
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ber_agrees_with_one_minus_p_c(self, seed):
+        """Every measured BER lies within 5 sigma + 1/D of 1 - p_c.
+
+        D = min(ber_trials, trials) x l_j probes of ber_symbols symbols each; all
+        symbols of a probe share one mode's threshold, so the BER's variance is at
+        most (1 - p_c) p_c / D. Under a normal approximation the chance that a
+        correct probe leaves the bound is below 6e-7 per cell, and below 2e-5
+        over the 27 cells of the three seeds.
+        """
+        cfg = LinkConfig().with_unit_element_gain()
+        axes = SweepAxes(snr_db=(-10.0, 0.0, 10.0), n_jammed=(2, 4, 8), n_elements=(8,))
+        options = SweepOptions(ber_trials=150, ber_symbols=16)
+        results = run_sweep(cfg, axes, schemes=(PROPOSED,), trials=150, seed=seed,
+                            options=options)
+        for r in results:
+            probes = 150 * r.n_jammed
+            q = 1.0 - r.p_c
+            bound = 5.0 * math.sqrt(q * (1.0 - q) / probes) + 1.0 / probes
+            assert abs(r.ber - q) <= bound, (r.n_jammed, r.snr_db, r.ber, q, bound)
+
     def test_jammed_count_beyond_modes_rejected(self):
         cfg = LinkConfig().with_unit_element_gain()
         axes = SweepAxes(snr_db=(0.0,), n_jammed=(17,), n_elements=(16,))
@@ -345,27 +367,45 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("count, largest", [
         ("preamble_length", sys.maxsize // 16),     # one complex gain per symbol
-        ("ber_symbols", sys.maxsize // 16),
-        ("samples_per_symbol", sys.maxsize // (16 * 16)),   # a 16-symbol preamble chunk
+        ("ber_symbols", sys.maxsize // 16),         # one complex gain per probe symbol
+        ("samples_per_symbol", sys.maxsize // (16 * 16)),   # a 16-symbol link chunk
         ("trials", sys.maxsize // (16 * 2 * 64)),   # the (trials, l_j, K) sensing draw
     ])
     def test_array_bound_is_numpys_byte_limit(self, count, largest):
-        # at the largest count whose arrays numpy can hold, one more is refused
+        # at the largest count whose arrays numpy can hold, one more is refused. One
+        # probe trial on 2 jammed modes sends 16 symbols, as many as the preamble;
+        # the ber_symbols case probes 1 jammed mode, so it sends ber_symbols symbols
         def validate(value):
             cfg = LinkConfig().with_unit_element_gain()
-            options, trials = SweepOptions(), 2
+            options, trials, n_jammed = SweepOptions(ber_trials=1), 2, 2
             if count == "trials":
                 trials = value
             elif count == "ber_symbols":
-                options = SweepOptions(ber_symbols=value)
+                options, n_jammed = SweepOptions(ber_trials=1, ber_symbols=value), 1
             else:
                 cfg = replace(cfg, **{count: value})
-            axes = SweepAxes(snr_db=(10.0,), n_jammed=(2,), n_elements=(8,))
+            axes = SweepAxes(snr_db=(10.0,), n_jammed=(n_jammed,), n_elements=(8,))
             validate_sweep(cfg, axes, options, (PROPOSED,), trials, 0)
 
         validate(largest)
         with pytest.raises(ConfigurationError, match="beyond numpy"):
             validate(largest + 1)
+
+    def test_probe_bound_counts_every_batched_symbol(self):
+        # the probe sends min(ber_trials, trials) x max(l_j) x ber_symbols symbols in
+        # one batch: 3 x 4 x s complex gains, whatever the smaller l_j of the grid
+        cfg = LinkConfig().with_unit_element_gain()
+        axes = SweepAxes(snr_db=(10.0,), n_jammed=(1, 4), n_elements=(8,))
+        largest = sys.maxsize // (16 * 3 * 4)
+
+        def validate(ber_trials, trials, ber_symbols):
+            options = SweepOptions(ber_trials=ber_trials, ber_symbols=ber_symbols)
+            validate_sweep(cfg, axes, options, (PROPOSED,), trials, 0)
+
+        for ber_trials, trials in ((3, 3), (3, 50), (50, 3)):
+            validate(ber_trials, trials, largest)
+            with pytest.raises(ConfigurationError, match="beyond numpy"):
+                validate(ber_trials, trials, largest + 1)
 
 
 class TestCheckTrends:
