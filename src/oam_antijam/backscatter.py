@@ -9,7 +9,7 @@ Per jammed mode the link is plain values: the composite gain kappa that
 :func:`channel.mode_link_gains` returns, the PGA levels ``config.pga_gains``,
 the bits sent and one float threshold q_th. Symbols are drawn in the mode
 domain, not element by element: the recovered mode is linear in every draw,
-so this is exact in distribution for any M x N channel (the element-level
+so this is exact in distribution for any N x N channel (the element-level
 path survives only as a test oracle).
 
 Energy statistics: with every contribution circular complex Gaussian, the
@@ -75,19 +75,19 @@ def calibrate_threshold(energies, bits, n_samples: int) -> float:
 def receiver_background_variance(config: LinkConfig) -> float:
     """Per-sample variance of the recovered mode's noise-plus-jamming floor.
 
-    The unnormalized receive-side mode sum adds M independent element
-    contributions, so the floor is M * (noise + jamming variance), with the
+    The unnormalized receive-side mode sum adds N independent element
+    contributions, so the floor is N * (noise + jamming variance), with the
     noise floored at ``NOISE_VARIANCE_FLOOR``.
     """
     noise = max(config.noise_variance_rx, NOISE_VARIANCE_FLOOR)
-    return config.n_rx * (noise + config.jam_variance_rx)
+    return config.n_tx * (noise + config.jam_variance_rx)
 
 
 def hypothesis_variance(config: LinkConfig, link_gain: complex, gain_level: float,
                         carrier_variance: float) -> float:
     """Per-sample variance of the recovered mode signal under one gain level.
 
-    |kappa|^2 * a^2 * sigma_carrier^2 + M*(noise + jamming).
+    |kappa|^2 * a^2 * sigma_carrier^2 + N*(noise + jamming).
     """
     return (abs(link_gain) ** 2 * gain_level ** 2 * carrier_variance
             + receiver_background_variance(config))

@@ -73,7 +73,7 @@ def _beta(raw: str) -> float | None:
 # [section] key -> (parser, dataclass, field it sets). ``wavelength`` follows
 # ``frequency_ghz`` so that it wins when both are given. ``beta`` (None for
 # normalized) and ``power_per_mode`` are resolved by parse_scenario, which also
-# sets n_rx = n_tx and the transmit total to power_per_mode times the ring size.
+# sets the transmit total to power_per_mode times the ring size.
 SCENARIO_KEYS = {
     ("link", "n_elements"): (int, LinkConfig, "n_tx"),
     ("link", "radius_tx"): (float, LinkConfig, "r_tx"),
@@ -147,7 +147,7 @@ def parse_scenario(path: str | None) -> Scenario:
     beta = link.pop("beta", None)
     power_per_mode = link.pop("power_per_mode", DEFAULT_POWER_PER_MODE)
     config = LinkConfig(**link)
-    config = replace(config, n_rx=config.n_tx, transmit_power_total=power_per_mode * config.n_tx)
+    config = replace(config, transmit_power_total=power_per_mode * config.n_tx)
     config = config.with_unit_element_gain() if beta is None else replace(config, beta=beta)
     fields[SweepAxes].setdefault("n_elements", (config.n_tx,))
     return Scenario(config, SweepAxes(**fields[SweepAxes]), SweepOptions(**fields[SweepOptions]),

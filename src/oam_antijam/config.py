@@ -3,7 +3,7 @@
 All physical and protocol parameters live in a single immutable
 :class:`LinkConfig`. Defaults follow the reference numerical setup:
 r = R = 0.75 m, d = 15 m, 5.8 GHz carrier, E_th = 0.5 W, PGA gains
-(0.5, 2), 0.1 W jamming power, M = N = 16.
+(0.5, 2), 0.1 W jamming power, N = 16 elements on each ring.
 """
 
 from __future__ import annotations
@@ -75,8 +75,7 @@ class LinkConfig:
     """Physical and protocol parameters of one transmitter/receiver ring pair.
 
     Attributes:
-        n_tx: number of transmit ring elements (N).
-        n_rx: number of receive ring elements (M).
+        n_tx: number of elements on each ring (N).
         r_tx: transmit ring radius in metres.
         r_rx: receive ring radius in metres.
         axial_distance: boresight distance between ring centres in metres.
@@ -94,7 +93,6 @@ class LinkConfig:
     """
 
     n_tx: int = 16
-    n_rx: int = 16
     r_tx: float = 0.75
     r_rx: float = 0.75
     axial_distance: float = 15.0
@@ -111,8 +109,7 @@ class LinkConfig:
     transmit_power_total: float = 1600.0
 
     def __post_init__(self) -> None:
-        for name, low in (("n_tx", 1), ("n_rx", 1), ("samples_per_symbol", 1),
-                          ("preamble_length", 2)):
+        for name, low in (("n_tx", 1), ("samples_per_symbol", 1), ("preamble_length", 2)):
             if not low <= getattr(self, name) <= sys.maxsize:  # counts size arrays
                 raise ConfigurationError(
                     f"{name} must lie in {low}..{sys.maxsize}, got {getattr(self, name)}")

@@ -110,7 +110,7 @@ def mode_snr(config: LinkConfig, flagged, link_gains: np.ndarray,
              p_c=1.0) -> np.ndarray:
     """Detection-weighted power-ratio SNR of every mode, shaped like ``flagged``.
 
-    gamma = w * |kappa|^2 * P / (M * (noise + jamming variance)), where kappa
+    gamma = w * |kappa|^2 * P / (N * (noise + jamming variance)), where kappa
     is the composite through-link mode gain (``link_gains``, canonical mode
     order). A clean mode has w = p_u and P its :func:`allocate_power` share;
     a jammed mode has w = p_j * p_c (``p_c`` scalar or per mode) and P the
@@ -166,7 +166,7 @@ def _point_config(config: LinkConfig, n_elements: int, n_jammed: int,
     except (OverflowError, ZeroDivisionError) as exc:
         raise ConfigurationError(f"snr {snr_db} dB out of range: the noise variance it "
                                  f"implies is not a finite number") from exc
-    return replace(config, n_tx=n_elements, n_rx=n_elements, noise_variance_rx=noise,
+    return replace(config, n_tx=n_elements, noise_variance_rx=noise,
                    transmit_power_total=per_mode * max(n_elements - n_jammed, 1))
 
 

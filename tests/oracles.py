@@ -1,22 +1,25 @@
 """Reference paths the tests compare the package against.
 
 None of these runs in a sweep. The package computes per-mode gains with
-``mode_link_gains`` on the expanded channel and senses targeted jamming with
-``metrics.sense_targeted``; the functions here reach the same quantities by
-other routes: the Bessel function (scipy and an independent power series),
-the closed-form per-mode gain of the paper, the exact-distance channel, and
-targeted jamming synthesized on every element.
+``mode_link_gains`` as DFT coefficients of the circulant channel, senses
+targeted jamming with ``metrics.sense_targeted`` and averages spectrum
+efficiency over Monte Carlo trials; the functions here reach the same
+quantities by other routes: the Bessel function (scipy and an independent
+power series), the closed-form per-mode gain of the paper, the phase-ramp
+mode decomposition of a full channel matrix, the exact-distance channel,
+targeted jamming synthesized on every element, and the closed-form expected
+spectrum efficiency of a grid point.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
 from oam_antijam import (ConfigurationError, LinkConfig, RandomStream, element_azimuths,
-                         mode_index_range, mode_transform)
+                         mode_index_range, mode_transform, receiver_background_variance)
 from oam_antijam.jamming import complex_gaussian
 
 BESSEL_MAX_ORDER = 60
@@ -72,11 +75,8 @@ def mode_channel_gain(config: LinkConfig, l: int) -> complex:
     h_l = beta*lambda*sqrt(N)/(4*pi*d*j^l) * exp(-j*2*pi*sqrt(d^2+r^2+R^2)/lambda)
           * Jring_l(alpha),
     with Jring the ring-sampled Bessel factor, so that |h_l| agrees with the
-    full-matrix mode decomposition for every mode. Requires M = N.
+    full-matrix mode decomposition for every mode.
     """
-    if config.n_rx != config.n_tx:
-        raise ValueError(
-            f"per-mode gains assume matched rings, got N={config.n_tx}, M={config.n_rx}")
     if l not in config.mode_indices():
         raise ValueError(f"mode {l} outside supported range {config.mode_indices()}")
     lam = config.wavelength
@@ -88,13 +88,31 @@ def mode_channel_gain(config: LinkConfig, l: int) -> complex:
 
 
 def exact_channel_matrix(config: LinkConfig) -> np.ndarray:
-    """The (M, N) complex element-pair gains under the exact pairwise distance."""
+    """The (N, N) complex element-pair gains under the exact pairwise distance.
+
+    Built entry by entry, so it is circulant only up to rounding.
+    """
     lam = config.wavelength
-    cosines = np.cos(element_azimuths(config.n_tx)[None, :]
-                     - element_azimuths(config.n_rx)[:, None])  # (M, N)
+    phi = element_azimuths(config.n_tx)
+    cosines = np.cos(phi[None, :] - phi[:, None])  # (N, N)
     diag = config.diagonal_distance
     dist = np.sqrt(diag * diag - 2.0 * config.r_tx * config.r_rx * cosines)
     return config.beta * lam * np.exp(-2j * np.pi * dist / lam) / (4.0 * np.pi * dist)
+
+
+def sandwich_link_gains(config: LinkConfig, channel: np.ndarray) -> np.ndarray:
+    """Per-mode gains kappa_l of any (N, N) channel by the phase-ramp mode decomposition.
+
+    kappa_l = (1/N) * v_l^T H u_l, the diagonal of the (L, N) @ (N, N) @ (N, L)
+    product of the receive ramps, the channel and the transmit ramps, in
+    canonical mode order. O(N^3); it needs no circulant structure.
+    """
+    n = config.n_tx
+    modes = np.array(config.mode_indices())
+    phi = element_azimuths(n)
+    tx_cols = np.exp(1j * np.outer(phi, modes))    # (N, L)
+    rx_rows = np.exp(-1j * np.outer(modes, phi))   # (L, N)
+    return np.diagonal(rx_rows @ channel @ tx_cols) / n
 
 
 def targeted_elements(samples: np.ndarray, jam_sets: np.ndarray, n: int) -> np.ndarray:
@@ -132,3 +150,40 @@ def draw_targeted_jamming_block(stream: RandomStream, n_elements: int, n_samples
     samples = np.array([complex_gaussian(rng, n_samples, mode_variance) for _ in targets],
                        dtype=complex).reshape(len(targets), n_samples)
     return targeted_elements(samples, [modes.index(l) for l in targets], n_elements)
+
+
+def expected_se(config: LinkConfig, kappas: np.ndarray, carrier_variance: float,
+                p_j: float, p_u: float, p_c, candidates: int,
+                flag_prob: float) -> tuple[float, float]:
+    """Closed-form (E[SE_proposed], E[SE_baseline]) of one grid point, bits/s/Hz.
+
+    Of the N modes, ``candidates`` (c) can be flagged, each independently with
+    probability ``flag_prob`` (f): the l_j jammed modes at f = p_j under
+    targeted jamming, all N modes at f = 1 - p_u under iid jamming. The
+    flagged count m is then Binomial(c, f), and given m the flagged set is a
+    uniform m-subset of the N modes, so every mode is flagged with probability
+    m / N. A clean mode's SNR depends on the flags only through the N - m
+    modes that share the transmit total, which gives
+
+        E[SE_base] = sum_m B(m; c, f) (1 - m/N) sum_l log2(1 + g_clean,l(N - m))
+        E[SE_prop] = E[SE_base] + sum_m B(m; c, f) (m/N) sum_l log2(1 + g_jam,l)
+
+    with g_clean,l(n) = p_u |kappa_l|^2 (P_total / n) / floor and
+    g_jam,l = p_j p_c,l |kappa_l|^2 E[a^2] carrier_variance / floor, the two
+    branches of ``metrics.mode_snr``; floor is the receiver background
+    variance, E[a^2] the prior-weighted mean PGA power gain and ``p_c`` the
+    per-mode (or scalar) correct-decision probability.
+    """
+    n = config.n_tx
+    m = np.arange(candidates + 1)
+    weights = np.array([comb(candidates, k) * flag_prob ** k
+                        * (1.0 - flag_prob) ** (candidates - k) for k in range(candidates + 1)])
+    kappa2 = np.abs(kappas) ** 2
+    floor = receiver_background_variance(config)
+    share = config.transmit_power_total / np.maximum(n - m, 1)
+    clean = np.log2(1.0 + p_u * kappa2 * share[:, None] / floor).sum(axis=1)   # (c + 1,)
+    mean_power_gain = sum(p * g * g for g, p in zip(config.pga_gains, config.pga_priors))
+    jam = np.log2(1.0 + p_j * np.asarray(p_c) * kappa2 * mean_power_gain
+                  * carrier_variance / floor).sum()
+    baseline = float(np.sum(weights * (n - m) / n * clean))
+    return baseline + float(np.sum(weights * m / n)) * jam, baseline

@@ -87,7 +87,7 @@ def test_criterion_03_channel_gain_equivalence():
     started = time.perf_counter()
     spreads = {}
     for n in (8, 16):
-        cfg = LinkConfig(n_tx=n, n_rx=n)
+        cfg = LinkConfig(n_tx=n)
         h = build_channel_matrix(cfg)
         phi = element_azimuths(n)
         ratios = []
@@ -137,7 +137,7 @@ def test_criterion_04_detector_calibration():
 def test_criterion_05_chi_square_statistic():
     started = time.perf_counter()
     cfg = REFERENCE  # noise 0.1 W, jamming 0.1 W at the receiver
-    m = cfg.n_rx
+    m = cfg.n_tx
     trials = 10_000
     psi = 2.0 * np.pi * np.arange(m) / m
     for k in (8, 16):
@@ -224,7 +224,7 @@ def test_criterion_07_backscatter_link_sanity():
         rng = RandomStream(4300 + int(ratio), 0).generator()
         if ratio == 1.0:
             # identical hypotheses: any threshold halves the symbols
-            q_th = cfg.n_rx * 10.0
+            q_th = cfg.n_tx * 10.0
         else:
             q_th = calibrate_from_preamble(cfg, kappa, gains, preamble, carrier_variance, rng)
         bits = (rng.random(20_000) < 0.5).astype(int)

@@ -46,7 +46,7 @@ class TestParseScenario:
     def test_empty_file_yields_reference_defaults(self, tmp_path):
         scn = parse_scenario(write(tmp_path, ""))
         cfg = scn.config
-        assert cfg.n_tx == cfg.n_rx == 16
+        assert cfg.n_tx == 16
         assert cfg.r_tx == cfg.r_rx == 0.75
         assert cfg.axial_distance == 15.0
         assert cfg.wavelength == pytest.approx(299792458.0 / 5.8e9)

@@ -4,6 +4,8 @@ import math
 import sys
 import tracemalloc
 from dataclasses import replace
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from oam_antijam import (
     allocate_power,
     build_channel_matrix,
     check_trends,
+    detection_probabilities,
     element_azimuths,
     mode_index_range,
     mode_link_gains,
@@ -32,9 +35,10 @@ from oam_antijam import (
 )
 from oam_antijam.jamming import RandomStream, complex_gaussian
 from oam_antijam.signals import mode_energies
-from oracles import targeted_elements
+from oracles import expected_se, targeted_elements
 
 MODES_16 = tuple(mode_index_range(16))
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def traced_peak(run) -> int:
@@ -152,7 +156,7 @@ class TestModeSnr:
         for m in range(16):
             for n in range(16):
                 kappa += np.exp(-1j * phi[m] * l) * h[m, n] * np.exp(1j * phi[n] * l)
-        kappa /= 16.0  # 1/sqrt(M*N)
+        kappa /= 16.0  # 1/N
         expected = (abs(kappa) ** 2 * (1600.0 / 12.0)
                     / (16 * (cfg.noise_variance_rx + cfg.jam_variance_rx)))
         assert out == pytest.approx(expected, rel=1e-9)
@@ -406,6 +410,81 @@ class TestRunSweep:
             validate(ber_trials, trials, largest)
             with pytest.raises(ConfigurationError, match="beyond numpy"):
                 validate(ber_trials, trials, largest + 1)
+
+
+class TestExpectedSpectralEfficiency:
+    """Every Monte Carlo SE mean lies within 5 standard errors of its closed form.
+
+    Each (scheme, grid point) cell passes when |MC - E| <= 5 * stderr + 1e-4,
+    with E from ``oracles.expected_se`` at the point's own per-mode p_c, the
+    one ``_point_thresholds`` calibrates on stream (point_index, 0). The floor
+    covers cells whose trials all flag the same modes (stderr 0, E off by the
+    ~3e-6 chance per trial that a mode goes unflagged). If the mean is normal
+    about E, a correct model fails a cell with probability 5.7e-7, and one of
+    the 192 cells here with probability about 1.1e-4 at fresh seeds. At these
+    seeds the worst |z| over cells with a non-rounding stderr is 2.7 on the
+    targeted golden, 2.4 on the iid golden, 1.7 on the wide golden and 2.9 on
+    the default grid. SE depends on |kappa|^2, so this pins the link gains to
+    the model as well as the sampling.
+    """
+
+    @staticmethod
+    def cells(scenario):
+        """(cell, MC mean, stderr, E) for every cell of a scenario's sweep."""
+        cfg0, axes, options, seed = (scenario.config, scenario.axes, scenario.options,
+                                     scenario.seed)
+        results = run_sweep(cfg0, axes, scenario.schemes, scenario.trials, seed, options)
+        by_cell = {(r.scheme, r.n_elements, r.n_jammed, r.snr_db): r for r in results}
+        iid = options.jam_model == metrics.BROADBAND
+        grid = product(axes.n_elements, axes.n_jammed, axes.snr_db)
+        for point_index, (n, n_jammed, snr_db) in enumerate(grid):
+            cfg = metrics._point_config(cfg0, n, n_jammed, snr_db)
+            kappas = mode_link_gains(cfg)
+            carrier = cfg.jam_variance_tx if iid else options.mode_jam_variance
+            det = detection_probabilities(cfg.energy_threshold_tx, cfg.samples_per_symbol,
+                                          carrier)
+            _, p_c = metrics._point_thresholds(
+                cfg, kappas, carrier, RandomStream(seed, (point_index, 0)).generator())
+            expected = expected_se(cfg, kappas, carrier, det.p_jammed,
+                                   det.p_unjammed if iid else 1.0, p_c,
+                                   n if iid else n_jammed, det.p_jammed)
+            for scheme, value in zip((PROPOSED, BASELINE), expected):
+                cell = by_cell[(scheme, n, n_jammed, snr_db)]
+                yield (scheme, n, n_jammed, snr_db), cell.se_bits, cell.se_stderr, value
+
+    @pytest.mark.parametrize("golden, seed", [("targeted", None), ("iid", None), ("wide", None),
+                                              (None, 1), (None, 2)])
+    def test_monte_carlo_mean_matches_closed_form(self, golden, seed):
+        from oam_antijam.cli import parse_scenario
+
+        if golden is None:   # the default grid
+            scenario = replace(parse_scenario(None), trials=200, seed=seed)
+        else:
+            scenario = parse_scenario(str(GOLDEN / f"{golden}.ini"))
+        cells = list(self.cells(scenario))
+        assert len(cells) == 2 * len(list(product(scenario.axes.n_elements,
+                                                  scenario.axes.n_jammed,
+                                                  scenario.axes.snr_db)))
+        bad = [(cell, mc, err, e) for cell, mc, err, e in cells
+               if abs(mc - e) > 5 * err + 1e-4]
+        assert not bad, bad[:4]
+
+    def test_closed_form_by_enumeration(self):
+        # N = 3, two candidate modes: weigh every flag pattern by its probability
+        cfg = replace(LinkConfig().with_unit_element_gain(), n_tx=3, transmit_power_total=30.0)
+        kappas = mode_link_gains(cfg)
+        f, p_j, p_c = 0.3, 0.9, np.array([0.6, 0.7, 0.8])
+        proposed = baseline = 0.0
+        for jam_set in ((0, 1), (0, 2), (1, 2)):          # uniform targeted jam sets
+            for flags in product((False, True), repeat=2):
+                weight = np.prod([f if x else 1 - f for x in flags]) / 3
+                flagged = np.zeros(3, dtype=bool)
+                flagged[[jam_set[i] for i in range(2) if flags[i]]] = True
+                gamma = mode_snr(cfg, flagged, kappas, 1.0, p_j, 1.0, p_c)
+                baseline += weight * spectral_efficiency(gamma, ~flagged)
+                proposed += weight * spectral_efficiency(gamma)
+        got = expected_se(cfg, kappas, 1.0, p_j, 1.0, p_c, 2, f)
+        assert got == pytest.approx((proposed, baseline), rel=1e-12)
 
 
 class TestCheckTrends:
