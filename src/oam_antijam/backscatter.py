@@ -9,8 +9,9 @@ Per jammed mode the link is plain values: the composite gain kappa that
 :func:`channel.mode_link_gains` returns, the PGA levels ``config.pga_gains``,
 the bits sent and one float threshold q_th. Symbols are drawn in the mode
 domain, not element by element: the recovered mode is linear in every draw,
-so this is exact in distribution for any N x N channel (the element-level
-path survives only as a test oracle).
+and the circulant channel maps each mode onto itself with gain kappa, so this
+is exact in distribution (the element-level path survives only as a test
+oracle).
 
 Energy statistics: with every contribution circular complex Gaussian, the
 K-sample average energy Q under gain level b satisfies

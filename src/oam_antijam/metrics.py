@@ -204,7 +204,8 @@ def validate_sweep(config: LinkConfig, axes: SweepAxes, options: SweepOptions,
                     f"n_jammed {n_jam} outside 0..{n_el} for N={n_el}")
     # the largest complex arrays: per-symbol gains of the preamble and of the p probe
     # symbols (one batch per point), a link chunk, the sensing draw, a sensing block
-    # row, the channel; the largest float ones: the (trials, N) draws
+    # row, the (N, N) mode transform W of sense_targeted; the largest float ones: the
+    # (trials, N) draws
     i, k, n, l_j = (config.preamble_length, config.samples_per_symbol,
                     max(axes.n_elements, default=0), max(axes.n_jammed, default=0))
     p = min(options.ber_trials, trials) * l_j * options.ber_symbols
@@ -307,8 +308,7 @@ def _sweep_point(config: LinkConfig, n_elements: int, n_jammed: int, snr_db: flo
                  options: SweepOptions) -> dict:
     """All Monte Carlo work for one grid point; schemes share the trials."""
     cfg = _point_config(config, n_elements, n_jammed, snr_db)
-    channel = build_channel_matrix(cfg)
-    kappas = mode_link_gains(cfg, channel)
+    kappas = mode_link_gains(cfg, build_channel_matrix(cfg))
     iid = options.jam_model == BROADBAND
     carrier_variance = cfg.jam_variance_tx if iid else options.mode_jam_variance
     k_sense = cfg.samples_per_symbol

@@ -1,14 +1,14 @@
 """Reference paths the tests compare the package against.
 
 None of these runs in a sweep. The package computes per-mode gains with
-``mode_link_gains`` as DFT coefficients of the circulant channel, senses
-targeted jamming with ``metrics.sense_targeted`` and averages spectrum
-efficiency over Monte Carlo trials; the functions here reach the same
+``mode_link_gains`` as DFT coefficients of the first row of the circulant
+channel, senses targeted jamming with ``metrics.sense_targeted`` and averages
+spectrum efficiency over Monte Carlo trials; the functions here reach the same
 quantities by other routes: the Bessel function (scipy and an independent
-power series), the closed-form per-mode gain of the paper, the phase-ramp
-mode decomposition of a full channel matrix, the exact-distance channel,
-targeted jamming synthesized on every element, and the closed-form expected
-spectrum efficiency of a grid point.
+power series), the closed-form per-mode gain of the paper, the full circulant
+matrix of a channel row and the phase-ramp mode decomposition of a full
+matrix, the exact-distance channel, targeted jamming synthesized on every
+element, and the closed-form expected spectrum efficiency of a grid point.
 """
 
 from __future__ import annotations
@@ -85,6 +85,21 @@ def mode_channel_gain(config: LinkConfig, l: int) -> complex:
     inv_jl = np.exp(-1j * np.pi * l / 2.0)  # principal continuation of 1/j^l
     return complex(scale * phase * inv_jl
                    * ring_sampled_bessel(config.n_tx, l, config.bessel_argument))
+
+
+def circulant(row: np.ndarray) -> np.ndarray:
+    """The (N, N) matrix whose row m is ``row`` shifted right by m.
+
+    h[m, n] = row[(n - m) mod N]: the full channel of ``build_channel_matrix``'s row.
+    """
+    n = len(row)
+    return np.asarray(row)[(np.arange(n) - np.arange(n)[:, None]) % n]
+
+
+def row_and_matrix(channel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first row, full (N, N) matrix) of a channel given as either one."""
+    channel = np.asarray(channel)
+    return (channel, circulant(channel)) if channel.ndim == 1 else (channel[0], channel)
 
 
 def exact_channel_matrix(config: LinkConfig) -> np.ndarray:

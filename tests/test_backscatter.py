@@ -27,7 +27,7 @@ from oam_antijam import (
     simulate_backscatter_bits,
 )
 from oam_antijam.jamming import RandomStream, complex_gaussian
-from oracles import exact_channel_matrix
+from oracles import exact_channel_matrix, row_and_matrix
 
 DEFAULT_GAINS = (0.5, 2.0)
 
@@ -441,9 +441,9 @@ class TestModeDomainAgainstElementLevel:
         # m, the receive ring size, equals n; it stays in the ids and stream keys
         cfg = normalized_config(n_tx=n, samples_per_symbol=k,
                                 noise_variance_rx=noise, jam_variance_rx=jam)
-        channel = build(cfg)
+        row, channel = row_and_matrix(build(cfg))
         mode = 2
-        kappa = link_gain(cfg, mode, channel)
+        kappa = link_gain(cfg, mode, row)
         for bit, gain in enumerate(gains):
             bits = np.full(self.SYMBOLS, bit)
             rng = RandomStream(31, (n, m, k, bit)).generator()

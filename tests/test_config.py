@@ -80,4 +80,4 @@ def test_unit_element_gain_normalization():
     from oam_antijam import build_channel_matrix
 
     gains = build_channel_matrix(cfg)
-    assert abs(gains[0, 0]) == pytest.approx(1.0, rel=1e-12)
+    assert abs(gains[0]) == pytest.approx(1.0, rel=1e-12)

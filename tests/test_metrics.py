@@ -35,7 +35,7 @@ from oam_antijam import (
 )
 from oam_antijam.jamming import RandomStream, complex_gaussian
 from oam_antijam.signals import mode_energies
-from oracles import expected_se, targeted_elements
+from oracles import circulant, expected_se, targeted_elements
 
 MODES_16 = tuple(mode_index_range(16))
 GOLDEN = Path(__file__).parent / "golden"
@@ -150,7 +150,7 @@ class TestModeSnr:
                           p_j=0.0, p_u=1.0)
         out = gammas[MODES_16.index(l)]
 
-        h = build_channel_matrix(cfg)
+        h = circulant(build_channel_matrix(cfg))
         phi = element_azimuths(16)
         kappa = 0.0
         for m in range(16):

@@ -10,6 +10,7 @@ from oam_antijam import (
     mode_index_range,
     mode_transform,
 )
+from oracles import circulant
 
 
 def random_mode_samples(n, k, rng):
@@ -75,7 +76,7 @@ def test_parseval_under_unit_normalization():
 
 def test_mode_orthogonality_through_expanded_channel():
     cfg = LinkConfig()
-    h = build_channel_matrix(cfg)
+    h = circulant(build_channel_matrix(cfg))
     n = cfg.n_tx
     for l in (0, 3, -5, 8):
         samples = np.zeros((n, 1), dtype=complex)
