@@ -9,9 +9,8 @@ detector, the reflected-jamming link, and Monte Carlo sweep tooling with a CSV
 command-line front end.
 """
 
-from .backscatter import (CalibrationError, average_correct_detection,
-                          calibrate_from_preamble, calibrate_threshold,
-                          correct_detection_prob, hypothesis_variance,
+from .backscatter import (average_correct_detection, calibrate_from_preamble,
+                          calibrate_threshold, correct_detection_prob, hypothesis_variance,
                           receiver_background_variance, simulate_backscatter_bits)
 from .channel import build_channel_matrix, element_azimuths, mode_link_gains
 from .config import (ConfigurationError, LinkConfig, mode_index_range,
@@ -26,13 +25,12 @@ from .signals import mode_energies, mode_transform
 __version__ = "0.1.0"
 
 __all__ = [
-    "BASELINE", "CalibrationError", "ConfigurationError", "DetectionStats",
-    "LinkConfig", "PROPOSED", "RandomStream", "SweepAxes", "SweepOptions",
-    "SweepResult", "allocate_power", "average_correct_detection",
-    "build_channel_matrix", "calibrate_from_preamble", "calibrate_threshold",
-    "check_trends", "correct_detection_prob", "detection_probabilities",
-    "element_azimuths", "gamma_cdf", "hypothesis_variance", "mode_energies",
-    "mode_index_range", "mode_link_gains", "mode_snr", "mode_transform",
+    "BASELINE", "ConfigurationError", "DetectionStats", "LinkConfig", "PROPOSED",
+    "RandomStream", "SweepAxes", "SweepOptions", "SweepResult", "allocate_power",
+    "average_correct_detection", "build_channel_matrix", "calibrate_from_preamble",
+    "calibrate_threshold", "check_trends", "correct_detection_prob",
+    "detection_probabilities", "element_azimuths", "gamma_cdf", "hypothesis_variance",
+    "mode_energies", "mode_index_range", "mode_link_gains", "mode_snr", "mode_transform",
     "receiver_background_variance", "run_sweep", "sense_targeted",
     "simulate_backscatter_bits", "spectral_efficiency", "validate_sweep",
     "wavelength_for_frequency",

@@ -23,9 +23,9 @@ from itertools import product
 
 import numpy as np
 
-from .backscatter import (SYMBOL_CHUNK, CalibrationError, average_correct_detection,
-                          calibrate_from_preamble, hypothesis_variance,
-                          receiver_background_variance, simulate_backscatter_bits)
+from .backscatter import (SYMBOL_CHUNK, average_correct_detection, calibrate_from_preamble,
+                          hypothesis_variance, receiver_background_variance,
+                          simulate_backscatter_bits)
 from .channel import build_channel_matrix, mode_link_gains
 from .config import ConfigurationError, LinkConfig
 from .jamming import RandomStream, complex_gaussian, gamma_energies
@@ -230,20 +230,16 @@ def validate_sweep(config: LinkConfig, axes: SweepAxes, options: SweepOptions,
 def _point_thresholds(cfg: LinkConfig, kappas: np.ndarray, carrier_variance: float,
                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Per-mode calibrated thresholds q_th and analytic correct-decision probabilities."""
-    bits = np.arange(cfg.preamble_length) % 2   # the alternating 0101... preamble
     gains, priors = cfg.pga_gains, cfg.pga_priors
     q_th = np.empty(len(kappas))
     p_c = np.empty(len(kappas))
     for i, kappa in enumerate(kappas):
-        s2k0 = hypothesis_variance(cfg, kappa, gains[0], carrier_variance)
-        s2k1 = hypothesis_variance(cfg, kappa, gains[-1], carrier_variance)
-        try:
-            q_th[i] = calibrate_from_preamble(cfg, kappa, gains, bits, carrier_variance, rng)
-        except CalibrationError:
-            # deep-noise fallback: pooled mean energy; averaged P_c is ~0.5 anyway
-            q_th[i] = 0.5 * (s2k0 + s2k1)
-        p_c[i] = average_correct_detection(q_th[i], cfg.samples_per_symbol, s2k0, s2k1,
-                                           (priors[0], priors[-1]))
+        q_th[i] = calibrate_from_preamble(cfg, kappa, carrier_variance, rng)
+        p_c[i] = average_correct_detection(
+            q_th[i], cfg.samples_per_symbol,
+            hypothesis_variance(cfg, kappa, gains[0], carrier_variance),
+            hypothesis_variance(cfg, kappa, gains[-1], carrier_variance),
+            (priors[0], priors[-1]))
     return q_th, p_c
 
 

@@ -8,6 +8,7 @@ stated runtime budgets on a laptop-class machine.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -198,14 +199,13 @@ def test_criterion_07_backscatter_link_sanity():
     started = time.perf_counter()
     mode = 3
     carrier_variance = 1.0
-    preamble = np.arange(16) % 2
     # per-mode power 100 W at SNRs {0, 10, 20} dB -> noise 100, 10, 1 W
     for i, noise_var in enumerate((100.0, 10.0, 1.0)):
         cfg = _backscatter_config(noise_var)
         kappa = mode_link_gains(cfg)[mode_index_range(cfg.n_tx).index(mode)]
-        gains = (0.5, 2.0)
+        gains = cfg.pga_gains   # (0.5, 2.0), over the 16-symbol preamble
         rng = RandomStream(4200 + i, 0).generator()
-        q_th = calibrate_from_preamble(cfg, kappa, gains, preamble, carrier_variance, rng)
+        q_th = calibrate_from_preamble(cfg, kappa, carrier_variance, rng)
         bits = (rng.random(100_000) < 0.5).astype(int)
         energies = simulate_backscatter_bits(cfg, kappa, gains, bits, carrier_variance, rng)
         ber = float(np.mean((energies >= q_th) != bits))
@@ -226,7 +226,8 @@ def test_criterion_07_backscatter_link_sanity():
             # identical hypotheses: any threshold halves the symbols
             q_th = cfg.n_tx * 10.0
         else:
-            q_th = calibrate_from_preamble(cfg, kappa, gains, preamble, carrier_variance, rng)
+            q_th = calibrate_from_preamble(replace(cfg, pga_gains=gains), kappa,
+                                           carrier_variance, rng)
         bits = (rng.random(20_000) < 0.5).astype(int)
         energies = simulate_backscatter_bits(cfg, kappa, gains, bits, carrier_variance, rng)
         bers.append(float(np.mean((energies >= q_th) != bits)))
