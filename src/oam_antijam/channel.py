@@ -33,8 +33,8 @@ def build_channel_matrix(config: LinkConfig) -> np.ndarray:
     """The (N,) first row of the circulant element-pair gains, expanded distance.
 
     Entry n is the gain h[0, n] from transmit element n to receive element 0;
-    the full matrix is h[m, n] = row[(n - m) mod N]. The name, from when the
-    whole matrix was built, is the one ``bench/spans.py`` wraps.
+    the full matrix is h[m, n] = row[(n - m) mod N]. The function keeps its
+    name because ``bench/spans.py`` wraps that name.
     """
     lam = config.wavelength
     amplitude = config.beta * lam / (4.0 * np.pi * config.axial_distance)

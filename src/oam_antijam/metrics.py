@@ -121,9 +121,9 @@ def mode_snr(config: LinkConfig, flagged, link_gains: np.ndarray,
                          f"the {len(link_gains)} link-gain modes")
     p_c = np.asarray(p_c, dtype=float)
     for name, p in (("p_j", p_j), ("p_u", p_u), ("p_c", p_c)):
-        if np.any((p < 0.0) | (p > 1.0)):
+        if not np.all((p >= 0.0) & (p <= 1.0)):   # nan fails too
             raise ValueError(f"{name} must lie in [0, 1], got {p}")
-    if carrier_variance < 0.0:
+    if not carrier_variance >= 0.0:
         raise ValueError(f"carrier variance must be >= 0, got {carrier_variance}")
     kappa2 = np.abs(link_gains) ** 2
     floor = receiver_background_variance(config)

@@ -171,6 +171,16 @@ class TestModeSnr:
         with pytest.raises(ValueError, match=next(iter(probs))):
             mode_snr(self.CFG, flags_for((2,)), self.gains(), 1.0, **args)
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("p_j", np.nan, "p_j"), ("p_u", np.nan, "p_u"), ("p_c", np.nan, "p_c"),
+        ("p_c", np.r_[np.full(15, 0.5), np.nan], "p_c"),
+        ("carrier_variance", np.nan, "carrier variance")])
+    def test_nan_rejected(self, name, value, message):
+        # a check for values outside [0, 1] or below 0 lets nan through to the SNRs
+        args = dict(carrier_variance=1.0, p_j=1.0, p_u=0.5) | {name: value}
+        with pytest.raises(ValueError, match=message):
+            mode_snr(self.CFG, flags_for((2,)), self.gains(), **args)
+
     def test_batched_rows_match_single_trial_calls(self):
         flagged = np.random.default_rng(3).random((5, 16)) < 0.4
         p_c = np.linspace(0.5, 1.0, 16)
