@@ -16,9 +16,9 @@ from .channel import build_channel_matrix, element_azimuths, mode_link_gains
 from .config import (ConfigurationError, LinkConfig, mode_index_range,
                      wavelength_for_frequency)
 from .jamming import RandomStream
-from .metrics import (BASELINE, PROPOSED, SweepAxes, SweepOptions, SweepResult,
+from .metrics import (BASELINE, PROPOSED, Scenario, SweepAxes, SweepOptions, SweepResult,
                       allocate_power, check_trends, mode_snr, run_sweep,
-                      sense_targeted, spectral_efficiency, validate_sweep)
+                      sense_targeted, spectral_efficiency)
 from .sensing import DetectionStats, detection_probabilities, gamma_cdf
 from .signals import mode_energies, mode_transform
 
@@ -26,12 +26,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BASELINE", "ConfigurationError", "DetectionStats", "LinkConfig", "PROPOSED",
-    "RandomStream", "SweepAxes", "SweepOptions", "SweepResult", "allocate_power",
+    "RandomStream", "Scenario", "SweepAxes", "SweepOptions", "SweepResult", "allocate_power",
     "average_correct_detection", "build_channel_matrix", "calibrate_from_preamble",
     "calibrate_threshold", "check_trends", "correct_detection_prob",
     "detection_probabilities", "element_azimuths", "gamma_cdf", "hypothesis_variance",
     "mode_energies", "mode_index_range", "mode_link_gains", "mode_snr", "mode_transform",
     "receiver_background_variance", "run_sweep", "sense_targeted",
-    "simulate_backscatter_bits", "spectral_efficiency", "validate_sweep",
+    "simulate_backscatter_bits", "spectral_efficiency",
     "wavelength_for_frequency",
 ]

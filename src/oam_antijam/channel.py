@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import ConfigurationError, LinkConfig
+from .config import ConfigurationError, LinkConfig, mode_index_range
 
 
 def element_azimuths(count: int) -> np.ndarray:
@@ -57,4 +57,4 @@ def mode_link_gains(config: LinkConfig, channel: np.ndarray | None = None) -> np
     n = config.n_tx
     if row.shape != (n,):
         raise ValueError(f"channel row shape {row.shape} does not match config ({n},)")
-    return n * np.fft.ifft(row)[np.array(config.mode_indices()) % n]
+    return n * np.fft.ifft(row)[np.array(mode_index_range(n)) % n]

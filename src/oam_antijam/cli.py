@@ -5,8 +5,10 @@ Scenario files are INI documents with sections [link], [jamming], [detection],
 an absent key keeps that field's dataclass default, so an empty or missing
 file runs the full default sweep, and unknown keys are rejected. The README's
 "Scenario files" block lists every key with its default; a test parses it.
-:func:`metrics.validate_sweep` builds the link of every grid point before any
-point runs, so a scenario that cannot run exits 1 without writing a CSV.
+The file becomes one :class:`metrics.Scenario`, whose construction builds the
+link of every grid point, so a scenario that cannot run exits 1 before any
+point runs and without writing a CSV. The seed comes from ``--seed``, then
+``[sweep] seed``, then 1234.
 
 ``beta`` is either a number or ``normalized`` (element gains of unit modulus,
 which puts transmit power, noise and jamming on one scale). The CSV schema is
@@ -22,37 +24,18 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .config import ConfigurationError, LinkConfig, wavelength_for_frequency
-from .metrics import (BASELINE, PROPOSED, SweepAxes, SweepOptions, SweepResult,
-                      check_trends, run_sweep, validate_sweep)
+from .metrics import (Scenario, SweepAxes, SweepOptions, SweepResult, check_trends,
+                      run_sweep)
 
-SEED_ENV_VAR = "OAM_SIM_SEED"
-DEFAULT_SEED = 1234
 DEFAULT_POWER_PER_MODE = 100.0  # W; [link] power_per_mode * n_elements is the transmit total
 
 CSV_COLUMNS = ("scheme", "snr_db", "n_elements", "n_jammed", "se_bits_per_hz",
                "p_j", "p_u", "p_c", "ber", "trials", "seed")
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Everything one sweep run needs; every construction runs :func:`validate_sweep`."""
-
-    config: LinkConfig
-    axes: SweepAxes
-    options: SweepOptions
-    schemes: tuple[str, ...] = (PROPOSED, BASELINE)
-    trials: int = 1000
-    seed: int = DEFAULT_SEED
-    seed_in_file: bool = False  # [sweep] seed was given, so OAM_SIM_SEED does not apply
-
-    def __post_init__(self) -> None:
-        validate_sweep(self.config, self.axes, self.options, self.schemes, self.trials,
-                       self.seed)
 
 
 def _list_of(caster):
@@ -70,8 +53,7 @@ def _beta(raw: str) -> float | None:
     return None if raw.lower() == "normalized" else float(raw)
 
 
-# [section] key -> (parser, dataclass, field it sets). ``wavelength`` follows
-# ``frequency_ghz`` so that it wins when both are given. ``beta`` (None for
+# [section] key -> (parser, dataclass, field it sets). ``beta`` (None for
 # normalized) and ``power_per_mode`` are resolved by parse_scenario, which also
 # sets the transmit total to power_per_mode times the ring size.
 SCENARIO_KEYS = {
@@ -81,7 +63,6 @@ SCENARIO_KEYS = {
     ("link", "distance"): (float, LinkConfig, "axial_distance"),
     ("link", "frequency_ghz"): (lambda raw: wavelength_for_frequency(float(raw) * 1e9),
                                 LinkConfig, "wavelength"),
-    ("link", "wavelength"): (float, LinkConfig, "wavelength"),
     ("link", "beta"): (_beta, LinkConfig, "beta"),
     ("link", "power_per_mode"): (float, LinkConfig, "power_per_mode"),
     ("link", "samples_per_symbol"): (int, LinkConfig, "samples_per_symbol"),
@@ -96,19 +77,11 @@ SCENARIO_KEYS = {
     ("sweep", "snr_db"): (_list_of(float), SweepAxes, "snr_db"),
     ("sweep", "n_jammed"): (_list_of(int), SweepAxes, "n_jammed"),
     ("sweep", "n_elements"): (_list_of(int), SweepAxes, "n_elements"),
-    ("sweep", "schemes"): (_list_of(str.lower), Scenario, "schemes"),
     ("sweep", "trials"): (int, Scenario, "trials"),
     ("sweep", "seed"): (int, Scenario, "seed"),
     ("sweep", "ber_trials"): (int, SweepOptions, "ber_trials"),
     ("sweep", "ber_symbols"): (int, SweepOptions, "ber_symbols"),
 }
-
-
-def _parse(parse, raw: str, label: str):
-    try:
-        return parse(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"{label}: {exc}") from exc
 
 
 def parse_scenario(path: str | None) -> Scenario:
@@ -141,7 +114,10 @@ def parse_scenario(path: str | None) -> Scenario:
     fields = {cls: {} for cls in (LinkConfig, SweepAxes, SweepOptions, Scenario)}
     for (section, key), (parse, cls, name) in SCENARIO_KEYS.items():
         if parser.has_option(section, key):
-            fields[cls][name] = _parse(parse, parser.get(section, key), f"[{section}] {key}")
+            try:
+                fields[cls][name] = parse(parser.get(section, key))
+            except ValueError as exc:
+                raise ConfigurationError(f"[{section}] {key}: {exc}") from exc
 
     link = fields[LinkConfig]
     beta = link.pop("beta", None)
@@ -151,7 +127,7 @@ def parse_scenario(path: str | None) -> Scenario:
     config = config.with_unit_element_gain() if beta is None else replace(config, beta=beta)
     fields[SweepAxes].setdefault("n_elements", (config.n_tx,))
     return Scenario(config, SweepAxes(**fields[SweepAxes]), SweepOptions(**fields[SweepOptions]),
-                    seed_in_file=parser.has_option("sweep", "seed"), **fields[Scenario])
+                    **fields[Scenario])
 
 
 def _format_value(value) -> str:
@@ -176,8 +152,8 @@ def run_scenario(scenario: Scenario, output_path: str,
                  trend_report: bool = False) -> int:
     """Execute a parsed scenario, write its CSV, print the summary.
 
-    Returns the process exit code (0 success, 1 validation, 2 numeric failure
-    or out of memory).
+    Returns the process exit code (0 success, 1 unwritable output, 2 numeric
+    failure or out of memory). The scenario was checked when it was built.
     """
     out_dir = os.path.dirname(os.path.abspath(output_path))
     if os.path.isdir(output_path) or not os.path.isdir(out_dir):
@@ -185,11 +161,7 @@ def run_scenario(scenario: Scenario, output_path: str,
               file=sys.stderr)
         return 1
     try:
-        results = run_sweep(scenario.config, scenario.axes, scenario.schemes,
-                            scenario.trials, scenario.seed, scenario.options)
-    except ConfigurationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 1
+        results = run_sweep(scenario)
     except FloatingPointError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
@@ -231,11 +203,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         scenario = parse_scenario(args.config)
-        seed = scenario.seed
-        env_seed = os.environ.get(SEED_ENV_VAR)
-        if env_seed is not None and not scenario.seed_in_file:
-            seed = _parse(int, env_seed, SEED_ENV_VAR)
-        scenario = replace(scenario, seed=seed if args.seed is None else args.seed,
+        scenario = replace(scenario,
+                           seed=scenario.seed if args.seed is None else args.seed,
                            trials=scenario.trials if args.trials is None else args.trials)
     except ConfigurationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -135,10 +135,6 @@ class LinkConfig:
 
     # --- derived geometry ---------------------------------------------------
 
-    def mode_indices(self) -> list[int]:
-        """Mode indices supported by the transmit ring, ascending."""
-        return mode_index_range(self.n_tx)
-
     @property
     def diagonal_distance(self) -> float:
         """sqrt(d^2 + r^2 + R^2), the common second-order distance term."""

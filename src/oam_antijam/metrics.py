@@ -4,7 +4,10 @@ The proposed scheme senses which modes are jammed, splits the total transmit
 power over the clean modes, and rides the reflected jamming on the jammed
 ones; the baseline is the identical system with the jammed-mode contribution
 forced to zero. Sweeps iterate (SNR, jammed-mode count, ring size) grids and
-record spectrum efficiency plus the detector and decoder probabilities.
+record spectrum efficiency plus the detector and decoder probabilities. A
+:class:`Scenario` is the one description of a sweep (link, grid, knobs, trial
+count, seed); constructing it checks every grid point, so :func:`run_sweep`
+takes it as it is and no point runs of a sweep that cannot finish.
 
 SNR axis semantics: ``snr_db`` fixes the receiver noise variance as
 (allocated per-mode transmit power) / SNR. With the default unit-modulus
@@ -37,6 +40,8 @@ BASELINE = "baseline"
 
 TARGETED = "targeted"
 BROADBAND = "iid"
+
+DEFAULT_SEED = 1234
 
 # Complex samples per targeted-sensing block: 32 trials at N = 16, K = 64 (0.5 MB).
 # On the default sweep (2-core Xeon, 2 MB L2 per core) blocks of 16 and 64 trials
@@ -116,7 +121,7 @@ def mode_snr(config: LinkConfig, flagged, link_gains: np.ndarray,
     a jammed mode has w = p_j * p_c (``p_c`` scalar or per mode) and P the
     mean reflected jamming power, mean PGA power gain * ``carrier_variance``.
     """
-    if np.shape(flagged)[-1] != len(link_gains):
+    if np.shape(flagged)[-1:] != (len(link_gains),):   # a 0-d mask has no mode axis
         raise ValueError(f"flag mask of shape {np.shape(flagged)} does not cover "
                          f"the {len(link_gains)} link-gain modes")
     p_c = np.asarray(p_c, dtype=float)
@@ -170,61 +175,70 @@ def _point_config(config: LinkConfig, n_elements: int, n_jammed: int,
                    transmit_power_total=per_mode * max(n_elements - n_jammed, 1))
 
 
-def validate_sweep(config: LinkConfig, axes: SweepAxes, options: SweepOptions,
-                   schemes: tuple[str, ...], trials: int, seed: int) -> None:
-    """Reject a sweep that holds a point which cannot run, before any point runs.
+@dataclass(frozen=True)
+class Scenario:
+    """One sweep: the link, the grid, the knobs, the trial count and the seed.
 
-    ``trials`` must be >= 1 and ``seed`` >= 0; ``schemes`` must be distinct
-    and drawn from proposed, baseline. No axis may repeat a value. Every ring
-    size must be >= 1 and every jammed-mode count in 0..N for every ring size
-    N; the iid model, which jams no chosen modes, takes only n_jammed = 0.
-    Every array a point allocates must fit numpy's limit of sys.maxsize
-    bytes, which also bounds the trial count and the ring sizes. Last, every
-    grid point's link is built by :func:`_point_config`, the builder the
-    sweep runs, so a finite SNR, a noise variance and a transmit total that
-    :class:`LinkConfig` accepts are checked at every point; the error names
-    the first point that fails.
+    Construction, and so every :func:`dataclasses.replace`, rejects a sweep
+    that holds a point which cannot run. ``trials`` must be >= 1 and ``seed``
+    >= 0. No axis may repeat a value. Every ring size must be >= 1 and every
+    jammed-mode count in 0..N for every ring size N; the iid model, which
+    jams no chosen modes, takes only n_jammed = 0. Every array a point
+    allocates must fit numpy's limit of sys.maxsize bytes, which also bounds
+    the trial count and the ring sizes. Last, every grid point's link is
+    built by :func:`_point_config`, the builder the sweep runs, so a finite
+    SNR, a noise variance and a transmit total that :class:`LinkConfig`
+    accepts are checked at every point; the error names the first point that
+    fails.
     """
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {seed}")
-    if not schemes or len(set(schemes)) < len(schemes) or set(schemes) - {PROPOSED, BASELINE}:
-        raise ConfigurationError(f"need distinct schemes out of proposed, baseline; got {schemes}")
-    for name in ("snr_db", "n_jammed", "n_elements"):
-        values = getattr(axes, name)
-        if len(set(values)) < len(values):
-            raise ConfigurationError(f"the {name} axis repeats a value: {values}")
-    for n_el in axes.n_elements:
-        if n_el < 1:
-            raise ConfigurationError(f"ring size must be >= 1, got {n_el}")
-        for n_jam in axes.n_jammed:
-            if not 0 <= n_jam <= n_el:
-                raise ConfigurationError(
-                    f"n_jammed {n_jam} outside 0..{n_el} for N={n_el}")
-    # the largest complex arrays: per-symbol gains of the preamble and of the p probe
-    # symbols (one batch per point), a link chunk, the sensing draw, a sensing block
-    # row, the (N, N) mode transform W of sense_targeted; the largest float ones: the
-    # (trials, N) draws
-    i, k, n, l_j = (config.preamble_length, config.samples_per_symbol,
-                    max(axes.n_elements, default=0), max(axes.n_jammed, default=0))
-    p = min(options.ber_trials, trials) * l_j * options.ber_symbols
-    largest = max(16 * max(i, p, min(max(i, p), SYMBOL_CHUNK) * k, trials * l_j * k, n * k,
-                           n * n), 8 * trials * n)
-    if largest > sys.maxsize:
-        raise ConfigurationError(
-            f"preamble_length {i}, {p} probe symbols, samples_per_symbol {k}, trials "
-            f"{trials} and ring size {n} size an array of {largest} bytes, beyond numpy's "
-            f"limit of {sys.maxsize}")
-    if options.jam_model == BROADBAND and any(axes.n_jammed):
-        raise ConfigurationError(
-            f"the iid model jams no chosen modes: n_jammed must be 0, got {axes.n_jammed}")
-    for n_el, n_jam, snr_db in product(axes.n_elements, axes.n_jammed, axes.snr_db):
-        try:
-            _point_config(config, n_el, n_jam, snr_db)
-        except ConfigurationError as exc:
+
+    config: LinkConfig
+    axes: SweepAxes
+    options: SweepOptions = SweepOptions()
+    trials: int = 1000
+    seed: int = DEFAULT_SEED
+    schemes = (PROPOSED, BASELINE)   # not a field: every sweep writes both, in this order
+
+    def __post_init__(self) -> None:
+        config, axes, options, trials = self.config, self.axes, self.options, self.trials
+        if trials < 1:
+            raise ConfigurationError(f"trials must be >= 1, got {trials}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        for name in ("snr_db", "n_jammed", "n_elements"):
+            values = getattr(axes, name)
+            if len(set(values)) < len(values):
+                raise ConfigurationError(f"the {name} axis repeats a value: {values}")
+        for n_el in axes.n_elements:
+            if n_el < 1:
+                raise ConfigurationError(f"ring size must be >= 1, got {n_el}")
+            for n_jam in axes.n_jammed:
+                if not 0 <= n_jam <= n_el:
+                    raise ConfigurationError(
+                        f"n_jammed {n_jam} outside 0..{n_el} for N={n_el}")
+        # the largest complex arrays: per-symbol gains of the preamble and of the p probe
+        # symbols (one batch per point), a link chunk, the sensing draw, a sensing block
+        # row, the (N, N) mode transform W of sense_targeted; the largest float ones: the
+        # (trials, N) draws
+        i, k, n, l_j = (config.preamble_length, config.samples_per_symbol,
+                        max(axes.n_elements, default=0), max(axes.n_jammed, default=0))
+        p = min(options.ber_trials, trials) * l_j * options.ber_symbols
+        largest = max(16 * max(i, p, min(max(i, p), SYMBOL_CHUNK) * k, trials * l_j * k,
+                               n * k, n * n), 8 * trials * n)
+        if largest > sys.maxsize:
             raise ConfigurationError(
-                f"grid point (N={n_el}, l_j={n_jam}, snr={snr_db:g} dB): {exc}") from exc
+                f"preamble_length {i}, {p} probe symbols, samples_per_symbol {k}, trials "
+                f"{trials} and ring size {n} size an array of {largest} bytes, beyond numpy's "
+                f"limit of {sys.maxsize}")
+        if options.jam_model == BROADBAND and any(axes.n_jammed):
+            raise ConfigurationError(
+                f"the iid model jams no chosen modes: n_jammed must be 0, got {axes.n_jammed}")
+        for n_el, n_jam, snr_db in product(axes.n_elements, axes.n_jammed, axes.snr_db):
+            try:
+                _point_config(config, n_el, n_jam, snr_db)
+            except ConfigurationError as exc:
+                raise ConfigurationError(
+                    f"grid point (N={n_el}, l_j={n_jam}, snr={snr_db:g} dB): {exc}") from exc
 
 
 def _point_thresholds(cfg: LinkConfig, kappas: np.ndarray, carrier_variance: float,
@@ -299,11 +313,11 @@ def sense_targeted(rng: np.random.Generator, jam_sets: np.ndarray, n: int, k: in
     return energies
 
 
-def _sweep_point(config: LinkConfig, n_elements: int, n_jammed: int, snr_db: float,
-                 trials: int, seed: int, point_index: int,
-                 options: SweepOptions) -> dict:
+def _sweep_point(scenario: Scenario, n_elements: int, n_jammed: int, snr_db: float,
+                 point_index: int) -> dict:
     """All Monte Carlo work for one grid point; schemes share the trials."""
-    cfg = _point_config(config, n_elements, n_jammed, snr_db)
+    options, trials, seed = scenario.options, scenario.trials, scenario.seed
+    cfg = _point_config(scenario.config, n_elements, n_jammed, snr_db)
     kappas = mode_link_gains(cfg, build_channel_matrix(cfg))
     iid = options.jam_model == BROADBAND
     carrier_variance = cfg.jam_variance_tx if iid else options.mode_jam_variance
@@ -348,24 +362,19 @@ def _sweep_point(config: LinkConfig, n_elements: int, n_jammed: int, snr_db: flo
     }
 
 
-def run_sweep(config: LinkConfig, axes: SweepAxes,
-              schemes: tuple[str, ...] = (PROPOSED, BASELINE),
-              trials: int = 1000, seed: int = 0,
-              options: SweepOptions | None = None) -> list[SweepResult]:
-    """Monte Carlo sweep over the requested grid, deterministic in the seed.
+def run_sweep(scenario: Scenario) -> list[SweepResult]:
+    """Monte Carlo sweep over the scenario's grid, deterministic in its seed.
 
     Grid order is n_elements, then n_jammed, then snr_db; each point runs
-    ``trials`` independent sense/partition/allocate/decide trials on its own
-    substream, and both schemes are evaluated on the same realizations.
+    ``scenario.trials`` independent sense/partition/allocate/decide trials on
+    its own substream, and both schemes are evaluated on the same realizations.
     """
-    options = options or SweepOptions()
-    validate_sweep(config, axes, options, schemes, trials, seed)
     results: list[SweepResult] = []
+    axes, trials, seed = scenario.axes, scenario.trials, scenario.seed
     grid = product(axes.n_elements, axes.n_jammed, axes.snr_db)
     for point_index, (n_elements, n_jammed, snr_db) in enumerate(grid):
-        point = _sweep_point(config, n_elements, n_jammed, snr_db,
-                             trials, seed, point_index, options)
-        for scheme in schemes:
+        point = _sweep_point(scenario, n_elements, n_jammed, snr_db, point_index)
+        for scheme in Scenario.schemes:
             se_mean, se_err = point[scheme]
             if not np.isfinite(se_mean):
                 raise FloatingPointError(

@@ -77,8 +77,9 @@ def mode_channel_gain(config: LinkConfig, l: int) -> complex:
     with Jring the ring-sampled Bessel factor, so that |h_l| agrees with the
     full-matrix mode decomposition for every mode.
     """
-    if l not in config.mode_indices():
-        raise ValueError(f"mode {l} outside supported range {config.mode_indices()}")
+    modes = mode_index_range(config.n_tx)
+    if l not in modes:
+        raise ValueError(f"mode {l} outside supported range {modes}")
     lam = config.wavelength
     scale = config.beta * lam * np.sqrt(config.n_tx) / (4.0 * np.pi * config.axial_distance)
     phase = np.exp(-2j * np.pi * config.diagonal_distance / lam)
@@ -123,7 +124,7 @@ def sandwich_link_gains(config: LinkConfig, channel: np.ndarray) -> np.ndarray:
     canonical mode order. O(N^3); it needs no circulant structure.
     """
     n = config.n_tx
-    modes = np.array(config.mode_indices())
+    modes = np.array(mode_index_range(config.n_tx))
     phi = element_azimuths(n)
     tx_cols = np.exp(1j * np.outer(phi, modes))    # (N, L)
     rx_rows = np.exp(-1j * np.outer(modes, phi))   # (L, N)

@@ -18,6 +18,7 @@ from oam_antijam import (
     LinkConfig,
     PROPOSED,
     RandomStream,
+    Scenario,
     SweepAxes,
     SweepOptions,
     average_correct_detection,
@@ -247,8 +248,8 @@ def test_criterion_08_jammed_count_trends():
     cfg = LinkConfig().with_unit_element_gain()
     axes = SweepAxes(snr_db=tuple(float(s) for s in range(-10, 31, 5)),
                      n_jammed=(0, 2, 4, 8), n_elements=(16,))
-    results = run_sweep(cfg, axes, trials=1000, seed=88,
-                        options=SweepOptions(ber_trials=10, ber_symbols=4))
+    results = run_sweep(Scenario(cfg, axes, SweepOptions(ber_trials=10, ber_symbols=4),
+                                 trials=1000, seed=88))
     table = _by_key(results)
     for snr in axes.snr_db:
         for lj in axes.n_jammed:
@@ -272,8 +273,8 @@ def test_criterion_09_ring_size_trends():
     cfg = LinkConfig().with_unit_element_gain()
     axes = SweepAxes(snr_db=tuple(float(s) for s in range(-10, 31, 5)),
                      n_jammed=(4,), n_elements=(16, 20, 24, 28))
-    results = run_sweep(cfg, axes, schemes=(PROPOSED,), trials=1000, seed=89,
-                        options=SweepOptions(ber_trials=10, ber_symbols=4))
+    results = run_sweep(Scenario(cfg, axes, SweepOptions(ber_trials=10, ber_symbols=4),
+                                 trials=1000, seed=89))
     table = _by_key(results)
     for snr in [s for s in axes.snr_db if s >= 0.0]:
         cells = [table[(PROPOSED, n, 4, snr)] for n in axes.n_elements]

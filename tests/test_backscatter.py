@@ -11,6 +11,7 @@ from scipy import stats
 from oam_antijam import backscatter, metrics
 from oam_antijam import (
     LinkConfig,
+    Scenario,
     SweepAxes,
     SweepOptions,
     average_correct_detection,
@@ -138,7 +139,7 @@ class TestAlphabetAndPreamble:
         monkeypatch.setattr(backscatter, "simulate_backscatter_bits", record)
         cfg = LinkConfig(preamble_length=7).with_unit_element_gain()
         axes = SweepAxes(snr_db=(0.0, 10.0), n_jammed=(2,), n_elements=(8,))
-        run_sweep(cfg, axes, trials=4, seed=1, options=SweepOptions(ber_trials=0))
+        run_sweep(Scenario(cfg, axes, SweepOptions(ber_trials=0), trials=4, seed=1))
         assert len(preambles) == 2 * 8
         for bits in preambles:
             assert bits.tolist() == [0, 1, 0, 1, 0, 1, 0]

@@ -193,7 +193,7 @@ class TestModeGain:
 
     def test_link_gain_modulus_relation(self):
         kappas = mode_link_gains(REFERENCE)
-        for i, l in enumerate(REFERENCE.mode_indices()):
+        for i, l in enumerate(mode_index_range(REFERENCE.n_tx)):
             assert abs(kappas[i]) == pytest.approx(
                 math.sqrt(REFERENCE.n_tx) * abs(mode_channel_gain(REFERENCE, l)), rel=1e-12)
 

@@ -10,17 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from oam_antijam import BASELINE, PROPOSED, LinkConfig, SweepAxes, SweepOptions
-from oam_antijam.cli import (
-    CSV_COLUMNS,
-    DEFAULT_SEED,
-    SEED_ENV_VAR,
-    Scenario,
-    format_sweep_csv,
-    main,
-    parse_scenario,
-)
+from oam_antijam import LinkConfig, Scenario, SweepAxes
+from oam_antijam.cli import CSV_COLUMNS, format_sweep_csv, main, parse_scenario
 from oam_antijam.config import ConfigurationError
+from oam_antijam.metrics import DEFAULT_SEED
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -76,7 +69,9 @@ class TestParseScenario:
             parse_scenario(path)
 
     @pytest.mark.parametrize("text", ["[sweep]\nsnr_reference = noise\n",
-                                      "[detection]\ncalibration_means = per-class\n"])
+                                      "[detection]\ncalibration_means = per-class\n",
+                                      "[link]\nwavelength = 0.05\n",
+                                      "[sweep]\nschemes = proposed\n"])
     def test_removed_keys_rejected_as_unknown(self, tmp_path, text):
         with pytest.raises(ConfigurationError, match=r"unknown key\(s\)"):
             parse_scenario(write(tmp_path, text))
@@ -119,11 +114,6 @@ class TestParseScenario:
         with pytest.raises(ConfigurationError, match="n_jammed"):
             parse_scenario(path)
 
-    def test_unknown_scheme(self, tmp_path):
-        path = write(tmp_path, "[sweep]\nschemes = magic\n")
-        with pytest.raises(ConfigurationError, match="magic"):
-            parse_scenario(path)
-
     @pytest.mark.parametrize("text", [
         "[jamming]\nmodel = iid\n",
         "[pga]\ngains = 0.5, 1.0, 2.0\npriors = 0.25, 0.25, 0.5\n",
@@ -139,8 +129,7 @@ class TestParseScenario:
 class TestOneSourceOfDefaults:
     """Every scenario default is a dataclass default; the README states the same ones."""
 
-    DEFAULT = Scenario(LinkConfig().with_unit_element_gain(), SweepAxes(), SweepOptions(),
-                       (PROPOSED, BASELINE), 1000, DEFAULT_SEED)
+    DEFAULT = Scenario(LinkConfig().with_unit_element_gain(), SweepAxes())
 
     def test_no_file_gives_the_dataclass_defaults(self):
         assert parse_scenario(None) == self.DEFAULT
@@ -148,12 +137,11 @@ class TestOneSourceOfDefaults:
     def test_readme_scenario_block_states_the_defaults(self, tmp_path):
         section = README.read_text().split("## Scenario files", 1)[1]
         block = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
-        parsed = parse_scenario(write(tmp_path, block))
-        assert parsed.seed_in_file
-        assert replace(parsed, seed_in_file=False) == self.DEFAULT
+        assert parse_scenario(write(tmp_path, block)) == self.DEFAULT
 
     @pytest.mark.parametrize("override", [{"trials": 0}, {"seed": -1},
-                                          {"trials": sys.maxsize + 1}, {"schemes": ()}])
+                                          {"trials": sys.maxsize + 1},
+                                          {"axes": SweepAxes(snr_db=(0.0, 0.0))}])
     def test_overrides_are_checked_like_the_file(self, override):
         with pytest.raises(ConfigurationError):
             replace(parse_scenario(None), **override)
@@ -305,10 +293,6 @@ class TestValidationBeforeAnyPoint:
     def test_trials_flag_beyond_any_array_size(self, rejected):
         rejected("", "--trials", "1" + "0" * 29)
 
-    def test_negative_environment_seed(self, rejected, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "-1")
-        rejected("")
-
 
 class TestUnwritableOutput:
     @pytest.fixture(autouse=True)
@@ -378,33 +362,18 @@ def test_golden_sweeps_run_without_scipy(tmp_path):
 
 
 class TestSeedPrecedence:
-    def test_environment_overrides_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "777")
-        scenario_path = write(tmp_path, "[sweep]\ntrials = 5\nsnr_db = 0\nn_jammed = 0\n"
-                                        "ber_trials = 0\nber_symbols = 0\n")
-        out = tmp_path / "out.csv"
-        assert main(["--config", scenario_path, "--output", str(out)]) == 0
-        assert out.read_text().strip().split("\n")[1].split(",")[-1] == "777"
-
-    def test_scenario_seed_beats_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "777")
+    def test_scenario_seed_beats_default(self, tmp_path):
         scenario_path = write(tmp_path, TINY_SCENARIO)
         out = tmp_path / "out.csv"
         assert main(["--config", scenario_path, "--output", str(out)]) == 0
         assert out.read_text().strip().split("\n")[1].split(",")[-1] == "42"
 
-    def test_flag_beats_everything(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "777")
+    def test_flag_beats_everything(self, tmp_path):
         scenario_path = write(tmp_path, TINY_SCENARIO)
         out = tmp_path / "out.csv"
         assert main(["--config", scenario_path, "--seed", "5",
                      "--output", str(out)]) == 0
         assert out.read_text().strip().split("\n")[1].split(",")[-1] == "5"
-
-    def test_bad_environment_seed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "not-a-seed")
-        scenario_path = write(tmp_path, "")
-        assert main(["--config", scenario_path]) == 1
 
 
 def test_format_sweep_csv_handles_nan():

@@ -17,6 +17,7 @@ from oam_antijam import (
     ConfigurationError,
     LinkConfig,
     PROPOSED,
+    Scenario,
     SweepAxes,
     SweepOptions,
     SweepResult,
@@ -31,7 +32,6 @@ from oam_antijam import (
     run_sweep,
     sense_targeted,
     spectral_efficiency,
-    validate_sweep,
 )
 from oam_antijam.jamming import RandomStream, complex_gaussian
 from oam_antijam.signals import mode_energies
@@ -162,8 +162,9 @@ class TestModeSnr:
         assert out == pytest.approx(expected, rel=1e-9)
 
     def test_mask_must_cover_every_mode(self):
-        with pytest.raises(ValueError):
-            mode_snr(self.CFG, np.zeros(99, dtype=bool), self.gains(), 1.0, 0.0, 1.0)
+        for mask in (np.zeros(99, dtype=bool), np.zeros((4, 15), dtype=bool), True):
+            with pytest.raises(ValueError, match="does not cover"):
+                mode_snr(self.CFG, mask, self.gains(), 1.0, 0.5, 0.5)
 
     @pytest.mark.parametrize("probs", [dict(p_c=1.5), dict(p_j=-0.1), dict(p_u=1.2)])
     def test_probability_outside_unit_interval_rejected(self, probs):
@@ -219,23 +220,23 @@ class TestRunSweep:
         from oam_antijam.cli import format_sweep_csv
 
         cfg = LinkConfig().with_unit_element_gain()
-        a = run_sweep(cfg, self.AXES, trials=30, seed=4)
-        b = run_sweep(cfg, self.AXES, trials=30, seed=4)
+        a = run_sweep(Scenario(cfg, self.AXES, trials=30, seed=4))
+        b = run_sweep(Scenario(cfg, self.AXES, trials=30, seed=4))
         assert format_sweep_csv(a) == format_sweep_csv(b)
         assert [r.se_stderr for r in a] == [r.se_stderr for r in b]
-        c = run_sweep(cfg, self.AXES, trials=30, seed=5)
+        c = run_sweep(Scenario(cfg, self.AXES, trials=30, seed=5))
         assert any(x.se_bits != y.se_bits for x, y in zip(a, c))
 
     def test_row_layout(self):
         cfg = LinkConfig().with_unit_element_gain()
-        res = run_sweep(cfg, self.AXES, trials=5, seed=1)
+        res = run_sweep(Scenario(cfg, self.AXES, trials=5, seed=1))
         assert len(res) == 2 * 2 * 2
         assert [r.scheme for r in res[:2]] == [PROPOSED, BASELINE]
         assert all(r.se_bits >= 0.0 for r in res)
 
     def test_baseline_never_exceeds_proposed(self):
         cfg = LinkConfig().with_unit_element_gain()
-        res = run_sweep(cfg, self.AXES, trials=60, seed=9)
+        res = run_sweep(Scenario(cfg, self.AXES, trials=60, seed=9))
         pairs = {(r.snr_db, r.n_jammed): {} for r in res}
         for r in res:
             pairs[(r.snr_db, r.n_jammed)][r.scheme] = r.se_bits
@@ -246,7 +247,7 @@ class TestRunSweep:
         cfg = LinkConfig().with_unit_element_gain()
         axes = SweepAxes(snr_db=(0.0, 10.0, 20.0), n_jammed=(0, 4),
                          n_elements=(16, 20))
-        res = run_sweep(cfg, axes, trials=120, seed=2)
+        res = run_sweep(Scenario(cfg, axes, trials=120, seed=2))
         for chk in check_trends(res):
             assert chk.passed, f"{chk.name}: {chk.detail}"
 
@@ -263,9 +264,8 @@ class TestRunSweep:
         cfg = LinkConfig().with_unit_element_gain()
         axes = SweepAxes(snr_db=(-10.0, 0.0, 10.0), n_jammed=(2, 4, 8), n_elements=(8,))
         options = SweepOptions(ber_trials=150, ber_symbols=16)
-        results = run_sweep(cfg, axes, schemes=(PROPOSED,), trials=150, seed=seed,
-                            options=options)
-        for r in results:
+        results = run_sweep(Scenario(cfg, axes, options, trials=150, seed=seed))
+        for r in [r for r in results if r.scheme == PROPOSED]:
             probes = 150 * r.n_jammed
             q = 1.0 - r.p_c
             bound = 5.0 * math.sqrt(q * (1.0 - q) / probes) + 1.0 / probes
@@ -275,43 +275,28 @@ class TestRunSweep:
         cfg = LinkConfig().with_unit_element_gain()
         axes = SweepAxes(snr_db=(0.0,), n_jammed=(17,), n_elements=(16,))
         with pytest.raises(ConfigurationError):
-            run_sweep(cfg, axes, trials=2, seed=0)
+            Scenario(cfg, axes, trials=2, seed=0)
 
     def test_broadband_model_runs(self):
         cfg = LinkConfig().with_unit_element_gain()
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(0,), n_elements=(8,))
         opts = SweepOptions(jam_model="iid", ber_trials=2, ber_symbols=2)
-        res = run_sweep(cfg, axes, trials=20, seed=3, options=opts)
+        res = run_sweep(Scenario(cfg, axes, opts, trials=20, seed=3))
         assert res[0].p_u == pytest.approx(
             1.0 - res[0].p_j, abs=1e-12)  # same gamma tail for both
-
-    def test_unknown_scheme_rejected(self):
-        cfg = LinkConfig().with_unit_element_gain()
-        with pytest.raises(ConfigurationError):
-            run_sweep(cfg, self.AXES, schemes=("improved",), trials=2, seed=0)
-
-    @pytest.mark.parametrize("schemes", [(), (PROPOSED, PROPOSED)])
-    def test_empty_or_repeated_schemes_rejected_before_any_point(self, schemes, monkeypatch):
-        def no_point(*args):
-            raise AssertionError("a grid point ran")
-
-        monkeypatch.setattr(metrics, "_sweep_point", no_point)
-        cfg = LinkConfig().with_unit_element_gain()
-        with pytest.raises(ConfigurationError, match="schemes"):
-            run_sweep(cfg, self.AXES, schemes=schemes, trials=2, seed=0)
 
     def test_empty_ring_rejected(self):
         cfg = LinkConfig().with_unit_element_gain()
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(0,), n_elements=(16, 0))
         with pytest.raises(ConfigurationError, match="ring size"):
-            run_sweep(cfg, axes, trials=2, seed=0)
+            Scenario(cfg, axes, trials=2, seed=0)
 
     def test_negative_jammed_count_rejected(self):
         # used to run with the power budget of N + 3 modes
         cfg = LinkConfig().with_unit_element_gain()
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(-3,), n_elements=(16,))
         with pytest.raises(ConfigurationError, match="n_jammed -3"):
-            run_sweep(cfg, axes, trials=2, seed=0)
+            Scenario(cfg, axes, trials=2, seed=0)
 
     def test_infeasible_last_snr_rejected_before_any_point(self, monkeypatch):
         # the transmit total of the last point, 1e306 W per mode on 400 modes, overflows
@@ -321,7 +306,7 @@ class TestRunSweep:
         cfg = replace(LinkConfig().with_unit_element_gain(), transmit_power_total=16e306)
         axes = SweepAxes(snr_db=(0.0,), n_jammed=(0,), n_elements=(16, 400))
         with pytest.raises(ConfigurationError, match="transmit_power_total"):
-            run_sweep(cfg, axes, trials=2, seed=0)
+            run_sweep(Scenario(cfg, axes, trials=2, seed=0))
         assert computed == []
 
     def test_point_error_names_the_grid_point(self):
@@ -329,12 +314,12 @@ class TestRunSweep:
         axes = SweepAxes(snr_db=(0.0,), n_jammed=(0,), n_elements=(16, 400))
         with pytest.raises(ConfigurationError,
                            match=r"^grid point \(N=400, l_j=0, snr=0 dB\): transmit_power_total"):
-            validate_sweep(cfg, axes, SweepOptions(), (PROPOSED,), 2, 0)
+            Scenario(cfg, axes, trials=2, seed=0)
 
     def test_negative_seed_rejected(self):
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(0,), n_elements=(8,))
         with pytest.raises(ConfigurationError, match="seed"):
-            run_sweep(LinkConfig().with_unit_element_gain(), axes, trials=2, seed=-1)
+            Scenario(LinkConfig().with_unit_element_gain(), axes, trials=2, seed=-1)
 
     @pytest.mark.parametrize("snr_db, reason", [
         (float("nan"), "not a finite number"),
@@ -345,7 +330,7 @@ class TestRunSweep:
     def test_out_of_range_snr_rejected(self, snr_db, reason):
         axes = SweepAxes(snr_db=(0.0, snr_db), n_jammed=(0,), n_elements=(8,))
         with pytest.raises(ConfigurationError, match=reason):
-            run_sweep(LinkConfig().with_unit_element_gain(), axes, trials=2, seed=0)
+            Scenario(LinkConfig().with_unit_element_gain(), axes, trials=2, seed=0)
 
     @pytest.mark.parametrize("knob", ["ber_trials", "ber_symbols"])
     def test_negative_probe_budget_rejected(self, knob):
@@ -367,7 +352,8 @@ class TestRunSweep:
         grid = {"snr_db": (10.0,), "n_jammed": (2,), "n_elements": (8,)}
         grid[axis] *= 2
         with pytest.raises(ConfigurationError, match=f"{axis} axis repeats"):
-            run_sweep(LinkConfig().with_unit_element_gain(), SweepAxes(**grid), trials=2, seed=0)
+            run_sweep(Scenario(LinkConfig().with_unit_element_gain(), SweepAxes(**grid),
+                               trials=2, seed=0))
         assert computed == []
 
     @pytest.mark.parametrize("length", [sys.maxsize, 2 ** 62])
@@ -377,7 +363,7 @@ class TestRunSweep:
         cfg = replace(LinkConfig().with_unit_element_gain(), preamble_length=length)
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(2,), n_elements=(8,))
         with pytest.raises(ConfigurationError, match="beyond numpy"):
-            run_sweep(cfg, axes, trials=2, seed=0)
+            Scenario(cfg, axes, trials=2, seed=0)
 
     @pytest.mark.parametrize("count, largest", [
         ("preamble_length", sys.maxsize // 16),     # one complex gain per symbol
@@ -399,7 +385,7 @@ class TestRunSweep:
             else:
                 cfg = replace(cfg, **{count: value})
             axes = SweepAxes(snr_db=(10.0,), n_jammed=(n_jammed,), n_elements=(8,))
-            validate_sweep(cfg, axes, options, (PROPOSED,), trials, 0)
+            Scenario(cfg, axes, options, trials, 0)
 
         validate(largest)
         with pytest.raises(ConfigurationError, match="beyond numpy"):
@@ -414,7 +400,7 @@ class TestRunSweep:
 
         def validate(ber_trials, trials, ber_symbols):
             options = SweepOptions(ber_trials=ber_trials, ber_symbols=ber_symbols)
-            validate_sweep(cfg, axes, options, (PROPOSED,), trials, 0)
+            Scenario(cfg, axes, options, trials, 0)
 
         for ber_trials, trials in ((3, 3), (3, 50), (50, 3)):
             validate(ber_trials, trials, largest)
@@ -443,7 +429,7 @@ class TestExpectedSpectralEfficiency:
         """(cell, MC mean, stderr, E) for every cell of a scenario's sweep."""
         cfg0, axes, options, seed = (scenario.config, scenario.axes, scenario.options,
                                      scenario.seed)
-        results = run_sweep(cfg0, axes, scenario.schemes, scenario.trials, seed, options)
+        results = run_sweep(scenario)
         by_cell = {(r.scheme, r.n_elements, r.n_jammed, r.snr_db): r for r in results}
         iid = options.jam_model == metrics.BROADBAND
         grid = product(axes.n_elements, axes.n_jammed, axes.snr_db)
@@ -553,7 +539,7 @@ class TestBroadbandSensing:
 
         monkeypatch.setattr(metrics, "mode_snr", spy)
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(0,), n_elements=(16,))
-        res = run_sweep(self.CFG, axes, trials=2000, seed=8, options=self.OPTS)
+        res = run_sweep(Scenario(self.CFG, axes, self.OPTS, trials=2000, seed=8))
         (flagged,) = masks
         p_j = res[0].p_j
         assert 0.2 < p_j < 0.8
@@ -562,7 +548,7 @@ class TestBroadbandSensing:
 
     def test_p_c_reported_on_every_iid_row(self):
         axes = SweepAxes(snr_db=(-10.0, 30.0), n_jammed=(0,), n_elements=(8,))
-        res = run_sweep(self.CFG, axes, trials=10, seed=3, options=self.OPTS)
+        res = run_sweep(Scenario(self.CFG, axes, self.OPTS, trials=10, seed=3))
         assert all(0.0 < r.p_c <= 1.0 for r in res)
         # at l_j = 0 flagged modes still ride the reflected link, weighted by p_c
         at_30 = {r.scheme: r.se_bits for r in res if r.n_jammed == 0 and r.snr_db == 30.0}
@@ -574,21 +560,21 @@ class TestBroadbandSensing:
         monkeypatch.setattr(metrics, "_sweep_point", lambda *args: computed.append(args))
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(0, 2), n_elements=(8,))
         with pytest.raises(ConfigurationError, match="n_jammed must be 0"):
-            run_sweep(self.CFG, axes, trials=2, seed=0, options=self.OPTS)
+            run_sweep(Scenario(self.CFG, axes, self.OPTS, trials=2, seed=0))
         assert computed == []
 
     def test_p_c_is_nan_only_on_targeted_rows_without_jamming(self):
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(0, 2), n_elements=(8,))
-        res = run_sweep(LinkConfig().with_unit_element_gain(), axes, trials=10, seed=3,
-                        options=SweepOptions(ber_trials=0))
+        res = run_sweep(Scenario(LinkConfig().with_unit_element_gain(), axes,
+                                 SweepOptions(ber_trials=0), trials=10, seed=3))
         assert all(np.isnan(r.p_c) == (r.n_jammed == 0) for r in res)
 
     def test_sensing_memory_is_bounded_by_trials_times_modes(self):
         trials, n, k = 2000, 16, 64
         cfg = replace(self.CFG, samples_per_symbol=k)
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(0,), n_elements=(n,))
-        peak = traced_peak(lambda: run_sweep(cfg, axes, trials=trials, seed=1,
-                                             options=self.OPTS))
+        peak = traced_peak(lambda: run_sweep(Scenario(cfg, axes, self.OPTS, trials=trials,
+                                                      seed=1)))
         # one (trials, N, K) complex array would take 32.8 MB
         assert peak < trials * n * k * np.dtype(complex).itemsize / 8
 
@@ -637,7 +623,7 @@ class TestTargetedSensing:
         trials, n, k = 2000, 16, 64
         cfg = replace(LinkConfig().with_unit_element_gain(), samples_per_symbol=k)
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(2,), n_elements=(n,))
-        peak = traced_peak(lambda: run_sweep(cfg, axes, trials=trials, seed=1,
-                                             options=SweepOptions(ber_trials=0)))
+        peak = traced_peak(lambda: run_sweep(Scenario(cfg, axes, SweepOptions(ber_trials=0),
+                                                      trials=trials, seed=1)))
         # half of one dense (trials, N, K) complex array: 16.4 MB
         assert peak < trials * n * k * np.dtype(complex).itemsize / 2

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oam_antijam import (BASELINE, PROPOSED, ConfigurationError, LinkConfig, SweepAxes,
-                         SweepOptions, mode_index_range, mode_transform, run_sweep)
+from oam_antijam import (BASELINE, PROPOSED, ConfigurationError, LinkConfig, Scenario,
+                         SweepAxes, SweepOptions, mode_index_range, mode_transform, run_sweep)
 from oam_antijam.cli import SCENARIO_KEYS, parse_scenario
 
 FLOAT_FIELDS = ("r_tx", "r_rx", "axial_distance", "wavelength", "beta", "noise_variance_rx",
@@ -42,7 +42,7 @@ def small_sweeps(draw):
 @given(small_sweeps())
 def test_sweep_invariants(sweep):
     cfg, axes, options, trials, seed = sweep
-    res = run_sweep(cfg, axes, trials=trials, seed=seed, options=options)
+    res = run_sweep(Scenario(cfg, axes, options, trials, seed))
     assert len(res) == 2 * len(axes.snr_db) * len(axes.n_jammed)
     for r in res:
         assert np.isfinite(r.se_bits) and r.se_bits >= 0.0
@@ -94,7 +94,6 @@ def test_scenario_value_is_rejected_or_runs(tmp_path_factory, section_key, value
     axes = SweepAxes(snr_db=scenario.axes.snr_db[:1], n_elements=(4,),
                      n_jammed=tuple(j for j in scenario.axes.n_jammed if j <= 4))
     try:
-        run_sweep(scenario.config, axes, scenario.schemes, trials=2, seed=scenario.seed,
-                  options=scenario.options)
+        run_sweep(replace(scenario, axes=axes, trials=2))
     except FloatingPointError:
         pass
