@@ -3,15 +3,13 @@
 Scenario files are INI documents with sections [link], [jamming], [detection],
 [pga] and [sweep]. :data:`SCENARIO_KEYS` maps every key to the field it sets;
 an absent key keeps that field's dataclass default, so an empty or missing
-file runs the full default sweep, and unknown keys are rejected. The README's
-"Scenario files" block lists every key with its default; a test parses it.
-The file becomes one :class:`metrics.Scenario`, whose construction builds the
-link of every grid point, so a scenario that cannot run exits 1 before any
-point runs and without writing a CSV. The seed comes from ``--seed``, then
-``[sweep] seed``, then 1234.
-
-``beta`` is either a number or ``normalized`` (element gains of unit modulus,
-which puts transmit power, noise and jamming on one scale). The CSV schema is
+file runs ``Scenario(LinkConfig(), SweepAxes())``. Unknown keys are rejected,
+and the README's "Scenario files" block lists every key with its default.
+``beta = normalized`` is LinkConfig's None default, and ``power_per_mode``
+times the link's ring size is the transmit total. ``--seed`` and ``--trials``
+take the place of the file's values in the one :class:`metrics.Scenario`
+built, whose construction checks every grid point: a scenario that cannot
+run exits 1 before any point runs. The CSV schema is
 ``scheme,snr_db,n_elements,n_jammed,se_bits_per_hz,p_j,p_u,p_c,ber,trials,seed``
 with floats at 9 significant digits, so a (scenario, seed) pair reproduces the
 output byte for byte. Exit codes: 0 success, 1 validation error, 2 numeric
@@ -24,15 +22,12 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .config import ConfigurationError, LinkConfig, wavelength_for_frequency
 from .metrics import (Scenario, SweepAxes, SweepOptions, SweepResult, check_trends,
                       run_sweep)
-
-DEFAULT_POWER_PER_MODE = 100.0  # W; [link] power_per_mode * n_elements is the transmit total
 
 CSV_COLUMNS = ("scheme", "snr_db", "n_elements", "n_jammed", "se_bits_per_hz",
                "p_j", "p_u", "p_c", "ber", "trials", "seed")
@@ -53,9 +48,8 @@ def _beta(raw: str) -> float | None:
     return None if raw.lower() == "normalized" else float(raw)
 
 
-# [section] key -> (parser, dataclass, field it sets). ``beta`` (None for
-# normalized) and ``power_per_mode`` are resolved by parse_scenario, which also
-# sets the transmit total to power_per_mode times the ring size.
+# [section] key -> (parser, dataclass, field it sets). ``power_per_mode`` is no
+# field: parse_scenario sets the transmit total to it times the ring size.
 SCENARIO_KEYS = {
     ("link", "n_elements"): (int, LinkConfig, "n_tx"),
     ("link", "radius_tx"): (float, LinkConfig, "r_tx"),
@@ -84,11 +78,12 @@ SCENARIO_KEYS = {
 }
 
 
-def parse_scenario(path: str | None) -> Scenario:
+def parse_scenario(path: str | None, **overrides) -> Scenario:
     """Load and validate a scenario file; ``None`` yields the default scenario.
 
-    Raises :class:`ConfigurationError` naming the offending section/key on any
-    unknown key, malformed value, or violated invariant.
+    ``overrides`` (``seed``, ``trials``) replace the file's :class:`Scenario`
+    fields. Raises :class:`ConfigurationError` naming the offending section/key
+    on any unknown key, malformed value, or violated invariant.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     if path is not None:
@@ -120,14 +115,11 @@ def parse_scenario(path: str | None) -> Scenario:
                 raise ConfigurationError(f"[{section}] {key}: {exc}") from exc
 
     link = fields[LinkConfig]
-    beta = link.pop("beta", None)
-    power_per_mode = link.pop("power_per_mode", DEFAULT_POWER_PER_MODE)
-    config = LinkConfig(**link)
-    config = replace(config, transmit_power_total=power_per_mode * config.n_tx)
-    config = config.with_unit_element_gain() if beta is None else replace(config, beta=beta)
-    fields[SweepAxes].setdefault("n_elements", (config.n_tx,))
-    return Scenario(config, SweepAxes(**fields[SweepAxes]), SweepOptions(**fields[SweepOptions]),
-                    **fields[Scenario])
+    if "power_per_mode" in link:
+        per_mode = link.pop("power_per_mode")
+        link["transmit_power_total"] = per_mode * link.get("n_tx", LinkConfig.n_tx)
+    return Scenario(LinkConfig(**link), SweepAxes(**fields[SweepAxes]),
+                    SweepOptions(**fields[SweepOptions]), **{**fields[Scenario], **overrides})
 
 
 def _format_value(value) -> str:
@@ -202,10 +194,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        scenario = parse_scenario(args.config)
-        scenario = replace(scenario,
-                           seed=scenario.seed if args.seed is None else args.seed,
-                           trials=scenario.trials if args.trials is None else args.trials)
+        flags = {"seed": args.seed, "trials": args.trials}
+        scenario = parse_scenario(args.config, **{k: v for k, v in flags.items() if v is not None})
     except ConfigurationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1

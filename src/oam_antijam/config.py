@@ -3,18 +3,21 @@
 All physical and protocol parameters live in a single immutable
 :class:`LinkConfig`. Defaults follow the reference numerical setup:
 r = R = 0.75 m, d = 15 m, 5.8 GHz carrier, E_th = 0.5 W, PGA gains
-(0.5, 2), 0.1 W jamming power, N = 16 elements on each ring.
+(0.5, 2), 0.1 W jamming power, N = 16 elements on each ring, unit-modulus
+element gains and 100 W per mode: ``LinkConfig()`` is the CLI's default link.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 DEFAULT_CARRIER_HZ = 5.8e9
+
+DEFAULT_POWER_PER_MODE = 100.0  # W; the default transmit total is this times n_tx
 
 
 class ConfigurationError(ValueError):
@@ -80,7 +83,8 @@ class LinkConfig:
         r_rx: receive ring radius in metres.
         axial_distance: boresight distance between ring centres in metres.
         wavelength: carrier wavelength in metres.
-        beta: dimensionless channel constant collecting all fixed gains.
+        beta: dimensionless channel constant collecting all fixed gains; the
+            default None sets 4*pi*d / wavelength, unit-modulus element gains.
         noise_variance_rx: per-element receiver noise variance in watts.
         jam_variance_tx: per-element jamming variance seen at the transmitter.
         jam_variance_rx: per-element jamming variance seen at the receiver.
@@ -89,7 +93,9 @@ class LinkConfig:
         pga_priors: transmit probabilities of each gain level, summing to 1.
         samples_per_symbol: samples per modulation symbol (K).
         preamble_length: number of calibration symbols (I).
-        transmit_power_total: total transmit power shared by clean modes, watts.
+        transmit_power_total: total transmit power shared by clean modes, watts;
+            the default None sets DEFAULT_POWER_PER_MODE * n_tx. A
+            :func:`dataclasses.replace` keeps both as set, whatever else it changes.
     """
 
     n_tx: int = 16
@@ -97,7 +103,7 @@ class LinkConfig:
     r_rx: float = 0.75
     axial_distance: float = 15.0
     wavelength: float = field(default_factory=lambda: wavelength_for_frequency(DEFAULT_CARRIER_HZ))
-    beta: float = 1.0
+    beta: float | None = None
     noise_variance_rx: float = 0.1
     jam_variance_tx: float = 0.1
     jam_variance_rx: float = 0.1
@@ -106,7 +112,7 @@ class LinkConfig:
     pga_priors: tuple[float, ...] = (0.5, 0.5)
     samples_per_symbol: int = 64
     preamble_length: int = 16
-    transmit_power_total: float = 1600.0
+    transmit_power_total: float | None = None
 
     def __post_init__(self) -> None:
         for name, low in (("n_tx", 1), ("samples_per_symbol", 1), ("preamble_length", 2)):
@@ -116,6 +122,10 @@ class LinkConfig:
         for name in ("r_tx", "r_rx", "axial_distance", "wavelength", "beta",
                      "noise_variance_rx", "jam_variance_tx", "jam_variance_rx",
                      "energy_threshold_tx", "transmit_power_total"):
+            if name == "beta" and self.beta is None:   # d and wavelength have passed
+                object.__setattr__(self, name, 4 * math.pi * self.axial_distance / self.wavelength)
+            if name == "transmit_power_total" and self.transmit_power_total is None:
+                object.__setattr__(self, name, DEFAULT_POWER_PER_MODE * self.n_tx)
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ConfigurationError(
@@ -144,12 +154,3 @@ class LinkConfig:
     def bessel_argument(self) -> float:
         """2*pi*r*R / (wavelength * sqrt(d^2 + r^2 + R^2))."""
         return 2.0 * math.pi * self.r_tx * self.r_rx / (self.wavelength * self.diagonal_distance)
-
-    def with_unit_element_gain(self) -> "LinkConfig":
-        """Copy of this config with beta chosen so |h_mn| = 1.
-
-        Puts transmit power, noise and jamming variances on a common watt
-        scale; used by the default sweep scenario so SNR sweeps are
-        independent of the absolute free-space loss.
-        """
-        return replace(self, beta=4.0 * math.pi * self.axial_distance / self.wavelength)

@@ -71,7 +71,7 @@ class SweepResult:
 class SweepAxes:
     snr_db: tuple[float, ...] = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
     n_jammed: tuple[int, ...] = (0, 2, 4, 8)
-    n_elements: tuple[int, ...] = (16,)
+    n_elements: tuple[int, ...] | None = None   # None: the scenario link's (n_tx,)
 
 
 @dataclass(frozen=True)
@@ -179,17 +179,17 @@ def _point_config(config: LinkConfig, n_elements: int, n_jammed: int,
 class Scenario:
     """One sweep: the link, the grid, the knobs, the trial count and the seed.
 
-    Construction, and so every :func:`dataclasses.replace`, rejects a sweep
-    that holds a point which cannot run. ``trials`` must be >= 1 and ``seed``
-    >= 0. No axis may repeat a value. Every ring size must be >= 1 and every
-    jammed-mode count in 0..N for every ring size N; the iid model, which
-    jams no chosen modes, takes only n_jammed = 0. Every array a point
-    allocates must fit numpy's limit of sys.maxsize bytes, which also bounds
-    the trial count and the ring sizes. Last, every grid point's link is
-    built by :func:`_point_config`, the builder the sweep runs, so a finite
-    SNR, a noise variance and a transmit total that :class:`LinkConfig`
-    accepts are checked at every point; the error names the first point that
-    fails.
+    Construction, and so every :func:`dataclasses.replace`, sets ring sizes of
+    None to ``(config.n_tx,)``, then rejects a sweep that holds a point which
+    cannot run. ``trials`` must be >= 1 and ``seed`` >= 0. No axis may repeat
+    a value. Every ring size must be >= 1 and every jammed-mode count in 0..N
+    for every ring size N; the iid model, which jams no chosen modes, takes
+    only n_jammed = 0. Every array a point allocates must fit numpy's limit
+    of sys.maxsize bytes, which also bounds the trial count and the ring
+    sizes. Last, every grid point's link is built by :func:`_point_config`,
+    the builder the sweep runs, so a finite SNR, a noise variance and a
+    transmit total that :class:`LinkConfig` accepts are checked at every
+    point; the error names the first point that fails.
     """
 
     config: LinkConfig
@@ -200,6 +200,8 @@ class Scenario:
     schemes = (PROPOSED, BASELINE)   # not a field: every sweep writes both, in this order
 
     def __post_init__(self) -> None:
+        if self.axes.n_elements is None:
+            object.__setattr__(self, "axes", replace(self.axes, n_elements=(self.config.n_tx,)))
         config, axes, options, trials = self.config, self.axes, self.options, self.trials
         if trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {trials}")

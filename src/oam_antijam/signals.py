@@ -11,20 +11,25 @@ reaches the threshold.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .config import mode_index_range
 
 
+@lru_cache(maxsize=1)   # a sweep point asks for one N once per sensing block
 def mode_transform(n_elements: int) -> np.ndarray:
     """Unitary element->mode matrix W with rows ordered by canonical mode index.
 
     W[i, n] = exp(-j*2*pi*n*l_i/N) / sqrt(N). Its conjugate transpose maps
-    mode-domain symbols onto elements.
+    mode-domain symbols onto elements. Cached for the last N, so read-only.
     """
     modes = np.array(mode_index_range(n_elements))
     n = np.arange(n_elements)
-    return np.exp(-2j * np.pi * np.outer(modes, n) / n_elements) / np.sqrt(n_elements)
+    w = np.exp(-2j * np.pi * np.outer(modes, n) / n_elements) / np.sqrt(n_elements)
+    w.flags.writeable = False
+    return w
 
 
 def mode_energies(element_samples: np.ndarray) -> np.ndarray:

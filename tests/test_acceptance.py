@@ -39,7 +39,7 @@ from oam_antijam.cli import main
 from oam_antijam.jamming import complex_gaussian
 from oracles import bessel_j, circulant, exact_channel_matrix, mode_channel_gain, series_bessel
 
-REFERENCE = LinkConfig()
+REFERENCE = LinkConfig(beta=1.0)   # the physical free-space scale
 
 
 def report(number: int, message: str, started: float, budget: float) -> None:
@@ -89,7 +89,7 @@ def test_criterion_03_channel_gain_equivalence():
     started = time.perf_counter()
     spreads = {}
     for n in (8, 16):
-        cfg = LinkConfig(n_tx=n)
+        cfg = LinkConfig(n_tx=n, beta=1.0)
         h = circulant(build_channel_matrix(cfg))
         phi = element_azimuths(n)
         ratios = []
@@ -193,7 +193,7 @@ def test_criterion_06_threshold_equals_likelihood_crossing():
 
 def _backscatter_config(noise_variance: float) -> LinkConfig:
     return LinkConfig(samples_per_symbol=16,
-                      noise_variance_rx=noise_variance).with_unit_element_gain()
+                      noise_variance_rx=noise_variance)
 
 
 def test_criterion_07_backscatter_link_sanity():
@@ -245,7 +245,7 @@ def _by_key(results):
 
 def test_criterion_08_jammed_count_trends():
     started = time.perf_counter()
-    cfg = LinkConfig().with_unit_element_gain()
+    cfg = LinkConfig()
     axes = SweepAxes(snr_db=tuple(float(s) for s in range(-10, 31, 5)),
                      n_jammed=(0, 2, 4, 8), n_elements=(16,))
     results = run_sweep(Scenario(cfg, axes, SweepOptions(ber_trials=10, ber_symbols=4),
@@ -270,7 +270,7 @@ def test_criterion_08_jammed_count_trends():
 
 def test_criterion_09_ring_size_trends():
     started = time.perf_counter()
-    cfg = LinkConfig().with_unit_element_gain()
+    cfg = LinkConfig()
     axes = SweepAxes(snr_db=tuple(float(s) for s in range(-10, 31, 5)),
                      n_jammed=(4,), n_elements=(16, 20, 24, 28))
     results = run_sweep(Scenario(cfg, axes, SweepOptions(ber_trials=10, ber_symbols=4),

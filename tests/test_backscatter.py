@@ -36,7 +36,7 @@ DEFAULT_GAINS = (0.5, 2.0)
 def normalized_config(**overrides) -> LinkConfig:
     base = dict(samples_per_symbol=16, noise_variance_rx=1.0)
     base.update(overrides)
-    return LinkConfig(**base).with_unit_element_gain()
+    return LinkConfig(**base)
 
 
 def mode_row(n, mode):
@@ -101,7 +101,7 @@ def likelihood_crossing(q0, q1, p0, p1, k):
 
 class TestAlphabetAndPreamble:
     def test_default_alphabet(self):
-        cfg = LinkConfig().with_unit_element_gain()
+        cfg = LinkConfig()
         assert cfg.pga_gains == DEFAULT_GAINS
         assert cfg.pga_priors == (0.5, 0.5)
         # a flagged mode at p_j = p_c = 1 carries the mean PGA power gain
@@ -137,7 +137,7 @@ class TestAlphabetAndPreamble:
             return draw(*args)
 
         monkeypatch.setattr(backscatter, "simulate_backscatter_bits", record)
-        cfg = LinkConfig(preamble_length=7).with_unit_element_gain()
+        cfg = LinkConfig(preamble_length=7)
         axes = SweepAxes(snr_db=(0.0, 10.0), n_jammed=(2,), n_elements=(8,))
         run_sweep(Scenario(cfg, axes, SweepOptions(ber_trials=0), trials=4, seed=1))
         assert len(preambles) == 2 * 8

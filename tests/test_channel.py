@@ -10,7 +10,7 @@ from oam_antijam.config import ConfigurationError, mode_index_range
 from oracles import (bessel_j, circulant, exact_channel_matrix, mode_channel_gain,
                      ring_sampled_bessel, row_and_matrix, sandwich_link_gains, series_bessel)
 
-REFERENCE = LinkConfig()  # r = R = 0.75 m, d = 15 m, 5.8 GHz, N = 16
+REFERENCE = LinkConfig(beta=1.0)  # r = R = 0.75 m, d = 15 m, 5.8 GHz, N = 16, physical scale
 
 # Frozen by a 50-digit evaluation of the two distance forms over all 16x16
 # element pairs of the default geometry.
@@ -42,7 +42,7 @@ class TestPairwiseDistance:
     """The element-pair distances behind the expanded channel and the exact-distance oracle."""
 
     def test_degenerate_radii_give_axial_distance(self):
-        cfg = LinkConfig(r_tx=TINY, r_rx=TINY)
+        cfg = LinkConfig(r_tx=TINY, r_rx=TINY, beta=1.0)
         lam = cfg.wavelength
         point_to_point = cfg.beta * lam * np.exp(-2j * np.pi * 15.0 / lam) / (4 * np.pi * 15.0)
         for build in (exact_channel_matrix, build_channel_matrix):
@@ -71,7 +71,7 @@ class TestElementGain:
         assert np.allclose(np.abs(h), ELEMENT_GAIN_MODULUS, rtol=1e-12)
 
     def test_tiny_radius_removes_azimuthal_dependence(self):
-        cfg = LinkConfig(r_tx=TINY, r_rx=0.75)
+        cfg = LinkConfig(r_tx=TINY, r_rx=0.75, beta=1.0)
         gains = build_channel_matrix(cfg)
         assert np.max(np.abs(np.diff(gains.ravel()))) < 1e-12
 
@@ -89,7 +89,7 @@ class TestElementGain:
 
 class TestChannelMatrix:
     def test_point_to_point_entry(self):
-        cfg = LinkConfig(n_tx=1, r_tx=TINY, r_rx=TINY)
+        cfg = LinkConfig(n_tx=1, r_tx=TINY, r_rx=TINY, beta=1.0)
         entry = exact_channel_matrix(cfg)[0, 0]
         lam = cfg.wavelength
         expected = cfg.beta * lam * np.exp(-2j * np.pi * 15.0 / lam) / (4 * np.pi * 15.0)
@@ -98,7 +98,7 @@ class TestChannelMatrix:
     def test_approximate_matrix_is_circulant_like(self):
         # the package keeps only the first row; its circulant expansion shifts it
         # exactly, row by row
-        for cfg in (REFERENCE, LinkConfig(n_tx=128)):
+        for cfg in (REFERENCE, LinkConfig(n_tx=128, beta=1.0)):
             row = build_channel_matrix(cfg)
             assert row.shape == (cfg.n_tx,)
             h = circulant(row)
@@ -170,7 +170,7 @@ class TestModeGain:
                 abs(mode_channel_gain(REFERENCE, -l)), rel=1e-12)
 
     def test_small_radius_limits(self):
-        cfg = LinkConfig(r_tx=TINY)
+        cfg = LinkConfig(r_tx=TINY, beta=1.0)
         lam = cfg.wavelength
         expected = cfg.beta * lam * math.sqrt(16) / (4 * np.pi * 15.0)
         assert abs(mode_channel_gain(cfg, 0)) == pytest.approx(expected, rel=1e-9)
@@ -180,7 +180,7 @@ class TestModeGain:
     @pytest.mark.parametrize("n", [8, 16])
     def test_matches_matrix_sandwich_up_to_constant(self, n):
         # oracle: mode decomposition of the full expanded matrix
-        cfg = LinkConfig(n_tx=n)
+        cfg = LinkConfig(n_tx=n, beta=1.0)
         h = circulant(build_channel_matrix(cfg))
         phi = element_azimuths(n)
         ratios = []
@@ -209,7 +209,7 @@ class TestModeGain:
     def test_link_gains_match_the_sandwich_oracle(self, n, build):
         # the FFT of the first row against the decomposition of the full matrix; the
         # exact-distance matrix is circulant only up to rounding
-        cfg = LinkConfig(n_tx=n)
+        cfg = LinkConfig(n_tx=n, beta=1.0)
         row, matrix = row_and_matrix(build(cfg))
         fast = mode_link_gains(cfg, row)
         oracle = sandwich_link_gains(cfg, matrix)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from oam_antijam import LinkConfig, Scenario, SweepAxes
+from oam_antijam import LinkConfig, Scenario, SweepAxes, SweepOptions, run_sweep
 from oam_antijam.cli import CSV_COLUMNS, format_sweep_csv, main, parse_scenario
 from oam_antijam.config import ConfigurationError
 from oam_antijam.metrics import DEFAULT_SEED
@@ -129,7 +129,7 @@ class TestParseScenario:
 class TestOneSourceOfDefaults:
     """Every scenario default is a dataclass default; the README states the same ones."""
 
-    DEFAULT = Scenario(LinkConfig().with_unit_element_gain(), SweepAxes())
+    DEFAULT = Scenario(LinkConfig(), SweepAxes())
 
     def test_no_file_gives_the_dataclass_defaults(self):
         assert parse_scenario(None) == self.DEFAULT
@@ -138,6 +138,27 @@ class TestOneSourceOfDefaults:
         section = README.read_text().split("## Scenario files", 1)[1]
         block = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
         assert parse_scenario(write(tmp_path, block)) == self.DEFAULT
+
+    @pytest.mark.parametrize("n", [8, 9, 16, 128])   # the default n_jammed axis runs to 8
+    def test_file_ring_size_gives_the_library_default_at_that_size(self, tmp_path, n):
+        path = write(tmp_path, f"[link]\nn_elements = {n}\n")
+        assert parse_scenario(path) == Scenario(LinkConfig(n_tx=n), SweepAxes())
+
+    def test_file_link_keys_are_link_config_fields(self, tmp_path):
+        # power_per_mode is the one [link] key that is not a field: times the ring
+        # size, it is the transmit total
+        path = write(tmp_path, "[link]\nn_elements = 8\ndistance = 30\n"
+                               "power_per_mode = 50\nbeta = 2.5\n")
+        assert parse_scenario(path) == Scenario(
+            LinkConfig(n_tx=8, axial_distance=30.0, transmit_power_total=400.0, beta=2.5),
+            SweepAxes())
+
+    def test_library_sweep_writes_the_cli_csv(self, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main(["--config", write(tmp_path, TINY_SCENARIO), "--output", str(out)]) == 0
+        scenario = Scenario(LinkConfig(), SweepAxes(snr_db=(0.0, 10.0), n_jammed=(0, 2)),
+                            SweepOptions(ber_trials=3, ber_symbols=2), trials=20, seed=42)
+        assert format_sweep_csv(run_sweep(scenario)) == out.read_text()
 
     @pytest.mark.parametrize("override", [{"trials": 0}, {"seed": -1},
                                           {"trials": sys.maxsize + 1},
@@ -253,6 +274,7 @@ class TestValidationBeforeAnyPoint:
         "[jamming]\npower_rx = inf",
         "[jamming]\npower_tx = inf",
         "[link]\ndistance = inf",
+        "[link]\nfrequency_ghz = inf",
         "[link]\nradius_tx = inf",
         "[link]\nbeta = inf",
         "[link]\nradius_tx = 1e200",
@@ -264,8 +286,6 @@ class TestValidationBeforeAnyPoint:
         "[pga]\ngains = 0.5, nan",
         "[pga]\ngains = 0.5, inf",
         "[pga]\npriors = nan, nan",
-        "schemes =",
-        "schemes = proposed, Proposed",
         "snr_db = 0, 0",
         "n_jammed = 2, 2",
         "n_elements = 8, 8",
@@ -362,6 +382,27 @@ def test_golden_sweeps_run_without_scipy(tmp_path):
 
 
 class TestSeedPrecedence:
+    def test_flags_are_checked_with_the_file_in_one_scenario(self, tmp_path, monkeypatch):
+        # --seed and --trials go into the one Scenario built, so each of the 36
+        # default grid points is checked once
+        from oam_antijam import cli, metrics
+
+        point_config, checked, swept = metrics._point_config, [], []
+
+        def counting(*args):
+            checked.append(args)
+            return point_config(*args)
+
+        def no_sweep(scenario):
+            swept.append(scenario)
+            raise FloatingPointError("stub sweep")
+
+        monkeypatch.setattr(metrics, "_point_config", counting)
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        assert main(["--seed", "7", "--trials", "5", "--output", str(tmp_path / "x.csv")]) == 2
+        assert len(checked) == 36
+        assert (swept[0].seed, swept[0].trials) == (7, 5)
+
     def test_scenario_seed_beats_default(self, tmp_path):
         scenario_path = write(tmp_path, TINY_SCENARIO)
         out = tmp_path / "out.csv"

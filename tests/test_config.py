@@ -1,7 +1,9 @@
 """LinkConfig invariants and derived geometry."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from oam_antijam import ConfigurationError, LinkConfig, mode_index_range, wavelength_for_frequency
@@ -75,9 +77,22 @@ def test_derived_geometry():
 
 
 def test_unit_element_gain_normalization():
-    cfg = LinkConfig().with_unit_element_gain()
-    assert cfg.beta == pytest.approx(4 * math.pi * 15.0 / cfg.wavelength)
     from oam_antijam import build_channel_matrix
 
-    gains = build_channel_matrix(cfg)
-    assert abs(gains[0]) == pytest.approx(1.0, rel=1e-12)
+    cfg = LinkConfig()
+    assert cfg.beta == 4 * math.pi * 15.0 / cfg.wavelength
+    assert np.allclose(np.abs(build_channel_matrix(cfg)), 1.0, rtol=1e-12, atol=0.0)
+    physical = LinkConfig(beta=1.0)
+    assert np.allclose(np.abs(build_channel_matrix(physical)),
+                       physical.wavelength / (4 * math.pi * 15.0), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 8, 16, 128])
+def test_default_transmit_total_is_100_watts_per_mode(n):
+    assert LinkConfig(n_tx=n).transmit_power_total == 100.0 * n
+    assert LinkConfig(n_tx=n, transmit_power_total=7.0).transmit_power_total == 7.0
+
+
+def test_replace_keeps_the_resolved_defaults():
+    cfg = replace(LinkConfig(), n_tx=8, wavelength=1.0)
+    assert (cfg.transmit_power_total, cfg.beta) == (1600.0, LinkConfig().beta)

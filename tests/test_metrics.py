@@ -115,7 +115,7 @@ class TestSpectralEfficiency:
 
 
 class TestModeSnr:
-    CFG = LinkConfig().with_unit_element_gain()
+    CFG = LinkConfig()
 
     def gains(self, cfg=CFG):
         return mode_link_gains(cfg)
@@ -125,7 +125,7 @@ class TestModeSnr:
         assert not out.any()
 
     def test_huge_disturbance_drives_snr_to_zero(self):
-        cfg = LinkConfig(noise_variance_rx=1e12, jam_variance_rx=1e12)
+        cfg = LinkConfig(noise_variance_rx=1e12, jam_variance_rx=1e12, beta=1.0)
         out = mode_snr(cfg, flags_for(), self.gains(cfg), 1.0, p_j=0.0, p_u=1.0)
         assert out.max() < 1e-9
 
@@ -219,7 +219,7 @@ class TestRunSweep:
     def test_deterministic_in_seed(self):
         from oam_antijam.cli import format_sweep_csv
 
-        cfg = LinkConfig().with_unit_element_gain()
+        cfg = LinkConfig()
         a = run_sweep(Scenario(cfg, self.AXES, trials=30, seed=4))
         b = run_sweep(Scenario(cfg, self.AXES, trials=30, seed=4))
         assert format_sweep_csv(a) == format_sweep_csv(b)
@@ -228,14 +228,14 @@ class TestRunSweep:
         assert any(x.se_bits != y.se_bits for x, y in zip(a, c))
 
     def test_row_layout(self):
-        cfg = LinkConfig().with_unit_element_gain()
+        cfg = LinkConfig()
         res = run_sweep(Scenario(cfg, self.AXES, trials=5, seed=1))
         assert len(res) == 2 * 2 * 2
         assert [r.scheme for r in res[:2]] == [PROPOSED, BASELINE]
         assert all(r.se_bits >= 0.0 for r in res)
 
     def test_baseline_never_exceeds_proposed(self):
-        cfg = LinkConfig().with_unit_element_gain()
+        cfg = LinkConfig()
         res = run_sweep(Scenario(cfg, self.AXES, trials=60, seed=9))
         pairs = {(r.snr_db, r.n_jammed): {} for r in res}
         for r in res:
@@ -244,7 +244,7 @@ class TestRunSweep:
             assert entry[PROPOSED] >= entry[BASELINE]
 
     def test_trend_checks_pass_on_default_configuration(self):
-        cfg = LinkConfig().with_unit_element_gain()
+        cfg = LinkConfig()
         axes = SweepAxes(snr_db=(0.0, 10.0, 20.0), n_jammed=(0, 4),
                          n_elements=(16, 20))
         res = run_sweep(Scenario(cfg, axes, trials=120, seed=2))
@@ -261,7 +261,7 @@ class TestRunSweep:
         correct probe leaves the bound is below 6e-7 per cell, and below 2e-5
         over the 27 cells of the three seeds.
         """
-        cfg = LinkConfig().with_unit_element_gain()
+        cfg = LinkConfig()
         axes = SweepAxes(snr_db=(-10.0, 0.0, 10.0), n_jammed=(2, 4, 8), n_elements=(8,))
         options = SweepOptions(ber_trials=150, ber_symbols=16)
         results = run_sweep(Scenario(cfg, axes, options, trials=150, seed=seed))
@@ -272,13 +272,13 @@ class TestRunSweep:
             assert abs(r.ber - q) <= bound, (r.n_jammed, r.snr_db, r.ber, q, bound)
 
     def test_jammed_count_beyond_modes_rejected(self):
-        cfg = LinkConfig().with_unit_element_gain()
+        cfg = LinkConfig()
         axes = SweepAxes(snr_db=(0.0,), n_jammed=(17,), n_elements=(16,))
         with pytest.raises(ConfigurationError):
             Scenario(cfg, axes, trials=2, seed=0)
 
     def test_broadband_model_runs(self):
-        cfg = LinkConfig().with_unit_element_gain()
+        cfg = LinkConfig()
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(0,), n_elements=(8,))
         opts = SweepOptions(jam_model="iid", ber_trials=2, ber_symbols=2)
         res = run_sweep(Scenario(cfg, axes, opts, trials=20, seed=3))
@@ -286,14 +286,14 @@ class TestRunSweep:
             1.0 - res[0].p_j, abs=1e-12)  # same gamma tail for both
 
     def test_empty_ring_rejected(self):
-        cfg = LinkConfig().with_unit_element_gain()
+        cfg = LinkConfig()
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(0,), n_elements=(16, 0))
         with pytest.raises(ConfigurationError, match="ring size"):
             Scenario(cfg, axes, trials=2, seed=0)
 
     def test_negative_jammed_count_rejected(self):
         # used to run with the power budget of N + 3 modes
-        cfg = LinkConfig().with_unit_element_gain()
+        cfg = LinkConfig()
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(-3,), n_elements=(16,))
         with pytest.raises(ConfigurationError, match="n_jammed -3"):
             Scenario(cfg, axes, trials=2, seed=0)
@@ -303,14 +303,14 @@ class TestRunSweep:
         computed = []
         monkeypatch.setattr(metrics, "_sweep_point",
                             lambda *args: computed.append(args))
-        cfg = replace(LinkConfig().with_unit_element_gain(), transmit_power_total=16e306)
+        cfg = LinkConfig(transmit_power_total=16e306)
         axes = SweepAxes(snr_db=(0.0,), n_jammed=(0,), n_elements=(16, 400))
         with pytest.raises(ConfigurationError, match="transmit_power_total"):
             run_sweep(Scenario(cfg, axes, trials=2, seed=0))
         assert computed == []
 
     def test_point_error_names_the_grid_point(self):
-        cfg = replace(LinkConfig().with_unit_element_gain(), transmit_power_total=16e306)
+        cfg = LinkConfig(transmit_power_total=16e306)
         axes = SweepAxes(snr_db=(0.0,), n_jammed=(0,), n_elements=(16, 400))
         with pytest.raises(ConfigurationError,
                            match=r"^grid point \(N=400, l_j=0, snr=0 dB\): transmit_power_total"):
@@ -319,7 +319,7 @@ class TestRunSweep:
     def test_negative_seed_rejected(self):
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(0,), n_elements=(8,))
         with pytest.raises(ConfigurationError, match="seed"):
-            Scenario(LinkConfig().with_unit_element_gain(), axes, trials=2, seed=-1)
+            Scenario(LinkConfig(), axes, trials=2, seed=-1)
 
     @pytest.mark.parametrize("snr_db, reason", [
         (float("nan"), "not a finite number"),
@@ -330,7 +330,7 @@ class TestRunSweep:
     def test_out_of_range_snr_rejected(self, snr_db, reason):
         axes = SweepAxes(snr_db=(0.0, snr_db), n_jammed=(0,), n_elements=(8,))
         with pytest.raises(ConfigurationError, match=reason):
-            Scenario(LinkConfig().with_unit_element_gain(), axes, trials=2, seed=0)
+            Scenario(LinkConfig(), axes, trials=2, seed=0)
 
     @pytest.mark.parametrize("knob", ["ber_trials", "ber_symbols"])
     def test_negative_probe_budget_rejected(self, knob):
@@ -340,8 +340,7 @@ class TestRunSweep:
     def test_three_level_pga_rejected_before_any_point(self):
         # the config itself refuses it, so no sweep can be given one
         with pytest.raises(ConfigurationError, match="reflected link is binary"):
-            replace(LinkConfig().with_unit_element_gain(),
-                    pga_gains=(0.5, 1.0, 2.0), pga_priors=(0.25, 0.25, 0.5))
+            LinkConfig(pga_gains=(0.5, 1.0, 2.0), pga_priors=(0.25, 0.25, 0.5))
 
 
     @pytest.mark.parametrize("axis", ["snr_db", "n_jammed", "n_elements"])
@@ -352,7 +351,7 @@ class TestRunSweep:
         grid = {"snr_db": (10.0,), "n_jammed": (2,), "n_elements": (8,)}
         grid[axis] *= 2
         with pytest.raises(ConfigurationError, match=f"{axis} axis repeats"):
-            run_sweep(Scenario(LinkConfig().with_unit_element_gain(), SweepAxes(**grid),
+            run_sweep(Scenario(LinkConfig(), SweepAxes(**grid),
                                trials=2, seed=0))
         assert computed == []
 
@@ -360,7 +359,7 @@ class TestRunSweep:
     def test_preamble_beyond_any_array_fails_at_once(self, length):
         # the preamble's per-symbol gains are one complex array, so a length
         # numpy cannot hold is refused before any memory is taken
-        cfg = replace(LinkConfig().with_unit_element_gain(), preamble_length=length)
+        cfg = LinkConfig(preamble_length=length)
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(2,), n_elements=(8,))
         with pytest.raises(ConfigurationError, match="beyond numpy"):
             Scenario(cfg, axes, trials=2, seed=0)
@@ -376,7 +375,7 @@ class TestRunSweep:
         # probe trial on 2 jammed modes sends 16 symbols, as many as the preamble;
         # the ber_symbols case probes 1 jammed mode, so it sends ber_symbols symbols
         def validate(value):
-            cfg = LinkConfig().with_unit_element_gain()
+            cfg = LinkConfig()
             options, trials, n_jammed = SweepOptions(ber_trials=1), 2, 2
             if count == "trials":
                 trials = value
@@ -394,7 +393,7 @@ class TestRunSweep:
     def test_probe_bound_counts_every_batched_symbol(self):
         # the probe sends min(ber_trials, trials) x max(l_j) x ber_symbols symbols in
         # one batch: 3 x 4 x s complex gains, whatever the smaller l_j of the grid
-        cfg = LinkConfig().with_unit_element_gain()
+        cfg = LinkConfig()
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(1, 4), n_elements=(8,))
         largest = sys.maxsize // (16 * 3 * 4)
 
@@ -467,7 +466,7 @@ class TestExpectedSpectralEfficiency:
 
     def test_closed_form_by_enumeration(self):
         # N = 3, two candidate modes: weigh every flag pattern by its probability
-        cfg = replace(LinkConfig().with_unit_element_gain(), n_tx=3, transmit_power_total=30.0)
+        cfg = LinkConfig(n_tx=3, transmit_power_total=30.0)
         kappas = mode_link_gains(cfg)
         f, p_j, p_c = 0.3, 0.9, np.array([0.6, 0.7, 0.8])
         proposed = baseline = 0.0
@@ -527,7 +526,7 @@ class TestCheckTrends:
 class TestBroadbandSensing:
     """The iid path draws each mode's energy as Gamma(K, sigma2/K)."""
 
-    CFG = replace(LinkConfig().with_unit_element_gain(), energy_threshold_tx=0.1)
+    CFG = LinkConfig(energy_threshold_tx=0.1)
     OPTS = SweepOptions(jam_model="iid", ber_trials=0)
 
     def test_flag_rate_matches_analytic_p_j(self, monkeypatch):
@@ -565,7 +564,7 @@ class TestBroadbandSensing:
 
     def test_p_c_is_nan_only_on_targeted_rows_without_jamming(self):
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(0, 2), n_elements=(8,))
-        res = run_sweep(Scenario(LinkConfig().with_unit_element_gain(), axes,
+        res = run_sweep(Scenario(LinkConfig(), axes,
                                  SweepOptions(ber_trials=0), trials=10, seed=3))
         assert all(np.isnan(r.p_c) == (r.n_jammed == 0) for r in res)
 
@@ -621,7 +620,7 @@ class TestTargetedSensing:
 
     def test_memory_is_bounded_by_the_jammed_modes(self):
         trials, n, k = 2000, 16, 64
-        cfg = replace(LinkConfig().with_unit_element_gain(), samples_per_symbol=k)
+        cfg = LinkConfig(samples_per_symbol=k)
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(2,), n_elements=(n,))
         peak = traced_peak(lambda: run_sweep(Scenario(cfg, axes, SweepOptions(ber_trials=0),
                                                       trials=trials, seed=1)))

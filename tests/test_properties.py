@@ -31,8 +31,8 @@ def small_sweeps(draw):
     threshold = draw(st.sampled_from([0.05, 0.1, 0.5]))
     options = SweepOptions(jam_model=jam_model,
                            ber_trials=draw(st.integers(0, 2)), ber_symbols=2)
-    cfg = replace(LinkConfig().with_unit_element_gain(), energy_threshold_tx=threshold,
-                  samples_per_symbol=draw(st.sampled_from([1, 8, 64])))
+    cfg = LinkConfig(energy_threshold_tx=threshold,
+                     samples_per_symbol=draw(st.sampled_from([1, 8, 64])))
     axes = SweepAxes(snr_db=tuple(snr_db), n_jammed=tuple(sorted(n_jammed)),
                      n_elements=(n,))
     return cfg, axes, options, draw(st.integers(1, 4)), draw(st.integers(0, 2**16))

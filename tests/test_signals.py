@@ -74,8 +74,15 @@ def test_parseval_under_unit_normalization():
         np.sum(np.abs(element) ** 2), rel=1e-12)
 
 
+def test_mode_transform_is_cached_read_only():
+    w = mode_transform(8)
+    with pytest.raises(ValueError, match="read-only"):
+        w[0, 0] = 0.0
+    assert mode_transform(8) is w
+
+
 def test_mode_orthogonality_through_expanded_channel():
-    cfg = LinkConfig()
+    cfg = LinkConfig(beta=1.0)
     h = circulant(build_channel_matrix(cfg))
     n = cfg.n_tx
     for l in (0, 3, -5, 8):
