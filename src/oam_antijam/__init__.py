@@ -10,28 +10,27 @@ command-line front end.
 """
 
 from .backscatter import (average_correct_detection, calibrate_from_preamble,
-                          calibrate_threshold, correct_detection_prob, hypothesis_variance,
+                          calibrate_threshold, hypothesis_variance,
                           receiver_background_variance, simulate_backscatter_bits)
 from .channel import build_channel_matrix, element_azimuths, mode_link_gains
 from .config import (ConfigurationError, LinkConfig, mode_index_range,
                      wavelength_for_frequency)
-from .jamming import RandomStream
+from .jamming import substream
 from .metrics import (BASELINE, PROPOSED, Scenario, SweepAxes, SweepOptions, SweepResult,
                       allocate_power, check_trends, mode_snr, run_sweep,
                       sense_targeted, spectral_efficiency)
-from .sensing import DetectionStats, detection_probabilities, gamma_cdf
+from .sensing import detection_probabilities, gamma_cdf
 from .signals import mode_energies, mode_transform
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BASELINE", "ConfigurationError", "DetectionStats", "LinkConfig", "PROPOSED",
-    "RandomStream", "Scenario", "SweepAxes", "SweepOptions", "SweepResult", "allocate_power",
-    "average_correct_detection", "build_channel_matrix", "calibrate_from_preamble",
-    "calibrate_threshold", "check_trends", "correct_detection_prob",
+    "BASELINE", "ConfigurationError", "LinkConfig", "PROPOSED", "Scenario", "SweepAxes",
+    "SweepOptions", "SweepResult", "allocate_power", "average_correct_detection",
+    "build_channel_matrix", "calibrate_from_preamble", "calibrate_threshold", "check_trends",
     "detection_probabilities", "element_azimuths", "gamma_cdf", "hypothesis_variance",
     "mode_energies", "mode_index_range", "mode_link_gains", "mode_snr", "mode_transform",
     "receiver_background_variance", "run_sweep", "sense_targeted",
-    "simulate_backscatter_bits", "spectral_efficiency",
+    "simulate_backscatter_bits", "spectral_efficiency", "substream",
     "wavelength_for_frequency",
 ]

@@ -95,27 +95,21 @@ def hypothesis_variance(config: LinkConfig, link_gain: complex, gain_level: floa
             + receiver_background_variance(config))
 
 
-def correct_detection_prob(q_th: float, n_samples: int, sigma2_k: float,
-                           true_bit: int) -> float:
-    """Probability of deciding the transmitted bit correctly.
-
-    Conditions on the true bit: the energy is Gamma(K, sigma2_k(bit)/K), and
-    bit 0 is decided below q_th, with probability :func:`sensing.gamma_cdf`.
-    """
-    if sigma2_k <= 0.0:
-        raise ValueError(f"sigma2_k must be positive, got {sigma2_k}")
-    if true_bit not in (0, 1):
-        raise ValueError(f"true_bit must be 0 or 1, got {true_bit}")
-    below = gamma_cdf(max(q_th, 0.0), n_samples, sigma2_k / n_samples)
-    return below if true_bit == 0 else 1.0 - below
-
-
 def average_correct_detection(q_th: float, n_samples: int, sigma2_k0: float,
                               sigma2_k1: float, priors=(0.5, 0.5)) -> float:
-    """Prior-weighted correct-decision probability over both bit values."""
+    """Prior-weighted probability of deciding the sent bit correctly.
+
+    Under bit b the energy is Gamma(K, sigma2_kb/K), and bit 0 is decided below
+    q_th: p0 * P[Q < q_th | 0] + p1 * P[Q >= q_th | 1], both tails from
+    :func:`sensing.gamma_cdf`. Priors (1, 0) or (0, 1) give one bit's probability.
+    """
+    if not (sigma2_k0 > 0.0 and sigma2_k1 > 0.0):
+        raise ValueError(f"hypothesis variances must be positive, got {sigma2_k0}, {sigma2_k1}")
     p0, p1 = priors
-    return (p0 * correct_detection_prob(q_th, n_samples, sigma2_k0, 0)
-            + p1 * correct_detection_prob(q_th, n_samples, sigma2_k1, 1))
+    q_th = max(q_th, 0.0)
+    below0 = gamma_cdf(q_th, n_samples, sigma2_k0 / n_samples)
+    below1 = gamma_cdf(q_th, n_samples, sigma2_k1 / n_samples)
+    return p0 * below0 + p1 * (1.0 - below1)
 
 
 def simulate_backscatter_bits(config: LinkConfig, link_gain: complex, gains, bits,

@@ -10,6 +10,7 @@ element gains and 100 W per mode: ``LinkConfig()`` is the CLI's default link.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -22,6 +23,16 @@ DEFAULT_POWER_PER_MODE = 100.0  # W; the default transmit total is this times n_
 
 class ConfigurationError(ValueError):
     """A configuration value violates a documented constraint."""
+
+
+def check_count(name: str, value, low: int, high=sys.maxsize) -> None:
+    """Reject ``value`` unless it is an integer (numpy's too, not a bool) in low..high.
+
+    Counts size arrays, so by default numpy's limit of sys.maxsize bounds them.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not low <= value <= high):
+        raise ConfigurationError(f"{name} {value!r} is not an integer in {low}..{high}")
 
 
 def wavelength_for_frequency(frequency_hz: float) -> float:
@@ -116,9 +127,7 @@ class LinkConfig:
 
     def __post_init__(self) -> None:
         for name, low in (("n_tx", 1), ("samples_per_symbol", 1), ("preamble_length", 2)):
-            if not low <= getattr(self, name) <= sys.maxsize:  # counts size arrays
-                raise ConfigurationError(
-                    f"{name} must lie in {low}..{sys.maxsize}, got {getattr(self, name)}")
+            check_count(name, getattr(self, name), low)
         for name in ("r_tx", "r_rx", "axial_distance", "wavelength", "beta",
                      "noise_variance_rx", "jam_variance_tx", "jam_variance_rx",
                      "energy_threshold_tx", "transmit_power_total"):

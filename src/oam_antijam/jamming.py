@@ -1,9 +1,9 @@
 """Reproducible random substreams and jamming sources.
 
-Every draw goes through a :class:`RandomStream` keyed by (seed, stream_id);
-identical keys reproduce identical samples bit-exactly, and distinct
-stream_ids give statistically independent substreams, so Monte Carlo trials
-can run in parallel without shared state.
+Every draw goes through a :func:`substream` generator keyed by (seed, key);
+identical keys reproduce identical samples bit-exactly, and distinct keys
+give statistically independent substreams, so Monte Carlo trials can run in
+parallel without shared state.
 
 The draws behind both jamming models live here. Broadband jamming, i.i.d.
 per element, stays i.i.d. per mode under the unitary transform, so its
@@ -15,28 +15,15 @@ sensing energies are drawn directly as Gamma(K, sigma2/K)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
 NOISE_VARIANCE_FLOOR = 1e-30  # watts; keeps the zero-noise limit well-posed
 
 
-@dataclass(frozen=True)
-class RandomStream:
-    """Deterministic substream of a global seed.
-
-    An integer ``stream_id`` keys the substream ``(stream_id,)``; a tuple keys
-    itself, e.g. ``(point_index, purpose)`` for one stage of one sweep point.
-    """
-
-    seed: int
-    stream_id: int | tuple[int, ...] = 0
-
-    def generator(self) -> Generator:
-        key = self.stream_id if isinstance(self.stream_id, tuple) else (self.stream_id,)
-        return Generator(PCG64(SeedSequence(entropy=self.seed, spawn_key=key)))
+def substream(seed: int, *key: int) -> Generator:
+    """Deterministic substream ``key`` of a global seed, e.g. ``(point_index, stage)``."""
+    return Generator(PCG64(SeedSequence(entropy=seed, spawn_key=key)))
 
 
 def complex_gaussian(rng: np.random.Generator, shape, variance: float) -> np.ndarray:

@@ -30,8 +30,8 @@ from .backscatter import (SYMBOL_CHUNK, average_correct_detection, calibrate_fro
                           hypothesis_variance, receiver_background_variance,
                           simulate_backscatter_bits)
 from .channel import build_channel_matrix, mode_link_gains
-from .config import ConfigurationError, LinkConfig
-from .jamming import RandomStream, complex_gaussian, gamma_energies
+from .config import ConfigurationError, LinkConfig, check_count
+from .jamming import complex_gaussian, gamma_energies, substream
 from .sensing import detection_probabilities
 from .signals import mode_energies, mode_transform
 
@@ -90,9 +90,7 @@ class SweepOptions:
             raise ConfigurationError(f"mode_jam_variance must be positive and finite, "
                                      f"got {self.mode_jam_variance}")
         for name in ("ber_trials", "ber_symbols"):
-            if not 0 <= getattr(self, name) <= sys.maxsize:  # counts size arrays
-                raise ConfigurationError(
-                    f"{name} must lie in 0..{sys.maxsize}, got {getattr(self, name)}")
+            check_count(name, getattr(self, name), 0)
 
 
 def allocate_power(config: LinkConfig, flagged) -> np.ndarray:
@@ -181,15 +179,16 @@ class Scenario:
 
     Construction, and so every :func:`dataclasses.replace`, sets ring sizes of
     None to ``(config.n_tx,)``, then rejects a sweep that holds a point which
-    cannot run. ``trials`` must be >= 1 and ``seed`` >= 0. No axis may repeat
-    a value. Every ring size must be >= 1 and every jammed-mode count in 0..N
-    for every ring size N; the iid model, which jams no chosen modes, takes
-    only n_jammed = 0. Every array a point allocates must fit numpy's limit
-    of sys.maxsize bytes, which also bounds the trial count and the ring
-    sizes. Last, every grid point's link is built by :func:`_point_config`,
-    the builder the sweep runs, so a finite SNR, a noise variance and a
-    transmit total that :class:`LinkConfig` accepts are checked at every
-    point; the error names the first point that fails.
+    cannot run. ``trials`` must be an integer >= 1 and ``seed`` one >= 0. No
+    axis may be empty or repeat a value. Every ring size must be an integer
+    >= 1 and every jammed-mode count one in 0..N for every ring size N; the
+    iid model, which jams no chosen modes, takes only n_jammed = 0. Every
+    array a point allocates must fit numpy's limit of sys.maxsize bytes,
+    which also bounds the trial count and the ring sizes. Last, every grid
+    point's link is built by :func:`_point_config`, the builder the sweep
+    runs, so a finite SNR, a noise variance and a transmit total that
+    :class:`LinkConfig` accepts are checked at every point; the error names
+    the first point that fails.
     """
 
     config: LinkConfig
@@ -203,27 +202,24 @@ class Scenario:
         if self.axes.n_elements is None:
             object.__setattr__(self, "axes", replace(self.axes, n_elements=(self.config.n_tx,)))
         config, axes, options, trials = self.config, self.axes, self.options, self.trials
-        if trials < 1:
-            raise ConfigurationError(f"trials must be >= 1, got {trials}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        check_count("trials", trials, 1)
+        check_count("seed", self.seed, 0, math.inf)
         for name in ("snr_db", "n_jammed", "n_elements"):
             values = getattr(axes, name)
+            if not values:
+                raise ConfigurationError(f"the {name} axis is empty")
             if len(set(values)) < len(values):
                 raise ConfigurationError(f"the {name} axis repeats a value: {values}")
         for n_el in axes.n_elements:
-            if n_el < 1:
-                raise ConfigurationError(f"ring size must be >= 1, got {n_el}")
+            check_count("ring size", n_el, 1)
             for n_jam in axes.n_jammed:
-                if not 0 <= n_jam <= n_el:
-                    raise ConfigurationError(
-                        f"n_jammed {n_jam} outside 0..{n_el} for N={n_el}")
+                check_count("n_jammed", n_jam, 0, n_el)
         # the largest complex arrays: per-symbol gains of the preamble and of the p probe
         # symbols (one batch per point), a link chunk, the sensing draw, a sensing block
         # row, the (N, N) mode transform W of sense_targeted; the largest float ones: the
         # (trials, N) draws
         i, k, n, l_j = (config.preamble_length, config.samples_per_symbol,
-                        max(axes.n_elements, default=0), max(axes.n_jammed, default=0))
+                        max(axes.n_elements), max(axes.n_jammed))
         p = min(options.ber_trials, trials) * l_j * options.ber_symbols
         largest = max(16 * max(i, p, min(max(i, p), SYMBOL_CHUNK) * k, trials * l_j * k,
                                n * k, n * n), 8 * trials * n)
@@ -315,9 +311,9 @@ def sense_targeted(rng: np.random.Generator, jam_sets: np.ndarray, n: int, k: in
     return energies
 
 
-def _sweep_point(scenario: Scenario, n_elements: int, n_jammed: int, snr_db: float,
-                 point_index: int) -> dict:
-    """All Monte Carlo work for one grid point; schemes share the trials."""
+def _sweep_point(scenario: Scenario, point_index: int, n_elements: int, n_jammed: int,
+                 snr_db: float) -> list[SweepResult]:
+    """All Monte Carlo work for one grid point: one row per scheme, on shared trials."""
     options, trials, seed = scenario.options, scenario.trials, scenario.seed
     cfg = _point_config(scenario.config, n_elements, n_jammed, snr_db)
     kappas = mode_link_gains(cfg, build_channel_matrix(cfg))
@@ -326,14 +322,14 @@ def _sweep_point(scenario: Scenario, n_elements: int, n_jammed: int, snr_db: flo
     k_sense = cfg.samples_per_symbol
 
     # iid jamming hits every mode with the carrier's variance; targeted leaves clean modes silent
-    det = detection_probabilities(cfg.energy_threshold_tx, k_sense, carrier_variance)
-    p_u = det.p_unjammed if iid else 1.0
+    p_j, p_u = detection_probabilities(cfg.energy_threshold_tx, k_sense, carrier_variance)
+    p_u = p_u if iid else 1.0
 
-    rng_cal = RandomStream(seed, (point_index, 0)).generator()
-    q_th, p_c_modes = _point_thresholds(cfg, kappas, carrier_variance, rng_cal)
+    q_th, p_c_modes = _point_thresholds(cfg, kappas, carrier_variance,
+                                        substream(seed, point_index, 0))
 
     # the unitary W keeps iid element jamming iid per mode, so draw iid energies directly
-    rng_trials = RandomStream(seed, (point_index, 1)).generator()
+    rng_trials = substream(seed, point_index, 1)
     n = cfg.n_tx
     jam_sets = np.empty((trials, 0), dtype=int)
     if iid:
@@ -343,25 +339,23 @@ def _sweep_point(scenario: Scenario, n_elements: int, n_jammed: int, snr_db: flo
         energies = sense_targeted(rng_trials, jam_sets, n, k_sense, carrier_variance)
     flagged = energies >= cfg.energy_threshold_tx   # (trials, N)
 
-    gamma = mode_snr(cfg, flagged, kappas, carrier_variance, det.p_jammed, p_u, p_c_modes)
+    gamma = mode_snr(cfg, flagged, kappas, carrier_variance, p_j, p_u, p_c_modes)
     se_baseline = spectral_efficiency(gamma, ~flagged)
-    se_proposed = se_baseline + spectral_efficiency(gamma, flagged)
+    se = {PROPOSED: se_baseline + spectral_efficiency(gamma, flagged), BASELINE: se_baseline}
+    se_mean = {scheme: float(values.mean()) for scheme, values in se.items()}
+    if not all(map(math.isfinite, se_mean.values())):
+        raise FloatingPointError(f"non-finite spectrum efficiency at "
+                                 f"(N={n_elements}, l_j={n_jammed}, snr={snr_db})")
 
-    rng_ber = RandomStream(seed, (point_index, 2)).generator()
-    ber = _measure_ber(cfg, kappas, q_th, carrier_variance, jam_sets, rng_ber, options)
-
-    def mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
-        err = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-        return float(values.mean()), err
-
-    return {
-        PROPOSED: mean_and_stderr(se_proposed),
-        BASELINE: mean_and_stderr(se_baseline),
-        "p_j": det.p_jammed,
-        "p_u": p_u,
-        "p_c": float(p_c_modes.mean()) if n_jammed or iid else np.nan,
-        "ber": ber,
-    }
+    ber = _measure_ber(cfg, kappas, q_th, carrier_variance, jam_sets,
+                       substream(seed, point_index, 2), options)
+    p_c = float(p_c_modes.mean()) if n_jammed or iid else np.nan
+    return [SweepResult(
+        scheme=scheme, snr_db=snr_db, n_elements=n_elements, n_jammed=n_jammed,
+        se_bits=se_mean[scheme], p_j=p_j, p_u=p_u, p_c=p_c,
+        ber=ber if scheme == PROPOSED else float("nan"), trials=trials, seed=seed,
+        se_stderr=float(se[scheme].std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0)
+        for scheme in scenario.schemes]
 
 
 def run_sweep(scenario: Scenario) -> list[SweepResult]:
@@ -369,26 +363,14 @@ def run_sweep(scenario: Scenario) -> list[SweepResult]:
 
     Grid order is n_elements, then n_jammed, then snr_db; each point runs
     ``scenario.trials`` independent sense/partition/allocate/decide trials on
-    its own substream, and both schemes are evaluated on the same realizations.
+    its own substreams, and both schemes are evaluated on the same realizations.
+    An overflow or invalid operation in any point raises FloatingPointError.
     """
-    results: list[SweepResult] = []
-    axes, trials, seed = scenario.axes, scenario.trials, scenario.seed
+    axes = scenario.axes
     grid = product(axes.n_elements, axes.n_jammed, axes.snr_db)
-    for point_index, (n_elements, n_jammed, snr_db) in enumerate(grid):
-        point = _sweep_point(scenario, n_elements, n_jammed, snr_db, point_index)
-        for scheme in Scenario.schemes:
-            se_mean, se_err = point[scheme]
-            if not np.isfinite(se_mean):
-                raise FloatingPointError(
-                    f"non-finite spectrum efficiency at "
-                    f"(N={n_elements}, l_j={n_jammed}, snr={snr_db})")
-            results.append(SweepResult(
-                scheme=scheme, snr_db=snr_db, n_elements=n_elements,
-                n_jammed=n_jammed, se_bits=se_mean,
-                p_j=point["p_j"], p_u=point["p_u"], p_c=point["p_c"],
-                ber=point["ber"] if scheme == PROPOSED else float("nan"),
-                trials=trials, seed=seed, se_stderr=se_err))
-    return results
+    with np.errstate(over="raise", invalid="raise"):
+        return [row for point_index, point in enumerate(grid)
+                for row in _sweep_point(scenario, point_index, *point)]
 
 
 @dataclass(frozen=True)

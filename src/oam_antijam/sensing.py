@@ -13,25 +13,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 _EPS = 1e-15  # relative size of the last series term or continued-fraction step
-
-
-@dataclass(frozen=True)
-class DetectionStats:
-    """Flag / no-flag probabilities of the energy detector for one mode."""
-
-    p_jammed: float
-    p_unjammed: float
-
-    def __post_init__(self) -> None:
-        for name in ("p_jammed", "p_unjammed"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {p}")
-        if abs(self.p_jammed + self.p_unjammed - 1.0) > 1e-12:
-            raise ValueError("analytic probabilities must sum to 1")
 
 
 def _regularized_gamma_p(k: int, x: float) -> float:
@@ -78,16 +61,16 @@ def gamma_cdf(x: float, shape: int, scale: float) -> float:
 
 
 def detection_probabilities(energy_threshold: float, n_samples: int,
-                            mode_variance: float) -> DetectionStats:
-    """Closed-form flag / no-flag probabilities for one mode.
+                            mode_variance: float) -> tuple[float, float]:
+    """Closed-form flag / no-flag probabilities ``(p_j, p_u)`` for one mode.
 
     The mode energy over n_samples follows Gamma(K, sigma2/K); the flag
-    probability is its upper tail beyond the threshold. A zero mode variance
-    collapses to never-flagged.
+    probability p_j is its upper tail beyond the threshold and p_u = 1 - p_j.
+    A zero mode variance collapses to never-flagged.
     """
     if energy_threshold < 0.0:
         raise ValueError(f"energy threshold must be >= 0, got {energy_threshold}")
     if mode_variance < 0.0:
         raise ValueError(f"mode variance must be >= 0, got {mode_variance}")
     below = gamma_cdf(energy_threshold, n_samples, mode_variance / n_samples)
-    return DetectionStats(p_jammed=1.0 - below, p_unjammed=below)
+    return 1.0 - below, below

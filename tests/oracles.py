@@ -18,7 +18,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from oam_antijam import (ConfigurationError, LinkConfig, RandomStream, element_azimuths,
+from oam_antijam import (ConfigurationError, LinkConfig, element_azimuths,
                          mode_index_range, mode_transform, receiver_background_variance)
 from oam_antijam.jamming import complex_gaussian
 
@@ -144,7 +144,7 @@ def targeted_elements(samples: np.ndarray, jam_sets: np.ndarray, n: int) -> np.n
     return mode_transform(n).conj().T @ source
 
 
-def draw_targeted_jamming_block(stream: RandomStream, n_elements: int, n_samples: int,
+def draw_targeted_jamming_block(rng: np.random.Generator, n_elements: int, n_samples: int,
                                 mode_variance: float,
                                 jammed_modes: Iterable[int]) -> np.ndarray:
     """(N, K) element samples of jamming synthesized on a specific mode set.
@@ -162,7 +162,6 @@ def draw_targeted_jamming_block(stream: RandomStream, n_elements: int, n_samples
     unknown = [l for l in targets if l not in modes]
     if unknown:
         raise ConfigurationError(f"modes {unknown} outside supported range {modes}")
-    rng = stream.generator()
     samples = np.array([complex_gaussian(rng, n_samples, mode_variance) for _ in targets],
                        dtype=complex).reshape(len(targets), n_samples)
     return targeted_elements(samples, [modes.index(l) for l in targets], n_elements)

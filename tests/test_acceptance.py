@@ -17,7 +17,6 @@ from oam_antijam import (
     BASELINE,
     LinkConfig,
     PROPOSED,
-    RandomStream,
     Scenario,
     SweepAxes,
     SweepOptions,
@@ -34,6 +33,7 @@ from oam_antijam import (
     mode_transform,
     run_sweep,
     simulate_backscatter_bits,
+    substream,
 )
 from oam_antijam.cli import main
 from oam_antijam.jamming import complex_gaussian
@@ -126,7 +126,7 @@ def test_criterion_04_detector_calibration():
                 samples = complex_gaussian(rng, (n_el, k), sigma2)
                 flags += int(np.sum(mode_energies(samples) >= e_th))
             empirical = flags / trials_per_cell
-            analytic = detection_probabilities(e_th, k, sigma2).p_jammed
+            analytic, _ = detection_probabilities(e_th, k, sigma2)
             stderr = math.sqrt(max(analytic * (1.0 - analytic), 1e-12) / trials_per_cell)
             assert abs(empirical - analytic) <= 3 * stderr, (
                 f"K={k} sigma2={sigma2} E_th={e_th}: "
@@ -205,7 +205,7 @@ def test_criterion_07_backscatter_link_sanity():
         cfg = _backscatter_config(noise_var)
         kappa = mode_link_gains(cfg)[mode_index_range(cfg.n_tx).index(mode)]
         gains = cfg.pga_gains   # (0.5, 2.0), over the 16-symbol preamble
-        rng = RandomStream(4200 + i, 0).generator()
+        rng = substream(4200 + i, 0)
         q_th = calibrate_from_preamble(cfg, kappa, carrier_variance, rng)
         bits = (rng.random(100_000) < 0.5).astype(int)
         energies = simulate_backscatter_bits(cfg, kappa, gains, bits, carrier_variance, rng)
@@ -222,7 +222,7 @@ def test_criterion_07_backscatter_link_sanity():
     bers = []
     for ratio in (1.0, 2.0, 4.0, 8.0):
         gains = (0.5, 0.5 * ratio)
-        rng = RandomStream(4300 + int(ratio), 0).generator()
+        rng = substream(4300 + int(ratio), 0)
         if ratio == 1.0:
             # identical hypotheses: any threshold halves the symbols
             q_th = cfg.n_tx * 10.0

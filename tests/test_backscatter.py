@@ -18,7 +18,7 @@ from oam_antijam import (
     build_channel_matrix,
     calibrate_from_preamble,
     calibrate_threshold,
-    correct_detection_prob,
+    gamma_cdf,
     hypothesis_variance,
     mode_index_range,
     mode_link_gains,
@@ -27,7 +27,7 @@ from oam_antijam import (
     run_sweep,
     simulate_backscatter_bits,
 )
-from oam_antijam.jamming import RandomStream, complex_gaussian
+from oam_antijam.jamming import complex_gaussian, substream
 from oracles import exact_channel_matrix, row_and_matrix
 
 DEFAULT_GAINS = (0.5, 2.0)
@@ -78,7 +78,7 @@ def element_level_energies(cfg, channel, mode, bits, gains, carrier_variance, rn
 def run_link(cfg, bits, gains=DEFAULT_GAINS, carrier_variance=1.0, mode=2, seed=0):
     """Energies of ``bits`` on ``mode``, drawn from stream (seed, 0)."""
     return simulate_backscatter_bits(cfg, link_gain(cfg, mode), gains, np.asarray(bits),
-                                     carrier_variance, RandomStream(seed, 0).generator())
+                                     carrier_variance, substream(seed, 0))
 
 
 def likelihood_crossing(q0, q1, p0, p1, k):
@@ -164,7 +164,7 @@ class TestPgaModulate:
     @pytest.mark.parametrize("bits", [[-1, 0], [2], [0, 1, 3], [0.9, 1]])
     def test_bits_outside_the_alphabet_rejected_before_any_draw(self, bits):
         cfg = normalized_config()
-        rng = RandomStream(21, 0).generator()
+        rng = substream(21, 0)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match=r"bits must be integers in 0\.\.1"):
             simulate_backscatter_bits(cfg, link_gain(cfg, 2), DEFAULT_GAINS,
@@ -257,7 +257,7 @@ class TestDecideBit:
         kappas = mode_link_gains(cfg)
         idx = mode_row(cfg.n_tx, 2)
         options = SweepOptions(ber_trials=1, ber_symbols=8)
-        twin = RandomStream(9, 0).generator()
+        twin = substream(9, 0)
         bits = (twin.random(8) < cfg.pga_priors[-1]).astype(int)
         q = simulate_backscatter_bits(cfg, kappas[idx], cfg.pga_gains, bits, 1.0, twin)
         q_th = np.full(cfg.n_tx, np.sort(q)[3])
@@ -265,7 +265,7 @@ class TestDecideBit:
         assert decided[np.argsort(q)[3]] == 1
         assert decided.sum() == 5
         ber = metrics._measure_ber(cfg, kappas, q_th, 1.0, np.array([[idx]]),
-                                   RandomStream(9, 0).generator(), options)
+                                   substream(9, 0), options)
         assert ber == np.mean(decided != bits)
 
     def test_batched_probe_pairs_each_symbol_with_its_modes_threshold(self):
@@ -278,13 +278,13 @@ class TestDecideBit:
         q_th = np.ones(cfg.n_tx)
         q_th[1], q_th[5] = 0.0, np.inf
         jam_sets = np.array([[1, 5], [5, 1], [5, 1], [1, 5], [1, 5]])
-        twin = RandomStream(4, 0).generator()
+        twin = substream(4, 0)
         bits = twin.random(4 * 2 * 6) < cfg.pga_priors[-1]
         modes = [m for row in jam_sets[:4] for m in row for _ in range(6)]
         errors = sum(bit != (mode == 1) for bit, mode in zip(bits, modes))
         assert 0 < errors < len(bits)
         ber = metrics._measure_ber(cfg, mode_link_gains(cfg), q_th, 1.0, jam_sets,
-                                   RandomStream(4, 0).generator(), options)
+                                   substream(4, 0), options)
         assert ber == errors / len(bits)
 
     def test_scale_consistency(self):
@@ -302,16 +302,16 @@ class TestDecideBit:
 
 
 class TestChiSquare:
-    """2*K*Q/sigma2 ~ chi-square(2K): P[Q < q] from ``correct_detection_prob`` at bit 0."""
+    """2*K*Q/sigma2 ~ chi-square(2K): P[Q < q] is the bit-0 ``average_correct_detection``."""
 
     def test_at_origin(self):
-        assert correct_detection_prob(0.0, 8, 1.0, true_bit=0) == 0.0
+        assert average_correct_detection(0.0, 8, 1.0, 1.0, (1.0, 0.0)) == 0.0
 
     def test_two_dof_closed_form(self):
         # K = 1: Q is exponential with mean sigma2
         for q, sigma2 in ((0.5, 2.0), (2.0, 2.0), (7.0, 2.0), (1.0, 0.3)):
-            assert correct_detection_prob(q, 1, sigma2, 0) == pytest.approx(
-                1 - math.exp(-q / sigma2), abs=1e-12)
+            below = average_correct_detection(q, 1, sigma2, sigma2, (1.0, 0.0))
+            assert below == pytest.approx(1 - math.exp(-q / sigma2), abs=1e-12)
 
     def test_median_against_wilson_hilferty(self):
         k = 8
@@ -320,7 +320,7 @@ class TestChiSquare:
         for _ in range(100):
             mid = 0.5 * (lo + hi)
             # at sigma2 = 2K the statistic 2*K*Q/sigma2 is Q itself
-            if correct_detection_prob(mid, k, float(dof), 0) < 0.5:
+            if average_correct_detection(mid, k, float(dof), float(dof), (1.0, 0.0)) < 0.5:
                 lo = mid
             else:
                 hi = mid
@@ -331,16 +331,20 @@ class TestChiSquare:
 
 class TestCorrectDetection:
     def test_zero_threshold_always_detects_one(self):
-        assert correct_detection_prob(0.0, 16, 1.0, true_bit=1) == 1.0
+        assert average_correct_detection(0.0, 16, 1.0, 1.0, (0.0, 1.0)) == 1.0
 
     def test_huge_threshold_always_detects_zero(self):
-        assert correct_detection_prob(1e9, 16, 1.0, true_bit=0) == pytest.approx(1.0)
+        assert average_correct_detection(1e9, 16, 1.0, 1.0, (1.0, 0.0)) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("variances", [(0.0, 1.0), (1.0, -2.0), (float("nan"), 1.0)])
+    def test_non_positive_variance_rejected(self, variances):
+        with pytest.raises(ValueError, match="hypothesis variances must be positive"):
+            average_correct_detection(0.5, 8, *variances)
 
     def test_prior_average(self):
         q, k = 1.2, 8
         avg = average_correct_detection(q, k, 1.0, 3.0, (0.25, 0.75))
-        expected = (0.25 * correct_detection_prob(q, k, 1.0, 0)
-                    + 0.75 * correct_detection_prob(q, k, 3.0, 1))
+        expected = 0.25 * gamma_cdf(q, k, 1.0 / k) + 0.75 * (1.0 - gamma_cdf(q, k, 3.0 / k))
         assert avg == pytest.approx(expected)
 
 
@@ -352,7 +356,7 @@ class TestEndToEnd:
         # own energy fluctuation keeps bit-1 energies many decades above any
         # threshold placed deep inside the gap
         q_th = 1e-6 * abs(kappa) ** 2
-        rng = RandomStream(15, 0).generator()
+        rng = substream(15, 0)
         bits = (rng.random(300) < 0.5).astype(int)
         q = simulate_backscatter_bits(cfg, kappa, (0.0, 1.0), bits, 1.0, rng)
         assert np.array_equal(q >= q_th, bits)
@@ -360,7 +364,7 @@ class TestEndToEnd:
     def test_equal_gains_give_half_error_rate(self):
         cfg = normalized_config()
         q_th = receiver_background_variance(cfg)
-        rng = RandomStream(16, 0).generator()
+        rng = substream(16, 0)
         bits = (rng.random(4000) < 0.5).astype(int)
         q = simulate_backscatter_bits(cfg, link_gain(cfg, 2), (1.0, 1.0), bits, 1.0, rng)
         assert np.mean((q >= q_th) != bits) == pytest.approx(0.5, abs=0.03)
@@ -371,7 +375,7 @@ class TestEndToEnd:
         q = run_link(cfg, bits, mode=3, seed=17)
         # replay the batch path's draws from a twin generator: the carrier,
         # then the recovered mode's background, N * (noise + jamming) per sample
-        twin = RandomStream(17, 0).generator()
+        twin = substream(17, 0)
         b, k = bits.size, cfg.samples_per_symbol
         carrier = complex_gaussian(twin, (b, k), 1.0)
         background = complex_gaussian(
@@ -386,7 +390,7 @@ class TestEndToEnd:
     def test_empirical_error_rate_matches_analytic(self):
         cfg = normalized_config(noise_variance_rx=10.0)
         kappa = link_gain(cfg, 3)
-        rng = RandomStream(18, 0).generator()
+        rng = substream(18, 0)
         q_th = calibrate_from_preamble(replace(cfg, preamble_length=32), kappa, 1.0, rng)
         bits = (rng.random(40_000) < 0.5).astype(int)
         q = simulate_backscatter_bits(cfg, kappa, DEFAULT_GAINS, bits, 1.0, rng)
@@ -403,7 +407,7 @@ class TestEndToEnd:
         bers = []
         for ratio in (2.0, 4.0, 8.0):
             gains = (0.5, 0.5 * ratio)
-            rng = RandomStream(19, int(ratio)).generator()
+            rng = substream(19, int(ratio))
             q_th = calibrate_from_preamble(replace(cfg, pga_gains=gains, preamble_length=32),
                                            kappa, 1.0, rng)
             bits = (rng.random(10_000) < 0.5).astype(int)
@@ -417,7 +421,7 @@ class TestEndToEnd:
         n_bits = 2000
         rates = []
         for seed in range(10):
-            rng = RandomStream(700 + seed, 0).generator()
+            rng = substream(700 + seed, 0)
             q_th = calibrate_from_preamble(replace(cfg, preamble_length=32), kappa, 1.0, rng)
             bits = (rng.random(n_bits) < 0.5).astype(int)
             q = simulate_backscatter_bits(cfg, kappa, DEFAULT_GAINS, bits, 1.0, rng)
@@ -442,11 +446,11 @@ class TestCalibrationAtCriterion07:
         kappa = link_gain(cfg, 3)
         unseparated = 0
         for seed in range(2000):
-            q_th = calibrate_from_preamble(cfg, kappa, 1.0, RandomStream(seed, 0).generator())
+            q_th = calibrate_from_preamble(cfg, kappa, 1.0, substream(seed, 0))
             assert math.isfinite(q_th) and q_th > 0.0, f"seed {seed}: q_th {q_th}"
             # replay the preamble: without separation q_th is its mean energy
             q = simulate_backscatter_bits(cfg, kappa, cfg.pga_gains, bits, 1.0,
-                                          RandomStream(seed, 0).generator())
+                                          substream(seed, 0))
             if q[bits == 1].mean() <= q[bits == 0].mean():
                 unseparated += 1
                 assert q_th == q.mean()
@@ -458,7 +462,7 @@ class TestCalibrationAtCriterion07:
         s2k0 = hypothesis_variance(cfg, kappa, 0.5, 1.0)
         s2k1 = hypothesis_variance(cfg, kappa, 2.0, 1.0)
         for base in range(20):
-            rng = RandomStream(base, 0).generator()
+            rng = substream(base, 0)
             q_th = calibrate_from_preamble(cfg, kappa, 1.0, rng)
             bits = (rng.random(100_000) < 0.5).astype(int)
             q = simulate_backscatter_bits(cfg, kappa, cfg.pga_gains, bits, 1.0, rng)
@@ -489,10 +493,10 @@ class TestModeDomainAgainstElementLevel:
         kappa = link_gain(cfg, mode, row)
         for bit, gain in enumerate(gains):
             bits = np.full(self.SYMBOLS, bit)
-            rng = RandomStream(31, (n, m, k, bit)).generator()
+            rng = substream(31, n, m, k, bit)
             fast = simulate_backscatter_bits(cfg, kappa, gains, bits, 1.0, rng)
             oracle = element_level_energies(
-                cfg, channel, mode, bits, gains, 1.0, RandomStream(32, (n, m, k, bit)).generator())
+                cfg, channel, mode, bits, gains, 1.0, substream(32, n, m, k, bit))
             # K-sample mean energy: mean sigma2, standard deviation sigma2 / sqrt(K)
             sigma2 = hypothesis_variance(cfg, kappa, gain, 1.0)
             stderr = sigma2 / math.sqrt(k * self.SYMBOLS)

@@ -231,6 +231,21 @@ ber_symbols = 2
         assert capsys.readouterr().err.startswith("out of memory: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("jamming, sweep", [
+        ("mode_power = 1e308", ""),
+        ("model = iid\npower_tx = 1e308", "n_jammed = 0"),
+    ], ids=["targeted", "iid"])
+    def test_numeric_overflow_exit_code(self, tmp_path, jamming, sweep):
+        # valid, but the first point's preamble energies overflow
+        path = write(tmp_path, f"[jamming]\n{jamming}\n[sweep]\nsnr_db = 0\n{sweep}\n")
+        out = tmp_path / "x.csv"
+        proc = fresh_python("import sys; from oam_antijam.cli import main; sys.exit(main())",
+                            "--config", path, "--output", str(out), check=False)
+        assert proc.returncode == 2
+        assert re.search(r"^numeric failure: ", proc.stderr, re.M)
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
 
 class TestValidationBeforeAnyPoint:
     @pytest.fixture
@@ -345,7 +360,7 @@ class TestUnwritableOutput:
         assert out.read_text() == "previous run\n"
 
 
-def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+def fresh_python(code: str, *args: str, check: bool = True) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter on this checkout's package.
 
     In this interpreter, the tests' own scipy imports would hide a regression.
@@ -353,7 +368,7 @@ def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
+                          text=True, timeout=120, check=check)
 
 
 def test_import_loads_no_scipy():

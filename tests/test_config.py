@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oam_antijam import ConfigurationError, LinkConfig, mode_index_range, wavelength_for_frequency
+from oam_antijam import (ConfigurationError, LinkConfig, Scenario, SweepAxes, SweepOptions,
+                         mode_index_range, wavelength_for_frequency)
 
 
 def test_default_matches_reference_setup():
@@ -96,3 +97,33 @@ def test_default_transmit_total_is_100_watts_per_mode(n):
 def test_replace_keeps_the_resolved_defaults():
     cfg = replace(LinkConfig(), n_tx=8, wavelength=1.0)
     assert (cfg.transmit_power_total, cfg.beta) == (1600.0, LinkConfig().beta)
+
+
+def with_count(name, value):
+    """The object that holds the count ``name``, built at ``value`` and defaults elsewhere."""
+    if name in ("n_tx", "samples_per_symbol", "preamble_length"):
+        return LinkConfig(**{name: value})
+    if name in ("ber_trials", "ber_symbols"):
+        return SweepOptions(**{name: value})
+    axes = SweepAxes(snr_db=(0.0,), n_jammed=(0,))
+    if name in ("n_jammed", "n_elements"):
+        return Scenario(LinkConfig(), replace(axes, **{name: value}), trials=2)
+    return Scenario(LinkConfig(), axes, **{"trials": 2, name: value})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_tx", 8.0), ("samples_per_symbol", 8.5), ("preamble_length", 16.0),
+    ("ber_trials", 2.0), ("ber_symbols", 1.5), ("trials", 2.5), ("seed", 1.5),
+    ("n_jammed", (2.0,)), ("n_elements", (8.0,)), ("trials", True),
+])
+def test_non_integer_count_rejected_at_construction(name, value):
+    # each used to construct and then fail mid-sweep, or run as if rounded down
+    with pytest.raises(ConfigurationError, match="is not an integer"):
+        with_count(name, value)
+
+
+@pytest.mark.parametrize("name", ["n_tx", "preamble_length", "ber_symbols", "trials", "seed",
+                                  "n_elements"])
+def test_numpy_integer_count_accepted(name):
+    value = np.int64(8)
+    with_count(name, (value,) if name == "n_elements" else value)

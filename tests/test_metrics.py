@@ -33,7 +33,7 @@ from oam_antijam import (
     sense_targeted,
     spectral_efficiency,
 )
-from oam_antijam.jamming import RandomStream, complex_gaussian
+from oam_antijam.jamming import complex_gaussian, substream
 from oam_antijam.signals import mode_energies
 from oracles import circulant, expected_se, targeted_elements
 
@@ -194,21 +194,21 @@ class TestModeSnr:
 class TestDrawJamSets:
     @pytest.mark.parametrize("n, n_jammed", [(16, 5), (8, 8), (8, 0), (1, 1)])
     def test_rows_hold_distinct_in_range_modes(self, n, n_jammed):
-        sets = metrics._draw_jam_sets(RandomStream(6, 0).generator(), 300, n, n_jammed)
+        sets = metrics._draw_jam_sets(substream(6, 0), 300, n, n_jammed)
         assert sets.shape == (300, n_jammed)
         assert np.all((sets >= 0) & (sets < n))
         assert all(len(set(row)) == n_jammed for row in sets)
 
     def test_mode_hit_counts_are_uniform(self):
         trials, n, n_jammed = 4000, 16, 4
-        sets = metrics._draw_jam_sets(RandomStream(7, 0).generator(), trials, n, n_jammed)
+        sets = metrics._draw_jam_sets(substream(7, 0), trials, n, n_jammed)
         hits = np.bincount(sets.ravel(), minlength=n)
         assert hits.sum() == trials * n_jammed
         assert stats.chisquare(hits).pvalue > 1e-3
 
     def test_same_seed_same_sets(self):
         def draw(seed):
-            return metrics._draw_jam_sets(RandomStream(seed, (3, 1)).generator(), 50, 16, 4)
+            return metrics._draw_jam_sets(substream(seed, 3, 1), 50, 16, 4)
         assert np.array_equal(draw(8), draw(8))
         assert not np.array_equal(draw(8), draw(9))
 
@@ -290,6 +290,12 @@ class TestRunSweep:
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(0,), n_elements=(16, 0))
         with pytest.raises(ConfigurationError, match="ring size"):
             Scenario(cfg, axes, trials=2, seed=0)
+
+    @pytest.mark.parametrize("axis", ["snr_db", "n_jammed", "n_elements"])
+    def test_empty_axis_rejected(self, axis):
+        # used to construct, then leave a header-only CSV and fail on min() of no rows
+        with pytest.raises(ConfigurationError, match=f"the {axis} axis is empty"):
+            Scenario(LinkConfig(), SweepAxes(**{axis: ()}), trials=2)
 
     def test_negative_jammed_count_rejected(self):
         # used to run with the power budget of N + 3 modes
@@ -436,13 +442,12 @@ class TestExpectedSpectralEfficiency:
             cfg = metrics._point_config(cfg0, n, n_jammed, snr_db)
             kappas = mode_link_gains(cfg)
             carrier = cfg.jam_variance_tx if iid else options.mode_jam_variance
-            det = detection_probabilities(cfg.energy_threshold_tx, cfg.samples_per_symbol,
-                                          carrier)
+            p_j, p_u = detection_probabilities(cfg.energy_threshold_tx,
+                                               cfg.samples_per_symbol, carrier)
             _, p_c = metrics._point_thresholds(
-                cfg, kappas, carrier, RandomStream(seed, (point_index, 0)).generator())
-            expected = expected_se(cfg, kappas, carrier, det.p_jammed,
-                                   det.p_unjammed if iid else 1.0, p_c,
-                                   n if iid else n_jammed, det.p_jammed)
+                cfg, kappas, carrier, substream(seed, point_index, 0))
+            expected = expected_se(cfg, kappas, carrier, p_j, p_u if iid else 1.0, p_c,
+                                   n if iid else n_jammed, p_j)
             for scheme, value in zip((PROPOSED, BASELINE), expected):
                 cell = by_cell[(scheme, n, n_jammed, snr_db)]
                 yield (scheme, n, n_jammed, snr_db), cell.se_bits, cell.se_stderr, value
@@ -589,9 +594,9 @@ class TestTargetedSensing:
         trials = 2 * step + 3     # two full blocks and a short one
         n_jammed = {"none": 0, "one": 1, "all": n}[jammed]
         jam_sets = metrics._draw_jam_sets(np.random.default_rng(4), trials, n, n_jammed)
-        rng = RandomStream(9, 1).generator()
+        rng = substream(9, 1)
         got = sense_targeted(rng, jam_sets, n, k, variance)
-        oracle_rng = RandomStream(9, 1).generator()
+        oracle_rng = substream(9, 1)
         samples = complex_gaussian(oracle_rng, jam_sets.shape + (k,), variance)
         # every mode of every trial at element level: the (trials, N, K) round trip
         expected = mode_energies(targeted_elements(samples, jam_sets, n))
@@ -613,10 +618,10 @@ class TestTargetedSensing:
         [0, 1],                 # not one row per trial
     ])
     def test_malformed_jam_sets_rejected_before_any_draw(self, jam_sets):
-        rng = RandomStream(1, 0).generator()
+        rng = substream(1, 0)
         with pytest.raises(ValueError, match="jam_sets"):
             sense_targeted(rng, np.array(jam_sets), 8, 64, 1.0)
-        assert rng.random() == RandomStream(1, 0).generator().random()
+        assert rng.random() == substream(1, 0).random()
 
     def test_memory_is_bounded_by_the_jammed_modes(self):
         trials, n, k = 2000, 16, 64

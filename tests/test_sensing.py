@@ -9,13 +9,13 @@ from hypothesis import given, strategies as st
 from scipy import special
 
 from oam_antijam import (
-    RandomStream,
-    correct_detection_prob,
+    average_correct_detection,
     detection_probabilities,
     gamma_cdf,
     mode_energies,
     mode_index_range,
     mode_transform,
+    substream,
 )
 from oam_antijam.jamming import complex_gaussian
 from oracles import draw_targeted_jamming_block
@@ -52,9 +52,9 @@ def test_targeted_detection_rate_tracks_analytic():
     hits = 0
     trials = 400
     for t in range(trials):
-        block = draw_targeted_jamming_block(RandomStream(77, t), n, k, sigma_t, [3])
+        block = draw_targeted_jamming_block(substream(77, t), n, k, sigma_t, [3])
         hits += 3 in flagged_modes(block, e_th)
-    analytic = detection_probabilities(e_th, k, sigma_t).p_jammed
+    analytic, _ = detection_probabilities(e_th, k, sigma_t)
     assert hits / trials == pytest.approx(analytic, abs=0.01)
 
 
@@ -124,42 +124,40 @@ def test_gamma_cdf_matches_scipy_and_is_a_cdf(k, x_over_k, step):
 
 @pytest.mark.parametrize("q_th, k, sigma2", [(0.3, 1, 0.5), (1.2, 8, 1.0), (0.5, 64, 0.6),
                                             (-1.0, 16, 1.0), (1e9, 16, 1.0)])
-def test_correct_detection_prob_is_gamma_cdf_at_both_bits(q_th, k, sigma2):
+def test_one_bit_correct_detection_is_a_gamma_tail(q_th, k, sigma2):
+    # priors (1, 0) and (0, 1) give one bit's probability; the other variance is unused
     below = gamma_cdf(max(q_th, 0.0), k, sigma2 / k)
-    assert correct_detection_prob(q_th, k, sigma2, 0) == below
-    assert correct_detection_prob(q_th, k, sigma2, 1) == 1.0 - below
+    assert average_correct_detection(q_th, k, sigma2, 9.0, (1.0, 0.0)) == below
+    assert average_correct_detection(q_th, k, 9.0, sigma2, (0.0, 1.0)) == 1.0 - below
 
 
 class TestDetectionProbabilities:
     def test_zero_threshold(self):
-        stats = detection_probabilities(0.0, 16, 0.1)
-        assert stats.p_jammed == 1.0
-        assert stats.p_unjammed == 0.0
+        assert detection_probabilities(0.0, 16, 0.1) == (1.0, 0.0)
 
     def test_huge_threshold(self):
-        stats = detection_probabilities(50 * 0.1, 16, 0.1)
-        assert stats.p_unjammed == pytest.approx(1.0, abs=1e-9)
+        _, p_u = detection_probabilities(50 * 0.1, 16, 0.1)
+        assert p_u == pytest.approx(1.0, abs=1e-9)
 
     def test_analytic_probabilities_sum_to_one(self):
-        stats = detection_probabilities(0.5, 64, 0.1)
-        assert stats.p_jammed + stats.p_unjammed == pytest.approx(1.0, abs=1e-15)
+        p_j, p_u = detection_probabilities(0.5, 64, 0.1)
+        assert p_j + p_u == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_variance_never_flags(self):
-        stats = detection_probabilities(0.5, 64, 0.0)
-        assert stats.p_jammed == 0.0
+        p_j, _ = detection_probabilities(0.5, 64, 0.0)
+        assert p_j == 0.0
 
     def test_monotone_in_threshold(self):
         thresholds = np.linspace(0.01, 1.0, 25)
-        p_u = [detection_probabilities(t, 16, 0.1).p_unjammed for t in thresholds]
-        p_j = [detection_probabilities(t, 16, 0.1).p_jammed for t in thresholds]
+        p_j, p_u = zip(*(detection_probabilities(t, 16, 0.1) for t in thresholds))
         assert all(b >= a for a, b in zip(p_u, p_u[1:]))
         assert all(b <= a for a, b in zip(p_j, p_j[1:]))
 
     def test_reference_setting_against_monte_carlo(self):
-        analytic = detection_probabilities(0.5, 64, 0.1)
-        samples = complex_gaussian(RandomStream(31, 0).generator(), (100_000, 64), 0.1)
+        _, p_u = detection_probabilities(0.5, 64, 0.1)
+        samples = complex_gaussian(substream(31, 0), (100_000, 64), 0.1)
         energies = np.mean(np.abs(samples) ** 2, axis=1)
-        assert np.mean(energies < 0.5) == pytest.approx(analytic.p_unjammed, abs=0.01)
+        assert np.mean(energies < 0.5) == pytest.approx(p_u, abs=0.01)
 
 
 @pytest.mark.parametrize("k", [4, 16, 64])
@@ -168,8 +166,8 @@ def test_exceedance_grid_within_three_standard_errors(k, sigma2):
     trials = 10_000
     for factor in (0.25, 1.0, 4.0):
         e_th = factor * sigma2
-        p = detection_probabilities(e_th, k, sigma2).p_jammed
-        samples = complex_gaussian(RandomStream(500 + k, int(factor * 4)).generator(),
+        p, _ = detection_probabilities(e_th, k, sigma2)
+        samples = complex_gaussian(substream(500 + k, int(factor * 4)),
                                    (trials, k), sigma2)
         p_flag = np.mean(np.mean(np.abs(samples) ** 2, axis=1) >= e_th)
         stderr = math.sqrt(max(p * (1 - p), 1e-12) / trials)
