@@ -62,9 +62,8 @@ SCENARIO_KEYS = {
     ("link", "samples_per_symbol"): (int, LinkConfig, "samples_per_symbol"),
     ("link", "preamble_length"): (int, LinkConfig, "preamble_length"),
     ("jamming", "model"): (str.lower, SweepOptions, "jam_model"),
-    ("jamming", "power_tx"): (float, LinkConfig, "jam_variance_tx"),
+    ("jamming", "power_tx"): (float, SweepOptions, "jam_variance_tx"),
     ("jamming", "power_rx"): (float, LinkConfig, "jam_variance_rx"),
-    ("jamming", "mode_power"): (float, SweepOptions, "mode_jam_variance"),
     ("detection", "energy_threshold"): (float, LinkConfig, "energy_threshold_tx"),
     ("pga", "gains"): (_list_of(float), LinkConfig, "pga_gains"),
     ("pga", "priors"): (_list_of(float), LinkConfig, "pga_priors"),

@@ -3,7 +3,7 @@
 All physical and protocol parameters live in a single immutable
 :class:`LinkConfig`. Defaults follow the reference numerical setup:
 r = R = 0.75 m, d = 15 m, 5.8 GHz carrier, E_th = 0.5 W, PGA gains
-(0.5, 2), 0.1 W jamming power, N = 16 elements on each ring, unit-modulus
+(0.5, 2), 0.1 W receiver jamming, N = 16 elements on each ring, unit-modulus
 element gains and 100 W per mode: ``LinkConfig()`` is the CLI's default link.
 """
 
@@ -97,7 +97,6 @@ class LinkConfig:
         beta: dimensionless channel constant collecting all fixed gains; the
             default None sets 4*pi*d / wavelength, unit-modulus element gains.
         noise_variance_rx: per-element receiver noise variance in watts.
-        jam_variance_tx: per-element jamming variance seen at the transmitter.
         jam_variance_rx: per-element jamming variance seen at the receiver.
         energy_threshold_tx: mode-energy threshold for jamming detection, watts.
         pga_gains: amplification factors a_0 < a_1 of the gain amplifier.
@@ -116,7 +115,6 @@ class LinkConfig:
     wavelength: float = field(default_factory=lambda: wavelength_for_frequency(DEFAULT_CARRIER_HZ))
     beta: float | None = None
     noise_variance_rx: float = 0.1
-    jam_variance_tx: float = 0.1
     jam_variance_rx: float = 0.1
     energy_threshold_tx: float = 0.5
     pga_gains: tuple[float, ...] = (0.5, 2.0)
@@ -129,7 +127,7 @@ class LinkConfig:
         for name, low in (("n_tx", 1), ("samples_per_symbol", 1), ("preamble_length", 2)):
             check_count(name, getattr(self, name), low)
         for name in ("r_tx", "r_rx", "axial_distance", "wavelength", "beta",
-                     "noise_variance_rx", "jam_variance_tx", "jam_variance_rx",
+                     "noise_variance_rx", "jam_variance_rx",
                      "energy_threshold_tx", "transmit_power_total"):
             if name == "beta" and self.beta is None:   # d and wavelength have passed
                 object.__setattr__(self, name, 4 * math.pi * self.axial_distance / self.wavelength)

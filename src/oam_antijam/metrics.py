@@ -76,19 +76,28 @@ class SweepAxes:
 
 @dataclass(frozen=True)
 class SweepOptions:
-    """Knobs of the Monte Carlo sweep beyond the physical link parameters."""
+    """Knobs of the Monte Carlo sweep beyond the physical link parameters.
+
+    ``jam_variance_tx``, the jamming variance per jammed mode at the transmitter
+    (per element too under iid, which jams every mode), is what the detector
+    senses and the reflected link carries. None sets 1 W targeted and 0.1 W iid;
+    a :func:`dataclasses.replace` keeps it as set, whatever else it changes.
+    """
 
     jam_model: str = TARGETED
-    mode_jam_variance: float = 1.0   # per-jammed-mode variance of targeted jamming
+    jam_variance_tx: float | None = None
     ber_trials: int = 25
     ber_symbols: int = 8
 
     def __post_init__(self) -> None:
         if self.jam_model not in (TARGETED, BROADBAND):
             raise ConfigurationError(f"unknown jamming model {self.jam_model!r}")
-        if not 0.0 < self.mode_jam_variance < math.inf:
-            raise ConfigurationError(f"mode_jam_variance must be positive and finite, "
-                                     f"got {self.mode_jam_variance}")
+        if self.jam_variance_tx is None:
+            object.__setattr__(self, "jam_variance_tx",
+                               0.1 if self.jam_model == BROADBAND else 1.0)
+        if not 0.0 < self.jam_variance_tx < math.inf:
+            raise ConfigurationError(f"jam_variance_tx must be positive and finite, "
+                                     f"got {self.jam_variance_tx}")
         for name in ("ber_trials", "ber_symbols"):
             check_count(name, getattr(self, name), 0)
 
@@ -103,9 +112,7 @@ def allocate_power(config: LinkConfig, flagged) -> np.ndarray:
     """
     flagged = np.asarray(flagged, dtype=bool)
     n_clean = flagged.shape[-1] - flagged.sum(axis=-1, keepdims=True)
-    share = np.where(n_clean > 0,
-                     config.transmit_power_total / np.maximum(n_clean, 1), 0.0)
-    return np.where(flagged, 0.0, share)
+    return np.where(flagged, 0.0, config.transmit_power_total / np.maximum(n_clean, 1))
 
 
 def mode_snr(config: LinkConfig, flagged, link_gains: np.ndarray,
@@ -318,7 +325,7 @@ def _sweep_point(scenario: Scenario, point_index: int, n_elements: int, n_jammed
     cfg = _point_config(scenario.config, n_elements, n_jammed, snr_db)
     kappas = mode_link_gains(cfg, build_channel_matrix(cfg))
     iid = options.jam_model == BROADBAND
-    carrier_variance = cfg.jam_variance_tx if iid else options.mode_jam_variance
+    carrier_variance = options.jam_variance_tx
     k_sense = cfg.samples_per_symbol
 
     # iid jamming hits every mode with the carrier's variance; targeted leaves clean modes silent
@@ -330,13 +337,12 @@ def _sweep_point(scenario: Scenario, point_index: int, n_elements: int, n_jammed
 
     # the unitary W keeps iid element jamming iid per mode, so draw iid energies directly
     rng_trials = substream(seed, point_index, 1)
-    n = cfg.n_tx
     jam_sets = np.empty((trials, 0), dtype=int)
     if iid:
-        energies = gamma_energies(rng_trials, (trials, n), carrier_variance, k_sense)
+        energies = gamma_energies(rng_trials, (trials, n_elements), carrier_variance, k_sense)
     else:
-        jam_sets = _draw_jam_sets(rng_trials, trials, n, n_jammed)
-        energies = sense_targeted(rng_trials, jam_sets, n, k_sense, carrier_variance)
+        jam_sets = _draw_jam_sets(rng_trials, trials, n_elements, n_jammed)
+        energies = sense_targeted(rng_trials, jam_sets, n_elements, k_sense, carrier_variance)
     flagged = energies >= cfg.energy_threshold_tx   # (trials, N)
 
     gamma = mode_snr(cfg, flagged, kappas, carrier_variance, p_j, p_u, p_c_modes)
@@ -344,8 +350,7 @@ def _sweep_point(scenario: Scenario, point_index: int, n_elements: int, n_jammed
     se = {PROPOSED: se_baseline + spectral_efficiency(gamma, flagged), BASELINE: se_baseline}
     se_mean = {scheme: float(values.mean()) for scheme, values in se.items()}
     if not all(map(math.isfinite, se_mean.values())):
-        raise FloatingPointError(f"non-finite spectrum efficiency at "
-                                 f"(N={n_elements}, l_j={n_jammed}, snr={snr_db})")
+        raise FloatingPointError("non-finite spectrum efficiency")
 
     ber = _measure_ber(cfg, kappas, q_th, carrier_variance, jam_sets,
                        substream(seed, point_index, 2), options)
@@ -364,13 +369,18 @@ def run_sweep(scenario: Scenario) -> list[SweepResult]:
     Grid order is n_elements, then n_jammed, then snr_db; each point runs
     ``scenario.trials`` independent sense/partition/allocate/decide trials on
     its own substreams, and both schemes are evaluated on the same realizations.
-    An overflow or invalid operation in any point raises FloatingPointError.
+    An overflow or invalid operation in a point raises FloatingPointError naming the point.
     """
-    axes = scenario.axes
+    axes, rows = scenario.axes, []
     grid = product(axes.n_elements, axes.n_jammed, axes.snr_db)
     with np.errstate(over="raise", invalid="raise"):
-        return [row for point_index, point in enumerate(grid)
-                for row in _sweep_point(scenario, point_index, *point)]
+        for point_index, (n, n_jam, snr_db) in enumerate(grid):
+            try:
+                rows += _sweep_point(scenario, point_index, n, n_jam, snr_db)
+            except FloatingPointError as exc:
+                raise FloatingPointError(
+                    f"grid point (N={n}, l_j={n_jam}, snr={snr_db:g} dB): {exc}") from exc
+    return rows
 
 
 @dataclass(frozen=True)

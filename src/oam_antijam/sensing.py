@@ -6,7 +6,8 @@ Gaussian jamming of variance sigma2 per mode, that energy follows
 Gamma(K, sigma2/K), which gives the flag/no-flag probabilities here.
 
 K is a sample count, so :func:`gamma_cdf` needs P(K, x) at integer K only and
-computes it in pure Python with ``math`` (Numerical Recipes ``gser``/``gcf``).
+computes it in pure Python with ``math``: a power series below x = K + 1 and
+the finite Poisson sum of the upper tail above.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from __future__ import annotations
 import math
 import numbers
 
-_EPS = 1e-15  # relative size of the last series term or continued-fraction step
+_EPS = 1e-15  # relative size of the last term of either sum
 
 
 def _regularized_gamma_p(k: int, x: float) -> float:
-    """P(k, x) for an integer k >= 1 and x >= 0: power series below x = k + 1."""
+    """P(k, x) for an integer k >= 1 and x >= 0: power series below x = k + 1, 1 - Q above."""
     if x == 0.0 or x == math.inf:
         return float(x > 0.0)
     prefactor = math.exp(k * math.log(x) - x - math.lgamma(k))
@@ -29,21 +30,15 @@ def _regularized_gamma_p(k: int, x: float) -> float:
             term *= x / n
             total += term
         return total * prefactor
-    # Lentz's continued fraction for Q = 1 - P: at integer k and x >= k + 1 no
-    # denominator falls below 2, and the fraction ends at i = k (numerator 0).
-    b = x + 1.0 - k
-    c, d = math.inf, 1.0 / b
-    h = d
-    for i in range(1, k):
-        an = i * (k - i)
-        b += 2.0
-        d = 1.0 / (an * d + b)
-        c = b + an / c
-        step = d * c
-        h *= step
-        if abs(step - 1.0) < _EPS:
+    # the upper tail is the finite Poisson sum Q = e^-x sum_{i<k} x^i / i!, here
+    # summed down from i = k - 1, whose term is 1/x after the prefactor
+    term = total = 1.0 / x
+    for i in range(k - 1, 0, -1):
+        term *= i / x
+        total += term
+        if term < total * _EPS:
             break
-    return 1.0 - prefactor * h
+    return 1.0 - prefactor * total
 
 
 def gamma_cdf(x: float, shape: int, scale: float) -> float:
@@ -66,11 +61,8 @@ def detection_probabilities(energy_threshold: float, n_samples: int,
 
     The mode energy over n_samples follows Gamma(K, sigma2/K); the flag
     probability p_j is its upper tail beyond the threshold and p_u = 1 - p_j.
-    A zero mode variance collapses to never-flagged.
+    A zero mode variance collapses to never-flagged. :func:`gamma_cdf` raises
+    ValueError for a threshold or a variance that is negative or nan.
     """
-    if energy_threshold < 0.0:
-        raise ValueError(f"energy threshold must be >= 0, got {energy_threshold}")
-    if mode_variance < 0.0:
-        raise ValueError(f"mode variance must be >= 0, got {mode_variance}")
     below = gamma_cdf(energy_threshold, n_samples, mode_variance / n_samples)
     return 1.0 - below, below

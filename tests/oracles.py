@@ -8,19 +8,23 @@ quantities by other routes: the Bessel function (scipy and an independent
 power series), the closed-form per-mode gain of the paper, the full circulant
 matrix of a channel row and the phase-ramp mode decomposition of a full
 matrix, the exact-distance channel, targeted jamming synthesized on every
-element, and the closed-form expected spectrum efficiency of a grid point.
+element, and the closed-form expected spectrum efficiency of a grid point,
+which :func:`se_cells` sets beside every Monte Carlo mean of a sweep.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import product
 from math import comb, factorial
 
 import numpy as np
 
-from oam_antijam import (ConfigurationError, LinkConfig, element_azimuths,
-                         mode_index_range, mode_transform, receiver_background_variance)
-from oam_antijam.jamming import complex_gaussian
+from oam_antijam import (BASELINE, PROPOSED, ConfigurationError, LinkConfig, Scenario,
+                         detection_probabilities, element_azimuths, metrics, mode_index_range,
+                         mode_link_gains, mode_transform, receiver_background_variance,
+                         run_sweep)
+from oam_antijam.jamming import complex_gaussian, substream
 
 BESSEL_MAX_ORDER = 60
 BESSEL_MAX_ARGUMENT = 100.0
@@ -202,3 +206,35 @@ def expected_se(config: LinkConfig, kappas: np.ndarray, carrier_variance: float,
                   * carrier_variance / floor).sum()
     baseline = float(np.sum(weights * (n - m) / n * clean))
     return baseline + float(np.sum(weights * m / n)) * jam, baseline
+
+
+def se_cells(scenario: Scenario):
+    """(cell, MC mean, stderr, E, E_major, departures) for every cell of a sweep.
+
+    A cell is (scheme, N, l_j, SNR). E is :func:`expected_se` at the point's
+    own per-mode p_c, the one ``metrics._point_thresholds`` calibrates on
+    stream (point_index, 0). E_major is the same expectation with every
+    candidate mode on the likelier side of the detector (flag probability
+    rounded to 0 or 1), and departures is the expected count, over all trials
+    and candidate modes, of flag decisions on the other side.
+    """
+    cfg0, axes, options, seed = (scenario.config, scenario.axes, scenario.options,
+                                 scenario.seed)
+    by_cell = {(r.scheme, r.n_elements, r.n_jammed, r.snr_db): r for r in run_sweep(scenario)}
+    iid = options.jam_model == metrics.BROADBAND
+    carrier = options.jam_variance_tx
+    grid = product(axes.n_elements, axes.n_jammed, axes.snr_db)
+    for point_index, (n, n_jammed, snr_db) in enumerate(grid):
+        cfg = metrics._point_config(cfg0, n, n_jammed, snr_db)
+        kappas = mode_link_gains(cfg)
+        p_j, p_u = detection_probabilities(cfg.energy_threshold_tx,
+                                           cfg.samples_per_symbol, carrier)
+        _, p_c = metrics._point_thresholds(cfg, kappas, carrier, substream(seed, point_index, 0))
+        candidates = n if iid else n_jammed
+        expected, major = (expected_se(cfg, kappas, carrier, p_j, p_u if iid else 1.0, p_c,
+                                       candidates, f) for f in (p_j, round(p_j)))
+        departures = scenario.trials * candidates * min(p_j, 1.0 - p_j)
+        for scheme, value, value_major in zip((PROPOSED, BASELINE), expected, major):
+            cell = by_cell[(scheme, n, n_jammed, snr_db)]
+            yield ((scheme, n, n_jammed, snr_db), cell.se_bits, cell.se_stderr, value,
+                   value_major, departures)

@@ -45,7 +45,8 @@ class TestParseScenario:
         assert cfg.wavelength == pytest.approx(299792458.0 / 5.8e9)
         assert cfg.energy_threshold_tx == 0.5
         assert cfg.pga_gains == (0.5, 2.0)
-        assert cfg.jam_variance_tx == cfg.jam_variance_rx == 0.1
+        assert cfg.jam_variance_rx == 0.1
+        assert scn.options.jam_variance_tx == 1.0
         assert cfg.samples_per_symbol == 64
         # unit element gain: beta = 4 pi d / lambda
         assert cfg.beta == pytest.approx(4 * math.pi * 15.0 / cfg.wavelength)
@@ -153,6 +154,19 @@ class TestOneSourceOfDefaults:
             LinkConfig(n_tx=8, axial_distance=30.0, transmit_power_total=400.0, beta=2.5),
             SweepAxes())
 
+    @pytest.mark.parametrize("jamming, n_jammed", [("", 2), ("model = iid\n", 0)],
+                             ids=["targeted", "iid"])
+    def test_power_tx_sets_the_jamming_of_either_model(self, tmp_path, jamming, n_jammed):
+        # the one key sets the variance the detector senses and the reflected link carries
+        text = (f"[sweep]\nsnr_db = 10\nn_jammed = {n_jammed}\ntrials = 20\nber_trials = 2\n"
+                f"[jamming]\n{jamming}")
+        csv = []
+        for power in ("", "power_tx = 5\n"):
+            out = tmp_path / "out.csv"
+            assert main(["--config", write(tmp_path, text + power), "--output", str(out)]) == 0
+            csv.append(out.read_text())
+        assert csv[0] != csv[1]
+
     def test_library_sweep_writes_the_cli_csv(self, tmp_path):
         out = tmp_path / "out.csv"
         assert main(["--config", write(tmp_path, TINY_SCENARIO), "--output", str(out)]) == 0
@@ -232,7 +246,7 @@ ber_symbols = 2
         assert not out.exists()
 
     @pytest.mark.parametrize("jamming, sweep", [
-        ("mode_power = 1e308", ""),
+        ("power_tx = 1e308", "n_jammed = 2"),
         ("model = iid\npower_tx = 1e308", "n_jammed = 0"),
     ], ids=["targeted", "iid"])
     def test_numeric_overflow_exit_code(self, tmp_path, jamming, sweep):
@@ -242,7 +256,9 @@ ber_symbols = 2
         proc = fresh_python("import sys; from oam_antijam.cli import main; sys.exit(main())",
                             "--config", path, "--output", str(out), check=False)
         assert proc.returncode == 2
-        assert re.search(r"^numeric failure: ", proc.stderr, re.M)
+        n_jammed = sweep.split(" = ")[1]
+        assert re.search(rf"^numeric failure: grid point \(N=16, l_j={n_jammed}, snr=0 dB\): ",
+                         proc.stderr, re.M)
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
@@ -284,10 +300,10 @@ class TestValidationBeforeAnyPoint:
         "snr_db = inf",
         "[pga]\ngains = 0.5, 1.0, 2.0\npriors = 0.25, 0.25, 0.5",
         "[jamming]\nmodel = iid",
-        "[jamming]\nmode_power = nan",
-        "[jamming]\nmode_power = inf",
         "[jamming]\npower_rx = inf",
         "[jamming]\npower_tx = inf",
+        "[jamming]\npower_tx = nan",
+        "n_jammed = 0\n[jamming]\nmodel = iid\npower_tx = 0",
         "[link]\ndistance = inf",
         "[link]\nfrequency_ghz = inf",
         "[link]\nradius_tx = inf",

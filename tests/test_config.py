@@ -18,7 +18,7 @@ def test_default_matches_reference_setup():
     assert cfg.wavelength == pytest.approx(299792458.0 / 5.8e9)
     assert cfg.energy_threshold_tx == 0.5
     assert cfg.pga_gains == (0.5, 2.0)
-    assert cfg.jam_variance_tx == 0.1
+    assert cfg.jam_variance_rx == 0.1
 
 
 @pytest.mark.parametrize("n, expected", [
@@ -97,6 +97,21 @@ def test_default_transmit_total_is_100_watts_per_mode(n):
 def test_replace_keeps_the_resolved_defaults():
     cfg = replace(LinkConfig(), n_tx=8, wavelength=1.0)
     assert (cfg.transmit_power_total, cfg.beta) == (1600.0, LinkConfig().beta)
+
+
+@pytest.mark.parametrize("model, other, default", [("targeted", "iid", 1.0),
+                                                    ("iid", "targeted", 0.1)])
+def test_jam_variance_tx_default_follows_the_model(model, other, default):
+    options = SweepOptions(jam_model=model)
+    assert options.jam_variance_tx == default
+    assert SweepOptions(jam_model=model, jam_variance_tx=5.0).jam_variance_tx == 5.0
+    assert replace(options, jam_model=other).jam_variance_tx == default   # kept as set
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_jam_variance_tx_must_be_positive_and_finite(value):
+    with pytest.raises(ConfigurationError, match="jam_variance_tx"):
+        SweepOptions(jam_variance_tx=value)
 
 
 def with_count(name, value):

@@ -24,7 +24,6 @@ from oam_antijam import (
     allocate_power,
     build_channel_matrix,
     check_trends,
-    detection_probabilities,
     element_azimuths,
     mode_index_range,
     mode_link_gains,
@@ -35,7 +34,7 @@ from oam_antijam import (
 )
 from oam_antijam.jamming import complex_gaussian, substream
 from oam_antijam.signals import mode_energies
-from oracles import circulant, expected_se, targeted_elements
+from oracles import circulant, expected_se, se_cells, targeted_elements
 
 MODES_16 = tuple(mode_index_range(16))
 GOLDEN = Path(__file__).parent / "golden"
@@ -417,40 +416,17 @@ class TestExpectedSpectralEfficiency:
     """Every Monte Carlo SE mean lies within 5 standard errors of its closed form.
 
     Each (scheme, grid point) cell passes when |MC - E| <= 5 * stderr + 1e-4,
-    with E from ``oracles.expected_se`` at the point's own per-mode p_c, the
-    one ``_point_thresholds`` calibrates on stream (point_index, 0). The floor
-    covers cells whose trials all flag the same modes (stderr 0, E off by the
-    ~3e-6 chance per trial that a mode goes unflagged). If the mean is normal
-    about E, a correct model fails a cell with probability 5.7e-7, and one of
-    the 192 cells here with probability about 1.1e-4 at fresh seeds. At these
+    with E from ``oracles.expected_se`` at the point's own per-mode p_c (see
+    ``oracles.se_cells``). The floor covers cells whose trials all flag the
+    same modes (stderr 0, E off by the ~3e-6 chance per trial that a mode goes
+    unflagged). If the mean is normal about E, a correct model fails a cell
+    with probability 5.7e-7, and one of the 192 cells here with probability
+    about 1.1e-4 at fresh seeds. At these
     seeds the worst |z| over cells with a non-rounding stderr is 2.7 on the
     targeted golden, 2.4 on the iid golden, 1.7 on the wide golden and 2.9 on
     the default grid. SE depends on |kappa|^2, so this pins the link gains to
     the model as well as the sampling.
     """
-
-    @staticmethod
-    def cells(scenario):
-        """(cell, MC mean, stderr, E) for every cell of a scenario's sweep."""
-        cfg0, axes, options, seed = (scenario.config, scenario.axes, scenario.options,
-                                     scenario.seed)
-        results = run_sweep(scenario)
-        by_cell = {(r.scheme, r.n_elements, r.n_jammed, r.snr_db): r for r in results}
-        iid = options.jam_model == metrics.BROADBAND
-        grid = product(axes.n_elements, axes.n_jammed, axes.snr_db)
-        for point_index, (n, n_jammed, snr_db) in enumerate(grid):
-            cfg = metrics._point_config(cfg0, n, n_jammed, snr_db)
-            kappas = mode_link_gains(cfg)
-            carrier = cfg.jam_variance_tx if iid else options.mode_jam_variance
-            p_j, p_u = detection_probabilities(cfg.energy_threshold_tx,
-                                               cfg.samples_per_symbol, carrier)
-            _, p_c = metrics._point_thresholds(
-                cfg, kappas, carrier, substream(seed, point_index, 0))
-            expected = expected_se(cfg, kappas, carrier, p_j, p_u if iid else 1.0, p_c,
-                                   n if iid else n_jammed, p_j)
-            for scheme, value in zip((PROPOSED, BASELINE), expected):
-                cell = by_cell[(scheme, n, n_jammed, snr_db)]
-                yield (scheme, n, n_jammed, snr_db), cell.se_bits, cell.se_stderr, value
 
     @pytest.mark.parametrize("golden, seed", [("targeted", None), ("iid", None), ("wide", None),
                                               (None, 1), (None, 2)])
@@ -461,11 +437,11 @@ class TestExpectedSpectralEfficiency:
             scenario = replace(parse_scenario(None), trials=200, seed=seed)
         else:
             scenario = parse_scenario(str(GOLDEN / f"{golden}.ini"))
-        cells = list(self.cells(scenario))
+        cells = list(se_cells(scenario))
         assert len(cells) == 2 * len(list(product(scenario.axes.n_elements,
                                                   scenario.axes.n_jammed,
                                                   scenario.axes.snr_db)))
-        bad = [(cell, mc, err, e) for cell, mc, err, e in cells
+        bad = [(cell, mc, err, e) for cell, mc, err, e, *_ in cells
                if abs(mc - e) > 5 * err + 1e-4]
         assert not bad, bad[:4]
 

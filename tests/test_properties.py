@@ -1,6 +1,7 @@
 """Hypothesis properties: sweep invariants on small random grids of both
-jamming models, the mode index range, the mode transform round trip,
-LinkConfig validation and scenario-file validation."""
+jamming models, the Monte Carlo SE against its closed form, the mode index
+range, the mode transform round trip, LinkConfig validation and scenario-file
+validation."""
 
 import math
 from dataclasses import replace
@@ -12,10 +13,10 @@ from hypothesis import given, settings, strategies as st
 from oam_antijam import (BASELINE, PROPOSED, ConfigurationError, LinkConfig, Scenario,
                          SweepAxes, SweepOptions, mode_index_range, mode_transform, run_sweep)
 from oam_antijam.cli import SCENARIO_KEYS, parse_scenario
+from oracles import se_cells
 
 FLOAT_FIELDS = ("r_tx", "r_rx", "axial_distance", "wavelength", "beta", "noise_variance_rx",
-                "jam_variance_tx", "jam_variance_rx", "energy_threshold_tx",
-                "transmit_power_total")
+                "jam_variance_rx", "energy_threshold_tx", "transmit_power_total")
 
 
 @st.composite
@@ -51,6 +52,54 @@ def test_sweep_invariants(sweep):
     for proposed, baseline in zip(res[::2], res[1::2]):
         assert (proposed.scheme, baseline.scheme) == (PROPOSED, BASELINE)
         assert proposed.se_bits >= baseline.se_bits
+
+
+@st.composite
+def se_scenarios(draw):
+    n = draw(st.sampled_from([4, 8, 16]))
+    jam_model = draw(st.sampled_from(["targeted", "iid"]))
+    n_jammed = [0] if jam_model == "iid" else draw(
+        st.lists(st.integers(0, n), min_size=1, max_size=2, unique=True))
+    snr_db = draw(st.lists(st.sampled_from([-10.0, 0.0, 10.0, 30.0]),
+                           min_size=1, max_size=2, unique=True))
+    cfg = LinkConfig(n_tx=n, samples_per_symbol=draw(st.sampled_from([8, 64])),
+                     energy_threshold_tx=draw(st.sampled_from([0.1, 0.5])))
+    options = SweepOptions(jam_model=jam_model,
+                           jam_variance_tx=draw(st.sampled_from([None, 0.3, 2.0])),
+                           ber_trials=0)   # the BER probe does not touch SE
+    axes = SweepAxes(snr_db=tuple(snr_db), n_jammed=tuple(sorted(n_jammed)))
+    return Scenario(cfg, axes, options, draw(st.integers(200, 400)),
+                    draw(st.integers(0, 2**16)))
+
+
+SE_EXAMPLES = 50
+
+
+@settings(max_examples=SE_EXAMPLES, derandomize=True, deadline=None)
+@given(se_scenarios())
+def test_monte_carlo_se_matches_closed_form(scenario):
+    """|MC - E| <= 5 * stderr + 1e-4 on every cell, E from ``oracles.expected_se``.
+
+    If the Monte Carlo mean is normal about E, a correct model fails a cell
+    with probability 5.7e-7. An example has at most 2 schemes x 2 jammed
+    counts x 2 SNRs = 8 cells, so the SE_EXAMPLES = 50 examples of a run hold
+    at most 400 cells and fail with probability at most about 2.3e-4. The
+    examples are derandomized, so every run draws the same ones.
+
+    The mean is not normal where the detector almost always decides one way
+    (at K = 64, E_th = 0.5 W and 0.3 W of jamming, a mode is flagged with
+    probability 3.3e-6). If no trial decides the unlikelier way, the mean is
+    that of E_major, the expectation with every decision the likelier way, and
+    E sits off it by the expected count of such decisions times a mode's SE
+    swing over the trial count. So a cell whose point expects fewer than 14
+    such decisions also passes within the same bound of E_major; where 14 or
+    more are expected, seeing none has probability below e^-14 = 8.3e-7.
+    """
+    bad = [(cell, mc, err, e, major) for cell, mc, err, e, major, departures
+           in se_cells(scenario)
+           if abs(mc - e) > 5 * err + 1e-4
+           and not (departures < 14 and abs(mc - major) <= 5 * err + 1e-4)]
+    assert not bad, bad[:4]
 
 
 @given(st.integers(1, 1000))

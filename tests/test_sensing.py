@@ -101,7 +101,7 @@ class TestGammaCdf:
 
     @pytest.mark.parametrize("k", [1, 2, 8, 16, 64, 256, 1024, 4096])
     def test_relative_error_against_mpmath(self, k):
-        # both branches (series below x = k + 1, continued fraction above),
+        # both branches (series below x = k + 1, finite Poisson sum above),
         # dense around the crossover at x ~ k where both converge slowest
         xs = np.concatenate([k * np.geomspace(0.01, 10.0, 40),
                              k * np.linspace(0.95, 1.05, 21), [k + 1.0, k + 1.0 - 1e-9]])
@@ -146,6 +146,13 @@ class TestDetectionProbabilities:
     def test_zero_variance_never_flags(self):
         p_j, _ = detection_probabilities(0.5, 64, 0.0)
         assert p_j == 0.0
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_negative_or_nan_threshold_or_variance_rejected(self, bad):
+        with pytest.raises(ValueError, match="gamma_cdf argument"):
+            detection_probabilities(bad, 16, 0.1)
+        with pytest.raises(ValueError, match="gamma_cdf scale"):
+            detection_probabilities(0.5, 16, bad)
 
     def test_monotone_in_threshold(self):
         thresholds = np.linspace(0.01, 1.0, 25)
