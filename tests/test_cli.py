@@ -300,6 +300,7 @@ class TestValidationBeforeAnyPoint:
         "snr_db = inf",
         "[pga]\ngains = 0.5, 1.0, 2.0\npriors = 0.25, 0.25, 0.5",
         "[jamming]\nmodel = iid",
+        "[jamming]\nmode_power = nan",  # removed key: refused as unknown
         "[jamming]\npower_rx = inf",
         "[jamming]\npower_tx = inf",
         "[jamming]\npower_tx = nan",
