@@ -5,8 +5,7 @@ Scenario files are INI documents with sections [link], [jamming], [detection],
 an absent key keeps that field's dataclass default, so an empty or missing
 file runs ``Scenario(LinkConfig(), SweepAxes())``. Unknown keys are rejected,
 and the README's "Scenario files" block lists every key with its default.
-``beta = normalized`` is LinkConfig's None default, and ``power_per_mode``
-times the link's ring size is the transmit total. ``--seed`` and ``--trials``
+``beta = normalized`` is LinkConfig's None default. ``--seed`` and ``--trials``
 take the place of the file's values in the one :class:`metrics.Scenario`
 built, whose construction checks every grid point: a scenario that cannot
 run exits 1 before any point runs. The CSV schema is
@@ -48,8 +47,7 @@ def _beta(raw: str) -> float | None:
     return None if raw.lower() == "normalized" else float(raw)
 
 
-# [section] key -> (parser, dataclass, field it sets). ``power_per_mode`` is no
-# field: parse_scenario sets the transmit total to it times the ring size.
+# [section] key -> (parser, dataclass, field it sets).
 SCENARIO_KEYS = {
     ("link", "n_elements"): (int, LinkConfig, "n_tx"),
     ("link", "radius_tx"): (float, LinkConfig, "r_tx"),
@@ -112,12 +110,7 @@ def parse_scenario(path: str | None, **overrides) -> Scenario:
                 fields[cls][name] = parse(parser.get(section, key))
             except ValueError as exc:
                 raise ConfigurationError(f"[{section}] {key}: {exc}") from exc
-
-    link = fields[LinkConfig]
-    if "power_per_mode" in link:
-        per_mode = link.pop("power_per_mode")
-        link["transmit_power_total"] = per_mode * link.get("n_tx", LinkConfig.n_tx)
-    return Scenario(LinkConfig(**link), SweepAxes(**fields[SweepAxes]),
+    return Scenario(LinkConfig(**fields[LinkConfig]), SweepAxes(**fields[SweepAxes]),
                     SweepOptions(**fields[SweepOptions]), **{**fields[Scenario], **overrides})
 
 

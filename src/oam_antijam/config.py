@@ -18,8 +18,6 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 DEFAULT_CARRIER_HZ = 5.8e9
 
-DEFAULT_POWER_PER_MODE = 100.0  # W; the default transmit total is this times n_tx
-
 
 class ConfigurationError(ValueError):
     """A configuration value violates a documented constraint."""
@@ -103,9 +101,8 @@ class LinkConfig:
         pga_priors: transmit probabilities of each gain level, summing to 1.
         samples_per_symbol: samples per modulation symbol (K).
         preamble_length: number of calibration symbols (I).
-        transmit_power_total: total transmit power shared by clean modes, watts;
-            the default None sets DEFAULT_POWER_PER_MODE * n_tx. A
-            :func:`dataclasses.replace` keeps both as set, whatever else it changes.
+        power_per_mode: transmit power of each clean mode, watts; a sweep point's
+            total is this times its clean-mode count.
     """
 
     n_tx: int = 16
@@ -121,18 +118,16 @@ class LinkConfig:
     pga_priors: tuple[float, ...] = (0.5, 0.5)
     samples_per_symbol: int = 64
     preamble_length: int = 16
-    transmit_power_total: float | None = None
+    power_per_mode: float = 100.0
 
     def __post_init__(self) -> None:
         for name, low in (("n_tx", 1), ("samples_per_symbol", 1), ("preamble_length", 2)):
             check_count(name, getattr(self, name), low)
         for name in ("r_tx", "r_rx", "axial_distance", "wavelength", "beta",
                      "noise_variance_rx", "jam_variance_rx",
-                     "energy_threshold_tx", "transmit_power_total"):
+                     "energy_threshold_tx", "power_per_mode"):
             if name == "beta" and self.beta is None:   # d and wavelength have passed
                 object.__setattr__(self, name, 4 * math.pi * self.axial_distance / self.wavelength)
-            if name == "transmit_power_total" and self.transmit_power_total is None:
-                object.__setattr__(self, name, DEFAULT_POWER_PER_MODE * self.n_tx)
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ConfigurationError(
@@ -146,6 +141,10 @@ class LinkConfig:
             raise ConfigurationError(
                 "radii, distance, wavelength and beta overflow the link geometry or the "
                 "element power gain (beta*wavelength / (4*pi*distance))^2")
+        if not math.isfinite(self.n_tx * (self.noise_variance_rx + self.jam_variance_rx)):
+            raise ConfigurationError(
+                f"noise_variance_rx {self.noise_variance_rx} and jam_variance_rx "
+                f"{self.jam_variance_rx} overflow the receiver floor n_tx * (noise + jamming)")
         gains, priors = pga_levels(self.pga_gains, self.pga_priors)
         object.__setattr__(self, "pga_gains", gains)
         object.__setattr__(self, "pga_priors", priors)

@@ -1,6 +1,6 @@
 """Per-mode SNR, spectrum efficiency, and Monte Carlo sweeps.
 
-The proposed scheme senses which modes are jammed, splits the total transmit
+The proposed scheme senses which modes are jammed, splits the point's transmit
 power over the clean modes, and rides the reflected jamming on the jammed
 ones; the baseline is the identical system with the jammed-mode contribution
 forced to zero. Sweeps iterate (SNR, jammed-mode count, ring size) grids and
@@ -10,11 +10,11 @@ count, seed); constructing it checks every grid point, so :func:`run_sweep`
 takes it as it is and no point runs of a sweep that cannot finish.
 
 SNR axis semantics: ``snr_db`` fixes the receiver noise variance as
-(allocated per-mode transmit power) / SNR. With the default unit-modulus
-element channel this coincides with the per-mode received SNR, so sweeps are
-independent of the absolute free-space scale. Total transmit power at each
-grid point is per-mode power times the number of clean modes, keeping the
-per-mode allocation constant across the jammed-count and ring-size axes.
+``power_per_mode`` / SNR. With the default unit-modulus element channel this
+coincides with the per-mode received SNR, so sweeps are independent of the
+absolute free-space scale. Total transmit power at each grid point is
+``power_per_mode`` times max(N - l_j, 1) clean modes, keeping the per-mode
+allocation constant across the jammed-count and ring-size axes.
 """
 
 from __future__ import annotations
@@ -102,29 +102,29 @@ class SweepOptions:
             check_count(name, getattr(self, name), 0)
 
 
-def allocate_power(config: LinkConfig, flagged) -> np.ndarray:
+def allocate_power(transmit_power: float, flagged) -> np.ndarray:
     """Per-mode transmit power, shaped like the jammed-mode mask ``flagged``.
 
-    ``flagged`` is (..., N), one row per trial. The total budget is split
-    evenly over each row's clean modes; jammed modes carry no transmit power
-    (their signal rides on the reflected jamming). An all-jammed row gets an
-    all-zero allocation.
+    ``flagged`` is (..., N), one row per trial. The total ``transmit_power`` is
+    split evenly over each row's clean modes; jammed modes carry no transmit
+    power (their signal rides on the reflected jamming). An all-jammed row gets
+    an all-zero allocation.
     """
     flagged = np.asarray(flagged, dtype=bool)
     n_clean = flagged.shape[-1] - flagged.sum(axis=-1, keepdims=True)
-    return np.where(flagged, 0.0, config.transmit_power_total / np.maximum(n_clean, 1))
+    return np.where(flagged, 0.0, transmit_power / np.maximum(n_clean, 1))
 
 
-def mode_snr(config: LinkConfig, flagged, link_gains: np.ndarray,
-             carrier_variance: float, p_j: float, p_u: float,
-             p_c=1.0) -> np.ndarray:
+def mode_snr(config: LinkConfig, flagged, link_gains: np.ndarray, transmit_power: float,
+             carrier_variance: float, p_j: float, p_u: float, p_c=1.0) -> np.ndarray:
     """Detection-weighted power-ratio SNR of every mode, shaped like ``flagged``.
 
     gamma = w * |kappa|^2 * P / (N * (noise + jamming variance)), where kappa
     is the composite through-link mode gain (``link_gains``, canonical mode
-    order). A clean mode has w = p_u and P its :func:`allocate_power` share;
-    a jammed mode has w = p_j * p_c (``p_c`` scalar or per mode) and P the
-    mean reflected jamming power, mean PGA power gain * ``carrier_variance``.
+    order). A clean mode has w = p_u and P its :func:`allocate_power` share of
+    ``transmit_power``; a jammed mode has w = p_j * p_c (``p_c`` scalar or per
+    mode) and P the mean reflected jamming power, mean PGA power gain *
+    ``carrier_variance``.
     """
     if np.shape(flagged)[-1:] != (len(link_gains),):   # a 0-d mask has no mode axis
         raise ValueError(f"flag mask of shape {np.shape(flagged)} does not cover "
@@ -133,11 +133,12 @@ def mode_snr(config: LinkConfig, flagged, link_gains: np.ndarray,
     for name, p in (("p_j", p_j), ("p_u", p_u), ("p_c", p_c)):
         if not np.all((p >= 0.0) & (p <= 1.0)):   # nan fails too
             raise ValueError(f"{name} must lie in [0, 1], got {p}")
-    if not carrier_variance >= 0.0:
-        raise ValueError(f"carrier variance must be >= 0, got {carrier_variance}")
+    if not (transmit_power >= 0.0 and carrier_variance >= 0.0):
+        raise ValueError(f"transmit power and carrier variance must be >= 0, "
+                         f"got {transmit_power} and {carrier_variance}")
     kappa2 = np.abs(link_gains) ** 2
     floor = receiver_background_variance(config)
-    gamma_clean = p_u * kappa2 * allocate_power(config, flagged) / floor
+    gamma_clean = p_u * kappa2 * allocate_power(transmit_power, flagged) / floor
     mean_power_gain = sum(p * g * g for g, p in zip(config.pga_gains, config.pga_priors))
     gamma_jam = p_j * p_c * kappa2 * mean_power_gain * carrier_variance / floor
     return np.where(flagged, gamma_jam, gamma_clean)
@@ -159,25 +160,28 @@ def spectral_efficiency(gamma, modes=None):
 
 
 def _point_config(config: LinkConfig, n_elements: int, n_jammed: int,
-                  snr_db: float) -> LinkConfig:
-    """The link of grid point (N, l_j, SNR), as both the sweep and its validation build it.
+                  snr_db: float) -> tuple[LinkConfig, float]:
+    """Link and transmit total of grid point (N, l_j, SNR), as the sweep and its checks build them.
 
-    With per-mode power the scenario's transmit total over its ring size, the
-    point has N elements per ring, receiver noise variance per-mode power /
-    SNR, and transmit total per-mode power times max(N - l_j, 1) clean modes.
-    Raises :class:`ConfigurationError` for an SNR that is not finite or
-    overflows 10**(SNR/10), and for any value :class:`LinkConfig` rejects.
+    The link has N elements per ring and receiver noise variance
+    ``power_per_mode`` / SNR; the total is ``power_per_mode`` times
+    max(N - l_j, 1) clean modes. Raises :class:`ConfigurationError` for an SNR
+    that is not finite or overflows 10**(SNR/10), a total that is not finite,
+    and any value :class:`LinkConfig` rejects.
     """
     if not math.isfinite(snr_db):
         raise ConfigurationError(f"snr {snr_db} dB is not a finite number")
-    per_mode = config.transmit_power_total / config.n_tx
     try:
-        noise = per_mode / 10.0 ** (snr_db / 10.0)
+        noise = config.power_per_mode / 10.0 ** (snr_db / 10.0)
     except (OverflowError, ZeroDivisionError) as exc:
         raise ConfigurationError(f"snr {snr_db} dB out of range: the noise variance it "
                                  f"implies is not a finite number") from exc
-    return replace(config, n_tx=n_elements, noise_variance_rx=noise,
-                   transmit_power_total=per_mode * max(n_elements - n_jammed, 1))
+    n_clean = max(n_elements - n_jammed, 1)
+    transmit_power = config.power_per_mode * n_clean
+    if not math.isfinite(transmit_power):
+        raise ConfigurationError(f"power_per_mode {config.power_per_mode} times {n_clean} "
+                                 f"clean modes is not a finite transmit total")
+    return replace(config, n_tx=n_elements, noise_variance_rx=noise), transmit_power
 
 
 @dataclass(frozen=True)
@@ -193,7 +197,7 @@ class Scenario:
     array a point allocates must fit numpy's limit of sys.maxsize bytes,
     which also bounds the trial count and the ring sizes. Last, every grid
     point's link is built by :func:`_point_config`, the builder the sweep
-    runs, so a finite SNR, a noise variance and a transmit total that
+    runs, so a finite SNR, a finite transmit total and a noise variance that
     :class:`LinkConfig` accepts are checked at every point; the error names
     the first point that fails.
     """
@@ -322,7 +326,7 @@ def _sweep_point(scenario: Scenario, point_index: int, n_elements: int, n_jammed
                  snr_db: float) -> list[SweepResult]:
     """All Monte Carlo work for one grid point: one row per scheme, on shared trials."""
     options, trials, seed = scenario.options, scenario.trials, scenario.seed
-    cfg = _point_config(scenario.config, n_elements, n_jammed, snr_db)
+    cfg, transmit_power = _point_config(scenario.config, n_elements, n_jammed, snr_db)
     kappas = mode_link_gains(cfg, build_channel_matrix(cfg))
     iid = options.jam_model == BROADBAND
     carrier_variance = options.jam_variance_tx
@@ -345,7 +349,8 @@ def _sweep_point(scenario: Scenario, point_index: int, n_elements: int, n_jammed
         energies = sense_targeted(rng_trials, jam_sets, n_elements, k_sense, carrier_variance)
     flagged = energies >= cfg.energy_threshold_tx   # (trials, N)
 
-    gamma = mode_snr(cfg, flagged, kappas, carrier_variance, p_j, p_u, p_c_modes)
+    gamma = mode_snr(cfg, flagged, kappas, transmit_power, carrier_variance, p_j, p_u,
+                     p_c_modes)
     se_baseline = spectral_efficiency(gamma, ~flagged)
     se = {PROPOSED: se_baseline + spectral_efficiency(gamma, flagged), BASELINE: se_baseline}
     se_mean = {scheme: float(values.mean()) for scheme, values in se.items()}

@@ -171,8 +171,8 @@ def draw_targeted_jamming_block(rng: np.random.Generator, n_elements: int, n_sam
     return targeted_elements(samples, [modes.index(l) for l in targets], n_elements)
 
 
-def expected_se(config: LinkConfig, kappas: np.ndarray, carrier_variance: float,
-                p_j: float, p_u: float, p_c, candidates: int,
+def expected_se(config: LinkConfig, kappas: np.ndarray, transmit_power: float,
+                carrier_variance: float, p_j: float, p_u: float, p_c, candidates: int,
                 flag_prob: float) -> tuple[float, float]:
     """Closed-form (E[SE_proposed], E[SE_baseline]) of one grid point, bits/s/Hz.
 
@@ -182,12 +182,12 @@ def expected_se(config: LinkConfig, kappas: np.ndarray, carrier_variance: float,
     flagged count m is then Binomial(c, f), and given m the flagged set is a
     uniform m-subset of the N modes, so every mode is flagged with probability
     m / N. A clean mode's SNR depends on the flags only through the N - m
-    modes that share the transmit total, which gives
+    modes that share the transmit total ``transmit_power``, which gives
 
         E[SE_base] = sum_m B(m; c, f) (1 - m/N) sum_l log2(1 + g_clean,l(N - m))
         E[SE_prop] = E[SE_base] + sum_m B(m; c, f) (m/N) sum_l log2(1 + g_jam,l)
 
-    with g_clean,l(n) = p_u |kappa_l|^2 (P_total / n) / floor and
+    with g_clean,l(n) = p_u |kappa_l|^2 (transmit_power / n) / floor and
     g_jam,l = p_j p_c,l |kappa_l|^2 E[a^2] carrier_variance / floor, the two
     branches of ``metrics.mode_snr``; floor is the receiver background
     variance, E[a^2] the prior-weighted mean PGA power gain and ``p_c`` the
@@ -199,7 +199,7 @@ def expected_se(config: LinkConfig, kappas: np.ndarray, carrier_variance: float,
                         * (1.0 - flag_prob) ** (candidates - k) for k in range(candidates + 1)])
     kappa2 = np.abs(kappas) ** 2
     floor = receiver_background_variance(config)
-    share = config.transmit_power_total / np.maximum(n - m, 1)
+    share = transmit_power / np.maximum(n - m, 1)
     clean = np.log2(1.0 + p_u * kappa2 * share[:, None] / floor).sum(axis=1)   # (c + 1,)
     mean_power_gain = sum(p * g * g for g, p in zip(config.pga_gains, config.pga_priors))
     jam = np.log2(1.0 + p_j * np.asarray(p_c) * kappa2 * mean_power_gain
@@ -225,14 +225,14 @@ def se_cells(scenario: Scenario):
     carrier = options.jam_variance_tx
     grid = product(axes.n_elements, axes.n_jammed, axes.snr_db)
     for point_index, (n, n_jammed, snr_db) in enumerate(grid):
-        cfg = metrics._point_config(cfg0, n, n_jammed, snr_db)
+        cfg, power = metrics._point_config(cfg0, n, n_jammed, snr_db)
         kappas = mode_link_gains(cfg)
         p_j, p_u = detection_probabilities(cfg.energy_threshold_tx,
                                            cfg.samples_per_symbol, carrier)
         _, p_c = metrics._point_thresholds(cfg, kappas, carrier, substream(seed, point_index, 0))
         candidates = n if iid else n_jammed
-        expected, major = (expected_se(cfg, kappas, carrier, p_j, p_u if iid else 1.0, p_c,
-                                       candidates, f) for f in (p_j, round(p_j)))
+        expected, major = (expected_se(cfg, kappas, power, carrier, p_j, p_u if iid else 1.0,
+                                       p_c, candidates, f) for f in (p_j, round(p_j)))
         departures = scenario.trials * candidates * min(p_j, 1.0 - p_j)
         for scheme, value, value_major in zip((PROPOSED, BASELINE), expected, major):
             cell = by_cell[(scheme, n, n_jammed, snr_db)]

@@ -107,7 +107,7 @@ class TestAlphabetAndPreamble:
         # a flagged mode at p_j = p_c = 1 carries the mean PGA power gain
         flagged = np.arange(cfg.n_tx) == 0
         kappas = mode_link_gains(cfg)
-        gamma = mode_snr(cfg, flagged, kappas, 1.0, p_j=1.0, p_u=0.0)[0]
+        gamma = mode_snr(cfg, flagged, kappas, 1600.0, 1.0, p_j=1.0, p_u=0.0)[0]
         mean_power_gain = gamma * receiver_background_variance(cfg) / abs(kappas[0]) ** 2
         assert mean_power_gain == pytest.approx(0.5 * 0.25 + 0.5 * 4.0, rel=1e-12)
 

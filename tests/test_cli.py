@@ -5,13 +5,13 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from oam_antijam import LinkConfig, Scenario, SweepAxes, SweepOptions, run_sweep
-from oam_antijam.cli import CSV_COLUMNS, format_sweep_csv, main, parse_scenario
+from oam_antijam.cli import CSV_COLUMNS, SCENARIO_KEYS, format_sweep_csv, main, parse_scenario
 from oam_antijam.config import ConfigurationError
 from oam_antijam.metrics import DEFAULT_SEED
 
@@ -50,7 +50,7 @@ class TestParseScenario:
         assert cfg.samples_per_symbol == 64
         # unit element gain: beta = 4 pi d / lambda
         assert cfg.beta == pytest.approx(4 * math.pi * 15.0 / cfg.wavelength)
-        assert cfg.transmit_power_total == pytest.approx(1600.0)
+        assert cfg.power_per_mode == 100.0
         assert scn.axes.snr_db == (-10, -5, 0, 5, 10, 15, 20, 25, 30)
         assert scn.axes.n_jammed == (0, 2, 4, 8)
         assert scn.trials == 1000
@@ -146,12 +146,13 @@ class TestOneSourceOfDefaults:
         assert parse_scenario(path) == Scenario(LinkConfig(n_tx=n), SweepAxes())
 
     def test_file_link_keys_are_link_config_fields(self, tmp_path):
-        # power_per_mode is the one [link] key that is not a field: times the ring
-        # size, it is the transmit total
+        # every key sets a field of its dataclass as parsed, power_per_mode too
+        assert all(name in {f.name for f in fields(cls)}
+                   for _, cls, name in SCENARIO_KEYS.values())
         path = write(tmp_path, "[link]\nn_elements = 8\ndistance = 30\n"
                                "power_per_mode = 50\nbeta = 2.5\n")
         assert parse_scenario(path) == Scenario(
-            LinkConfig(n_tx=8, axial_distance=30.0, transmit_power_total=400.0, beta=2.5),
+            LinkConfig(n_tx=8, axial_distance=30.0, power_per_mode=50.0, beta=2.5),
             SweepAxes())
 
     @pytest.mark.parametrize("jamming, n_jammed", [("", 2), ("model = iid\n", 0)],
@@ -259,6 +260,19 @@ ber_symbols = 2
         n_jammed = sweep.split(" = ")[1]
         assert re.search(rf"^numeric failure: grid point \(N=16, l_j={n_jammed}, snr=0 dB\): ",
                          proc.stderr, re.M)
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["[jamming]\npower_rx = 1e308\n",
+                                      "[sweep]\nsnr_db = -3060\n"])
+    def test_receiver_floor_overflow_is_a_validation_error(self, tmp_path, text):
+        # n_tx * (noise + jamming) overflowed to inf: a nan p_c raised with a traceback
+        out = tmp_path / "x.csv"
+        proc = fresh_python("import sys; from oam_antijam.cli import main; sys.exit(main())",
+                            "--config", write(tmp_path, text), "--output", str(out),
+                            check=False)
+        assert proc.returncode == 1
+        assert "validation error" in proc.stderr and "jam_variance_rx" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 

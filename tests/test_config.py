@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from oam_antijam import (ConfigurationError, LinkConfig, Scenario, SweepAxes, SweepOptions,
-                         mode_index_range, wavelength_for_frequency)
+                         metrics, mode_index_range, run_sweep, wavelength_for_frequency)
+from oam_antijam.cli import format_sweep_csv
 
 
 def test_default_matches_reference_setup():
@@ -45,7 +46,7 @@ def test_mode_range_bounds_formula():
     {"axial_distance": -2.0},
     {"wavelength": 0.0},
     {"noise_variance_rx": 0.0},
-    {"transmit_power_total": 0.0},
+    {"power_per_mode": 0.0},
     {"samples_per_symbol": 0},
     {"pga_gains": (2.0, 0.5)},
     {"pga_gains": (0.5, 0.5)},
@@ -53,6 +54,7 @@ def test_mode_range_bounds_formula():
     {"pga_priors": (0.6, 0.6)},
     {"pga_priors": (1.0, 0.0)},
     {"pga_gains": (0.5, 1.0, 2.0)},  # length mismatch with default priors
+    {"jam_variance_rx": 1e308},  # the receiver floor n_tx * (noise + jamming) overflows
 ])
 def test_invalid_configurations_rejected(kwargs):
     with pytest.raises(ConfigurationError):
@@ -90,13 +92,26 @@ def test_unit_element_gain_normalization():
 
 @pytest.mark.parametrize("n", [1, 8, 16, 128])
 def test_default_transmit_total_is_100_watts_per_mode(n):
-    assert LinkConfig(n_tx=n).transmit_power_total == 100.0 * n
-    assert LinkConfig(n_tx=n, transmit_power_total=7.0).transmit_power_total == 7.0
+    assert LinkConfig(n_tx=n).power_per_mode == 100.0
+    assert LinkConfig(n_tx=n, power_per_mode=7.0).power_per_mode == 7.0
+    # a point of N = n clean modes: a scenario link of any ring size gives the same total
+    for cfg in (LinkConfig(), LinkConfig(n_tx=n)):
+        assert metrics._point_config(cfg, n, 0, 0.0)[1] == 100.0 * n
 
 
 def test_replace_keeps_the_resolved_defaults():
+    # beta resolves at construction and is kept; power_per_mode has no such default
     cfg = replace(LinkConfig(), n_tx=8, wavelength=1.0)
-    assert (cfg.transmit_power_total, cfg.beta) == (1600.0, LinkConfig().beta)
+    assert (cfg.power_per_mode, cfg.beta) == (100.0, LinkConfig().beta)
+
+
+def test_replaced_ring_size_sweeps_as_constructed():
+    # the transmit total used to resolve at construction: a replaced n_tx = 32
+    # kept 1600 W, and swept at 50 W per mode
+    axes = SweepAxes(snr_db=(0.0, 20.0), n_jammed=(0, 4))
+    csv_text = [format_sweep_csv(run_sweep(Scenario(cfg, axes, trials=20, seed=3)))
+                for cfg in (replace(LinkConfig(), n_tx=32), LinkConfig(n_tx=32))]
+    assert csv_text[0] == csv_text[1]
 
 
 @pytest.mark.parametrize("model, other, default", [("targeted", "iid", 1.0),

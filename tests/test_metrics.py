@@ -56,31 +56,27 @@ def flags_for(jammed=()):
 
 class TestAllocatePower:
     def test_uniform_split_when_nothing_jammed(self):
-        cfg = LinkConfig(transmit_power_total=16.0)
-        powers = allocate_power(cfg, flags_for())
+        powers = allocate_power(16.0, flags_for())
         assert np.allclose(powers, 1.0)
 
     def test_all_jammed_gives_zero_allocation(self):
-        cfg = LinkConfig()
-        powers = allocate_power(cfg, flags_for(MODES_16))
+        powers = allocate_power(1600.0, flags_for(MODES_16))
         assert not powers.any()
 
     def test_four_of_sixteen(self):
-        cfg = LinkConfig(transmit_power_total=12.0)
         jammed = (0, 1, 2, 3)
-        powers = allocate_power(cfg, flags_for(jammed))
+        powers = allocate_power(12.0, flags_for(jammed))
         for i, l in enumerate(MODES_16):
             expected = 0.0 if l in jammed else 1.0
             assert powers[i] == pytest.approx(expected)
 
     def test_each_trial_splits_over_its_own_clean_modes(self):
-        cfg = LinkConfig(transmit_power_total=12.0)
         rows = [flags_for(), flags_for((0, 1, 2, 3)), flags_for(MODES_16)]
-        powers = allocate_power(cfg, np.stack(rows))
+        powers = allocate_power(12.0, np.stack(rows))
         assert powers.shape == (3, 16)
         assert powers.sum(axis=1) == pytest.approx([12.0, 12.0, 0.0])
         for row, flagged in zip(powers, rows):
-            assert np.array_equal(row, allocate_power(cfg, flagged))
+            assert np.array_equal(row, allocate_power(12.0, flagged))
 
 
 class TestSpectralEfficiency:
@@ -115,37 +111,39 @@ class TestSpectralEfficiency:
 
 class TestModeSnr:
     CFG = LinkConfig()
+    POWER = 1600.0   # the default 100 W per mode on all 16 modes
 
     def gains(self, cfg=CFG):
         return mode_link_gains(cfg)
 
     def test_zero_weight_annihilates(self):
-        out = mode_snr(self.CFG, flags_for(), self.gains(), 1.0, p_j=1.0, p_u=0.0)
+        out = mode_snr(self.CFG, flags_for(), self.gains(), self.POWER, 1.0, p_j=1.0, p_u=0.0)
         assert not out.any()
 
     def test_huge_disturbance_drives_snr_to_zero(self):
         cfg = LinkConfig(noise_variance_rx=1e12, jam_variance_rx=1e12, beta=1.0)
-        out = mode_snr(cfg, flags_for(), self.gains(cfg), 1.0, p_j=0.0, p_u=1.0)
+        out = mode_snr(cfg, flags_for(), self.gains(cfg), self.POWER, 1.0, p_j=0.0, p_u=1.0)
         assert out.max() < 1e-9
 
     def test_jammed_branch_uses_reflected_power(self):
         flagged = flags_for((2,))
         row = MODES_16.index(2)
-        out = mode_snr(self.CFG, flagged, self.gains(), 1.0, p_j=1.0, p_u=0.0, p_c=0.5)
+        args = self.CFG, flagged, self.gains(), self.POWER
+        out = mode_snr(*args, 1.0, p_j=1.0, p_u=0.0, p_c=0.5)
         assert out[row] > 0.0
         assert not np.delete(out, row).any()
         # halving p_c halves the weighted snr
-        half = mode_snr(self.CFG, flagged, self.gains(), 1.0, p_j=1.0, p_u=0.0, p_c=0.25)
+        half = mode_snr(*args, 1.0, p_j=1.0, p_u=0.0, p_c=0.25)
         assert half[row] == pytest.approx(0.5 * out[row], rel=1e-12)
         # and the carrier variance scales it linearly
-        double = mode_snr(self.CFG, flagged, self.gains(), 2.0, p_j=1.0, p_u=0.0, p_c=0.5)
+        double = mode_snr(*args, 2.0, p_j=1.0, p_u=0.0, p_c=0.5)
         assert double[row] == pytest.approx(2.0 * out[row], rel=1e-12)
 
     def test_formula_against_matrix_oracle(self):
         # independent evaluation with the mode gain taken from the full matrix
-        cfg = replace(self.CFG, noise_variance_rx=0.1, transmit_power_total=1600.0)
+        cfg = replace(self.CFG, noise_variance_rx=0.1)
         l = 4
-        gammas = mode_snr(cfg, flags_for((0, 1, 2, 3)), mode_link_gains(cfg), 1.0,
+        gammas = mode_snr(cfg, flags_for((0, 1, 2, 3)), mode_link_gains(cfg), 1600.0, 1.0,
                           p_j=0.0, p_u=1.0)
         out = gammas[MODES_16.index(l)]
 
@@ -163,31 +161,33 @@ class TestModeSnr:
     def test_mask_must_cover_every_mode(self):
         for mask in (np.zeros(99, dtype=bool), np.zeros((4, 15), dtype=bool), True):
             with pytest.raises(ValueError, match="does not cover"):
-                mode_snr(self.CFG, mask, self.gains(), 1.0, 0.5, 0.5)
+                mode_snr(self.CFG, mask, self.gains(), self.POWER, 1.0, 0.5, 0.5)
 
     @pytest.mark.parametrize("probs", [dict(p_c=1.5), dict(p_j=-0.1), dict(p_u=1.2)])
     def test_probability_outside_unit_interval_rejected(self, probs):
         args = dict(p_j=1.0, p_u=0.0) | probs
         with pytest.raises(ValueError, match=next(iter(probs))):
-            mode_snr(self.CFG, flags_for((2,)), self.gains(), 1.0, **args)
+            mode_snr(self.CFG, flags_for((2,)), self.gains(), self.POWER, 1.0, **args)
 
     @pytest.mark.parametrize("name, value, message", [
         ("p_j", np.nan, "p_j"), ("p_u", np.nan, "p_u"), ("p_c", np.nan, "p_c"),
         ("p_c", np.r_[np.full(15, 0.5), np.nan], "p_c"),
-        ("carrier_variance", np.nan, "carrier variance")])
+        ("carrier_variance", np.nan, "carrier variance"),
+        ("transmit_power", np.nan, "transmit power")])
     def test_nan_rejected(self, name, value, message):
         # a check for values outside [0, 1] or below 0 lets nan through to the SNRs
-        args = dict(carrier_variance=1.0, p_j=1.0, p_u=0.5) | {name: value}
+        args = dict(transmit_power=self.POWER, carrier_variance=1.0, p_j=1.0,
+                    p_u=0.5) | {name: value}
         with pytest.raises(ValueError, match=message):
             mode_snr(self.CFG, flags_for((2,)), self.gains(), **args)
 
     def test_batched_rows_match_single_trial_calls(self):
         flagged = np.random.default_rng(3).random((5, 16)) < 0.4
         p_c = np.linspace(0.5, 1.0, 16)
-        batch = mode_snr(self.CFG, flagged, self.gains(), 1.0, 0.7, 0.9, p_c)
+        batch = mode_snr(self.CFG, flagged, self.gains(), self.POWER, 1.0, 0.7, 0.9, p_c)
         for row, mask in zip(batch, flagged):
-            assert np.array_equal(row, mode_snr(self.CFG, mask, self.gains(), 1.0,
-                                                0.7, 0.9, p_c))
+            assert np.array_equal(row, mode_snr(self.CFG, mask, self.gains(), self.POWER,
+                                                1.0, 0.7, 0.9, p_c))
 
 
 class TestDrawJamSets:
@@ -308,17 +308,17 @@ class TestRunSweep:
         computed = []
         monkeypatch.setattr(metrics, "_sweep_point",
                             lambda *args: computed.append(args))
-        cfg = LinkConfig(transmit_power_total=16e306)
+        cfg = LinkConfig(power_per_mode=1e306)
         axes = SweepAxes(snr_db=(0.0,), n_jammed=(0,), n_elements=(16, 400))
-        with pytest.raises(ConfigurationError, match="transmit_power_total"):
+        with pytest.raises(ConfigurationError, match="transmit total"):
             run_sweep(Scenario(cfg, axes, trials=2, seed=0))
         assert computed == []
 
     def test_point_error_names_the_grid_point(self):
-        cfg = LinkConfig(transmit_power_total=16e306)
+        cfg = LinkConfig(power_per_mode=1e306)
         axes = SweepAxes(snr_db=(0.0,), n_jammed=(0,), n_elements=(16, 400))
-        with pytest.raises(ConfigurationError,
-                           match=r"^grid point \(N=400, l_j=0, snr=0 dB\): transmit_power_total"):
+        with pytest.raises(ConfigurationError, match=r"^grid point \(N=400, l_j=0, snr=0 dB\): "
+                                                     r"power_per_mode 1e\+306 times 400 clean"):
             Scenario(cfg, axes, trials=2, seed=0)
 
     def test_negative_seed_rejected(self):
@@ -447,7 +447,7 @@ class TestExpectedSpectralEfficiency:
 
     def test_closed_form_by_enumeration(self):
         # N = 3, two candidate modes: weigh every flag pattern by its probability
-        cfg = LinkConfig(n_tx=3, transmit_power_total=30.0)
+        cfg = LinkConfig(n_tx=3, power_per_mode=10.0)
         kappas = mode_link_gains(cfg)
         f, p_j, p_c = 0.3, 0.9, np.array([0.6, 0.7, 0.8])
         proposed = baseline = 0.0
@@ -456,10 +456,10 @@ class TestExpectedSpectralEfficiency:
                 weight = np.prod([f if x else 1 - f for x in flags]) / 3
                 flagged = np.zeros(3, dtype=bool)
                 flagged[[jam_set[i] for i in range(2) if flags[i]]] = True
-                gamma = mode_snr(cfg, flagged, kappas, 1.0, p_j, 1.0, p_c)
+                gamma = mode_snr(cfg, flagged, kappas, 30.0, 1.0, p_j, 1.0, p_c)
                 baseline += weight * spectral_efficiency(gamma, ~flagged)
                 proposed += weight * spectral_efficiency(gamma)
-        got = expected_se(cfg, kappas, 1.0, p_j, 1.0, p_c, 2, f)
+        got = expected_se(cfg, kappas, 30.0, 1.0, p_j, 1.0, p_c, 2, f)
         assert got == pytest.approx((proposed, baseline), rel=1e-12)
 
 

@@ -16,7 +16,7 @@ from oam_antijam.cli import SCENARIO_KEYS, parse_scenario
 from oracles import se_cells
 
 FLOAT_FIELDS = ("r_tx", "r_rx", "axial_distance", "wavelength", "beta", "noise_variance_rx",
-                "jam_variance_rx", "energy_threshold_tx", "transmit_power_total")
+                "jam_variance_rx", "energy_threshold_tx", "power_per_mode")
 
 
 @st.composite
@@ -125,8 +125,8 @@ def test_link_config_rejects_non_positive_or_non_finite_floats(name, value):
         LinkConfig(**{name: value})
 
 
-SCENARIO_VALUES = ("", "nan", "inf", "-inf", "-1", "0", "1e200", "1e-300", "abc", "1,",
-                   "1" + "0" * 29)
+SCENARIO_VALUES = ("", "nan", "inf", "-inf", "-1", "0", "1e200", "1e308", "1e-300", "abc",
+                   "1,", "1" + "0" * 29)
 
 
 @settings(max_examples=400, deadline=None)  # enough to try every (key, value) pair
