@@ -36,6 +36,15 @@ from .sensing import gamma_cdf
 SYMBOL_CHUNK = 1024  # symbols synthesised per block of draws
 
 
+def _integers_below(bits: np.ndarray, stop: int) -> bool:
+    """Whether every entry of ``bits`` is an integer in 0..stop-1 (nan fails too).
+
+    Only a float array can hold a fraction, so only a float array is checked for one.
+    """
+    return not bits.size or (bits.min() >= 0 and bits.max() < stop and (
+        not np.issubdtype(bits.dtype, np.floating) or bool(np.all(bits % 1 == 0))))
+
+
 def calibrate_threshold(energies, bits, n_samples: int) -> float:
     """Decision threshold q_th from the per-symbol energies of a known preamble.
 
@@ -52,7 +61,7 @@ def calibrate_threshold(energies, bits, n_samples: int) -> float:
     """
     bits = np.asarray(bits)
     energies = np.asarray(energies, dtype=float)
-    if bits.ndim != 1 or np.any((bits != 0) & (bits != 1)):
+    if bits.ndim != 1 or not _integers_below(bits, 2):
         raise ValueError(f"preamble bits must be 0 or 1, got {bits}")
     ones = bits == 1
     n1 = int(np.count_nonzero(ones))
@@ -126,7 +135,7 @@ def simulate_backscatter_bits(config: LinkConfig, link_gain: complex, gains, bit
     K-sample average energy of every symbol.
     """
     bits = np.asarray(bits)
-    if np.any((bits < 0) | (bits >= len(gains)) | (bits % 1 != 0)):
+    if not _integers_below(bits, len(gains)):
         raise ValueError(f"bits must be integers in 0..{len(gains) - 1}, got {bits}")
     amplitudes = link_gain * np.asarray(gains)[bits.astype(int)]
     background = receiver_background_variance(config)
@@ -134,8 +143,9 @@ def simulate_backscatter_bits(config: LinkConfig, link_gain: complex, gains, bit
     for start in range(0, bits.size, SYMBOL_CHUNK):
         stop = min(start + SYMBOL_CHUNK, bits.size)
         shape = (stop - start, config.samples_per_symbol)
-        carrier = complex_gaussian(rng, shape, carrier_variance)
-        y_mode = amplitudes[start:stop, None] * carrier + complex_gaussian(rng, shape, background)
+        y_mode = complex_gaussian(rng, shape, carrier_variance)   # the carrier, then w
+        y_mode *= amplitudes[start:stop, None]
+        y_mode += complex_gaussian(rng, shape, background)
         energies[start:stop] = np.mean(np.abs(y_mode) ** 2, axis=1)
     return energies
 

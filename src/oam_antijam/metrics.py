@@ -102,17 +102,55 @@ class SweepOptions:
             check_count(name, getattr(self, name), 0)
 
 
+def _clean_share(transmit_power: float, n_clean):
+    """Power per clean mode when ``n_clean`` clean modes share ``transmit_power``."""
+    if not transmit_power >= 0.0:   # nan fails too
+        raise ValueError(f"transmit power must be >= 0, got {transmit_power}")
+    return transmit_power / np.maximum(n_clean, 1)
+
+
 def allocate_power(transmit_power: float, flagged) -> np.ndarray:
     """Per-mode transmit power, shaped like the jammed-mode mask ``flagged``.
 
     ``flagged`` is (..., N), one row per trial. The total ``transmit_power`` is
     split evenly over each row's clean modes; jammed modes carry no transmit
     power (their signal rides on the reflected jamming). An all-jammed row gets
-    an all-zero allocation.
+    an all-zero allocation. A negative or nan total raises ValueError.
     """
     flagged = np.asarray(flagged, dtype=bool)
     n_clean = flagged.shape[-1] - flagged.sum(axis=-1, keepdims=True)
-    return np.where(flagged, 0.0, transmit_power / np.maximum(n_clean, 1))
+    return np.where(flagged, 0.0, _clean_share(transmit_power, n_clean))
+
+
+def _snr_tables(config: LinkConfig, flagged, link_gains: np.ndarray, transmit_power: float,
+                carrier_variance: float, p_j: float, p_u: float,
+                p_c=1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`mode_snr` as tables (clean, jammed, rows), checking its arguments.
+
+    A clean mode's SNR depends on its trial only through the trial's clean-mode
+    count: ``clean`` is (U, N), one row per distinct count in ``flagged``, and
+    ``rows`` gives each trial's row. ``jammed`` is the (N,) jammed-mode SNRs.
+    """
+    if np.shape(flagged)[-1:] != (len(link_gains),):   # a 0-d mask has no mode axis
+        raise ValueError(f"flag mask of shape {np.shape(flagged)} does not cover "
+                         f"the {len(link_gains)} link-gain modes")
+    p_c = np.asarray(p_c, dtype=float)
+    for name, p in (("p_j", p_j), ("p_u", p_u), ("p_c", p_c)):
+        if not np.all((p >= 0.0) & (p <= 1.0)):   # nan fails too
+            raise ValueError(f"{name} must lie in [0, 1], got {p}")
+    if not carrier_variance >= 0.0:
+        raise ValueError(f"carrier variance must be >= 0, got {carrier_variance}")
+    flagged = np.asarray(flagged, dtype=bool)
+    n_clean = flagged.shape[-1] - flagged.sum(axis=-1)
+    counts, rows = np.unique(n_clean, return_inverse=True)
+    # a row with no clean mode keeps SNR 0, as allocate_power gives it, so P / 1 cannot overflow
+    share = np.where(counts > 0, _clean_share(transmit_power, counts), 0.0)[:, None]
+    kappa2 = np.abs(link_gains) ** 2
+    floor = receiver_background_variance(config)
+    mean_power_gain = sum(p * g * g for g, p in zip(config.pga_gains, config.pga_priors))
+    return (p_u * kappa2 * share / floor,
+            p_j * p_c * kappa2 * mean_power_gain * carrier_variance / floor,
+            rows.reshape(n_clean.shape))
 
 
 def mode_snr(config: LinkConfig, flagged, link_gains: np.ndarray, transmit_power: float,
@@ -124,39 +162,43 @@ def mode_snr(config: LinkConfig, flagged, link_gains: np.ndarray, transmit_power
     order). A clean mode has w = p_u and P its :func:`allocate_power` share of
     ``transmit_power``; a jammed mode has w = p_j * p_c (``p_c`` scalar or per
     mode) and P the mean reflected jamming power, mean PGA power gain *
-    ``carrier_variance``.
+    ``carrier_variance``. A probability outside [0, 1], a negative power or
+    variance, or a nan among them raises ValueError.
     """
-    if np.shape(flagged)[-1:] != (len(link_gains),):   # a 0-d mask has no mode axis
-        raise ValueError(f"flag mask of shape {np.shape(flagged)} does not cover "
-                         f"the {len(link_gains)} link-gain modes")
-    p_c = np.asarray(p_c, dtype=float)
-    for name, p in (("p_j", p_j), ("p_u", p_u), ("p_c", p_c)):
-        if not np.all((p >= 0.0) & (p <= 1.0)):   # nan fails too
-            raise ValueError(f"{name} must lie in [0, 1], got {p}")
-    if not (transmit_power >= 0.0 and carrier_variance >= 0.0):
-        raise ValueError(f"transmit power and carrier variance must be >= 0, "
-                         f"got {transmit_power} and {carrier_variance}")
-    kappa2 = np.abs(link_gains) ** 2
-    floor = receiver_background_variance(config)
-    gamma_clean = p_u * kappa2 * allocate_power(transmit_power, flagged) / floor
-    mean_power_gain = sum(p * g * g for g, p in zip(config.pga_gains, config.pga_priors))
-    gamma_jam = p_j * p_c * kappa2 * mean_power_gain * carrier_variance / floor
-    return np.where(flagged, gamma_jam, gamma_clean)
+    clean, jammed, rows = _snr_tables(config, flagged, link_gains, transmit_power,
+                                      carrier_variance, p_j, p_u, p_c)
+    return np.where(flagged, jammed, clean[rows])
 
 
 def spectral_efficiency(gamma, modes=None):
     """Rate sum C = sum_l log2(1 + gamma_l) in bits/s/Hz over the last axis.
 
     ``modes``, a boolean mask broadcastable to ``gamma``, restricts the sum to
-    the selected modes (e.g. the clean ones of a trial).
+    the selected modes (e.g. the clean ones of a trial). A negative or nan SNR
+    raises ValueError.
     """
     gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma < 0.0):
-        raise ValueError(f"negative SNR in {gamma}")
+    if not np.all(gamma >= 0.0):   # nan fails too
+        raise ValueError(f"negative or nan SNR in {gamma}")
     terms = np.log2(1.0 + gamma)
     if modes is not None:
         terms = np.where(modes, terms, 0.0)
     return terms.sum(axis=-1)
+
+
+def _trial_se(config: LinkConfig, flagged: np.ndarray, *args) -> dict[str, np.ndarray]:
+    """Per-trial SE of each scheme on the (trials, N) mask ``flagged``, from the tables.
+
+    ``args`` are the rest of :func:`mode_snr`'s. The bits are those of
+    :func:`spectral_efficiency` of :func:`mode_snr` over the clean modes (baseline)
+    plus over the flagged ones (proposed), but log2(1 + gamma) is taken of the
+    tables only. The rates are finite and >= 0, so the mask product zeroes what
+    ``np.where`` would.
+    """
+    clean, jammed, rows = _snr_tables(config, flagged, *args)
+    baseline = (np.log2(1.0 + clean)[rows] * ~flagged).sum(axis=-1)
+    return {PROPOSED: baseline + (np.log2(1.0 + jammed) * flagged).sum(axis=-1),
+            BASELINE: baseline}
 
 
 def _point_config(config: LinkConfig, n_elements: int, n_jammed: int,
@@ -349,10 +391,7 @@ def _sweep_point(scenario: Scenario, point_index: int, n_elements: int, n_jammed
         energies = sense_targeted(rng_trials, jam_sets, n_elements, k_sense, carrier_variance)
     flagged = energies >= cfg.energy_threshold_tx   # (trials, N)
 
-    gamma = mode_snr(cfg, flagged, kappas, transmit_power, carrier_variance, p_j, p_u,
-                     p_c_modes)
-    se_baseline = spectral_efficiency(gamma, ~flagged)
-    se = {PROPOSED: se_baseline + spectral_efficiency(gamma, flagged), BASELINE: se_baseline}
+    se = _trial_se(cfg, flagged, kappas, transmit_power, carrier_variance, p_j, p_u, p_c_modes)
     se_mean = {scheme: float(values.mean()) for scheme, values in se.items()}
     if not all(map(math.isfinite, se_mean.values())):
         raise FloatingPointError("non-finite spectrum efficiency")

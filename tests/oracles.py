@@ -8,8 +8,9 @@ quantities by other routes: the Bessel function (scipy and an independent
 power series), the closed-form per-mode gain of the paper, the full circulant
 matrix of a channel row and the phase-ramp mode decomposition of a full
 matrix, the exact-distance channel, targeted jamming synthesized on every
-element, and the closed-form expected spectrum efficiency of a grid point,
-which :func:`se_cells` sets beside every Monte Carlo mean of a sweep.
+element, the per-mode SNR evaluated entry by entry over a (trials, N) mask,
+and the closed-form expected spectrum efficiency of a grid point, which
+:func:`se_cells` sets beside every Monte Carlo mean of a sweep.
 """
 
 from __future__ import annotations
@@ -169,6 +170,28 @@ def draw_targeted_jamming_block(rng: np.random.Generator, n_elements: int, n_sam
     samples = np.array([complex_gaussian(rng, n_samples, mode_variance) for _ in targets],
                        dtype=complex).reshape(len(targets), n_samples)
     return targeted_elements(samples, [modes.index(l) for l in targets], n_elements)
+
+
+def elementwise_mode_snr(config: LinkConfig, flagged, link_gains: np.ndarray,
+                         transmit_power: float, carrier_variance: float, p_j: float,
+                         p_u: float, p_c=1.0) -> np.ndarray:
+    """``metrics.mode_snr`` of every (trial, mode) entry, without per-count tables.
+
+    Every entry gets its own clean branch p_u |kappa|^2 P_share / floor, with
+    P_share the trial's transmit total over max(n_clean, 1), and the jammed
+    branch p_j p_c |kappa|^2 E[a^2] carrier_variance / floor; the mask picks
+    one per entry. Arguments are taken as valid.
+    """
+    flagged = np.asarray(flagged, dtype=bool)
+    n_clean = flagged.shape[-1] - flagged.sum(axis=-1, keepdims=True)
+    share = np.where(flagged, 0.0, transmit_power / np.maximum(n_clean, 1))
+    kappa2 = np.abs(link_gains) ** 2
+    floor = receiver_background_variance(config)
+    gamma_clean = p_u * kappa2 * share / floor
+    mean_power_gain = sum(p * g * g for g, p in zip(config.pga_gains, config.pga_priors))
+    gamma_jam = (p_j * np.asarray(p_c, dtype=float) * kappa2 * mean_power_gain
+                 * carrier_variance / floor)
+    return np.where(flagged, gamma_jam, gamma_clean)
 
 
 def expected_se(config: LinkConfig, kappas: np.ndarray, transmit_power: float,

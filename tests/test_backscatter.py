@@ -120,7 +120,8 @@ class TestAlphabetAndPreamble:
         with pytest.raises(ValueError, match="both bit values"):
             calibrate_threshold([1.0, 2.0, 3.0], (1, 1, 1), n_samples=4)
 
-    @pytest.mark.parametrize("bits", [(0.5, 1), (0, 1.9), (0, 1, float("nan")), (0, 2)])
+    @pytest.mark.parametrize("bits", [(0.5, 1), (0, 1.9), (0, 1, float("nan")), (0, 2),
+                                      (0, -1), (0, 1, float("inf"))])
     def test_preamble_bits_must_be_zero_or_one(self, bits):
         # fractional bits used to be truncated: (0.5, 1) was read as (0, 1)
         with pytest.raises(ValueError, match="0 or 1"):
@@ -161,7 +162,8 @@ class TestPgaModulate:
         q_ones = run_link(cfg, [1, 1, 1], (1.0, 1.0), seed=3)
         assert np.array_equal(q_zeros, q_ones)
 
-    @pytest.mark.parametrize("bits", [[-1, 0], [2], [0, 1, 3], [0.9, 1]])
+    @pytest.mark.parametrize("bits", [[-1, 0], [2], [0, 1, 3], [0.9, 1], [0, np.nan],
+                                      [0, np.inf]])
     def test_bits_outside_the_alphabet_rejected_before_any_draw(self, bits):
         cfg = normalized_config()
         rng = substream(21, 0)

@@ -78,6 +78,12 @@ class TestAllocatePower:
         for row, flagged in zip(powers, rows):
             assert np.array_equal(row, allocate_power(12.0, flagged))
 
+    @pytest.mark.parametrize("power", [np.nan, -1.0])
+    def test_negative_or_nan_total_rejected(self, power):
+        # without a check a nan total came back as the share of every clean mode
+        with pytest.raises(ValueError, match="transmit power"):
+            allocate_power(power, flags_for((2,)))
+
 
 class TestSpectralEfficiency:
     def test_all_zero(self):
@@ -92,6 +98,12 @@ class TestSpectralEfficiency:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             spectral_efficiency([-0.5])
+
+    @pytest.mark.parametrize("gamma", [[np.nan, 1.0], [[1.0, 2.0], [0.5, np.nan]], np.nan])
+    def test_nan_rejected(self, gamma):
+        # a check for negative SNRs alone lets nan through to the rate sum
+        with pytest.raises(ValueError, match="nan"):
+            spectral_efficiency(gamma)
 
     def test_strictly_increasing_in_any_gamma(self):
         base = [0.3, 1.0, 2.5]
@@ -180,6 +192,14 @@ class TestModeSnr:
                     p_u=0.5) | {name: value}
         with pytest.raises(ValueError, match=message):
             mode_snr(self.CFG, flags_for((2,)), self.gains(), **args)
+
+    def test_all_flagged_row_computes_no_clean_snr(self):
+        # P / 1 on a clean mode would overflow; an all-flagged trial has no clean mode to take it
+        cfg = LinkConfig(n_tx=2)
+        flagged = np.array([[True, True], [False, False]])
+        with np.errstate(over="raise"):
+            gamma = mode_snr(cfg, flagged, mode_link_gains(cfg), 3e307, 1.0, 1.0, 1.0)
+        assert np.all(np.isfinite(gamma))
 
     def test_batched_rows_match_single_trial_calls(self):
         flagged = np.random.default_rng(3).random((5, 16)) < 0.4
@@ -511,13 +531,13 @@ class TestBroadbandSensing:
     OPTS = SweepOptions(jam_model="iid", ber_trials=0)
 
     def test_flag_rate_matches_analytic_p_j(self, monkeypatch):
-        masks = []
+        masks, trial_se = [], metrics._trial_se
 
         def spy(cfg, flagged, *args):
             masks.append(flagged)
-            return mode_snr(cfg, flagged, *args)
+            return trial_se(cfg, flagged, *args)
 
-        monkeypatch.setattr(metrics, "mode_snr", spy)
+        monkeypatch.setattr(metrics, "_trial_se", spy)
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(0,), n_elements=(16,))
         res = run_sweep(Scenario(self.CFG, axes, self.OPTS, trials=2000, seed=8))
         (flagged,) = masks

@@ -1,7 +1,7 @@
 """Hypothesis properties: sweep invariants on small random grids of both
 jamming models, the Monte Carlo SE against its closed form, the mode index
-range, the mode transform round trip, LinkConfig validation and scenario-file
-validation."""
+range, the mode transform round trip, LinkConfig validation, scenario-file
+validation and the bit identity of the sweep's per-count SNR tables."""
 
 import math
 from dataclasses import replace
@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oam_antijam import (BASELINE, PROPOSED, ConfigurationError, LinkConfig, Scenario,
-                         SweepAxes, SweepOptions, mode_index_range, mode_transform, run_sweep)
+                         SweepAxes, SweepOptions, metrics, mode_index_range, mode_link_gains,
+                         mode_snr, mode_transform, run_sweep, spectral_efficiency)
 from oam_antijam.cli import SCENARIO_KEYS, parse_scenario
-from oracles import se_cells
+from oracles import elementwise_mode_snr, se_cells
 
 FLOAT_FIELDS = ("r_tx", "r_rx", "axial_distance", "wavelength", "beta", "noise_variance_rx",
                 "jam_variance_rx", "energy_threshold_tx", "power_per_mode")
@@ -146,3 +147,36 @@ def test_scenario_value_is_rejected_or_runs(tmp_path_factory, section_key, value
         run_sweep(replace(scenario, axes=axes, trials=2))
     except FloatingPointError:
         pass
+
+
+@st.composite
+def snr_cases(draw):
+    n = draw(st.sampled_from([1, 2, 3, 8, 16]))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                         min_size=1, max_size=12))
+    rows += [[flag] * n for flag in draw(st.lists(st.booleans(), max_size=2))]
+    unit = st.floats(0.0, 1.0)
+    p_c = draw(st.one_of(unit, st.lists(unit, min_size=n, max_size=n).map(np.array)))
+    cfg = LinkConfig(n_tx=n, noise_variance_rx=draw(st.sampled_from([1e-3, 0.1, 10.0])))
+    return (cfg, np.array(rows, dtype=bool), mode_link_gains(cfg),
+            draw(st.floats(0.0, 1e4)), draw(st.floats(0.0, 10.0)), draw(unit),
+            draw(st.floats(0.0, 1.0, exclude_max=True)), p_c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(snr_cases())
+def test_snr_tables_reduce_to_the_elementwise_bits(case):
+    """The sweep's per-count tables give the bits of the (trials, N) evaluation.
+
+    Masks may add an all-flagged and a no-flagged row, N runs down to 1, p_c is
+    scalar or per mode and p_u < 1.
+    """
+    cfg, flagged, *rest = case
+    gamma = mode_snr(cfg, flagged, *rest)
+    assert np.array_equal(gamma, elementwise_mode_snr(cfg, flagged, *rest))
+    assert np.array_equal(mode_snr(cfg, flagged[0], *rest),
+                          elementwise_mode_snr(cfg, flagged[0], *rest))
+    se = metrics._trial_se(cfg, flagged, *rest)
+    baseline = spectral_efficiency(gamma, ~flagged)
+    assert np.array_equal(se[BASELINE], baseline)
+    assert np.array_equal(se[PROPOSED], baseline + spectral_efficiency(gamma, flagged))
