@@ -17,8 +17,7 @@ from .config import (ConfigurationError, LinkConfig, mode_index_range,
                      wavelength_for_frequency)
 from .jamming import substream
 from .metrics import (BASELINE, PROPOSED, Scenario, SweepAxes, SweepOptions, SweepResult,
-                      allocate_power, check_trends, mode_snr, run_sweep,
-                      sense_targeted, spectral_efficiency)
+                      check_trends, run_sweep, sense_targeted, spectral_efficiency)
 from .sensing import detection_probabilities, gamma_cdf
 from .signals import mode_energies, mode_transform
 
@@ -26,10 +25,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BASELINE", "ConfigurationError", "LinkConfig", "PROPOSED", "Scenario", "SweepAxes",
-    "SweepOptions", "SweepResult", "allocate_power", "average_correct_detection",
-    "build_channel_matrix", "calibrate_from_preamble", "calibrate_threshold", "check_trends",
+    "SweepOptions", "SweepResult", "average_correct_detection", "build_channel_matrix",
+    "calibrate_from_preamble", "calibrate_threshold", "check_trends",
     "detection_probabilities", "element_azimuths", "gamma_cdf", "hypothesis_variance",
-    "mode_energies", "mode_index_range", "mode_link_gains", "mode_snr", "mode_transform",
+    "mode_energies", "mode_index_range", "mode_link_gains", "mode_transform",
     "receiver_background_variance", "run_sweep", "sense_targeted",
     "simulate_backscatter_bits", "spectral_efficiency", "substream",
     "wavelength_for_frequency",

@@ -28,6 +28,8 @@ def substream(seed: int, *key: int) -> Generator:
 
 def complex_gaussian(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
     """Circularly-symmetric complex Gaussian samples with per-sample variance."""
+    if not 0.0 <= variance < np.inf:   # nan fails too, and raises before any draw
+        raise ValueError(f"variance must be finite and >= 0, got {variance}")
     scale = np.sqrt(variance / 2.0)
     samples = np.empty(shape, dtype=complex)   # filled in place: no full-size temporaries
     samples.real = rng.normal(0.0, scale, shape)

@@ -1,13 +1,15 @@
-"""Per-mode SNR, spectrum efficiency, and Monte Carlo sweeps.
+"""Spectrum efficiency, targeted sensing, and Monte Carlo sweeps.
 
 The proposed scheme senses which modes are jammed, splits the point's transmit
 power over the clean modes, and rides the reflected jamming on the jammed
 ones; the baseline is the identical system with the jammed-mode contribution
-forced to zero. Sweeps iterate (SNR, jammed-mode count, ring size) grids and
-record spectrum efficiency plus the detector and decoder probabilities. A
-:class:`Scenario` is the one description of a sweep (link, grid, knobs, trial
-count, seed); constructing it checks every grid point, so :func:`run_sweep`
-takes it as it is and no point runs of a sweep that cannot finish.
+forced to zero. :func:`spectral_efficiency`, the one SNR and rate formula of
+the package, gives both schemes' bits per trial of a flag mask. Sweeps iterate
+(SNR, jammed-mode count, ring size) grids and record spectrum efficiency plus
+the detector and decoder probabilities. A :class:`Scenario` is the one
+description of a sweep (link, grid, knobs, trial count, seed); constructing it
+checks every grid point, so :func:`run_sweep` takes it as it is and no point
+runs of a sweep that cannot finish.
 
 SNR axis semantics: ``snr_db`` fixes the receiver noise variance as
 ``power_per_mode`` / SNR. With the default unit-modulus element channel this
@@ -102,34 +104,23 @@ class SweepOptions:
             check_count(name, getattr(self, name), 0)
 
 
-def _clean_share(transmit_power: float, n_clean):
-    """Power per clean mode when ``n_clean`` clean modes share ``transmit_power``."""
-    if not transmit_power >= 0.0:   # nan fails too
-        raise ValueError(f"transmit power must be >= 0, got {transmit_power}")
-    return transmit_power / np.maximum(n_clean, 1)
+def spectral_efficiency(config: LinkConfig, flagged, link_gains: np.ndarray,
+                        transmit_power: float, carrier_variance: float, p_j: float,
+                        p_u: float, p_c=1.0) -> dict[str, np.ndarray]:
+    """Per-trial rate sums sum_l log2(1 + gamma_l) of both schemes, in bits/s/Hz.
 
-
-def allocate_power(transmit_power: float, flagged) -> np.ndarray:
-    """Per-mode transmit power, shaped like the jammed-mode mask ``flagged``.
-
-    ``flagged`` is (..., N), one row per trial. The total ``transmit_power`` is
-    split evenly over each row's clean modes; jammed modes carry no transmit
-    power (their signal rides on the reflected jamming). An all-jammed row gets
-    an all-zero allocation. A negative or nan total raises ValueError.
-    """
-    flagged = np.asarray(flagged, dtype=bool)
-    n_clean = flagged.shape[-1] - flagged.sum(axis=-1, keepdims=True)
-    return np.where(flagged, 0.0, _clean_share(transmit_power, n_clean))
-
-
-def _snr_tables(config: LinkConfig, flagged, link_gains: np.ndarray, transmit_power: float,
-                carrier_variance: float, p_j: float, p_u: float,
-                p_c=1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`mode_snr` as tables (clean, jammed, rows), checking its arguments.
-
-    A clean mode's SNR depends on its trial only through the trial's clean-mode
-    count: ``clean`` is (U, N), one row per distinct count in ``flagged``, and
-    ``rows`` gives each trial's row. ``jammed`` is the (N,) jammed-mode SNRs.
+    ``flagged`` is the (..., N) jammed-mode mask, one row per trial (a 1-D mask
+    is one trial). Returns ``{PROPOSED: ..., BASELINE: ...}``, each shaped like
+    ``flagged`` without its mode axis: the baseline sums the clean modes, the
+    proposed scheme the flagged ones too. The detection-weighted SNR is
+    gamma = w * |kappa|^2 * P / (N * (noise + jamming variance)), kappa the
+    composite through-link mode gain (``link_gains``, canonical mode order). A
+    clean mode has w = p_u and P the trial's ``transmit_power`` split evenly
+    over its clean modes; a jammed mode has w = p_j * p_c (``p_c`` scalar or
+    per mode) and P the mean reflected jamming power, mean PGA power gain *
+    ``carrier_variance``. A probability outside [0, 1], a transmit power not
+    finite and >= 0, a negative carrier variance, a nan among them, or a
+    negative or nan SNR (from a nan link gain) raises ValueError.
     """
     if np.shape(flagged)[-1:] != (len(link_gains),):   # a 0-d mask has no mode axis
         raise ValueError(f"flag mask of shape {np.shape(flagged)} does not cover "
@@ -140,63 +131,23 @@ def _snr_tables(config: LinkConfig, flagged, link_gains: np.ndarray, transmit_po
             raise ValueError(f"{name} must lie in [0, 1], got {p}")
     if not carrier_variance >= 0.0:
         raise ValueError(f"carrier variance must be >= 0, got {carrier_variance}")
+    if not 0.0 <= transmit_power < math.inf:   # inf * p_u = 0 would be nan
+        raise ValueError(f"transmit power must be finite and >= 0, got {transmit_power}")
     flagged = np.asarray(flagged, dtype=bool)
     n_clean = flagged.shape[-1] - flagged.sum(axis=-1)
+    # a clean mode's SNR depends on its trial only through the clean count: one row per count
     counts, rows = np.unique(n_clean, return_inverse=True)
-    # a row with no clean mode keeps SNR 0, as allocate_power gives it, so P / 1 cannot overflow
-    share = np.where(counts > 0, _clean_share(transmit_power, counts), 0.0)[:, None]
+    # a row with no clean mode keeps SNR 0, so the full total on one mode cannot overflow
+    share = np.where(counts > 0, transmit_power / np.maximum(counts, 1), 0.0)[:, None]
     kappa2 = np.abs(link_gains) ** 2
     floor = receiver_background_variance(config)
     mean_power_gain = sum(p * g * g for g, p in zip(config.pga_gains, config.pga_priors))
-    return (p_u * kappa2 * share / floor,
-            p_j * p_c * kappa2 * mean_power_gain * carrier_variance / floor,
-            rows.reshape(n_clean.shape))
-
-
-def mode_snr(config: LinkConfig, flagged, link_gains: np.ndarray, transmit_power: float,
-             carrier_variance: float, p_j: float, p_u: float, p_c=1.0) -> np.ndarray:
-    """Detection-weighted power-ratio SNR of every mode, shaped like ``flagged``.
-
-    gamma = w * |kappa|^2 * P / (N * (noise + jamming variance)), where kappa
-    is the composite through-link mode gain (``link_gains``, canonical mode
-    order). A clean mode has w = p_u and P its :func:`allocate_power` share of
-    ``transmit_power``; a jammed mode has w = p_j * p_c (``p_c`` scalar or per
-    mode) and P the mean reflected jamming power, mean PGA power gain *
-    ``carrier_variance``. A probability outside [0, 1], a negative power or
-    variance, or a nan among them raises ValueError.
-    """
-    clean, jammed, rows = _snr_tables(config, flagged, link_gains, transmit_power,
-                                      carrier_variance, p_j, p_u, p_c)
-    return np.where(flagged, jammed, clean[rows])
-
-
-def spectral_efficiency(gamma, modes=None):
-    """Rate sum C = sum_l log2(1 + gamma_l) in bits/s/Hz over the last axis.
-
-    ``modes``, a boolean mask broadcastable to ``gamma``, restricts the sum to
-    the selected modes (e.g. the clean ones of a trial). A negative or nan SNR
-    raises ValueError.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    if not np.all(gamma >= 0.0):   # nan fails too
-        raise ValueError(f"negative or nan SNR in {gamma}")
-    terms = np.log2(1.0 + gamma)
-    if modes is not None:
-        terms = np.where(modes, terms, 0.0)
-    return terms.sum(axis=-1)
-
-
-def _trial_se(config: LinkConfig, flagged: np.ndarray, *args) -> dict[str, np.ndarray]:
-    """Per-trial SE of each scheme on the (trials, N) mask ``flagged``, from the tables.
-
-    ``args`` are the rest of :func:`mode_snr`'s. The bits are those of
-    :func:`spectral_efficiency` of :func:`mode_snr` over the clean modes (baseline)
-    plus over the flagged ones (proposed), but log2(1 + gamma) is taken of the
-    tables only. The rates are finite and >= 0, so the mask product zeroes what
-    ``np.where`` would.
-    """
-    clean, jammed, rows = _snr_tables(config, flagged, *args)
-    baseline = (np.log2(1.0 + clean)[rows] * ~flagged).sum(axis=-1)
+    clean = p_u * kappa2 * share / floor
+    jammed = p_j * p_c * kappa2 * mean_power_gain * carrier_variance / floor
+    if not (np.all(clean >= 0.0) and np.all(jammed >= 0.0)):   # nan fails too
+        raise ValueError(f"negative or nan SNR from the link gains {link_gains}")
+    # the rates are finite and >= 0, so the mask product zeroes what np.where would
+    baseline = (np.log2(1.0 + clean)[rows.reshape(n_clean.shape)] * ~flagged).sum(axis=-1)
     return {PROPOSED: baseline + (np.log2(1.0 + jammed) * flagged).sum(axis=-1),
             BASELINE: baseline}
 
@@ -343,8 +294,10 @@ def sense_targeted(rng: np.random.Generator, jam_sets: np.ndarray, n: int, k: in
     The draw goes through the jammed columns of W^H only and
     :func:`mode_energies`, a block of trials at a time; l_j = 0 draws nothing.
     Raises ValueError, before any draw, unless ``jam_sets`` is a 2-D integer
-    array of positions in 0..n-1 with no position repeated within a row.
+    array of positions in 0..n-1 with no position repeated within a row and
+    ``k`` is an integer >= 1; the draw refuses a variance not finite and >= 0.
     """
+    check_count("samples per symbol k", k, 1)
     jam_sets = np.asarray(jam_sets)
     if jam_sets.ndim != 2 or not np.issubdtype(jam_sets.dtype, np.integer):
         raise ValueError(f"jam_sets must be a 2-D integer array, got {jam_sets.dtype} "
@@ -391,7 +344,8 @@ def _sweep_point(scenario: Scenario, point_index: int, n_elements: int, n_jammed
         energies = sense_targeted(rng_trials, jam_sets, n_elements, k_sense, carrier_variance)
     flagged = energies >= cfg.energy_threshold_tx   # (trials, N)
 
-    se = _trial_se(cfg, flagged, kappas, transmit_power, carrier_variance, p_j, p_u, p_c_modes)
+    se = spectral_efficiency(cfg, flagged, kappas, transmit_power, carrier_variance, p_j, p_u,
+                             p_c_modes)
     se_mean = {scheme: float(values.mean()) for scheme, values in se.items()}
     if not all(map(math.isfinite, se_mean.values())):
         raise FloatingPointError("non-finite spectrum efficiency")

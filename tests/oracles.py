@@ -175,9 +175,9 @@ def draw_targeted_jamming_block(rng: np.random.Generator, n_elements: int, n_sam
 def elementwise_mode_snr(config: LinkConfig, flagged, link_gains: np.ndarray,
                          transmit_power: float, carrier_variance: float, p_j: float,
                          p_u: float, p_c=1.0) -> np.ndarray:
-    """``metrics.mode_snr`` of every (trial, mode) entry, without per-count tables.
+    """The SNR of every (trial, mode) entry that ``metrics.spectral_efficiency`` sums.
 
-    Every entry gets its own clean branch p_u |kappa|^2 P_share / floor, with
+    No per-count tables: every entry gets its own clean branch p_u |kappa|^2 P_share / floor, with
     P_share the trial's transmit total over max(n_clean, 1), and the jammed
     branch p_j p_c |kappa|^2 E[a^2] carrier_variance / floor; the mask picks
     one per entry. Arguments are taken as valid.
@@ -212,7 +212,7 @@ def expected_se(config: LinkConfig, kappas: np.ndarray, transmit_power: float,
 
     with g_clean,l(n) = p_u |kappa_l|^2 (transmit_power / n) / floor and
     g_jam,l = p_j p_c,l |kappa_l|^2 E[a^2] carrier_variance / floor, the two
-    branches of ``metrics.mode_snr``; floor is the receiver background
+    branches of ``metrics.spectral_efficiency``; floor is the receiver background
     variance, E[a^2] the prior-weighted mean PGA power gain and ``p_c`` the
     per-mode (or scalar) correct-decision probability.
     """

@@ -10,6 +10,7 @@ from scipy import stats
 
 from oam_antijam import backscatter, metrics
 from oam_antijam import (
+    PROPOSED,
     LinkConfig,
     Scenario,
     SweepAxes,
@@ -22,10 +23,10 @@ from oam_antijam import (
     hypothesis_variance,
     mode_index_range,
     mode_link_gains,
-    mode_snr,
     receiver_background_variance,
     run_sweep,
     simulate_backscatter_bits,
+    spectral_efficiency,
 )
 from oam_antijam.jamming import complex_gaussian, substream
 from oracles import exact_channel_matrix, row_and_matrix
@@ -107,7 +108,8 @@ class TestAlphabetAndPreamble:
         # a flagged mode at p_j = p_c = 1 carries the mean PGA power gain
         flagged = np.arange(cfg.n_tx) == 0
         kappas = mode_link_gains(cfg)
-        gamma = mode_snr(cfg, flagged, kappas, 1600.0, 1.0, p_j=1.0, p_u=0.0)[0]
+        se = spectral_efficiency(cfg, flagged, kappas, 1600.0, 1.0, p_j=1.0, p_u=0.0)
+        gamma = 2.0 ** se[PROPOSED] - 1.0   # the one flagged mode's SNR
         mean_power_gain = gamma * receiver_background_variance(cfg) / abs(kappas[0]) ** 2
         assert mean_power_gain == pytest.approx(0.5 * 0.25 + 0.5 * 4.0, rel=1e-12)
 

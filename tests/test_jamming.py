@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oam_antijam import ConfigurationError, mode_index_range
+from oam_antijam import (ConfigurationError, LinkConfig, calibrate_from_preamble,
+                         mode_index_range, sense_targeted, simulate_backscatter_bits)
 from oam_antijam.jamming import complex_gaussian, gamma_energies, substream
 from oam_antijam.signals import mode_energies
 from oracles import draw_targeted_jamming_block
@@ -89,6 +90,29 @@ def test_targeted_jamming_unknown_mode():
 def test_invalid_jamming_variance(variance):
     with pytest.raises(ConfigurationError):
         draw_targeted_jamming_block(substream(1, 0), 4, 16, variance, [0])
+
+
+DRAWING_CALLERS = {
+    "calibrate_from_preamble": lambda rng, variance, k: calibrate_from_preamble(
+        LinkConfig(samples_per_symbol=k), 1.0, variance, rng),
+    "simulate_backscatter_bits": lambda rng, variance, k: simulate_backscatter_bits(
+        LinkConfig(samples_per_symbol=k), 1.0, (0.5, 2.0), np.array([0, 1]), variance, rng),
+    "sense_targeted": lambda rng, variance, k: sense_targeted(
+        rng, np.array([[0]]), 4, k, variance),
+}
+
+
+@pytest.mark.parametrize("caller, variance, k, message", [
+    *((caller, variance, 4, "variance") for caller in DRAWING_CALLERS
+      for variance in (-1.0, float("nan"), float("inf"))),
+    ("sense_targeted", 1.0, 0, "samples per symbol"),   # K = 0 divided the block size
+])
+def test_invalid_draw_rejected_before_any_draw(caller, variance, k, message):
+    # unchecked, nan came back as a threshold or energy, -1 and inf with a RuntimeWarning
+    rng = substream(1, 0)
+    with pytest.raises(ValueError, match=message):
+        DRAWING_CALLERS[caller](rng, variance, k)
+    assert rng.random() == substream(1, 0).random()
 
 
 @pytest.mark.parametrize("variance", [0.01, 1.0])

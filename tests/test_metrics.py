@@ -1,4 +1,4 @@
-"""Per-mode SNR weighting, power allocation, spectrum efficiency, sweeps."""
+"""Power split, per-mode SNR weighting and spectrum efficiency, sweeps."""
 
 import math
 import sys
@@ -21,13 +21,12 @@ from oam_antijam import (
     SweepAxes,
     SweepOptions,
     SweepResult,
-    allocate_power,
     build_channel_matrix,
     check_trends,
     element_azimuths,
     mode_index_range,
     mode_link_gains,
-    mode_snr,
+    receiver_background_variance,
     run_sweep,
     sense_targeted,
     spectral_efficiency,
@@ -54,74 +53,105 @@ def flags_for(jammed=()):
     return np.isin(MODES_16, jammed)
 
 
+def clean_powers(transmit_power, flagged, cfg=LinkConfig()):
+    """Per-mode transmit power of every trial, read off the baseline bits one mode at a time.
+
+    At p_u = 1 a link with unit gain on mode i alone carries log2(1 + P_i / floor)
+    baseline bits, P_i the mode's share of ``transmit_power`` (0 if flagged).
+    """
+    bits = [spectral_efficiency(cfg, flagged, unit, transmit_power, 1.0, 0.0, 1.0)[BASELINE]
+            for unit in np.eye(cfg.n_tx)]
+    return (2.0 ** np.stack(bits, axis=-1) - 1.0) * receiver_background_variance(cfg)
+
+
+def rate_sum(gamma):
+    """Baseline bits of one trial on a link whose clean modes have the SNRs ``gamma``."""
+    gamma = np.asarray(gamma, dtype=float)
+    cfg = LinkConfig(n_tx=gamma.size)
+    floor = receiver_background_variance(cfg)   # a share of floor at unit p_u gives |kappa|^2
+    return spectral_efficiency(cfg, np.zeros(gamma.size, dtype=bool), np.sqrt(gamma),
+                               gamma.size * floor, 1.0, 0.0, 1.0)[BASELINE]
+
+
 class TestAllocatePower:
+    """The split of the transmit total over each trial's clean modes."""
+
     def test_uniform_split_when_nothing_jammed(self):
-        powers = allocate_power(16.0, flags_for())
+        powers = clean_powers(16.0, flags_for())
         assert np.allclose(powers, 1.0)
 
     def test_all_jammed_gives_zero_allocation(self):
-        powers = allocate_power(1600.0, flags_for(MODES_16))
+        powers = clean_powers(1600.0, flags_for(MODES_16))
         assert not powers.any()
 
     def test_four_of_sixteen(self):
         jammed = (0, 1, 2, 3)
-        powers = allocate_power(12.0, flags_for(jammed))
+        powers = clean_powers(12.0, flags_for(jammed))
         for i, l in enumerate(MODES_16):
             expected = 0.0 if l in jammed else 1.0
             assert powers[i] == pytest.approx(expected)
 
     def test_each_trial_splits_over_its_own_clean_modes(self):
         rows = [flags_for(), flags_for((0, 1, 2, 3)), flags_for(MODES_16)]
-        powers = allocate_power(12.0, np.stack(rows))
+        powers = clean_powers(12.0, np.stack(rows))
         assert powers.shape == (3, 16)
         assert powers.sum(axis=1) == pytest.approx([12.0, 12.0, 0.0])
         for row, flagged in zip(powers, rows):
-            assert np.array_equal(row, allocate_power(12.0, flagged))
+            assert np.array_equal(row, clean_powers(12.0, flagged))
 
     @pytest.mark.parametrize("power", [np.nan, -1.0])
     def test_negative_or_nan_total_rejected(self, power):
-        # without a check a nan total came back as the share of every clean mode
+        # checked before the split, so also where every mode is flagged and none takes a share
+        cfg = LinkConfig()
         with pytest.raises(ValueError, match="transmit power"):
-            allocate_power(power, flags_for((2,)))
+            spectral_efficiency(cfg, flags_for(MODES_16), mode_link_gains(cfg), power, 1.0,
+                                1.0, 1.0)
 
 
 class TestSpectralEfficiency:
+    """The rate sum log2(1 + gamma) over the modes each scheme counts."""
+
     def test_all_zero(self):
-        assert spectral_efficiency(np.zeros(16)) == 0.0
+        assert rate_sum(np.zeros(16)) == 0.0
 
     def test_single_unit_snr(self):
-        assert spectral_efficiency([1.0]) == pytest.approx(1.0)
+        assert rate_sum([1.0]) == pytest.approx(1.0)
 
     def test_two_modes_at_three(self):
-        assert spectral_efficiency([3.0, 3.0]) == pytest.approx(4.0)
+        assert rate_sum([3.0, 3.0]) == pytest.approx(4.0)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            spectral_efficiency([-0.5])
-
-    @pytest.mark.parametrize("gamma", [[np.nan, 1.0], [[1.0, 2.0], [0.5, np.nan]], np.nan])
-    def test_nan_rejected(self, gamma):
-        # a check for negative SNRs alone lets nan through to the rate sum
-        with pytest.raises(ValueError, match="nan"):
-            spectral_efficiency(gamma)
+        # a negative carrier variance would make the jammed-mode SNR negative
+        cfg = LinkConfig()
+        with pytest.raises(ValueError, match="carrier variance"):
+            spectral_efficiency(cfg, flags_for((2,)), mode_link_gains(cfg), 1600.0, -0.5,
+                                1.0, 1.0)
 
     def test_strictly_increasing_in_any_gamma(self):
         base = [0.3, 1.0, 2.5]
-        c0 = spectral_efficiency(base)
+        c0 = rate_sum(base)
         for i in range(3):
             bumped = list(base)
             bumped[i] += 0.1
-            assert spectral_efficiency(bumped) > c0
+            assert rate_sum(bumped) > c0
 
     def test_mask_restricts_the_sum_per_trial(self):
-        gamma = np.array([[3.0, 1.0, 7.0], [1.0, 1.0, 1.0]])
+        # jammed-mode SNRs |kappa|^2 = (3, 1, 7); one clean mode at SNR 1 in trial 0
+        gamma = np.array([3.0, 1.0, 7.0])
         modes = np.array([[True, False, True], [False, False, False]])
-        assert spectral_efficiency(gamma, modes) == pytest.approx([5.0, 0.0])
-        assert spectral_efficiency(gamma, modes) + spectral_efficiency(gamma, ~modes) \
-            == pytest.approx(spectral_efficiency(gamma))
+        cfg = LinkConfig(n_tx=3)
+        floor = receiver_background_variance(cfg)
+        mean_power_gain = sum(p * g * g for g, p in zip(cfg.pga_gains, cfg.pga_priors))
+        se = spectral_efficiency(cfg, modes, np.sqrt(gamma), floor, floor / mean_power_gain,
+                                 1.0, 1.0)
+        assert se[PROPOSED] - se[BASELINE] == pytest.approx([5.0, 0.0])
+        assert se[BASELINE][0] == pytest.approx(1.0)
+        assert se[BASELINE][1] == pytest.approx(rate_sum(gamma / 3.0))
 
 
 class TestModeSnr:
+    """The detection-weighted per-mode SNRs behind the bits of both schemes."""
+
     CFG = LinkConfig()
     POWER = 1600.0   # the default 100 W per mode on all 16 modes
 
@@ -129,85 +159,102 @@ class TestModeSnr:
         return mode_link_gains(cfg)
 
     def test_zero_weight_annihilates(self):
-        out = mode_snr(self.CFG, flags_for(), self.gains(), self.POWER, 1.0, p_j=1.0, p_u=0.0)
-        assert not out.any()
+        se = spectral_efficiency(self.CFG, flags_for(), self.gains(), self.POWER, 1.0,
+                                 p_j=1.0, p_u=0.0)
+        assert se[PROPOSED] == se[BASELINE] == 0.0
 
     def test_huge_disturbance_drives_snr_to_zero(self):
         cfg = LinkConfig(noise_variance_rx=1e12, jam_variance_rx=1e12, beta=1.0)
-        out = mode_snr(cfg, flags_for(), self.gains(cfg), self.POWER, 1.0, p_j=0.0, p_u=1.0)
-        assert out.max() < 1e-9
+        se = spectral_efficiency(cfg, flags_for(), self.gains(cfg), self.POWER, 1.0,
+                                 p_j=0.0, p_u=1.0)
+        assert se[PROPOSED] < 16 * np.log2(1.0 + 1e-9)
 
     def test_jammed_branch_uses_reflected_power(self):
-        flagged = flags_for((2,))
-        row = MODES_16.index(2)
-        args = self.CFG, flagged, self.gains(), self.POWER
-        out = mode_snr(*args, 1.0, p_j=1.0, p_u=0.0, p_c=0.5)
-        assert out[row] > 0.0
-        assert not np.delete(out, row).any()
+        args = self.CFG, flags_for((2,)), self.gains(), self.POWER
+
+        def jammed_snr(carrier_variance, p_c):
+            # one flagged mode at p_u = 0: the proposed bits are log2(1 + gamma_jam)
+            se = spectral_efficiency(*args, carrier_variance, p_j=1.0, p_u=0.0, p_c=p_c)
+            assert se[BASELINE] == 0.0
+            return 2.0 ** se[PROPOSED] - 1.0
+
+        out = jammed_snr(1.0, 0.5)
+        assert out > 0.0
         # halving p_c halves the weighted snr
-        half = mode_snr(*args, 1.0, p_j=1.0, p_u=0.0, p_c=0.25)
-        assert half[row] == pytest.approx(0.5 * out[row], rel=1e-12)
+        assert jammed_snr(1.0, 0.25) == pytest.approx(0.5 * out, rel=1e-12)
         # and the carrier variance scales it linearly
-        double = mode_snr(*args, 2.0, p_j=1.0, p_u=0.0, p_c=0.5)
-        assert double[row] == pytest.approx(2.0 * out[row], rel=1e-12)
+        assert jammed_snr(2.0, 0.5) == pytest.approx(2.0 * out, rel=1e-12)
 
     def test_formula_against_matrix_oracle(self):
-        # independent evaluation with the mode gain taken from the full matrix
+        # independent evaluation with each mode gain taken from the full matrix
         cfg = replace(self.CFG, noise_variance_rx=0.1)
-        l = 4
-        gammas = mode_snr(cfg, flags_for((0, 1, 2, 3)), mode_link_gains(cfg), 1600.0, 1.0,
-                          p_j=0.0, p_u=1.0)
-        out = gammas[MODES_16.index(l)]
+        jammed = (0, 1, 2, 3)
+        se = spectral_efficiency(cfg, flags_for(jammed), mode_link_gains(cfg), 1600.0, 1.0,
+                                 p_j=0.0, p_u=1.0)
 
         h = circulant(build_channel_matrix(cfg))
         phi = element_azimuths(16)
-        kappa = 0.0
-        for m in range(16):
-            for n in range(16):
-                kappa += np.exp(-1j * phi[m] * l) * h[m, n] * np.exp(1j * phi[n] * l)
-        kappa /= 16.0  # 1/N
-        expected = (abs(kappa) ** 2 * (1600.0 / 12.0)
-                    / (16 * (cfg.noise_variance_rx + cfg.jam_variance_rx)))
-        assert out == pytest.approx(expected, rel=1e-9)
+        expected = 0.0
+        for l in MODES_16:
+            if l in jammed:
+                continue
+            kappa = 0.0
+            for m in range(16):
+                for n in range(16):
+                    kappa += np.exp(-1j * phi[m] * l) * h[m, n] * np.exp(1j * phi[n] * l)
+            kappa /= 16.0  # 1/N
+            expected += np.log2(1.0 + abs(kappa) ** 2 * (1600.0 / 12.0)
+                                / (16 * (cfg.noise_variance_rx + cfg.jam_variance_rx)))
+        assert se[BASELINE] == pytest.approx(expected, rel=1e-9)
+        assert se[PROPOSED] == se[BASELINE]
 
     def test_mask_must_cover_every_mode(self):
         for mask in (np.zeros(99, dtype=bool), np.zeros((4, 15), dtype=bool), True):
             with pytest.raises(ValueError, match="does not cover"):
-                mode_snr(self.CFG, mask, self.gains(), self.POWER, 1.0, 0.5, 0.5)
+                spectral_efficiency(self.CFG, mask, self.gains(), self.POWER, 1.0, 0.5, 0.5)
 
     @pytest.mark.parametrize("probs", [dict(p_c=1.5), dict(p_j=-0.1), dict(p_u=1.2)])
     def test_probability_outside_unit_interval_rejected(self, probs):
         args = dict(p_j=1.0, p_u=0.0) | probs
         with pytest.raises(ValueError, match=next(iter(probs))):
-            mode_snr(self.CFG, flags_for((2,)), self.gains(), self.POWER, 1.0, **args)
+            spectral_efficiency(self.CFG, flags_for((2,)), self.gains(), self.POWER, 1.0,
+                                **args)
 
     @pytest.mark.parametrize("name, value, message", [
         ("p_j", np.nan, "p_j"), ("p_u", np.nan, "p_u"), ("p_c", np.nan, "p_c"),
         ("p_c", np.r_[np.full(15, 0.5), np.nan], "p_c"),
         ("carrier_variance", np.nan, "carrier variance"),
-        ("transmit_power", np.nan, "transmit power")])
+        ("transmit_power", np.nan, "transmit power"),
+        ("link_gains", np.r_[np.nan, np.ones(15)], "nan SNR"),
+        ("transmit_power", -1.0, "transmit power"),
+        ("transmit_power", np.inf, "transmit power")])
     def test_nan_rejected(self, name, value, message):
-        # a check for values outside [0, 1] or below 0 lets nan through to the SNRs
-        args = dict(transmit_power=self.POWER, carrier_variance=1.0, p_j=1.0,
-                    p_u=0.5) | {name: value}
+        # a check for values outside [0, 1] or below 0 lets nan through to the SNRs,
+        # and an infinite power at p_u = 0 would give a nan SNR
+        args = dict(link_gains=self.gains(), transmit_power=self.POWER, carrier_variance=1.0,
+                    p_j=1.0, p_u=0.5) | {name: value}
         with pytest.raises(ValueError, match=message):
-            mode_snr(self.CFG, flags_for((2,)), self.gains(), **args)
+            spectral_efficiency(self.CFG, flags_for((2,)), **args)
 
     def test_all_flagged_row_computes_no_clean_snr(self):
         # P / 1 on a clean mode would overflow; an all-flagged trial has no clean mode to take it
         cfg = LinkConfig(n_tx=2)
         flagged = np.array([[True, True], [False, False]])
         with np.errstate(over="raise"):
-            gamma = mode_snr(cfg, flagged, mode_link_gains(cfg), 3e307, 1.0, 1.0, 1.0)
-        assert np.all(np.isfinite(gamma))
+            se = spectral_efficiency(cfg, flagged, mode_link_gains(cfg), 3e307, 1.0, 1.0, 1.0)
+        assert np.all(np.isfinite(se[PROPOSED])) and np.all(np.isfinite(se[BASELINE]))
 
     def test_batched_rows_match_single_trial_calls(self):
         flagged = np.random.default_rng(3).random((5, 16)) < 0.4
         p_c = np.linspace(0.5, 1.0, 16)
-        batch = mode_snr(self.CFG, flagged, self.gains(), self.POWER, 1.0, 0.7, 0.9, p_c)
-        for row, mask in zip(batch, flagged):
-            assert np.array_equal(row, mode_snr(self.CFG, mask, self.gains(), self.POWER,
-                                                1.0, 0.7, 0.9, p_c))
+        batch = spectral_efficiency(self.CFG, flagged, self.gains(), self.POWER, 1.0, 0.7, 0.9,
+                                    p_c)
+        for t, mask in enumerate(flagged):
+            single = spectral_efficiency(self.CFG, mask, self.gains(), self.POWER, 1.0, 0.7,
+                                         0.9, p_c)
+            assert single[PROPOSED].shape == ()
+            for scheme in (PROPOSED, BASELINE):
+                assert batch[scheme][t] == single[scheme]
 
 
 class TestDrawJamSets:
@@ -476,9 +523,9 @@ class TestExpectedSpectralEfficiency:
                 weight = np.prod([f if x else 1 - f for x in flags]) / 3
                 flagged = np.zeros(3, dtype=bool)
                 flagged[[jam_set[i] for i in range(2) if flags[i]]] = True
-                gamma = mode_snr(cfg, flagged, kappas, 30.0, 1.0, p_j, 1.0, p_c)
-                baseline += weight * spectral_efficiency(gamma, ~flagged)
-                proposed += weight * spectral_efficiency(gamma)
+                se = spectral_efficiency(cfg, flagged, kappas, 30.0, 1.0, p_j, 1.0, p_c)
+                baseline += weight * se[BASELINE]
+                proposed += weight * se[PROPOSED]
         got = expected_se(cfg, kappas, 30.0, 1.0, p_j, 1.0, p_c, 2, f)
         assert got == pytest.approx((proposed, baseline), rel=1e-12)
 
@@ -531,13 +578,13 @@ class TestBroadbandSensing:
     OPTS = SweepOptions(jam_model="iid", ber_trials=0)
 
     def test_flag_rate_matches_analytic_p_j(self, monkeypatch):
-        masks, trial_se = [], metrics._trial_se
+        masks, original = [], metrics.spectral_efficiency
 
         def spy(cfg, flagged, *args):
             masks.append(flagged)
-            return trial_se(cfg, flagged, *args)
+            return original(cfg, flagged, *args)
 
-        monkeypatch.setattr(metrics, "_trial_se", spy)
+        monkeypatch.setattr(metrics, "spectral_efficiency", spy)
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(0,), n_elements=(16,))
         res = run_sweep(Scenario(self.CFG, axes, self.OPTS, trials=2000, seed=8))
         (flagged,) = masks

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oam_antijam import (BASELINE, PROPOSED, ConfigurationError, LinkConfig, Scenario,
-                         SweepAxes, SweepOptions, metrics, mode_index_range, mode_link_gains,
-                         mode_snr, mode_transform, run_sweep, spectral_efficiency)
+                         SweepAxes, SweepOptions, mode_index_range, mode_link_gains,
+                         mode_transform, run_sweep, spectral_efficiency)
 from oam_antijam.cli import SCENARIO_KEYS, parse_scenario
 from oracles import elementwise_mode_snr, se_cells
 
@@ -166,17 +166,17 @@ def snr_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(snr_cases())
 def test_snr_tables_reduce_to_the_elementwise_bits(case):
-    """The sweep's per-count tables give the bits of the (trials, N) evaluation.
+    """The per-count tables of spectral_efficiency give the bits of the entry-by-entry SNRs.
 
-    Masks may add an all-flagged and a no-flagged row, N runs down to 1, p_c is
-    scalar or per mode and p_u < 1.
+    Batched and on one row: the baseline sums log2(1 + gamma) over the clean
+    modes, the proposed scheme adds the sum over the flagged ones. Masks may add
+    an all-flagged and a no-flagged row, N runs down to 1, p_c is scalar or per
+    mode and p_u < 1.
     """
     cfg, flagged, *rest = case
-    gamma = mode_snr(cfg, flagged, *rest)
-    assert np.array_equal(gamma, elementwise_mode_snr(cfg, flagged, *rest))
-    assert np.array_equal(mode_snr(cfg, flagged[0], *rest),
-                          elementwise_mode_snr(cfg, flagged[0], *rest))
-    se = metrics._trial_se(cfg, flagged, *rest)
-    baseline = spectral_efficiency(gamma, ~flagged)
-    assert np.array_equal(se[BASELINE], baseline)
-    assert np.array_equal(se[PROPOSED], baseline + spectral_efficiency(gamma, flagged))
+    for mask in (flagged, flagged[0]):
+        rates = np.log2(1.0 + elementwise_mode_snr(cfg, mask, *rest))
+        se = spectral_efficiency(cfg, mask, *rest)
+        baseline = np.where(mask, 0.0, rates).sum(axis=-1)
+        assert np.array_equal(se[BASELINE], baseline)
+        assert np.array_equal(se[PROPOSED], baseline + np.where(mask, rates, 0.0).sum(axis=-1))
