@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import LinkConfig
-from .jamming import NOISE_VARIANCE_FLOOR, complex_gaussian
+from .config import LinkConfig, check_count
+from .jamming import NOISE_VARIANCE_FLOOR, check_variance, complex_gaussian
 from .sensing import gamma_cdf
 
 SYMBOL_CHUNK = 1024  # symbols synthesised per block of draws
@@ -71,8 +71,7 @@ def calibrate_threshold(energies, bits, n_samples: int) -> float:
     if energies.shape != bits.shape:
         raise ValueError(
             f"need one energy per preamble symbol ({bits.size}), got {energies.shape}")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    check_count("n_samples", n_samples, 1)
     q0 = float(energies[~ones].sum() / n0)
     q1 = float(energies[ones].sum() / n1)
     if q1 <= q0 or q0 <= 0.0:
@@ -129,14 +128,15 @@ def simulate_backscatter_bits(config: LinkConfig, link_gain: complex, gains, bit
     Draws each symbol's recovered mode directly, y[k] = kappa*a_b*c[k] + w[k]:
     kappa is ``link_gain``, a scalar :func:`channel.mode_link_gains` value or
     one per bit, a_b = ``gains[b]`` the bit's gain level, c the K carrier samples received
-    on the jammed mode and w the receive-ramp sum of the elements' i.i.d. noise
-    and jamming, which is CN(0, :func:`receiver_background_variance`). Per
-    chunk of ``SYMBOL_CHUNK`` symbols, ``rng`` draws c, then w. Returns the
-    K-sample average energy of every symbol.
+    on the jammed mode and w the receive-ramp sum of the elements' i.i.d. noise and jamming,
+    which is CN(0, :func:`receiver_background_variance`). Per chunk of ``SYMBOL_CHUNK``
+    symbols, ``rng`` draws c, then w. Returns the K-sample average energy of every symbol.
+    Bad bits or a carrier variance not finite and >= 0 raise ValueError before any draw.
     """
     bits = np.asarray(bits)
     if not _integers_below(bits, len(gains)):
         raise ValueError(f"bits must be integers in 0..{len(gains) - 1}, got {bits}")
+    check_variance(carrier_variance)
     amplitudes = link_gain * np.asarray(gains)[bits.astype(int)]
     background = receiver_background_variance(config)
     energies = np.empty(bits.size, dtype=float)

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import ConfigurationError, LinkConfig, mode_index_range
+from .config import LinkConfig, check_count, mode_index_range
 
 
 def element_azimuths(count: int) -> np.ndarray:
     """Azimuthal angles 2*pi*(n-1)/count of a uniformly spaced ring, radians."""
-    if count < 1:
-        raise ConfigurationError(f"element count must be >= 1, got {count}")
+    check_count("element count", count, 1)
     return 2.0 * np.pi * np.arange(count) / count
 
 

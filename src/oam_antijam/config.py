@@ -35,8 +35,8 @@ def check_count(name: str, value, low: int, high=sys.maxsize) -> None:
 
 def wavelength_for_frequency(frequency_hz: float) -> float:
     """Free-space wavelength in metres for a carrier frequency in hertz."""
-    if frequency_hz <= 0.0:
-        raise ConfigurationError(f"carrier frequency must be positive, got {frequency_hz}")
+    if not 0.0 < frequency_hz < math.inf:   # nan fails too
+        raise ConfigurationError(f"carrier frequency must be finite and > 0, got {frequency_hz}")
     return SPEED_OF_LIGHT / frequency_hz
 
 
@@ -45,11 +45,8 @@ def mode_index_range(n_elements: int) -> list[int]:
 
     Always contains exactly ``n_elements`` consecutive integers.
     """
-    if n_elements < 1:
-        raise ConfigurationError(f"element count must be >= 1, got {n_elements}")
-    lo = math.floor((2 - n_elements) / 2)
-    hi = math.floor(n_elements / 2)
-    return list(range(lo, hi + 1))
+    check_count("element count", n_elements, 1)   # an integer, so // is the exact floor
+    return list(range((2 - n_elements) // 2, n_elements // 2 + 1))
 
 
 def pga_levels(gains, priors) -> tuple[tuple[float, ...], tuple[float, ...]]:

@@ -33,7 +33,7 @@ from .backscatter import (SYMBOL_CHUNK, average_correct_detection, calibrate_fro
                           simulate_backscatter_bits)
 from .channel import build_channel_matrix, mode_link_gains
 from .config import ConfigurationError, LinkConfig, check_count
-from .jamming import complex_gaussian, gamma_energies, substream
+from .jamming import check_variance, complex_gaussian, gamma_energies, substream
 from .sensing import detection_probabilities
 from .signals import mode_energies, mode_transform
 
@@ -295,9 +295,10 @@ def sense_targeted(rng: np.random.Generator, jam_sets: np.ndarray, n: int, k: in
     :func:`mode_energies`, a block of trials at a time; l_j = 0 draws nothing.
     Raises ValueError, before any draw, unless ``jam_sets`` is a 2-D integer
     array of positions in 0..n-1 with no position repeated within a row and
-    ``k`` is an integer >= 1; the draw refuses a variance not finite and >= 0.
+    ``k`` is an integer >= 1 and the variance finite and >= 0, even if nothing is drawn.
     """
     check_count("samples per symbol k", k, 1)
+    check_variance(variance)
     jam_sets = np.asarray(jam_sets)
     if jam_sets.ndim != 2 or not np.issubdtype(jam_sets.dtype, np.integer):
         raise ValueError(f"jam_sets must be a 2-D integer array, got {jam_sets.dtype} "

@@ -13,7 +13,8 @@ the finite Poisson sum of the upper tail above.
 from __future__ import annotations
 
 import math
-import numbers
+
+from .config import check_count
 
 _EPS = 1e-15  # relative size of the last term of either sum
 
@@ -46,8 +47,7 @@ def gamma_cdf(x: float, shape: int, scale: float) -> float:
     x, scale = float(x), float(scale)  # numpy scalars would make the loops ~3x slower
     if not x >= 0.0:
         raise ValueError(f"gamma_cdf argument must be >= 0, got {x}")
-    if not isinstance(shape, numbers.Integral) or shape < 1:
-        raise ValueError(f"gamma_cdf shape must be an integer >= 1, got {shape!r}")
+    check_count("gamma_cdf shape", shape, 1)
     if not scale >= 0.0:
         raise ValueError(f"gamma_cdf scale must be >= 0, got {scale}")
     if scale == 0.0:

@@ -22,10 +22,12 @@ from math import comb, factorial
 import numpy as np
 
 from oam_antijam import (BASELINE, PROPOSED, ConfigurationError, LinkConfig, Scenario,
-                         detection_probabilities, element_azimuths, metrics, mode_index_range,
-                         mode_link_gains, mode_transform, receiver_background_variance,
+                         detection_probabilities, metrics, mode_index_range, mode_link_gains,
                          run_sweep)
+from oam_antijam.backscatter import receiver_background_variance
+from oam_antijam.channel import element_azimuths
 from oam_antijam.jamming import complex_gaussian, substream
+from oam_antijam.signals import mode_transform
 
 BESSEL_MAX_ORDER = 60
 BESSEL_MAX_ARGUMENT = 100.0

@@ -20,23 +20,23 @@ from oam_antijam import (
     Scenario,
     SweepAxes,
     SweepOptions,
-    average_correct_detection,
-    build_channel_matrix,
-    calibrate_from_preamble,
-    calibrate_threshold,
     detection_probabilities,
-    element_azimuths,
-    hypothesis_variance,
-    mode_energies,
     mode_index_range,
     mode_link_gains,
-    mode_transform,
     run_sweep,
-    simulate_backscatter_bits,
     substream,
 )
+from oam_antijam.backscatter import (
+    average_correct_detection,
+    calibrate_from_preamble,
+    calibrate_threshold,
+    hypothesis_variance,
+    simulate_backscatter_bits,
+)
+from oam_antijam.channel import build_channel_matrix, element_azimuths
 from oam_antijam.cli import main
 from oam_antijam.jamming import complex_gaussian
+from oam_antijam.signals import mode_energies, mode_transform
 from oracles import bessel_j, circulant, exact_channel_matrix, mode_channel_gain, series_bessel
 
 REFERENCE = LinkConfig(beta=1.0)   # the physical free-space scale

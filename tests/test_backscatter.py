@@ -15,20 +15,22 @@ from oam_antijam import (
     Scenario,
     SweepAxes,
     SweepOptions,
-    average_correct_detection,
-    build_channel_matrix,
-    calibrate_from_preamble,
-    calibrate_threshold,
-    gamma_cdf,
-    hypothesis_variance,
     mode_index_range,
     mode_link_gains,
-    receiver_background_variance,
     run_sweep,
-    simulate_backscatter_bits,
     spectral_efficiency,
 )
+from oam_antijam.backscatter import (
+    average_correct_detection,
+    calibrate_from_preamble,
+    calibrate_threshold,
+    hypothesis_variance,
+    receiver_background_variance,
+    simulate_backscatter_bits,
+)
+from oam_antijam.channel import build_channel_matrix
 from oam_antijam.jamming import complex_gaussian, substream
+from oam_antijam.sensing import gamma_cdf
 from oracles import exact_channel_matrix, row_and_matrix
 
 DEFAULT_GAINS = (0.5, 2.0)

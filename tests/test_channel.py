@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from oam_antijam import LinkConfig, build_channel_matrix, element_azimuths, mode_link_gains
+from oam_antijam import LinkConfig, mode_link_gains
+from oam_antijam.channel import build_channel_matrix, element_azimuths
 from oam_antijam.config import ConfigurationError, mode_index_range
 from oracles import (bessel_j, circulant, exact_channel_matrix, mode_channel_gain,
                      ring_sampled_bessel, row_and_matrix, sandwich_link_gains, series_bessel)

@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 from oam_antijam import (ConfigurationError, LinkConfig, Scenario, SweepAxes, SweepOptions,
-                         metrics, mode_index_range, run_sweep, wavelength_for_frequency)
+                         metrics, mode_index_range, run_sweep)
+from oam_antijam.backscatter import calibrate_threshold
+from oam_antijam.channel import element_azimuths
+from oam_antijam.config import wavelength_for_frequency
+from oam_antijam.sensing import gamma_cdf
 from oam_antijam.cli import format_sweep_csv
 
 
@@ -73,6 +77,26 @@ def test_wavelength_helper():
         wavelength_for_frequency(0.0)
 
 
+@pytest.mark.parametrize("function, args, message", [
+    pytest.param(mode_index_range, (2.5,), "element count 2.5 is not an integer", id="modes-2.5"),
+    pytest.param(mode_index_range, (True,), "element count True is not an integer",
+                 id="modes-True"),
+    pytest.param(element_azimuths, (2.5,), "element count 2.5 is not an integer",
+                 id="azimuths-2.5"),
+    pytest.param(calibrate_threshold, ([1.0, 2.0], [0, 1], 2.5), "n_samples 2.5 is not an",
+                 id="calibrate-2.5"),
+    pytest.param(gamma_cdf, (1.0, True, 1.0), "gamma_cdf shape True is not an",
+                 id="gamma_cdf-True"),
+    pytest.param(wavelength_for_frequency, (math.nan,), "carrier frequency", id="frequency-nan"),
+    pytest.param(wavelength_for_frequency, (math.inf,), "carrier frequency", id="frequency-inf"),
+])
+def test_counts_and_frequency_are_checked(function, args, message):
+    # a count goes through check_count, so a fraction or a bool is refused; the
+    # carrier frequency must be finite as well as positive
+    with pytest.raises(ConfigurationError, match=message):
+        function(*args)
+
+
 def test_derived_geometry():
     cfg = LinkConfig()
     assert cfg.diagonal_distance == pytest.approx(math.sqrt(15.0 ** 2 + 2 * 0.75 ** 2))
@@ -80,7 +104,7 @@ def test_derived_geometry():
 
 
 def test_unit_element_gain_normalization():
-    from oam_antijam import build_channel_matrix
+    from oam_antijam.channel import build_channel_matrix
 
     cfg = LinkConfig()
     assert cfg.beta == 4 * math.pi * 15.0 / cfg.wavelength

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oam_antijam import (ConfigurationError, LinkConfig, calibrate_from_preamble,
-                         mode_index_range, sense_targeted, simulate_backscatter_bits)
+from oam_antijam import ConfigurationError, LinkConfig, mode_index_range, sense_targeted
+from oam_antijam.backscatter import calibrate_from_preamble, simulate_backscatter_bits
 from oam_antijam.jamming import complex_gaussian, gamma_energies, substream
 from oam_antijam.signals import mode_energies
 from oracles import draw_targeted_jamming_block
@@ -99,6 +99,12 @@ DRAWING_CALLERS = {
         LinkConfig(samples_per_symbol=k), 1.0, (0.5, 2.0), np.array([0, 1]), variance, rng),
     "sense_targeted": lambda rng, variance, k: sense_targeted(
         rng, np.array([[0]]), 4, k, variance),
+    # nothing to draw: the inputs are checked all the same
+    "sense_targeted_nothing_jammed": lambda rng, variance, k: sense_targeted(
+        rng, np.empty((2, 0), int), 4, k, variance),
+    "simulate_backscatter_bits_no_bits": lambda rng, variance, k: simulate_backscatter_bits(
+        LinkConfig(samples_per_symbol=k), 1.0, (0.5, 2.0), np.array([], int), variance, rng),
+    "gamma_energies": lambda rng, variance, k: gamma_energies(rng, (2, 3), variance, k),
 }
 
 
@@ -106,6 +112,8 @@ DRAWING_CALLERS = {
     *((caller, variance, 4, "variance") for caller in DRAWING_CALLERS
       for variance in (-1.0, float("nan"), float("inf"))),
     ("sense_targeted", 1.0, 0, "samples per symbol"),   # K = 0 divided the block size
+    ("gamma_energies", 1.0, 0, "samples per symbol"),   # K = 0 divided the scale
+    ("gamma_energies", 1.0, 2.5, "samples per symbol"),
 ])
 def test_invalid_draw_rejected_before_any_draw(caller, variance, k, message):
     # unchecked, nan came back as a threshold or energy, -1 and inf with a RuntimeWarning

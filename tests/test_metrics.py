@@ -21,16 +21,15 @@ from oam_antijam import (
     SweepAxes,
     SweepOptions,
     SweepResult,
-    build_channel_matrix,
     check_trends,
-    element_azimuths,
     mode_index_range,
     mode_link_gains,
-    receiver_background_variance,
     run_sweep,
     sense_targeted,
     spectral_efficiency,
 )
+from oam_antijam.backscatter import receiver_background_variance
+from oam_antijam.channel import build_channel_matrix, element_azimuths
 from oam_antijam.jamming import complex_gaussian, substream
 from oam_antijam.signals import mode_energies
 from oracles import circulant, expected_se, se_cells, targeted_elements

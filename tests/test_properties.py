@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from oam_antijam import (BASELINE, PROPOSED, ConfigurationError, LinkConfig, Scenario,
                          SweepAxes, SweepOptions, mode_index_range, mode_link_gains,
-                         mode_transform, run_sweep, spectral_efficiency)
+                         run_sweep, spectral_efficiency)
 from oam_antijam.cli import SCENARIO_KEYS, parse_scenario
+from oam_antijam.signals import mode_transform
 from oracles import elementwise_mode_snr, se_cells
 
 FLOAT_FIELDS = ("r_tx", "r_rx", "axial_distance", "wavelength", "beta", "noise_variance_rx",

@@ -8,16 +8,11 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import special
 
-from oam_antijam import (
-    average_correct_detection,
-    detection_probabilities,
-    gamma_cdf,
-    mode_energies,
-    mode_index_range,
-    mode_transform,
-    substream,
-)
+from oam_antijam import detection_probabilities, mode_index_range, substream
+from oam_antijam.backscatter import average_correct_detection
 from oam_antijam.jamming import complex_gaussian
+from oam_antijam.sensing import gamma_cdf
+from oam_antijam.signals import mode_energies, mode_transform
 from oracles import draw_targeted_jamming_block
 
 

@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from oam_antijam import (
-    LinkConfig,
-    build_channel_matrix,
-    mode_energies,
-    mode_index_range,
-    mode_transform,
-)
+from oam_antijam import LinkConfig, mode_index_range
+from oam_antijam.channel import build_channel_matrix
+from oam_antijam.signals import mode_energies, mode_transform
 from oracles import circulant
 
 
