@@ -10,9 +10,9 @@ from oam_antijam import (ConfigurationError, LinkConfig, Scenario, SweepAxes, Sw
                          metrics, mode_index_range, run_sweep)
 from oam_antijam.backscatter import calibrate_threshold
 from oam_antijam.channel import element_azimuths
+from oam_antijam.cli import format_sweep_csv
 from oam_antijam.config import wavelength_for_frequency
 from oam_antijam.sensing import gamma_cdf
-from oam_antijam.cli import format_sweep_csv
 
 
 def test_default_matches_reference_setup():
