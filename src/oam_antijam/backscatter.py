@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import LinkConfig, check_count
-from .jamming import NOISE_VARIANCE_FLOOR, check_variance, complex_gaussian
+from .config import LinkConfig, check_count, check_nonnegative
+from .jamming import NOISE_VARIANCE_FLOOR, complex_gaussian
 from .sensing import gamma_cdf
 
 SYMBOL_CHUNK = 1024  # symbols synthesised per block of draws
@@ -136,7 +136,7 @@ def simulate_backscatter_bits(config: LinkConfig, link_gain: complex, gains, bit
     bits = np.asarray(bits)
     if not _integers_below(bits, len(gains)):
         raise ValueError(f"bits must be integers in 0..{len(gains) - 1}, got {bits}")
-    check_variance(carrier_variance)
+    check_nonnegative("carrier variance", carrier_variance)
     amplitudes = link_gain * np.asarray(gains)[bits.astype(int)]
     background = receiver_background_variance(config)
     energies = np.empty(bits.size, dtype=float)

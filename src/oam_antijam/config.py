@@ -33,10 +33,21 @@ def check_count(name: str, value, low: int, high=sys.maxsize) -> None:
         raise ConfigurationError(f"{name} {value!r} is not an integer in {low}..{high}")
 
 
+def check_nonnegative(name: str, value) -> None:
+    """Reject ``value`` unless it is a finite magnitude >= 0 (nan fails too)."""
+    if not 0.0 <= value < math.inf:
+        raise ConfigurationError(f"{name} {value} is not a finite number >= 0")
+
+
+def check_positive(name: str, value) -> None:
+    """Reject ``value`` unless it is a finite magnitude > 0 (nan fails too)."""
+    if not 0.0 < value < math.inf:
+        raise ConfigurationError(f"{name} {value} is not a finite number > 0")
+
+
 def wavelength_for_frequency(frequency_hz: float) -> float:
     """Free-space wavelength in metres for a carrier frequency in hertz."""
-    if not 0.0 < frequency_hz < math.inf:   # nan fails too
-        raise ConfigurationError(f"carrier frequency must be finite and > 0, got {frequency_hz}")
+    check_positive("carrier frequency", frequency_hz)
     return SPEED_OF_LIGHT / frequency_hz
 
 
@@ -58,8 +69,10 @@ def pga_levels(gains, priors) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """
     gains = tuple(float(g) for g in gains)
     priors = tuple(float(p) for p in priors)
-    if not all(math.isfinite(v) for v in gains + priors):
-        raise ConfigurationError(f"PGA gains and priors must be finite, got {gains}, {priors}")
+    for gain in gains:
+        check_nonnegative("PGA gain", gain)
+    for prior in priors:
+        check_positive("PGA prior", prior)
     if len(gains) != 2:
         raise ConfigurationError(
             f"the reflected link is binary: its PGA needs exactly two gain levels "
@@ -67,12 +80,8 @@ def pga_levels(gains, priors) -> tuple[tuple[float, ...], tuple[float, ...]]:
     if len(gains) != len(priors):
         raise ConfigurationError(
             f"PGA gains and priors lengths differ: {len(gains)} vs {len(priors)}")
-    if any(g < 0.0 for g in gains):
-        raise ConfigurationError(f"PGA gains must be non-negative, got {gains}")
     if any(b <= a for a, b in zip(gains, gains[1:])):
         raise ConfigurationError(f"PGA gains must be strictly increasing, got {gains}")
-    if any(p <= 0.0 for p in priors):
-        raise ConfigurationError(f"PGA priors must be positive, got {priors}")
     if abs(sum(priors) - 1.0) > 1e-12:
         raise ConfigurationError(
             f"PGA priors must sum to 1 within 1e-12, got sum {sum(priors)!r}")
@@ -125,10 +134,7 @@ class LinkConfig:
                      "energy_threshold_tx", "power_per_mode"):
             if name == "beta" and self.beta is None:   # d and wavelength have passed
                 object.__setattr__(self, name, 4 * math.pi * self.axial_distance / self.wavelength)
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ConfigurationError(
-                    f"{name} must be strictly positive and finite, got {value}")
+            check_positive(name, getattr(self, name))
         try:
             derived = (self.diagonal_distance, self.bessel_argument,
                        (self.beta * self.wavelength / (4.0 * math.pi * self.axial_distance)) ** 2)

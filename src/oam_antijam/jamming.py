@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
-from .config import check_count
+from .config import check_count, check_nonnegative
 
 NOISE_VARIANCE_FLOOR = 1e-30  # watts; keeps the zero-noise limit well-posed
 
@@ -28,15 +28,9 @@ def substream(seed: int, *key: int) -> Generator:
     return Generator(PCG64(SeedSequence(entropy=seed, spawn_key=key)))
 
 
-def check_variance(variance: float) -> None:
-    """Refuse a draw variance unless 0 <= variance < inf (nan fails too), before any draw."""
-    if not 0.0 <= variance < np.inf:
-        raise ValueError(f"variance must be finite and >= 0, got {variance}")
-
-
 def complex_gaussian(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
     """Circularly-symmetric complex Gaussian samples with per-sample variance."""
-    check_variance(variance)
+    check_nonnegative("variance", variance)
     scale = np.sqrt(variance / 2.0)
     samples = np.empty(shape, dtype=complex)   # filled in place: no full-size temporaries
     samples.real = rng.normal(0.0, scale, shape)
@@ -47,5 +41,5 @@ def complex_gaussian(rng: np.random.Generator, shape, variance: float) -> np.nda
 def gamma_energies(rng: np.random.Generator, shape, variance: float, k: int) -> np.ndarray:
     """K-sample average energies of i.i.d. CN(0, variance) modes: Gamma(K, variance/K)."""
     check_count("samples per symbol k", k, 1)
-    check_variance(variance)
+    check_nonnegative("variance", variance)
     return rng.standard_gamma(k, shape) * (variance / k)

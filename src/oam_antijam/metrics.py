@@ -32,8 +32,9 @@ from .backscatter import (SYMBOL_CHUNK, average_correct_detection, calibrate_fro
                           hypothesis_variance, receiver_background_variance,
                           simulate_backscatter_bits)
 from .channel import build_channel_matrix, mode_link_gains
-from .config import ConfigurationError, LinkConfig, check_count
-from .jamming import check_variance, complex_gaussian, gamma_energies, substream
+from .config import (ConfigurationError, LinkConfig, check_count, check_nonnegative,
+                     check_positive)
+from .jamming import complex_gaussian, gamma_energies, substream
 from .sensing import detection_probabilities
 from .signals import mode_energies, mode_transform
 
@@ -97,9 +98,7 @@ class SweepOptions:
         if self.jam_variance_tx is None:
             object.__setattr__(self, "jam_variance_tx",
                                0.1 if self.jam_model == BROADBAND else 1.0)
-        if not 0.0 < self.jam_variance_tx < math.inf:
-            raise ConfigurationError(f"jam_variance_tx must be positive and finite, "
-                                     f"got {self.jam_variance_tx}")
+        check_positive("jam_variance_tx", self.jam_variance_tx)
         for name in ("ber_trials", "ber_symbols"):
             check_count(name, getattr(self, name), 0)
 
@@ -118,9 +117,9 @@ def spectral_efficiency(config: LinkConfig, flagged, link_gains: np.ndarray,
     clean mode has w = p_u and P the trial's ``transmit_power`` split evenly
     over its clean modes; a jammed mode has w = p_j * p_c (``p_c`` scalar or
     per mode) and P the mean reflected jamming power, mean PGA power gain *
-    ``carrier_variance``. A probability outside [0, 1], a transmit power not
-    finite and >= 0, a negative carrier variance, a nan among them, or a
-    negative or nan SNR (from a nan link gain) raises ValueError.
+    ``carrier_variance``. A probability outside [0, 1], a transmit power or
+    carrier variance not finite and >= 0, a nan among them, or a negative or
+    nan SNR (from a nan link gain) raises ValueError.
     """
     if np.shape(flagged)[-1:] != (len(link_gains),):   # a 0-d mask has no mode axis
         raise ValueError(f"flag mask of shape {np.shape(flagged)} does not cover "
@@ -129,10 +128,9 @@ def spectral_efficiency(config: LinkConfig, flagged, link_gains: np.ndarray,
     for name, p in (("p_j", p_j), ("p_u", p_u), ("p_c", p_c)):
         if not np.all((p >= 0.0) & (p <= 1.0)):   # nan fails too
             raise ValueError(f"{name} must lie in [0, 1], got {p}")
-    if not carrier_variance >= 0.0:
-        raise ValueError(f"carrier variance must be >= 0, got {carrier_variance}")
-    if not 0.0 <= transmit_power < math.inf:   # inf * p_u = 0 would be nan
-        raise ValueError(f"transmit power must be finite and >= 0, got {transmit_power}")
+    # inf would give a nan SNR: inf * False in the mask product, or inf * p_u at p_u = 0
+    check_nonnegative("carrier variance", carrier_variance)
+    check_nonnegative("transmit power", transmit_power)
     flagged = np.asarray(flagged, dtype=bool)
     n_clean = flagged.shape[-1] - flagged.sum(axis=-1)
     # a clean mode's SNR depends on its trial only through the clean count: one row per count
@@ -298,7 +296,7 @@ def sense_targeted(rng: np.random.Generator, jam_sets: np.ndarray, n: int, k: in
     ``k`` is an integer >= 1 and the variance finite and >= 0, even if nothing is drawn.
     """
     check_count("samples per symbol k", k, 1)
-    check_variance(variance)
+    check_nonnegative("variance", variance)
     jam_sets = np.asarray(jam_sets)
     if jam_sets.ndim != 2 or not np.issubdtype(jam_sets.dtype, np.integer):
         raise ValueError(f"jam_sets must be a 2-D integer array, got {jam_sets.dtype} "

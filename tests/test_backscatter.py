@@ -216,10 +216,11 @@ class TestCalibrateThreshold:
         assert q_th == pytest.approx(2 * math.log(2), rel=1e-12)
 
     def test_no_separation_returns_preamble_mean(self):
-        # equal or inverted level means have no crossing: the threshold is the mean
-        # energy of the whole preamble
+        # equal or inverted level means, or a zero level-0 mean (ln(Q1/Q0) has no
+        # value), have no crossing: the threshold is the mean energy of the whole preamble
         assert calibrate_threshold([2.0, 2.0], (0, 1), n_samples=4) == 2.0
         assert calibrate_threshold([3.0, 1.0], (0, 1), n_samples=4) == 2.0
+        assert calibrate_threshold([0.0, 2.0, 0.0, 4.0], (0, 1, 0, 1), n_samples=4) == 1.5
 
     def test_one_energy_per_preamble_bit(self):
         with pytest.raises(ValueError, match="one energy per preamble symbol"):

@@ -1,5 +1,5 @@
-"""Pinned CLI output: small targeted, iid, wide-ring, default-grid and N = 128 memory-point
-sweeps must reproduce byte for byte.
+"""Pinned CLI output: small targeted, iid, wide-ring, default-grid, N = 128 memory-point and
+unequal-PGA-prior sweeps must reproduce byte for byte.
 
 The CSVs next to the scenario files were written by the CLI itself. A change
 that moves any number fails here; re-pin only together with a note on why
@@ -15,7 +15,8 @@ from oam_antijam.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("name", ["targeted", "iid", "wide", "paper_grid", "targeted_n128"])
+@pytest.mark.parametrize("name", ["targeted", "iid", "wide", "paper_grid", "targeted_n128",
+                                  "pga_priors"])
 def test_cli_output_matches_golden_csv(tmp_path, name):
     out = tmp_path / f"{name}.csv"
     assert main(["--config", str(GOLDEN / f"{name}.ini"), "--output", str(out)]) == 0

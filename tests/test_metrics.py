@@ -226,10 +226,12 @@ class TestModeSnr:
         ("transmit_power", np.nan, "transmit power"),
         ("link_gains", np.r_[np.nan, np.ones(15)], "nan SNR"),
         ("transmit_power", -1.0, "transmit power"),
-        ("transmit_power", np.inf, "transmit power")])
+        ("transmit_power", np.inf, "transmit power"),
+        ("carrier_variance", np.inf, "carrier variance")])
     def test_nan_rejected(self, name, value, message):
-        # a check for values outside [0, 1] or below 0 lets nan through to the SNRs,
-        # and an infinite power at p_u = 0 would give a nan SNR
+        # a check for values outside [0, 1] or below 0 lets nan through to the SNRs, an
+        # infinite power at p_u = 0 would give a nan SNR, and so would an infinite carrier
+        # variance on a flagged mode (inf * False in the mask product)
         args = dict(link_gains=self.gains(), transmit_power=self.POWER, carrier_variance=1.0,
                     p_j=1.0, p_u=0.5) | {name: value}
         with pytest.raises(ValueError, match=message):
@@ -316,17 +318,32 @@ class TestRunSweep:
         for chk in check_trends(res):
             assert chk.passed, f"{chk.name}: {chk.detail}"
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_ber_agrees_with_one_minus_p_c(self, seed):
+    @pytest.mark.parametrize("seed, priors", [
+        *(pytest.param(seed, (0.5, 0.5), id=str(seed)) for seed in (0, 1, 2)),
+        *(pytest.param(seed, (0.3, 0.7), id=f"{seed}-priors-0.3-0.7") for seed in (0, 1, 2))])
+    def test_ber_agrees_with_one_minus_p_c(self, monkeypatch, seed, priors):
         """Every measured BER lies within 5 sigma + 1/D of 1 - p_c.
 
         D = min(ber_trials, trials) x l_j probes of ber_symbols symbols each; all
         symbols of a probe share one mode's threshold, so the BER's variance is at
         most (1 - p_c) p_c / D. Under a normal approximation the chance that a
-        correct probe leaves the bound is below 6e-7 per cell, and below 2e-5
-        over the 27 cells of the three seeds.
+        correct probe leaves the bound is below 6e-7 per cell, and below 4e-5
+        over the 54 cells of the six cases.
+
+        p_c weighs the two error tails by the priors, so the probe must send bit 1
+        with probability priors[1]. At the calibrated thresholds the two tails are
+        close, so a probe that swapped the priors would stay inside the BER bound;
+        its bits are checked directly, within 5 sigma over every probe symbol.
         """
-        cfg = LinkConfig()
+        sent = []
+        draw = metrics.simulate_backscatter_bits   # the sweep's probe: the 4th argument is the bits
+
+        def record(*args):
+            sent.append(np.array(args[3]))
+            return draw(*args)
+
+        monkeypatch.setattr(metrics, "simulate_backscatter_bits", record)
+        cfg = LinkConfig(pga_priors=priors)
         axes = SweepAxes(snr_db=(-10.0, 0.0, 10.0), n_jammed=(2, 4, 8), n_elements=(8,))
         options = SweepOptions(ber_trials=150, ber_symbols=16)
         results = run_sweep(Scenario(cfg, axes, options, trials=150, seed=seed))
@@ -335,6 +352,40 @@ class TestRunSweep:
             q = 1.0 - r.p_c
             bound = 5.0 * math.sqrt(q * (1.0 - q) / probes) + 1.0 / probes
             assert abs(r.ber - q) <= bound, (r.n_jammed, r.snr_db, r.ber, q, bound)
+        bits = np.concatenate(sent)
+        assert bits.size == 150 * (2 + 4 + 8) * 3 * 16
+        assert abs(bits.mean() - priors[1]) <= 5.0 * math.sqrt(
+            priors[0] * priors[1] / bits.size), bits.mean()
+
+    @pytest.mark.parametrize("per_trial, stderr", [
+        # mean 7/3, squared deviations 42/9 over 3 - 1 = 2: sqrt(7/3) / sqrt(3)
+        pytest.param(np.array([1.0, 2.0, 4.0]), math.sqrt(7.0) / 3.0, id="3-trials"),
+        # mean 1, squared deviations 6 over 2: sqrt(3) / sqrt(3)
+        pytest.param(np.array([0.0, 0.0, 3.0]), 1.0, id="3-trials-one-apart"),
+        # two trials still have a spread: sqrt(2) / sqrt(2)
+        pytest.param(np.array([1.0, 3.0]), 1.0, id="2-trials"),
+        pytest.param(np.array([2.0]), 0.0, id="1-trial")])
+    def test_se_stderr_is_the_sample_standard_error(self, monkeypatch, per_trial, stderr):
+        monkeypatch.setattr(metrics, "spectral_efficiency", lambda *args: {
+            PROPOSED: per_trial, BASELINE: per_trial[::-1]})
+        axes = SweepAxes(snr_db=(0.0,), n_jammed=(2,), n_elements=(8,))
+        for r in run_sweep(Scenario(LinkConfig(), axes, trials=len(per_trial), seed=1)):
+            assert r.se_bits == pytest.approx(per_trial.mean(), rel=1e-15)
+            assert r.se_stderr == pytest.approx(stderr, rel=1e-15)
+
+    def test_noise_below_the_floor_sweeps_as_the_floor(self):
+        # 3020 dB sets 1e-300 W of noise beside 1e-300 W of receiver jamming; both
+        # vanish against the 1e-30 W noise floor, as the 1e-31 W of noise at 330 dB does
+        from oam_antijam.cli import format_sweep_csv
+
+        cfg = LinkConfig(jam_variance_rx=1e-300)
+        rows = []
+        for snr_db in (330.0, 3020.0):
+            axes = SweepAxes(snr_db=(snr_db,), n_jammed=(0, 2, 8), n_elements=(8,))
+            csv_rows = format_sweep_csv(run_sweep(Scenario(cfg, axes, trials=20, seed=3)))
+            rows.append([line.split(",") for line in csv_rows.splitlines()[1:]])
+            assert {row[1] for row in rows[-1]} == {f"{snr_db:g}"}
+        assert [row[:1] + row[2:] for row in rows[0]] == [row[:1] + row[2:] for row in rows[1]]
 
     def test_jammed_count_beyond_modes_rejected(self):
         cfg = LinkConfig()

@@ -20,6 +20,11 @@ from oracles import elementwise_mode_snr, se_cells
 FLOAT_FIELDS = ("r_tx", "r_rx", "axial_distance", "wavelength", "beta", "noise_variance_rx",
                 "jam_variance_rx", "energy_threshold_tx", "power_per_mode")
 
+# the mean PGA power gain weighs the gain levels by the priors: at equal priors
+# it cannot be told from the unweighted mean
+PGA_GAINS = st.sampled_from([(0.5, 2.0), (0.25, 1.5), (0.0, 3.0)])
+PGA_PRIORS = st.sampled_from([(0.5, 0.5), (0.3, 0.7), (0.8, 0.2)])
+
 
 @st.composite
 def small_sweeps(draw):
@@ -35,7 +40,8 @@ def small_sweeps(draw):
     options = SweepOptions(jam_model=jam_model,
                            ber_trials=draw(st.integers(0, 2)), ber_symbols=2)
     cfg = LinkConfig(energy_threshold_tx=threshold,
-                     samples_per_symbol=draw(st.sampled_from([1, 8, 64])))
+                     samples_per_symbol=draw(st.sampled_from([1, 8, 64])),
+                     pga_gains=draw(PGA_GAINS), pga_priors=draw(PGA_PRIORS))
     axes = SweepAxes(snr_db=tuple(snr_db), n_jammed=tuple(sorted(n_jammed)),
                      n_elements=(n,))
     return cfg, axes, options, draw(st.integers(1, 4)), draw(st.integers(0, 2**16))
@@ -65,7 +71,8 @@ def se_scenarios(draw):
     snr_db = draw(st.lists(st.sampled_from([-10.0, 0.0, 10.0, 30.0]),
                            min_size=1, max_size=2, unique=True))
     cfg = LinkConfig(n_tx=n, samples_per_symbol=draw(st.sampled_from([8, 64])),
-                     energy_threshold_tx=draw(st.sampled_from([0.1, 0.5])))
+                     energy_threshold_tx=draw(st.sampled_from([0.1, 0.5])),
+                     pga_gains=draw(PGA_GAINS), pga_priors=draw(PGA_PRIORS))
     options = SweepOptions(jam_model=jam_model,
                            jam_variance_tx=draw(st.sampled_from([None, 0.3, 2.0])),
                            ber_trials=0)   # the BER probe does not touch SE
