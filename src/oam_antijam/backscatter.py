@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import LinkConfig, check_count, check_nonnegative
-from .jamming import NOISE_VARIANCE_FLOOR, complex_gaussian
+from .jamming import complex_gaussian
 from .sensing import gamma_cdf
 
 SYMBOL_CHUNK = 1024  # symbols synthesised per block of draws
@@ -82,25 +82,13 @@ def calibrate_threshold(energies, bits, n_samples: int) -> float:
     return float((q0 * q1 / (q1 - q0)) * log_term / n_samples)
 
 
-def receiver_background_variance(config: LinkConfig) -> float:
-    """Per-sample variance of the recovered mode's noise-plus-jamming floor.
-
-    The unnormalized receive-side mode sum adds N independent element
-    contributions, so the floor is N * (noise + jamming variance), with the
-    noise floored at ``NOISE_VARIANCE_FLOOR``.
-    """
-    noise = max(config.noise_variance_rx, NOISE_VARIANCE_FLOOR)
-    return config.n_tx * (noise + config.jam_variance_rx)
-
-
 def hypothesis_variance(config: LinkConfig, link_gain: complex, gain_level: float,
                         carrier_variance: float) -> float:
     """Per-sample variance of the recovered mode signal under one gain level.
 
     |kappa|^2 * a^2 * sigma_carrier^2 + N*(noise + jamming).
     """
-    return (abs(link_gain) ** 2 * gain_level ** 2 * carrier_variance
-            + receiver_background_variance(config))
+    return abs(link_gain) ** 2 * gain_level ** 2 * carrier_variance + config.receiver_floor
 
 
 def average_correct_detection(q_th: float, n_samples: int, sigma2_k0: float,
@@ -129,7 +117,7 @@ def simulate_backscatter_bits(config: LinkConfig, link_gain: complex, gains, bit
     kappa is ``link_gain``, a scalar :func:`channel.mode_link_gains` value or
     one per bit, a_b = ``gains[b]`` the bit's gain level, c the K carrier samples received
     on the jammed mode and w the receive-ramp sum of the elements' i.i.d. noise and jamming,
-    which is CN(0, :func:`receiver_background_variance`). Per chunk of ``SYMBOL_CHUNK``
+    which is CN(0, ``config.receiver_floor``). Per chunk of ``SYMBOL_CHUNK``
     symbols, ``rng`` draws c, then w. Returns the K-sample average energy of every symbol.
     Bad bits or a carrier variance not finite and >= 0 raise ValueError before any draw.
     """
@@ -138,7 +126,7 @@ def simulate_backscatter_bits(config: LinkConfig, link_gain: complex, gains, bit
         raise ValueError(f"bits must be integers in 0..{len(gains) - 1}, got {bits}")
     check_nonnegative("carrier variance", carrier_variance)
     amplitudes = link_gain * np.asarray(gains)[bits.astype(int)]
-    background = receiver_background_variance(config)
+    background = config.receiver_floor
     energies = np.empty(bits.size, dtype=float)
     for start in range(0, bits.size, SYMBOL_CHUNK):
         stop = min(start + SYMBOL_CHUNK, bits.size)

@@ -35,11 +35,9 @@ def build_channel_matrix(config: LinkConfig) -> np.ndarray:
     the full matrix is h[m, n] = row[(n - m) mod N]. The function keeps its
     name because ``bench/spans.py`` wraps that name.
     """
-    lam = config.wavelength
-    amplitude = config.beta * lam / (4.0 * np.pi * config.axial_distance)
-    phase = (-2.0 * np.pi * config.diagonal_distance / lam
+    phase = (-2.0 * np.pi * config.diagonal_distance / config.wavelength
              + config.bessel_argument * np.cos(element_azimuths(config.n_tx)))
-    return amplitude * np.exp(1j * phase)
+    return config.element_gain * np.exp(1j * phase)
 
 
 def mode_link_gains(config: LinkConfig, channel: np.ndarray | None = None) -> np.ndarray:

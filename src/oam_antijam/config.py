@@ -18,6 +18,8 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 DEFAULT_CARRIER_HZ = 5.8e9
 
+NOISE_VARIANCE_FLOOR = 1e-30  # watts; keeps the zero-noise limit well-posed
+
 
 class ConfigurationError(ValueError):
     """A configuration value violates a documented constraint."""
@@ -34,14 +36,16 @@ def check_count(name: str, value, low: int, high=sys.maxsize) -> None:
 
 
 def check_nonnegative(name: str, value) -> None:
-    """Reject ``value`` unless it is a finite magnitude >= 0 (nan fails too)."""
-    if not 0.0 <= value < math.inf:
+    """Reject ``value`` unless it is a real (numpy's too, not a bool), finite and >= 0."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0.0 <= value < math.inf):   # nan fails too
         raise ConfigurationError(f"{name} {value} is not a finite number >= 0")
 
 
 def check_positive(name: str, value) -> None:
-    """Reject ``value`` unless it is a finite magnitude > 0 (nan fails too)."""
-    if not 0.0 < value < math.inf:
+    """Reject ``value`` unless it is a real (numpy's too, not a bool), finite and > 0."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0.0 < value < math.inf):   # nan fails too
         raise ConfigurationError(f"{name} {value} is not a finite number > 0")
 
 
@@ -136,15 +140,14 @@ class LinkConfig:
                 object.__setattr__(self, name, 4 * math.pi * self.axial_distance / self.wavelength)
             check_positive(name, getattr(self, name))
         try:
-            derived = (self.diagonal_distance, self.bessel_argument,
-                       (self.beta * self.wavelength / (4.0 * math.pi * self.axial_distance)) ** 2)
+            derived = (self.diagonal_distance, self.bessel_argument, self.element_gain ** 2)
         except OverflowError:
             derived = (math.inf,)
         if not all(math.isfinite(v) for v in derived):
             raise ConfigurationError(
                 "radii, distance, wavelength and beta overflow the link geometry or the "
                 "element power gain (beta*wavelength / (4*pi*distance))^2")
-        if not math.isfinite(self.n_tx * (self.noise_variance_rx + self.jam_variance_rx)):
+        if not math.isfinite(self.receiver_floor):
             raise ConfigurationError(
                 f"noise_variance_rx {self.noise_variance_rx} and jam_variance_rx "
                 f"{self.jam_variance_rx} overflow the receiver floor n_tx * (noise + jamming)")
@@ -152,7 +155,7 @@ class LinkConfig:
         object.__setattr__(self, "pga_gains", gains)
         object.__setattr__(self, "pga_priors", priors)
 
-    # --- derived geometry ---------------------------------------------------
+    # --- derived geometry and link budget -----------------------------------
 
     @property
     def diagonal_distance(self) -> float:
@@ -163,3 +166,14 @@ class LinkConfig:
     def bessel_argument(self) -> float:
         """2*pi*r*R / (wavelength * sqrt(d^2 + r^2 + R^2))."""
         return 2.0 * math.pi * self.r_tx * self.r_rx / (self.wavelength * self.diagonal_distance)
+
+    @property
+    def element_gain(self) -> float:
+        """beta*wavelength / (4*pi*d), the modulus of every element-pair gain."""
+        return self.beta * self.wavelength / (4.0 * math.pi * self.axial_distance)
+
+    @property
+    def receiver_floor(self) -> float:
+        """N * (noise + jamming) per recovered-mode sample, noise at least NOISE_VARIANCE_FLOOR."""
+        return self.n_tx * (max(self.noise_variance_rx, NOISE_VARIANCE_FLOOR)
+                            + self.jam_variance_rx)

@@ -20,8 +20,6 @@ from numpy.random import PCG64, Generator, SeedSequence
 
 from .config import check_count, check_nonnegative
 
-NOISE_VARIANCE_FLOOR = 1e-30  # watts; keeps the zero-noise limit well-posed
-
 
 def substream(seed: int, *key: int) -> Generator:
     """Deterministic substream ``key`` of a global seed, e.g. ``(point_index, stage)``."""

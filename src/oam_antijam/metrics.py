@@ -29,8 +29,7 @@ from itertools import product
 import numpy as np
 
 from .backscatter import (SYMBOL_CHUNK, average_correct_detection, calibrate_from_preamble,
-                          hypothesis_variance, receiver_background_variance,
-                          simulate_backscatter_bits)
+                          hypothesis_variance, simulate_backscatter_bits)
 from .channel import build_channel_matrix, mode_link_gains
 from .config import (ConfigurationError, LinkConfig, check_count, check_nonnegative,
                      check_positive)
@@ -138,7 +137,7 @@ def spectral_efficiency(config: LinkConfig, flagged, link_gains: np.ndarray,
     # a row with no clean mode keeps SNR 0, so the full total on one mode cannot overflow
     share = np.where(counts > 0, transmit_power / np.maximum(counts, 1), 0.0)[:, None]
     kappa2 = np.abs(link_gains) ** 2
-    floor = receiver_background_variance(config)
+    floor = config.receiver_floor
     mean_power_gain = sum(p * g * g for g, p in zip(config.pga_gains, config.pga_priors))
     clean = p_u * kappa2 * share / floor
     jammed = p_j * p_c * kappa2 * mean_power_gain * carrier_variance / floor

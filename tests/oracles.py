@@ -24,7 +24,6 @@ import numpy as np
 from oam_antijam import (BASELINE, PROPOSED, ConfigurationError, LinkConfig, Scenario,
                          detection_probabilities, metrics, mode_index_range, mode_link_gains,
                          run_sweep)
-from oam_antijam.backscatter import receiver_background_variance
 from oam_antijam.channel import element_azimuths
 from oam_antijam.jamming import complex_gaussian, substream
 from oam_antijam.signals import mode_transform
@@ -188,7 +187,7 @@ def elementwise_mode_snr(config: LinkConfig, flagged, link_gains: np.ndarray,
     n_clean = flagged.shape[-1] - flagged.sum(axis=-1, keepdims=True)
     share = np.where(flagged, 0.0, transmit_power / np.maximum(n_clean, 1))
     kappa2 = np.abs(link_gains) ** 2
-    floor = receiver_background_variance(config)
+    floor = config.receiver_floor
     gamma_clean = p_u * kappa2 * share / floor
     mean_power_gain = sum(p * g * g for g, p in zip(config.pga_gains, config.pga_priors))
     gamma_jam = (p_j * np.asarray(p_c, dtype=float) * kappa2 * mean_power_gain
@@ -223,7 +222,7 @@ def expected_se(config: LinkConfig, kappas: np.ndarray, transmit_power: float,
     weights = np.array([comb(candidates, k) * flag_prob ** k
                         * (1.0 - flag_prob) ** (candidates - k) for k in range(candidates + 1)])
     kappa2 = np.abs(kappas) ** 2
-    floor = receiver_background_variance(config)
+    floor = config.receiver_floor
     share = transmit_power / np.maximum(n - m, 1)
     clean = np.log2(1.0 + p_u * kappa2 * share[:, None] / floor).sum(axis=1)   # (c + 1,)
     mean_power_gain = sum(p * g * g for g, p in zip(config.pga_gains, config.pga_priors))

@@ -25,7 +25,6 @@ from oam_antijam.backscatter import (
     calibrate_from_preamble,
     calibrate_threshold,
     hypothesis_variance,
-    receiver_background_variance,
     simulate_backscatter_bits,
 )
 from oam_antijam.channel import build_channel_matrix
@@ -112,7 +111,7 @@ class TestAlphabetAndPreamble:
         kappas = mode_link_gains(cfg)
         se = spectral_efficiency(cfg, flagged, kappas, 1600.0, 1.0, p_j=1.0, p_u=0.0)
         gamma = 2.0 ** se[PROPOSED] - 1.0   # the one flagged mode's SNR
-        mean_power_gain = gamma * receiver_background_variance(cfg) / abs(kappas[0]) ** 2
+        mean_power_gain = gamma * cfg.receiver_floor / abs(kappas[0]) ** 2
         assert mean_power_gain == pytest.approx(0.5 * 0.25 + 0.5 * 4.0, rel=1e-12)
 
     def test_preamble_index_sets(self):
@@ -207,7 +206,10 @@ class TestReceiverModeEnergy:
         # noise, floored at 1e-30 W, summed over the N receive elements
         cfg = normalized_config(noise_variance_rx=noise_variance, jam_variance_rx=1e-45)
         q = run_link(cfg, np.zeros(500, dtype=int), (0.0, 1.0), seed=6)
-        assert q.mean() == pytest.approx(cfg.n_tx * expected, rel=0.05)
+        # abs=0: approx's default 1e-12 absolute slack would pass any value near 1e-30
+        assert q.mean() == pytest.approx(cfg.n_tx * expected, rel=0.05, abs=0.0)
+        assert cfg.receiver_floor == pytest.approx(cfg.n_tx * expected, rel=1e-12, abs=0.0)
+        assert hypothesis_variance(cfg, link_gain(cfg, 2), 0.0, 1.0) == cfg.receiver_floor
 
 
 class TestCalibrateThreshold:
@@ -370,7 +372,7 @@ class TestEndToEnd:
 
     def test_equal_gains_give_half_error_rate(self):
         cfg = normalized_config()
-        q_th = receiver_background_variance(cfg)
+        q_th = cfg.receiver_floor
         rng = substream(16, 0)
         bits = (rng.random(4000) < 0.5).astype(int)
         q = simulate_backscatter_bits(cfg, link_gain(cfg, 2), (1.0, 1.0), bits, 1.0, rng)

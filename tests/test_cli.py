@@ -8,9 +8,11 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from oam_antijam import LinkConfig, Scenario, SweepAxes, SweepOptions, run_sweep
+from oam_antijam import (BASELINE, PROPOSED, LinkConfig, Scenario, SweepAxes, SweepOptions,
+                         run_sweep)
 from oam_antijam.cli import CSV_COLUMNS, SCENARIO_KEYS, format_sweep_csv, main, parse_scenario
 from oam_antijam.config import ConfigurationError
 from oam_antijam.metrics import DEFAULT_SEED
@@ -235,6 +237,49 @@ ber_symbols = 2
     def test_invalid_scenario_exit_code(self, tmp_path):
         path = write(tmp_path, "[link]\nn_elements = 0\n")
         assert main(["--config", path, "--output", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("text", ["[sweep]\ntrials = 5\ntrials = 6\n",
+                                      "trials = 5\n[sweep]\nseed = 3\n"],
+                             ids=["repeated-key", "key-above-any-section"])
+    def test_unparsable_scenario_exit_code(self, tmp_path, capsys, text):
+        out = tmp_path / "x.csv"
+        assert main(["--config", write(tmp_path, text), "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("validation error: scenario parse error")
+        assert not out.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    def test_write_failure_after_the_sweep_exit_code(self, tmp_path, monkeypatch, capsys):
+        # every write to /dev/full fails with ENOSPC, so the failure comes after the sweep
+        from oam_antijam import cli
+
+        swept = []
+
+        def recording_sweep(scenario):
+            swept.append(scenario)
+            return run_sweep(scenario)
+
+        monkeypatch.setattr(cli, "run_sweep", recording_sweep)
+        assert main(["--config", write(tmp_path, TINY_SCENARIO), "--output", "/dev/full"]) == 1
+        assert len(swept) == 1
+        assert capsys.readouterr().err.startswith("cannot write output '/dev/full': ")
+
+    def test_non_finite_spectrum_efficiency_exit_code(self, tmp_path, monkeypatch, capsys):
+        # the guard in the grid point, reached through a stub that returns inf bits
+        from oam_antijam import metrics
+
+        def infinite_bits(config, flagged, *args):
+            return {scheme: np.full(len(flagged), np.inf) for scheme in (PROPOSED, BASELINE)}
+
+        monkeypatch.setattr(metrics, "spectral_efficiency", infinite_bits)
+        path = write(tmp_path, "[link]\nn_elements = 8\n"
+                               "[sweep]\nsnr_db = 10\nn_jammed = 2\ntrials = 4\n")
+        with pytest.raises(FloatingPointError) as excinfo:
+            run_sweep(parse_scenario(path))
+        assert str(excinfo.value).startswith("grid point (N=8, l_j=2, snr=10 dB): non-finite")
+        out = tmp_path / "x.csv"
+        assert main(["--config", path, "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("numeric failure: grid point (N=8, l_j=2, ")
+        assert not out.exists()
 
     def test_out_of_memory_exit_code(self, tmp_path, capsys):
         # within numpy's byte limit, so valid, but the 4 EiB preamble array is

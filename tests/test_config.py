@@ -59,6 +59,8 @@ def test_mode_range_bounds_formula():
     {"pga_priors": (1.0, 0.0)},
     {"pga_gains": (0.5, 1.0, 2.0)},  # length mismatch with default priors
     {"jam_variance_rx": 1e308},  # the receiver floor n_tx * (noise + jamming) overflows
+    {"r_tx": True},  # was kept as the radius
+    {"r_tx": "1"},  # raised TypeError
 ])
 def test_invalid_configurations_rejected(kwargs):
     with pytest.raises(ConfigurationError):
@@ -112,6 +114,10 @@ def test_unit_element_gain_normalization():
     physical = LinkConfig(beta=1.0)
     assert np.allclose(np.abs(build_channel_matrix(physical)),
                        physical.wavelength / (4 * math.pi * 15.0), rtol=1e-12, atol=0.0)
+    # every element-pair gain has the modulus the link budget reads
+    for link in (cfg, physical):
+        assert np.allclose(np.abs(build_channel_matrix(link)), link.element_gain,
+                           rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("n", [1, 8, 16, 128])
@@ -147,10 +153,16 @@ def test_jam_variance_tx_default_follows_the_model(model, other, default):
     assert replace(options, jam_model=other).jam_variance_tx == default   # kept as set
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, True])
 def test_jam_variance_tx_must_be_positive_and_finite(value):
     with pytest.raises(ConfigurationError, match="jam_variance_tx"):
         SweepOptions(jam_variance_tx=value)
+
+
+def test_numpy_magnitudes_accepted():
+    cfg = LinkConfig(r_tx=np.float64(0.5), axial_distance=np.int64(15), beta=np.float32(2.0))
+    assert (cfg.r_tx, cfg.axial_distance, cfg.beta) == (0.5, 15, 2.0)
+    assert SweepOptions(jam_variance_tx=np.float64(2.0)).jam_variance_tx == 2.0
 
 
 def with_count(name, value):

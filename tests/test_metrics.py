@@ -28,7 +28,6 @@ from oam_antijam import (
     sense_targeted,
     spectral_efficiency,
 )
-from oam_antijam.backscatter import receiver_background_variance
 from oam_antijam.channel import build_channel_matrix, element_azimuths
 from oam_antijam.jamming import complex_gaussian, substream
 from oam_antijam.signals import mode_energies
@@ -60,14 +59,14 @@ def clean_powers(transmit_power, flagged, cfg=LinkConfig()):
     """
     bits = [spectral_efficiency(cfg, flagged, unit, transmit_power, 1.0, 0.0, 1.0)[BASELINE]
             for unit in np.eye(cfg.n_tx)]
-    return (2.0 ** np.stack(bits, axis=-1) - 1.0) * receiver_background_variance(cfg)
+    return (2.0 ** np.stack(bits, axis=-1) - 1.0) * cfg.receiver_floor
 
 
 def rate_sum(gamma):
     """Baseline bits of one trial on a link whose clean modes have the SNRs ``gamma``."""
     gamma = np.asarray(gamma, dtype=float)
     cfg = LinkConfig(n_tx=gamma.size)
-    floor = receiver_background_variance(cfg)   # a share of floor at unit p_u gives |kappa|^2
+    floor = cfg.receiver_floor   # a share of floor at unit p_u gives |kappa|^2
     return spectral_efficiency(cfg, np.zeros(gamma.size, dtype=bool), np.sqrt(gamma),
                                gamma.size * floor, 1.0, 0.0, 1.0)[BASELINE]
 
@@ -139,7 +138,7 @@ class TestSpectralEfficiency:
         gamma = np.array([3.0, 1.0, 7.0])
         modes = np.array([[True, False, True], [False, False, False]])
         cfg = LinkConfig(n_tx=3)
-        floor = receiver_background_variance(cfg)
+        floor = cfg.receiver_floor
         mean_power_gain = sum(p * g * g for g, p in zip(cfg.pga_gains, cfg.pga_priors))
         se = spectral_efficiency(cfg, modes, np.sqrt(gamma), floor, floor / mean_power_gain,
                                  1.0, 1.0)
