@@ -39,14 +39,14 @@ def check_nonnegative(name: str, value) -> None:
     """Reject ``value`` unless it is a real (numpy's too, not a bool), finite and >= 0."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not 0.0 <= value < math.inf):   # nan fails too
-        raise ConfigurationError(f"{name} {value} is not a finite number >= 0")
+        raise ConfigurationError(f"{name} {value!r} is not a finite number >= 0")
 
 
 def check_positive(name: str, value) -> None:
     """Reject ``value`` unless it is a real (numpy's too, not a bool), finite and > 0."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not 0.0 < value < math.inf):   # nan fails too
-        raise ConfigurationError(f"{name} {value} is not a finite number > 0")
+        raise ConfigurationError(f"{name} {value!r} is not a finite number > 0")
 
 
 def wavelength_for_frequency(frequency_hz: float) -> float:

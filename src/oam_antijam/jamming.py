@@ -30,9 +30,13 @@ def complex_gaussian(rng: np.random.Generator, shape, variance: float) -> np.nda
     """Circularly-symmetric complex Gaussian samples with per-sample variance."""
     check_nonnegative("variance", variance)
     scale = np.sqrt(variance / 2.0)
-    samples = np.empty(shape, dtype=complex)   # filled in place: no full-size temporaries
-    samples.real = rng.normal(0.0, scale, shape)
-    samples.imag = rng.normal(0.0, scale, shape)
+    samples = np.empty(shape, dtype=complex)   # filled in place through one float scratch
+    scratch = np.empty(samples.shape)
+    for half in (samples.real, samples.imag):
+        rng.standard_normal(out=scratch)
+        scratch *= scale
+        scratch += 0.0   # rng.normal's 0.0 + scale*z bit for bit: turns -0.0 into 0.0
+        half[...] = scratch
     return samples
 
 

@@ -48,6 +48,8 @@ DEFAULT_SEED = 1234
 # Complex samples per targeted-sensing block: 32 trials at N = 16, K = 64 (0.5 MB).
 # On the default sweep (2-core Xeon, 2 MB L2 per core) blocks of 16 and 64 trials
 # were ~5 % slower and 128 trials ~27 % slower, as the block outgrows the cache.
+# A block's work arrays (_sense_work) are the sweep's, allocated once per ring size
+# and reused by every block of every point; sense_targeted allocates its own per call.
 SENSE_BLOCK_SAMPLES = 32768
 
 
@@ -280,6 +282,16 @@ def _draw_jam_sets(rng: np.random.Generator, trials: int, n: int, n_jammed: int)
     return np.argsort(rng.random((trials, n)), axis=1)[:, :n_jammed]
 
 
+def _sense_work(trials: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Work arrays of one targeted-sensing block: element samples, mode samples and power.
+
+    Each is (rows, n, k), rows = SENSE_BLOCK_SAMPLES // (n * k) trials, at least 1
+    and at most ``trials``; the first two are complex, the power float.
+    """
+    shape = (min(trials, max(1, SENSE_BLOCK_SAMPLES // (n * k))), n, k)
+    return np.empty(shape, dtype=complex), np.empty(shape, dtype=complex), np.empty(shape)
+
+
 def sense_targeted(rng: np.random.Generator, jam_sets: np.ndarray, n: int, k: int,
                    variance: float) -> np.ndarray:
     """(trials, n) detector energies of CN(0, variance) jamming on the modes ``jam_sets``.
@@ -289,11 +301,22 @@ def sense_targeted(rng: np.random.Generator, jam_sets: np.ndarray, n: int, k: in
     trial t. Each jammed mode carries K samples of one (trials, l_j, K)
     :func:`complex_gaussian` draw from ``rng``; every other mode carries none.
     The draw goes through the jammed columns of W^H only and
-    :func:`mode_energies`, a block of trials at a time; l_j = 0 draws nothing.
-    Raises ValueError, before any draw, unless ``jam_sets`` is a 2-D integer
+    :func:`mode_energies`, a block of trials at a time, on work arrays of its
+    own; l_j = 0 draws nothing. Raises ValueError, before any draw, unless the
+    ring size ``n`` and ``k`` are integers >= 1, ``jam_sets`` is a 2-D integer
     array of positions in 0..n-1 with no position repeated within a row and
-    ``k`` is an integer >= 1 and the variance finite and >= 0, even if nothing is drawn.
+    the variance finite and >= 0, even if nothing is drawn.
     """
+    return _sense_targeted(rng, jam_sets, n, k, variance, None)
+
+
+def _sense_targeted(rng: np.random.Generator, jam_sets: np.ndarray, n: int, k: int,
+                    variance: float, work: tuple[np.ndarray, ...] | None) -> np.ndarray:
+    """:func:`sense_targeted` on the caller's :func:`_sense_work` arrays (None: new ones).
+
+    The returned energies are a new array; the work arrays only pass a block on.
+    """
+    check_count("ring size", n, 1)
     check_count("samples per symbol k", k, 1)
     check_nonnegative("variance", variance)
     jam_sets = np.asarray(jam_sets)
@@ -307,17 +330,24 @@ def sense_targeted(rng: np.random.Generator, jam_sets: np.ndarray, n: int, k: in
     energies = np.zeros((len(jam_sets), n))
     if jam_sets.size:
         samples = complex_gaussian(rng, jam_sets.shape + (k,), variance)
-        w_h, step = mode_transform(n).conj().T, max(1, SENSE_BLOCK_SAMPLES // (n * k))
+        elements, modes, power = work or _sense_work(len(jam_sets), n, k)
+        w_h, step = mode_transform(n).conj().T, len(elements)
         for start in range(0, len(jam_sets), step):
             rows = slice(start, start + step)
             columns = w_h[:, jam_sets[rows]].transpose(1, 0, 2)   # (block, N, l_j)
-            energies[rows] = mode_energies(columns @ samples[rows])
+            block = slice(len(columns))   # a short last block uses the leading rows
+            energies[rows] = mode_energies(
+                np.matmul(columns, samples[rows], out=elements[block]),
+                modes[block], power[block])
     return energies
 
 
 def _sweep_point(scenario: Scenario, point_index: int, n_elements: int, n_jammed: int,
-                 snr_db: float) -> list[SweepResult]:
-    """All Monte Carlo work for one grid point: one row per scheme, on shared trials."""
+                 snr_db: float, work: tuple[np.ndarray, ...] | None) -> list[SweepResult]:
+    """All Monte Carlo work for one grid point: one row per scheme, on shared trials.
+
+    ``work`` holds the targeted-sensing work arrays of the point's ring size.
+    """
     options, trials, seed = scenario.options, scenario.trials, scenario.seed
     cfg, transmit_power = _point_config(scenario.config, n_elements, n_jammed, snr_db)
     kappas = mode_link_gains(cfg, build_channel_matrix(cfg))
@@ -339,7 +369,8 @@ def _sweep_point(scenario: Scenario, point_index: int, n_elements: int, n_jammed
         energies = gamma_energies(rng_trials, (trials, n_elements), carrier_variance, k_sense)
     else:
         jam_sets = _draw_jam_sets(rng_trials, trials, n_elements, n_jammed)
-        energies = sense_targeted(rng_trials, jam_sets, n_elements, k_sense, carrier_variance)
+        energies = _sense_targeted(rng_trials, jam_sets, n_elements, k_sense, carrier_variance,
+                                   work)
     flagged = energies >= cfg.energy_threshold_tx   # (trials, N)
 
     se = spectral_efficiency(cfg, flagged, kappas, transmit_power, carrier_variance, p_j, p_u,
@@ -367,12 +398,15 @@ def run_sweep(scenario: Scenario) -> list[SweepResult]:
     its own substreams, and both schemes are evaluated on the same realizations.
     An overflow or invalid operation in a point raises FloatingPointError naming the point.
     """
-    axes, rows = scenario.axes, []
+    axes, rows, work = scenario.axes, [], None
     grid = product(axes.n_elements, axes.n_jammed, axes.snr_db)
+    targeted = scenario.options.jam_model == TARGETED
     with np.errstate(over="raise", invalid="raise"):
         for point_index, (n, n_jam, snr_db) in enumerate(grid):
+            if targeted and (work is None or work[0].shape[1] != n):   # a new ring size
+                work = _sense_work(scenario.trials, n, scenario.config.samples_per_symbol)
             try:
-                rows += _sweep_point(scenario, point_index, n, n_jam, snr_db)
+                rows += _sweep_point(scenario, point_index, n, n_jam, snr_db, work)
             except FloatingPointError as exc:
                 raise FloatingPointError(
                     f"grid point (N={n}, l_j={n_jam}, snr={snr_db:g} dB): {exc}") from exc

@@ -63,8 +63,11 @@ def test_mode_range_bounds_formula():
     {"r_tx": "1"},  # raised TypeError
 ])
 def test_invalid_configurations_rejected(kwargs):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError) as info:
         LinkConfig(**kwargs)
+    for name, value in kwargs.items():
+        if isinstance(value, str):   # quoted, so "1" does not read as the number 1
+            assert f"{name} {value!r} is not" in str(info.value)
 
 
 def test_prior_sum_tolerance_is_tight():

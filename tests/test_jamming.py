@@ -19,14 +19,15 @@ def test_same_stream_reproduces_bit_exactly():
 
 @pytest.mark.parametrize("shape", [(3, 5, 7), 11, (4, 0, 64), 0], ids=repr)
 def test_in_place_draw_matches_the_sum_expression(shape):
-    # oracle: the real part, then 1j times the imaginary part, from one stream
-    variance = 0.3
-    scale = np.sqrt(variance / 2.0)
-    rng = substream(21, 3)
-    expected = rng.normal(0.0, scale, shape) + 1j * rng.normal(0.0, scale, shape)
-    got = complex_gaussian(substream(21, 3), shape, variance)
-    assert got.dtype == np.complex128 and got.shape == expected.shape
-    assert np.array_equal(got.view(np.float64), expected.view(np.float64))
+    # oracle: the real part, then 1j times the imaginary part, from one stream;
+    # bit patterns, so a -0.0 where rng.normal gives 0.0 fails at variance 0
+    for variance in (0.3, 0.0):
+        scale = np.sqrt(variance / 2.0)
+        rng = substream(21, 3)
+        expected = rng.normal(0.0, scale, shape) + 1j * rng.normal(0.0, scale, shape)
+        got = complex_gaussian(substream(21, 3), shape, variance)
+        assert got.dtype == np.complex128 and got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def test_jamming_moments():

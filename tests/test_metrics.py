@@ -3,6 +3,7 @@
 import math
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -30,7 +31,7 @@ from oam_antijam import (
 )
 from oam_antijam.channel import build_channel_matrix, element_azimuths
 from oam_antijam.jamming import complex_gaussian, substream
-from oam_antijam.signals import mode_energies
+from oam_antijam.signals import mode_energies, mode_transform
 from oracles import circulant, expected_se, se_cells, targeted_elements
 
 MODES_16 = tuple(mode_index_range(16))
@@ -714,6 +715,51 @@ class TestTargetedSensing:
         with pytest.raises(ValueError, match="jam_sets"):
             sense_targeted(rng, np.array(jam_sets), 8, 64, 1.0)
         assert rng.random() == substream(1, 0).random()
+
+    @pytest.mark.parametrize("n", [0, -1, 16.0, True])
+    def test_ring_size_rejected_before_any_draw(self, n):
+        # unchecked, 0 returned a (2, 0) array, -1 and 16.0 raised numpy's errors
+        rng = substream(1, 0)
+        with pytest.raises(ValueError, match="ring size"):
+            sense_targeted(rng, np.empty((2, 0), int), n, 64, 1.0)
+        assert rng.random() == substream(1, 0).random()
+
+    def test_reused_work_arrays_match_the_per_block_arithmetic(self):
+        # the sweep's path: one set of work arrays for two consecutive points
+        n, k, variance = 16, 64, 1.0
+        step = max(1, metrics.SENSE_BLOCK_SAMPLES // (n * k))
+        trials = 2 * step + 3     # two full blocks and a short one
+        work = metrics._sense_work(trials, n, k)
+        w, w_h = mode_transform(n), mode_transform(n).conj().T
+        earlier = []
+        for point, n_jammed in enumerate((8, 2)):
+            jam_sets = metrics._draw_jam_sets(np.random.default_rng(point), trials, n, n_jammed)
+            got = metrics._sense_targeted(substream(9, point), jam_sets, n, k, variance, work)
+            samples = complex_gaussian(substream(9, point), jam_sets.shape + (k,), variance)
+            # oracle: each block's arithmetic with every temporary newly allocated
+            expected = np.concatenate([
+                np.mean(np.abs(w @ (w_h[:, jam_sets[rows]].transpose(1, 0, 2)
+                                    @ samples[rows])) ** 2, axis=-1)
+                for rows in (slice(s, s + step) for s in range(0, trials, step))])
+            assert np.array_equal(got, expected)
+            assert not any(np.shares_memory(got, array) for array in work)
+            earlier.append((got, got.copy()))
+        for got, kept in earlier:   # a later call on the work arrays left it alone
+            assert np.array_equal(got, kept)
+
+    def test_concurrent_callers_share_no_work_array(self):
+        # a work array shared between calls would mix blocks of calls that overlap;
+        # matmul releases the interpreter lock, so the threads do overlap
+        n, k, trials = 16, 64, 100
+        jam_sets = metrics._draw_jam_sets(np.random.default_rng(5), trials, n, 8)
+
+        def call(seed):
+            return sense_targeted(substream(seed, 1), jam_sets, n, k, 1.0)
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = {seed: pool.submit(call, seed) for seed in range(8)}
+            for seed, future in futures.items():
+                assert np.array_equal(future.result(timeout=60), call(seed))
 
     def test_memory_is_bounded_by_the_jammed_modes(self):
         trials, n, k = 2000, 16, 64

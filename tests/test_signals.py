@@ -121,6 +121,20 @@ class TestBlockEnergy:
             expected = np.mean(np.abs(modes) ** 2, axis=1)
             assert np.allclose(row, expected, rtol=1e-12, atol=0.0)
 
+    def test_caller_work_arrays_give_the_same_bits_and_a_new_result(self):
+        rng = np.random.default_rng(9)
+        modes, power = np.empty((4, 8, 16), dtype=complex), np.empty((4, 8, 16))
+        first = rng.normal(size=(4, 8, 16)) + 1j * rng.normal(size=(4, 8, 16))
+        second = rng.normal(size=(4, 8, 16)) + 1j * rng.normal(size=(4, 8, 16))
+        got = mode_energies(first, modes, power)
+        kept = got.copy()
+        # oracle: the whole expression, every temporary newly allocated
+        assert np.array_equal(got, np.mean(np.abs(mode_transform(8) @ first) ** 2, axis=-1))
+        assert np.array_equal(got, mode_energies(first))
+        assert np.array_equal(mode_energies(second, modes, power), mode_energies(second))
+        assert np.array_equal(got, kept)   # the next call on the work arrays left it alone
+        assert not np.shares_memory(got, modes) and not np.shares_memory(got, power)
+
 
 class TestValidation:
     def test_multiplex_shape_mismatch(self):
