@@ -46,11 +46,18 @@ BROADBAND = "iid"
 DEFAULT_SEED = 1234
 
 # Complex samples per targeted-sensing block: 32 trials at N = 16, K = 64 (0.5 MB).
-# On the default sweep (2-core Xeon, 2 MB L2 per core) blocks of 16 and 64 trials
-# were ~5 % slower and 128 trials ~27 % slower, as the block outgrows the cache.
-# A block's work arrays (_sense_work) are the sweep's, allocated once per ring size
-# and reused by every block of every point; sense_targeted allocates its own per call.
+# On the default sweep (2-core AMD EPYC, 1 MB L2 per core, one BLAS thread), with
+# only the jammed rows decomposed, blocks of 16, 64 and 128 trials took +1.9 %,
+# -0.4 % and -1.5 % of the time at 32 (medians of 3 runs, each run within +-3 %):
+# flat, so the smaller block is kept. A block's work array (_sense_work) is the
+# sweep's, allocated once per ring size and reused by every block of every point;
+# sense_targeted allocates its own per call.
 SENSE_BLOCK_SAMPLES = 32768
+
+# The largest closed-form magnitude a grid point may reach (_check_magnitudes).
+# Preamble calibration multiplies two level energies, so each must stay below
+# sqrt(float max) ~ 1.3e154; 1e150 leaves a factor 1e4 for the Gamma tail of a draw.
+MAGNITUDE_LIMIT = 1e150
 
 
 @dataclass(frozen=True)
@@ -176,6 +183,30 @@ def _point_config(config: LinkConfig, n_elements: int, n_jammed: int,
     return replace(config, n_tx=n_elements, noise_variance_rx=noise), transmit_power
 
 
+def _check_magnitudes(cfg: LinkConfig, transmit_power: float, carrier_variance: float) -> None:
+    """Refuse a point link whose closed-form magnitudes could overflow a draw or a product.
+
+    Every link gain obeys |kappa_l| <= N * element_gain, so these bound what
+    the point computes: the jamming variance the detector senses, the squared
+    top PGA gain a, the top hypothesis variance (N * element_gain * a)^2 *
+    jam_variance_tx + receiver floor, and the clean and jammed SNRs, their
+    numerators (N * element_gain)^2 * transmit total and (N * element_gain *
+    a)^2 * jam_variance_tx over the receiver floor. Raises
+    :class:`ConfigurationError` naming the first that exceeds MAGNITUDE_LIMIT.
+    """
+    kappa, top, floor = cfg.n_tx * cfg.element_gain, cfg.pga_gains[-1], cfg.receiver_floor
+    # float products overflow to inf, where ** would raise OverflowError
+    reflected = kappa * top * (kappa * top) * carrier_variance
+    clean = kappa * kappa * transmit_power
+    for name, value in (("jam_variance_tx", carrier_variance),
+                        (f"the top PGA gain {top:g} squared", top * top),
+                        ("the top hypothesis variance", reflected + floor),
+                        ("the clean-mode SNR bound", max(clean, clean / floor)),
+                        ("the jammed-mode SNR bound", max(reflected, reflected / floor))):
+        if not value <= MAGNITUDE_LIMIT:
+            raise ConfigurationError(f"{name} is {value:.3g}, beyond {MAGNITUDE_LIMIT:g}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One sweep: the link, the grid, the knobs, the trial count and the seed.
@@ -190,8 +221,9 @@ class Scenario:
     which also bounds the trial count and the ring sizes. Last, every grid
     point's link is built by :func:`_point_config`, the builder the sweep
     runs, so a finite SNR, a finite transmit total and a noise variance that
-    :class:`LinkConfig` accepts are checked at every point; the error names
-    the first point that fails.
+    :class:`LinkConfig` accepts are checked at every point; then every
+    point's closed-form magnitudes are bounded (:func:`_check_magnitudes`).
+    The error names the first point that fails.
     """
 
     config: LinkConfig
@@ -234,12 +266,20 @@ class Scenario:
         if options.jam_model == BROADBAND and any(axes.n_jammed):
             raise ConfigurationError(
                 f"the iid model jams no chosen modes: n_jammed must be 0, got {axes.n_jammed}")
-        for n_el, n_jam, snr_db in product(axes.n_elements, axes.n_jammed, axes.snr_db):
-            try:
-                _point_config(config, n_el, n_jam, snr_db)
-            except ConfigurationError as exc:
-                raise ConfigurationError(
-                    f"grid point (N={n_el}, l_j={n_jam}, snr={snr_db:g} dB): {exc}") from exc
+        points = list(product(axes.n_elements, axes.n_jammed, axes.snr_db))
+        links = [_at_point(point, _point_config, config, *point) for point in points]
+        for point, link in zip(points, links):
+            _at_point(point, _check_magnitudes, *link, options.jam_variance_tx)
+
+
+def _at_point(point: tuple, check, *args):
+    """``check(*args)``, its :class:`ConfigurationError` prefixed with the grid point."""
+    try:
+        return check(*args)
+    except ConfigurationError as exc:
+        n_el, n_jam, snr_db = point
+        raise ConfigurationError(
+            f"grid point (N={n_el}, l_j={n_jam}, snr={snr_db:g} dB): {exc}") from exc
 
 
 def _point_thresholds(cfg: LinkConfig, kappas: np.ndarray, carrier_variance: float,
@@ -282,14 +322,13 @@ def _draw_jam_sets(rng: np.random.Generator, trials: int, n: int, n_jammed: int)
     return np.argsort(rng.random((trials, n)), axis=1)[:, :n_jammed]
 
 
-def _sense_work(trials: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Work arrays of one targeted-sensing block: element samples, mode samples and power.
+def _sense_work(trials: int, n: int, k: int) -> np.ndarray:
+    """Work array of one targeted-sensing block: its complex element samples.
 
-    Each is (rows, n, k), rows = SENSE_BLOCK_SAMPLES // (n * k) trials, at least 1
-    and at most ``trials``; the first two are complex, the power float.
+    Shaped (rows, n, k), rows = SENSE_BLOCK_SAMPLES // (n * k) trials, at least 1
+    and at most ``trials``.
     """
-    shape = (min(trials, max(1, SENSE_BLOCK_SAMPLES // (n * k))), n, k)
-    return np.empty(shape, dtype=complex), np.empty(shape, dtype=complex), np.empty(shape)
+    return np.empty((min(trials, max(1, SENSE_BLOCK_SAMPLES // (n * k))), n, k), dtype=complex)
 
 
 def sense_targeted(rng: np.random.Generator, jam_sets: np.ndarray, n: int, k: int,
@@ -300,21 +339,22 @@ def sense_targeted(rng: np.random.Generator, jam_sets: np.ndarray, n: int, k: in
     in canonical mode order (``mode_index_range(n)``), of the modes jammed in
     trial t. Each jammed mode carries K samples of one (trials, l_j, K)
     :func:`complex_gaussian` draw from ``rng``; every other mode carries none.
-    The draw goes through the jammed columns of W^H only and
-    :func:`mode_energies`, a block of trials at a time, on work arrays of its
-    own; l_j = 0 draws nothing. Raises ValueError, before any draw, unless the
-    ring size ``n`` and ``k`` are integers >= 1, ``jam_sets`` is a 2-D integer
-    array of positions in 0..n-1 with no position repeated within a row and
-    the variance finite and >= 0, even if nothing is drawn.
+    The draw goes through the jammed columns of W^H and back through the jammed
+    rows of W (:func:`mode_energies`), a block of trials at a time, on a work
+    array of its own; a clean mode's energy is exactly 0 and l_j = 0 draws
+    nothing. Raises ValueError, before any draw, unless the ring size ``n`` and
+    ``k`` are integers >= 1, ``jam_sets`` is a 2-D integer array of positions
+    in 0..n-1 with no position repeated within a row and the variance finite
+    and >= 0, even if nothing is drawn.
     """
     return _sense_targeted(rng, jam_sets, n, k, variance, None)
 
 
 def _sense_targeted(rng: np.random.Generator, jam_sets: np.ndarray, n: int, k: int,
-                    variance: float, work: tuple[np.ndarray, ...] | None) -> np.ndarray:
-    """:func:`sense_targeted` on the caller's :func:`_sense_work` arrays (None: new ones).
+                    variance: float, work: np.ndarray | None) -> np.ndarray:
+    """:func:`sense_targeted` on the caller's :func:`_sense_work` array (None: a new one).
 
-    The returned energies are a new array; the work arrays only pass a block on.
+    The returned energies are a new array; the work array only passes a block on.
     """
     check_count("ring size", n, 1)
     check_count("samples per symbol k", k, 1)
@@ -330,27 +370,29 @@ def _sense_targeted(rng: np.random.Generator, jam_sets: np.ndarray, n: int, k: i
     energies = np.zeros((len(jam_sets), n))
     if jam_sets.size:
         samples = complex_gaussian(rng, jam_sets.shape + (k,), variance)
-        elements, modes, power = work or _sense_work(len(jam_sets), n, k)
+        elements = _sense_work(len(jam_sets), n, k) if work is None else work
         w_h, step = mode_transform(n).conj().T, len(elements)
         for start in range(0, len(jam_sets), step):
-            rows = slice(start, start + step)
-            columns = w_h[:, jam_sets[rows]].transpose(1, 0, 2)   # (block, N, l_j)
-            block = slice(len(columns))   # a short last block uses the leading rows
-            energies[rows] = mode_energies(
-                np.matmul(columns, samples[rows], out=elements[block]),
-                modes[block], power[block])
+            jammed = jam_sets[start:start + step]
+            columns = w_h[:, jammed].transpose(1, 0, 2)   # (block, N, l_j)
+            block = elements[:len(jammed)]   # a short last block uses the leading rows
+            np.matmul(columns, samples[start:start + step], out=block)
+            np.put_along_axis(energies[start:start + step], jammed,
+                              mode_energies(block, jammed), axis=1)
     return energies
 
 
-def _sweep_point(scenario: Scenario, point_index: int, n_elements: int, n_jammed: int,
-                 snr_db: float, work: tuple[np.ndarray, ...] | None) -> list[SweepResult]:
+def _sweep_point(scenario: Scenario, point_index: int, n_jammed: int, snr_db: float,
+                 cfg: LinkConfig, transmit_power: float, kappas: np.ndarray,
+                 work: np.ndarray | None) -> list[SweepResult]:
     """All Monte Carlo work for one grid point: one row per scheme, on shared trials.
 
-    ``work`` holds the targeted-sensing work arrays of the point's ring size.
+    ``cfg`` and ``transmit_power`` are the point's :func:`_point_config`;
+    ``kappas`` and ``work`` are the link gains and the targeted-sensing work
+    array of its ring size.
     """
     options, trials, seed = scenario.options, scenario.trials, scenario.seed
-    cfg, transmit_power = _point_config(scenario.config, n_elements, n_jammed, snr_db)
-    kappas = mode_link_gains(cfg, build_channel_matrix(cfg))
+    n_elements = cfg.n_tx
     iid = options.jam_model == BROADBAND
     carrier_variance = options.jam_variance_tx
     k_sense = cfg.samples_per_symbol
@@ -398,15 +440,20 @@ def run_sweep(scenario: Scenario) -> list[SweepResult]:
     its own substreams, and both schemes are evaluated on the same realizations.
     An overflow or invalid operation in a point raises FloatingPointError naming the point.
     """
-    axes, rows, work = scenario.axes, [], None
+    axes, rows, kappas, work = scenario.axes, [], None, None
     grid = product(axes.n_elements, axes.n_jammed, axes.snr_db)
     targeted = scenario.options.jam_model == TARGETED
     with np.errstate(over="raise", invalid="raise"):
         for point_index, (n, n_jam, snr_db) in enumerate(grid):
-            if targeted and (work is None or work[0].shape[1] != n):   # a new ring size
-                work = _sense_work(scenario.trials, n, scenario.config.samples_per_symbol)
             try:
-                rows += _sweep_point(scenario, point_index, n, n_jam, snr_db, work)
+                cfg, transmit_power = _point_config(scenario.config, n, n_jam, snr_db)
+                if kappas is None or len(kappas) != n:   # a new ring size
+                    # the channel row does not depend on the noise variance
+                    kappas = mode_link_gains(cfg, build_channel_matrix(cfg))
+                    if targeted:
+                        work = _sense_work(scenario.trials, n, cfg.samples_per_symbol)
+                rows += _sweep_point(scenario, point_index, n_jam, snr_db, cfg, transmit_power,
+                                     kappas, work)
             except FloatingPointError as exc:
                 raise FloatingPointError(
                     f"grid point (N={n}, l_j={n_jam}, snr={snr_db:g} dB): {exc}") from exc

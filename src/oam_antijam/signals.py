@@ -32,16 +32,16 @@ def mode_transform(n_elements: int) -> np.ndarray:
     return w
 
 
-def mode_energies(element_samples: np.ndarray, modes: np.ndarray | None = None,
-                  power: np.ndarray | None = None) -> np.ndarray:
-    """Block-average energy of every mode under the unitary transform.
+def mode_energies(element_samples: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Block-average energy of every mode, or of the modes ``rows``, under the unitary transform.
 
     ``element_samples`` holds K samples per element on its last axis, shape
     (..., N, K); leading axes (trials) are batched. Returns shape (..., N),
-    rows in canonical mode order: (1/K) * sum_k |(W x)_l[k]|^2, in a new array.
-    ``modes`` (complex) and ``power`` (float), each shaped like the samples,
-    are the caller's work arrays for W x and |W x|^2; None allocates them.
+    rows in canonical mode order: (1/K) * sum_k |(W x)_l[k]|^2. ``rows``, an
+    (..., m) integer array of mode positions, decomposes onto those rows of W
+    only and returns their (..., m) energies.
     """
     w = mode_transform(element_samples.shape[-2])
-    power = np.abs(np.matmul(w, element_samples, out=modes), out=power)
-    return np.mean(np.square(power, out=power), axis=-1)
+    if rows is not None:
+        w = w[rows]   # (..., m, N): one row set per batch entry
+    return np.mean(np.abs(np.matmul(w, element_samples)) ** 2, axis=-1)

@@ -296,16 +296,30 @@ ber_symbols = 2
         ("model = iid\npower_tx = 1e308", "n_jammed = 0"),
     ], ids=["targeted", "iid"])
     def test_numeric_overflow_exit_code(self, tmp_path, jamming, sweep):
-        # valid, but the first point's preamble energies overflow
+        # parsed, then overflowed the first point's preamble energies with exit 2; the
+        # point's magnitude bounds now refuse it before any point runs
         path = write(tmp_path, f"[jamming]\n{jamming}\n[sweep]\nsnr_db = 0\n{sweep}\n")
         out = tmp_path / "x.csv"
         proc = fresh_python("import sys; from oam_antijam.cli import main; sys.exit(main())",
                             "--config", path, "--output", str(out), check=False)
-        assert proc.returncode == 2
+        assert proc.returncode == 1
         n_jammed = sweep.split(" = ")[1]
-        assert re.search(rf"^numeric failure: grid point \(N=16, l_j={n_jammed}, snr=0 dB\): ",
-                         proc.stderr, re.M)
+        assert re.search(rf"^validation error: grid point \(N=16, l_j={n_jammed}, snr=0 dB\): "
+                         r"jam_variance_tx ", proc.stderr, re.M)
         assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gains", ["0, 1e308", "0.5, 1e200"])
+    @pytest.mark.parametrize("model", ["targeted", "iid"])
+    def test_overflowing_pga_gain_is_a_validation_error(self, gains, model, capsys, tmp_path):
+        # both parsed, then exited 2 with "overflow encountered in square" at the first point
+        n_jammed = 2 if model == "targeted" else 0
+        path = write(tmp_path, f"[pga]\ngains = {gains}\n[jamming]\nmodel = {model}\n"
+                               f"[sweep]\nsnr_db = 0\nn_jammed = {n_jammed}\n")
+        out = tmp_path / "x.csv"
+        assert main(["--config", path, "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"validation error: grid point (N=16, l_j={n_jammed}, snr=0 dB): the top PGA gain ")
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ["[jamming]\npower_rx = 1e308\n",

@@ -431,6 +431,35 @@ class TestRunSweep:
             run_sweep(Scenario(cfg, axes, trials=2, seed=0))
         assert computed == []
 
+    @pytest.mark.parametrize("config, options, snr_db, name", [
+        (LinkConfig(), SweepOptions(jam_variance_tx=1e160), 0.0, "jam_variance_tx"),
+        # a link this weak keeps the hypothesis variance small, but the gain level
+        # squared alone raised OverflowError, a traceback out of the CLI
+        (LinkConfig(beta=1e-300, pga_gains=(0.5, 1e200)), SweepOptions(), 0.0,
+         "top PGA gain"),
+        (LinkConfig(beta=1e150), SweepOptions(), 0.0, "top hypothesis variance"),
+        (LinkConfig(jam_variance_rx=1e200), SweepOptions(), 0.0, "top hypothesis variance"),
+        # the SNR sets the noise, so only a noise at its floor leaves a huge SNR
+        (LinkConfig(power_per_mode=1e120, jam_variance_rx=1e-300), SweepOptions(), 3000.0,
+         "clean-mode SNR"),
+        (LinkConfig(pga_gains=(0.5, 1e70), jam_variance_rx=1e-300), SweepOptions(), 3000.0,
+         "jammed-mode SNR"),
+    ])
+    def test_magnitude_beyond_the_limit_rejected(self, config, options, snr_db, name):
+        # each used to pass the parse-time checks; 1e160 W of jamming overflowed the
+        # product of the two preamble level energies, so calibration fell back to the
+        # preamble mean and p_c read 0.5 with no error
+        axes = SweepAxes(snr_db=(snr_db,), n_jammed=(2,), n_elements=(8,))
+        with pytest.raises(ConfigurationError,
+                           match=rf"^grid point \(N=8, l_j=2, snr={snr_db:g} dB\): .*{name}"):
+            Scenario(config, axes, options, trials=2)
+
+    def test_magnitude_within_the_limit_calibrates(self):
+        axes = SweepAxes(snr_db=(0.0,), n_jammed=(2,), n_elements=(8,))
+        rows = run_sweep(Scenario(LinkConfig(), axes, SweepOptions(jam_variance_tx=1e140),
+                                  trials=20, seed=3))
+        assert rows[0].p_c == 1.0 and rows[0].ber == 0.0
+
     def test_point_error_names_the_grid_point(self):
         cfg = LinkConfig(power_per_mode=1e306)
         axes = SweepAxes(snr_db=(0.0,), n_jammed=(0,), n_elements=(16, 400))
@@ -695,9 +724,13 @@ class TestTargetedSensing:
         expected = mode_energies(targeted_elements(samples, jam_sets, n))
         assert got.shape == (trials, n)
         assert np.array_equal(got >= threshold, expected >= threshold)
-        # clean modes hold rounding residue (~1e-32) in both, so the relative
+        # the oracle's clean modes hold rounding residue (~1e-32), so the relative
         # tolerance is taken against the jamming variance
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * variance)
+        # only the jammed rows of W are decomposed: every clean mode reads exactly 0.0
+        clean = np.ones((trials, n), dtype=bool)
+        np.put_along_axis(clean, jam_sets, False, axis=1)
+        assert not got[clean].any()
         # the same draw, so the stream stands at the same place afterwards
         assert rng.random() == oracle_rng.random()
         if not n_jammed:
@@ -725,7 +758,7 @@ class TestTargetedSensing:
         assert rng.random() == substream(1, 0).random()
 
     def test_reused_work_arrays_match_the_per_block_arithmetic(self):
-        # the sweep's path: one set of work arrays for two consecutive points
+        # the sweep's path: one work array for two consecutive points
         n, k, variance = 16, 64, 1.0
         step = max(1, metrics.SENSE_BLOCK_SAMPLES // (n * k))
         trials = 2 * step + 3     # two full blocks and a short one
@@ -736,13 +769,16 @@ class TestTargetedSensing:
             jam_sets = metrics._draw_jam_sets(np.random.default_rng(point), trials, n, n_jammed)
             got = metrics._sense_targeted(substream(9, point), jam_sets, n, k, variance, work)
             samples = complex_gaussian(substream(9, point), jam_sets.shape + (k,), variance)
-            # oracle: each block's arithmetic with every temporary newly allocated
-            expected = np.concatenate([
-                np.mean(np.abs(w @ (w_h[:, jam_sets[rows]].transpose(1, 0, 2)
-                                    @ samples[rows])) ** 2, axis=-1)
-                for rows in (slice(s, s + step) for s in range(0, trials, step))])
+            # oracle: each block's arithmetic with every temporary newly allocated, the
+            # jammed columns of W^H out and the jammed rows of W back, the rest 0
+            expected = np.zeros((trials, n))
+            for start in range(0, trials, step):
+                jammed = jam_sets[start:start + step]
+                elements = w_h[:, jammed].transpose(1, 0, 2) @ samples[start:start + step]
+                np.put_along_axis(expected[start:start + step], jammed,
+                                  np.mean(np.abs(w[jammed] @ elements) ** 2, axis=-1), axis=1)
             assert np.array_equal(got, expected)
-            assert not any(np.shares_memory(got, array) for array in work)
+            assert not np.shares_memory(got, work)
             earlier.append((got, got.copy()))
         for got, kept in earlier:   # a later call on the work arrays left it alone
             assert np.array_equal(got, kept)
@@ -769,3 +805,17 @@ class TestTargetedSensing:
                                                       trials=trials, seed=1)))
         # half of one dense (trials, N, K) complex array: 16.4 MB
         assert peak < trials * n * k * np.dtype(complex).itemsize / 2
+
+    def test_a_threshold_below_rounding_residue_flags_only_the_jammed_modes(self):
+        # the W round trip of every mode left ~1e-30 on the clean ones, so a 1e-35
+        # threshold flagged all 16 modes: baseline SE 0 and proposed 3.834 at p_u = 1
+        axes = SweepAxes(snr_db=(10.0,), n_jammed=(2,), n_elements=(16,))
+        sweeps = [run_sweep(Scenario(LinkConfig(energy_threshold_tx=threshold), axes,
+                                     trials=50))
+                  for threshold in (1e-35, LinkConfig().energy_threshold_tx)]
+        (proposed, baseline), (_, default_baseline) = sweeps
+        assert proposed.p_u == 1.0 and proposed.p_j == 1.0
+        # the same flags as the default threshold, which no clean mode reaches
+        assert baseline.se_bits == default_baseline.se_bits
+        assert baseline.se_bits == pytest.approx(38.342, abs=1e-3)
+        assert proposed.se_bits == pytest.approx(38.803, abs=1e-3)
