@@ -9,9 +9,12 @@ Per jammed mode the link is plain values: the composite gain kappa that
 :func:`channel.mode_link_gains` returns, the PGA levels ``config.pga_gains``,
 the bits sent and one float threshold q_th. Symbols are drawn in the mode
 domain, not element by element: the recovered mode is linear in every draw,
-and the circulant channel maps each mode onto itself with gain kappa, so this
-is exact in distribution (the element-level path survives only as a test
-oracle).
+and the circulant channel maps each mode onto itself with gain kappa. Its
+carrier and background terms are independent circular Gaussians, so each
+sample is one CN(0, sigma2_b) draw: a unit-variance draw per chunk of
+symbols, scaled by each symbol's :func:`hypothesis_variance`. Both steps are
+exact in distribution (the element-level path and the carrier-then-background
+draw survive only as test oracles).
 
 Energy statistics: with every contribution circular complex Gaussian, the
 K-sample average energy Q under gain level b satisfies
@@ -82,13 +85,17 @@ def calibrate_threshold(energies, bits, n_samples: int) -> float:
     return float((q0 * q1 / (q1 - q0)) * log_term / n_samples)
 
 
-def hypothesis_variance(config: LinkConfig, link_gain: complex, gain_level: float,
-                        carrier_variance: float) -> float:
+def hypothesis_variance(config: LinkConfig, link_gain, gain_level,
+                        carrier_variance: float):
     """Per-sample variance of the recovered mode signal under one gain level.
 
-    |kappa|^2 * a^2 * sigma_carrier^2 + N*(noise + jamming).
+    |kappa|^2 * a^2 * sigma_carrier^2 + N*(noise + jamming). ``link_gain`` and
+    ``gain_level`` may be arrays, one entry per symbol, and give an array. |kappa|^2 is
+    Re^2 + Im^2 and a^2 is a*a, products and sums only, so an array entry equals the
+    scalar result of its own kappa and a bit for bit.
     """
-    return abs(link_gain) ** 2 * gain_level ** 2 * carrier_variance + config.receiver_floor
+    kappa2 = link_gain.real * link_gain.real + link_gain.imag * link_gain.imag
+    return kappa2 * (gain_level * gain_level) * carrier_variance + config.receiver_floor
 
 
 def average_correct_detection(q_th: float, n_samples: int, sigma2_k0: float,
@@ -113,28 +120,29 @@ def simulate_backscatter_bits(config: LinkConfig, link_gain: complex, gains, bit
                               rng: np.random.Generator) -> np.ndarray:
     """Per-symbol energies of many symbols through the reflected link.
 
-    Draws each symbol's recovered mode directly, y[k] = kappa*a_b*c[k] + w[k]:
-    kappa is ``link_gain``, a scalar :func:`channel.mode_link_gains` value or
-    one per bit, a_b = ``gains[b]`` the bit's gain level, c the K carrier samples received
-    on the jammed mode and w the receive-ramp sum of the elements' i.i.d. noise and jamming,
-    which is CN(0, ``config.receiver_floor``). Per chunk of ``SYMBOL_CHUNK``
-    symbols, ``rng`` draws c, then w. Returns the K-sample average energy of every symbol.
+    A symbol's recovered mode is y[k] = kappa*a_b*c[k] + w[k]: kappa is ``link_gain``, a
+    scalar :func:`channel.mode_link_gains` value or one per bit, a_b = ``gains[b]`` the
+    bit's gain level, c the K carrier samples received on the jammed mode and w the
+    receive-ramp sum of the elements' i.i.d. noise and jamming. Both are independent
+    circular complex Gaussians, so y is CN(0, sigma2_b) with sigma2_b the
+    :func:`hypothesis_variance` of the symbol, and its K-sample average energy is
+    sigma2_b * mean|z|^2 over K unit-variance samples z. Per chunk of ``SYMBOL_CHUNK``
+    symbols, ``rng`` makes one (symbols, K) unit draw. Returns every symbol's energy.
     Bad bits or a carrier variance not finite and >= 0 raise ValueError before any draw.
     """
     bits = np.asarray(bits)
     if not _integers_below(bits, len(gains)):
         raise ValueError(f"bits must be integers in 0..{len(gains) - 1}, got {bits}")
     check_nonnegative("carrier variance", carrier_variance)
-    amplitudes = link_gain * np.asarray(gains)[bits.astype(int)]
-    background = config.receiver_floor
+    k = config.samples_per_symbol
+    variances = hypothesis_variance(config, link_gain, np.asarray(gains)[bits.astype(int)],
+                                    carrier_variance)
     energies = np.empty(bits.size, dtype=float)
     for start in range(0, bits.size, SYMBOL_CHUNK):
         stop = min(start + SYMBOL_CHUNK, bits.size)
-        shape = (stop - start, config.samples_per_symbol)
-        y_mode = complex_gaussian(rng, shape, carrier_variance)   # the carrier, then w
-        y_mode *= amplitudes[start:stop, None]
-        y_mode += complex_gaussian(rng, shape, background)
-        energies[start:stop] = np.mean(np.abs(y_mode) ** 2, axis=1)
+        unit = complex_gaussian(rng, (stop - start, k), 1.0).view(float)   # (re, im) pairs
+        energies[start:stop] = np.einsum("ij,ij->i", unit, unit)
+    energies *= variances / k
     return energies
 
 

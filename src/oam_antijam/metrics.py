@@ -249,10 +249,10 @@ class Scenario:
             check_count("ring size", n_el, 1)
             for n_jam in axes.n_jammed:
                 check_count("n_jammed", n_jam, 0, n_el)
-        # the largest complex arrays: per-symbol gains of the preamble and of the p probe
-        # symbols (one batch per point), a link chunk, the sensing draw, a sensing block
-        # row, the (N, N) mode transform W of sense_targeted; the largest float ones: the
-        # (trials, N) draws
+        # the largest arrays at 16 bytes an entry: the per-symbol variances of the preamble
+        # and of the p probe symbols (one batch per point; the probe's per-symbol link gains
+        # are complex), a link chunk's unit draw, the sensing draw, a sensing block row, the
+        # (N, N) mode transform W of sense_targeted; at 8 bytes: the (trials, N) draws
         i, k, n, l_j = (config.preamble_length, config.samples_per_symbol,
                         max(axes.n_elements), max(axes.n_jammed))
         p = min(options.ber_trials, trials) * l_j * options.ber_symbols

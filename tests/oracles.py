@@ -8,8 +8,9 @@ quantities by other routes: the Bessel function (scipy and an independent
 power series), the closed-form per-mode gain of the paper, the full circulant
 matrix of a channel row and the phase-ramp mode decomposition of a full
 matrix, the exact-distance channel, targeted jamming synthesized on every
-element, the per-mode SNR evaluated entry by entry over a (trials, N) mask,
-and the closed-form expected spectrum efficiency of a grid point, which
+element, the reflected link drawn as carrier and background separately, the
+per-mode SNR evaluated entry by entry over a (trials, N) mask, and the
+closed-form expected spectrum efficiency of a grid point, which
 :func:`se_cells` sets beside every Monte Carlo mean of a sweep.
 """
 
@@ -171,6 +172,22 @@ def draw_targeted_jamming_block(rng: np.random.Generator, n_elements: int, n_sam
     samples = np.array([complex_gaussian(rng, n_samples, mode_variance) for _ in targets],
                        dtype=complex).reshape(len(targets), n_samples)
     return targeted_elements(samples, [modes.index(l) for l in targets], n_elements)
+
+
+def two_draw_link_energies(config: LinkConfig, link_gain, gains, bits,
+                           carrier_variance: float, rng: np.random.Generator) -> np.ndarray:
+    """Per-symbol energies of the reflected link, y = kappa*a_b*c + w drawn term by term.
+
+    ``rng`` draws the (symbols, K) carrier c of variance ``carrier_variance``, then the
+    background w of variance ``config.receiver_floor``; the energy is mean|y|^2 over K.
+    ``backscatter.simulate_backscatter_bits`` draws y as one CN(0, sigma2_b) instead.
+    """
+    bits = np.asarray(bits, dtype=int)
+    shape = (bits.size, config.samples_per_symbol)
+    carrier = complex_gaussian(rng, shape, carrier_variance)
+    background = complex_gaussian(rng, shape, config.receiver_floor)
+    y = (np.asarray(link_gain) * np.asarray(gains)[bits])[..., None] * carrier + background
+    return np.mean(np.abs(y) ** 2, axis=1)
 
 
 def elementwise_mode_snr(config: LinkConfig, flagged, link_gains: np.ndarray,

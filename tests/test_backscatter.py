@@ -30,7 +30,7 @@ from oam_antijam.backscatter import (
 from oam_antijam.channel import build_channel_matrix
 from oam_antijam.jamming import complex_gaussian, substream
 from oam_antijam.sensing import gamma_cdf
-from oracles import exact_channel_matrix, row_and_matrix
+from oracles import exact_channel_matrix, row_and_matrix, two_draw_link_energies
 
 DEFAULT_GAINS = (0.5, 2.0)
 
@@ -211,6 +211,21 @@ class TestReceiverModeEnergy:
         assert cfg.receiver_floor == pytest.approx(cfg.n_tx * expected, rel=1e-12, abs=0.0)
         assert hypothesis_variance(cfg, link_gain(cfg, 2), 0.0, 1.0) == cfg.receiver_floor
 
+    def test_array_arguments_give_the_scalar_values(self):
+        # one entry per symbol; products and sums only, so each entry is the scalar result
+        # bit for bit, and the BER probe (kappa per symbol) decides exactly as a scalar replay
+        cfg = normalized_config()
+        kappas = mode_link_gains(cfg)
+        levels = np.array([0.0, 0.5, 2.0, 1e-3])
+        kappa_per, level_per = np.repeat(kappas, levels.size), np.tile(levels, kappas.size)
+        array = hypothesis_variance(cfg, kappa_per, level_per, 1.7)
+        scalar = [hypothesis_variance(cfg, kappa, level, 1.7)
+                  for kappa, level in zip(kappa_per, level_per)]
+        assert np.array_equal(array, scalar)
+        assert array == pytest.approx([abs(kappa) ** 2 * level ** 2 * 1.7 + cfg.receiver_floor
+                                       for kappa, level in zip(kappa_per, level_per)],
+                                      rel=1e-14, abs=0.0)
+
 
 class TestCalibrateThreshold:
     def test_hand_value_two_ln_two(self):
@@ -380,21 +395,24 @@ class TestEndToEnd:
 
     def test_single_symbol_matches_batch_path(self):
         cfg = normalized_config()
-        bits = np.array([1, 0, 1])
-        q = run_link(cfg, bits, mode=3, seed=17)
-        # replay the batch path's draws from a twin generator: the carrier,
-        # then the recovered mode's background, N * (noise + jamming) per sample
-        twin = substream(17, 0)
-        b, k = bits.size, cfg.samples_per_symbol
-        carrier = complex_gaussian(twin, (b, k), 1.0)
-        background = complex_gaussian(
-            twin, (b, k), cfg.n_tx * (cfg.noise_variance_rx + cfg.jam_variance_rx))
-        # independent synthesis, one symbol at a time
         kappa = link_gain(cfg, 3)
-        for i, bit in enumerate(bits):
-            y = kappa * DEFAULT_GAINS[bit] * carrier[i] + background[i]
-            q_expected = float(np.mean(np.abs(y) ** 2))
-            assert q[i] == pytest.approx(q_expected, rel=1e-9)
+        chunk, k = backscatter.SYMBOL_CHUNK, cfg.samples_per_symbol
+        background = cfg.n_tx * (cfg.noise_variance_rx + cfg.jam_variance_rx)
+        for n_bits in (3, 2 * chunk + 5):
+            bits = (np.arange(n_bits) + 1) % 2
+            rng = substream(17, 0)
+            q = simulate_backscatter_bits(cfg, kappa, DEFAULT_GAINS, bits, 1.0, rng)
+            # replay the batch path's draws from a twin generator: one (symbols, K) unit
+            # draw per chunk of SYMBOL_CHUNK symbols, and nothing else
+            twin = substream(17, 0)
+            unit = np.concatenate([complex_gaussian(twin, (min(chunk, n_bits - start), k), 1.0)
+                                   for start in range(0, n_bits, chunk)])
+            assert rng.bit_generator.state == twin.bit_generator.state
+            # independent synthesis: each symbol's variance |kappa|^2 a_b^2 + N*(noise +
+            # jamming) times the mean energy of its own K unit samples
+            sigma2 = abs(kappa) ** 2 * np.array(DEFAULT_GAINS)[bits] ** 2 + background
+            expected = sigma2 * np.mean(np.abs(unit) ** 2, axis=1)
+            assert q == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     def test_empirical_error_rate_matches_analytic(self):
         cfg = normalized_config(noise_variance_rx=10.0)
@@ -512,3 +530,49 @@ class TestModeDomainAgainstElementLevel:
             for energies in (fast, oracle):
                 assert abs(energies.mean() - sigma2) <= 5 * stderr
             assert stats.ks_2samp(fast, oracle).pvalue > 1e-3
+
+
+class TestUnitDrawAgainstTwoDraw:
+    """One CN(0, sigma2_b) draw per sample matches kappa*a_b*c + w drawn term by term."""
+
+    SYMBOLS = 2000
+    N = 32   # its mode 16 has |kappa|^2 ~ 1e-12: a mode near zero gain
+
+    @pytest.mark.parametrize("k, noise, jam, gains, carrier", [
+        (1, 1.0, 0.1, (0.5, 2.0), 1.0),
+        (16, 100.0, 0.1, (0.0, 1.0), 1.0),
+        (64, 1e-30, 1e-45, (0.0, 2.0), 1.0),    # receiver floor 3.2e-29
+        (16, 1e4, 1e3, (0.5, 2.0), 1.0),        # receiver floor 3.5e5
+        (16, 1.0, 0.1, (0.5, 2.0), 0.0),        # no carrier: the background alone
+        (64, 0.37, 0.1, (0.0, 1.0), 3.0),
+    ])
+    @pytest.mark.parametrize("mode", [3, 16])
+    def test_energies_agree_per_gain_level(self, k, noise, jam, gains, carrier, mode):
+        cfg = normalized_config(n_tx=self.N, samples_per_symbol=k,
+                                noise_variance_rx=noise, jam_variance_rx=jam)
+        kappa = link_gain(cfg, mode)
+        for bit, gain in enumerate(gains):
+            bits = np.full(self.SYMBOLS, bit)
+            fast = simulate_backscatter_bits(cfg, kappa, gains, bits, carrier,
+                                             substream(33, k, mode, bit))
+            oracle = two_draw_link_energies(cfg, kappa, gains, bits, carrier,
+                                            substream(34, k, mode, bit))
+            # K-sample mean energy: mean sigma2, standard deviation sigma2 / sqrt(K)
+            sigma2 = hypothesis_variance(cfg, kappa, gain, carrier)
+            stderr = sigma2 / math.sqrt(k * self.SYMBOLS)
+            for energies in (fast, oracle):
+                assert abs(energies.mean() - sigma2) <= 5 * stderr
+            assert stats.ks_2samp(fast, oracle).pvalue > 1e-3
+
+    def test_per_symbol_gains_and_levels(self):
+        # kappa and a_b given per symbol: each symbol has its own variance
+        cfg = normalized_config(n_tx=self.N)
+        kappas = mode_link_gains(cfg)
+        modes = np.repeat(np.arange(self.N), 200)
+        bits = np.tile(alternating(200), self.N)
+        fast = simulate_backscatter_bits(cfg, kappas[modes], DEFAULT_GAINS, bits, 1.0,
+                                         substream(35, 0))
+        oracle = two_draw_link_energies(cfg, kappas[modes], DEFAULT_GAINS, bits, 1.0,
+                                        substream(36, 0))
+        sigma2 = hypothesis_variance(cfg, kappas[modes], np.array(DEFAULT_GAINS)[bits], 1.0)
+        assert stats.ks_2samp(fast / sigma2, oracle / sigma2).pvalue > 1e-3

@@ -508,15 +508,15 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("length", [sys.maxsize, 2 ** 62])
     def test_preamble_beyond_any_array_fails_at_once(self, length):
-        # the preamble's per-symbol gains are one complex array, so a length
-        # numpy cannot hold is refused before any memory is taken
+        # the bound counts 16 bytes per preamble symbol, so a length numpy
+        # cannot hold is refused before any memory is taken
         cfg = LinkConfig(preamble_length=length)
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(2,), n_elements=(8,))
         with pytest.raises(ConfigurationError, match="beyond numpy"):
             Scenario(cfg, axes, trials=2, seed=0)
 
     @pytest.mark.parametrize("count, largest", [
-        ("preamble_length", sys.maxsize // 16),     # one complex gain per symbol
+        ("preamble_length", sys.maxsize // 16),     # counted as complex per symbol
         ("ber_symbols", sys.maxsize // 16),         # one complex gain per probe symbol
         ("samples_per_symbol", sys.maxsize // (16 * 16)),   # a 16-symbol link chunk
         ("trials", sys.maxsize // (16 * 2 * 64)),   # the (trials, l_j, K) sensing draw
