@@ -75,12 +75,17 @@ def calibrate_threshold(energies, bits, n_samples: int) -> float:
         raise ValueError(
             f"need one energy per preamble symbol ({bits.size}), got {energies.shape}")
     check_count("n_samples", n_samples, 1)
-    q0 = float(energies[~ones].sum() / n0)
-    q1 = float(energies[ones].sum() / n1)
+    return _crossing(energies, energies[~ones], energies[ones], n_samples)
+
+
+def _crossing(energies: np.ndarray, zeros: np.ndarray, ones: np.ndarray, n_samples: int) -> float:
+    """:func:`calibrate_threshold` of a checked preamble, its energies split by bit value."""
+    q0 = float(zeros.sum() / zeros.size)
+    q1 = float(ones.sum() / ones.size)
     if q1 <= q0 or q0 <= 0.0:
         return float(energies.mean())
-    p0 = n0 / bits.size
-    p1 = n1 / bits.size
+    p0 = zeros.size / energies.size
+    p1 = ones.size / energies.size
     log_term = np.log(p0 / p1) + n_samples * np.log(q1 / q0)
     return float((q0 * q1 / (q1 - q0)) * log_term / n_samples)
 
@@ -151,9 +156,11 @@ def calibrate_from_preamble(config: LinkConfig, link_gain: complex,
     """Run the known preamble through the link and calibrate q_th.
 
     The preamble is the alternating 0101... of ``config.preamble_length`` bits,
-    sent at the levels ``config.pga_gains``.
+    sent at the levels ``config.pga_gains``; the result is bit for bit
+    :func:`calibrate_threshold` of its energies, whose bit-0 symbols are the
+    even positions and bit-1 symbols the odd ones.
     """
     bits = np.arange(config.preamble_length) % 2
     energies = simulate_backscatter_bits(config, link_gain, config.pga_gains, bits,
                                          carrier_variance, rng)
-    return calibrate_threshold(energies, bits, config.samples_per_symbol)
+    return _crossing(energies, energies[0::2], energies[1::2], config.samples_per_symbol)

@@ -219,11 +219,11 @@ class Scenario:
     iid model, which jams no chosen modes, takes only n_jammed = 0. Every
     array a point allocates must fit numpy's limit of sys.maxsize bytes,
     which also bounds the trial count and the ring sizes. Last, every grid
-    point's link is built by :func:`_point_config`, the builder the sweep
-    runs, so a finite SNR, a finite transmit total and a noise variance that
-    :class:`LinkConfig` accepts are checked at every point; then every
-    point's closed-form magnitudes are bounded (:func:`_check_magnitudes`).
-    The error names the first point that fails.
+    point's link is built by :func:`_point_config`, so a finite SNR, a finite
+    transmit total and a noise variance that :class:`LinkConfig` accepts are
+    checked at every point; then every point's closed-form magnitudes are
+    bounded (:func:`_check_magnitudes`). The error names the first point that
+    fails. The sweep runs the links built here, kept in grid order.
     """
 
     config: LinkConfig
@@ -270,6 +270,7 @@ class Scenario:
         links = [_at_point(point, _point_config, config, *point) for point in points]
         for point, link in zip(points, links):
             _at_point(point, _check_magnitudes, *link, options.jam_variance_tx)
+        object.__setattr__(self, "_links", tuple(zip(points, links)))   # ((N, l_j, SNR), link)
 
 
 def _at_point(point: tuple, check, *args):
@@ -286,15 +287,13 @@ def _point_thresholds(cfg: LinkConfig, kappas: np.ndarray, carrier_variance: flo
                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Per-mode calibrated thresholds q_th and analytic correct-decision probabilities."""
     gains, priors = cfg.pga_gains, cfg.pga_priors
-    q_th = np.empty(len(kappas))
-    p_c = np.empty(len(kappas))
-    for i, kappa in enumerate(kappas):
-        q_th[i] = calibrate_from_preamble(cfg, kappa, carrier_variance, rng)
-        p_c[i] = average_correct_detection(
-            q_th[i], cfg.samples_per_symbol,
-            hypothesis_variance(cfg, kappa, gains[0], carrier_variance),
-            hypothesis_variance(cfg, kappa, gains[-1], carrier_variance),
-            (priors[0], priors[-1]))
+    q_th = np.array([calibrate_from_preamble(cfg, kappa, carrier_variance, rng)
+                     for kappa in kappas])
+    sigma2_0, sigma2_1 = (hypothesis_variance(cfg, kappas, gain, carrier_variance)
+                          for gain in (gains[0], gains[-1]))
+    p_c = np.array([average_correct_detection(q, cfg.samples_per_symbol, s0, s1,
+                                              (priors[0], priors[-1]))
+                    for q, s0, s1 in zip(q_th, sigma2_0, sigma2_1)])
     return q_th, p_c
 
 
@@ -384,22 +383,18 @@ def _sense_targeted(rng: np.random.Generator, jam_sets: np.ndarray, n: int, k: i
 
 def _sweep_point(scenario: Scenario, point_index: int, n_jammed: int, snr_db: float,
                  cfg: LinkConfig, transmit_power: float, kappas: np.ndarray,
-                 work: np.ndarray | None) -> list[SweepResult]:
+                 work: np.ndarray | None, p_j: float, p_u: float) -> list[SweepResult]:
     """All Monte Carlo work for one grid point: one row per scheme, on shared trials.
 
     ``cfg`` and ``transmit_power`` are the point's :func:`_point_config`;
     ``kappas`` and ``work`` are the link gains and the targeted-sensing work
-    array of its ring size.
+    array of its ring size; ``p_j`` and ``p_u`` weigh flagged and unflagged modes.
     """
     options, trials, seed = scenario.options, scenario.trials, scenario.seed
     n_elements = cfg.n_tx
     iid = options.jam_model == BROADBAND
     carrier_variance = options.jam_variance_tx
     k_sense = cfg.samples_per_symbol
-
-    # iid jamming hits every mode with the carrier's variance; targeted leaves clean modes silent
-    p_j, p_u = detection_probabilities(cfg.energy_threshold_tx, k_sense, carrier_variance)
-    p_u = p_u if iid else 1.0
 
     q_th, p_c_modes = _point_thresholds(cfg, kappas, carrier_variance,
                                         substream(seed, point_index, 0))
@@ -440,20 +435,24 @@ def run_sweep(scenario: Scenario) -> list[SweepResult]:
     its own substreams, and both schemes are evaluated on the same realizations.
     An overflow or invalid operation in a point raises FloatingPointError naming the point.
     """
-    axes, rows, kappas, work = scenario.axes, [], None, None
-    grid = product(axes.n_elements, axes.n_jammed, axes.snr_db)
+    config, rows, kappas, work = scenario.config, [], None, None
     targeted = scenario.options.jam_model == TARGETED
+    # the detector's p_j, p_u depend only on its threshold, K and the jamming variance; iid
+    # jamming hits every mode with the carrier's variance, targeted leaves clean modes silent
+    p_j, p_u = detection_probabilities(config.energy_threshold_tx, config.samples_per_symbol,
+                                       scenario.options.jam_variance_tx)
+    p_u = 1.0 if targeted else p_u
     with np.errstate(over="raise", invalid="raise"):
-        for point_index, (n, n_jam, snr_db) in enumerate(grid):
+        for point_index, ((n, n_jam, snr_db), (cfg, transmit_power)) in enumerate(
+                scenario._links):
             try:
-                cfg, transmit_power = _point_config(scenario.config, n, n_jam, snr_db)
                 if kappas is None or len(kappas) != n:   # a new ring size
                     # the channel row does not depend on the noise variance
                     kappas = mode_link_gains(cfg, build_channel_matrix(cfg))
                     if targeted:
                         work = _sense_work(scenario.trials, n, cfg.samples_per_symbol)
                 rows += _sweep_point(scenario, point_index, n_jam, snr_db, cfg, transmit_power,
-                                     kappas, work)
+                                     kappas, work, p_j, p_u)
             except FloatingPointError as exc:
                 raise FloatingPointError(
                     f"grid point (N={n}, l_j={n_jam}, snr={snr_db:g} dB): {exc}") from exc

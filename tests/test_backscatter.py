@@ -273,6 +273,49 @@ class TestCalibrateThreshold:
         assert q_th == pytest.approx(likelihood_crossing(q0, q1, p0, p1, k), rel=1e-9)
 
 
+class TestCalibrateFromPreamble:
+    """The sweep's calibration is calibrate_threshold of its own preamble, bit for bit."""
+
+    # an odd preamble sends one more 0 than 1, so the crossing's priors differ
+    @pytest.mark.parametrize("length", [16, 5])
+    @pytest.mark.parametrize("noise, mode, branches", [
+        (1.0, 3, {"crossing"}),
+        (1.0, None, {"crossing", "fallback"}),     # a dead mode: kappa = 0, both levels alike
+        (100.0, 3, {"crossing", "fallback"}),      # low SNR: the levels often do not separate
+    ], ids=["crossing", "dead-mode", "low-snr"])
+    def test_equals_calibrate_threshold_on_replayed_energies(self, length, noise, mode,
+                                                             branches):
+        cfg = normalized_config(noise_variance_rx=noise, preamble_length=length)
+        kappa = 0j if mode is None else link_gain(cfg, mode)
+        bits, seen = alternating(length), set()
+        for seed in range(40):
+            q_th = calibrate_from_preamble(cfg, kappa, 1.0, substream(seed, 0))
+            # replay the preamble's energies from a twin substream
+            energies = simulate_backscatter_bits(cfg, kappa, cfg.pga_gains, bits, 1.0,
+                                                 substream(seed, 0))
+            assert q_th == calibrate_threshold(energies, bits, cfg.samples_per_symbol)
+            separated = energies[bits == 1].mean() > energies[bits == 0].mean()
+            seen.add("crossing" if separated else "fallback")
+        assert seen == branches
+
+    def test_point_thresholds_match_the_per_mode_scalar_path(self):
+        # the sweep's hypothesis variances are two array calls; each mode's p_c must
+        # equal the one from its own scalar variances
+        cfg = LinkConfig(n_tx=8, pga_gains=(0.25, 1.5), pga_priors=(0.3, 0.7),
+                         preamble_length=5)
+        kappas = mode_link_gains(cfg)
+        q_th, p_c = metrics._point_thresholds(cfg, kappas, 1.0, substream(3, 0, 0))
+        twin, (g0, g1) = substream(3, 0, 0), cfg.pga_gains
+        expected_q = [calibrate_from_preamble(cfg, kappa, 1.0, twin) for kappa in kappas]
+        expected_p = [average_correct_detection(q, cfg.samples_per_symbol,
+                                                hypothesis_variance(cfg, kappa, g0, 1.0),
+                                                hypothesis_variance(cfg, kappa, g1, 1.0),
+                                                cfg.pga_priors)
+                      for q, kappa in zip(expected_q, kappas)]
+        assert q_th.tolist() == expected_q
+        assert p_c.tolist() == expected_p
+
+
 class TestDecideBit:
     def test_rule(self):
         # the BER probe decides bit 1 at energies >= q_th, boundary inclusive:

@@ -3,6 +3,7 @@
 import math
 import sys
 import tracemalloc
+from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import product
@@ -33,6 +34,7 @@ from oam_antijam.channel import build_channel_matrix, element_azimuths
 from oam_antijam.jamming import complex_gaussian, substream
 from oam_antijam.signals import mode_energies, mode_transform
 from oracles import circulant, expected_se, se_cells, targeted_elements
+from test_tracer_contract import selftest_scenario
 
 MODES_16 = tuple(mode_index_range(16))
 GOLDEN = Path(__file__).parent / "golden"
@@ -556,6 +558,92 @@ class TestRunSweep:
             validate(ber_trials, trials, largest)
             with pytest.raises(ConfigurationError, match="beyond numpy"):
                 validate(ber_trials, trials, largest + 1)
+
+
+class TestStoredLinks:
+    """The sweep runs the point links that Scenario construction built and checked."""
+
+    AXES = SweepAxes(snr_db=(0.0, 10.0), n_jammed=(0, 2), n_elements=(8, 16))
+
+    @staticmethod
+    def point_configs(scenario):
+        axes = scenario.axes
+        return tuple((point, metrics._point_config(scenario.config, *point))
+                     for point in product(axes.n_elements, axes.n_jammed, axes.snr_db))
+
+    def test_links_are_the_point_configs_in_grid_order(self):
+        scenario = Scenario(LinkConfig(), self.AXES, trials=5)
+        assert scenario._links == self.point_configs(scenario)
+
+    @pytest.mark.parametrize("change", [
+        dict(axes=replace(AXES, snr_db=(5.0,))),
+        dict(axes=replace(AXES, n_elements=(4,))),
+        dict(config=LinkConfig(power_per_mode=10.0)),
+    ], ids=["snr_db", "n_elements", "config"])
+    def test_replace_rebuilds_the_links(self, change):
+        scenario = Scenario(LinkConfig(), self.AXES, trials=5)
+        changed = replace(scenario, **change)
+        assert changed._links == self.point_configs(changed) != scenario._links
+
+    def test_the_sweep_builds_no_point_config(self, monkeypatch):
+        from oam_antijam.cli import format_sweep_csv
+
+        scenario = Scenario(LinkConfig(), self.AXES, trials=5, seed=2)
+        plain = format_sweep_csv(run_sweep(scenario))
+        point_config, calls = metrics._point_config, []
+        monkeypatch.setattr(metrics, "_point_config",
+                            lambda *args: calls.append(args) or point_config(*args))
+        assert format_sweep_csv(run_sweep(scenario)) == plain
+        assert calls == []
+
+
+class RecordingGenerator:
+    """A numpy Generator that adds the size of every draw to ``counts[method]``."""
+
+    def __init__(self, rng, counts):
+        self.rng, self.counts = rng, counts
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def draw(*args, **kwargs):
+            result = method(*args, **kwargs)
+            self.counts[name] += np.size(result)
+            return result
+        return draw
+
+
+@pytest.mark.parametrize("name", ["mini_targeted", "mini_iid"])
+def test_each_stage_draws_its_closed_form_variate_count(name, tmp_path, monkeypatch):
+    # substream (point, stage): 0 calibrates N preambles of I symbols, K complex normals
+    # each; 1 draws the jam sets (trials x N uniforms) and the sensing energies (trials x
+    # l_j x K complex normals, or trials x N Gammas under iid); 2 probes D =
+    # min(ber_trials, trials) x l_j x ber_symbols symbols, D uniform bits and D x K
+    # complex normals. A complex normal is two standard normals.
+    from oam_antijam.cli import format_sweep_csv, parse_scenario
+
+    path = tmp_path / f"{name}.ini"
+    path.write_text(selftest_scenario(name), encoding="utf-8")
+    scenario = parse_scenario(str(path))
+    plain = format_sweep_csv(run_sweep(scenario))
+    ledger, substream = defaultdict(Counter), metrics.substream
+    monkeypatch.setattr(metrics, "substream",
+                        lambda seed, *key: RecordingGenerator(substream(seed, *key), ledger[key]))
+    assert format_sweep_csv(run_sweep(scenario)) == plain
+
+    cfg, axes, options, trials = (scenario.config, scenario.axes, scenario.options,
+                                  scenario.trials)
+    k, i = cfg.samples_per_symbol, cfg.preamble_length
+    expected = {}
+    for index, (n, l_j, _) in enumerate(product(axes.n_elements, axes.n_jammed, axes.snr_db)):
+        d = min(options.ber_trials, trials) * l_j * options.ber_symbols
+        sense = ({"standard_gamma": trials * n} if options.jam_model == metrics.BROADBAND
+                 else {"random": trials * n, "standard_normal": 2 * trials * l_j * k})
+        stages = {"standard_normal": 2 * n * i * k}, sense, {"random": d,
+                                                            "standard_normal": 2 * d * k}
+        for stage, counts in enumerate(stages):
+            expected[(index, stage)] = Counter({m: c for m, c in counts.items() if c})
+    assert dict(ledger) == expected
 
 
 class TestExpectedSpectralEfficiency:
