@@ -1,9 +1,9 @@
 """Reproducible random substreams and jamming sources.
 
-Every draw goes through a :func:`substream` generator keyed by (seed, key);
-identical keys reproduce identical samples bit-exactly, and distinct keys
-give statistically independent substreams, so Monte Carlo trials can run in
-parallel without shared state.
+Every draw goes through a :func:`substream` generator, numpy's SFC64 seeded by
+a ``SeedSequence`` of (seed, key); identical keys reproduce identical samples
+bit-exactly, and distinct keys give statistically independent substreams, so
+Monte Carlo trials can run in parallel without shared state.
 
 The draws behind both jamming models live here. Broadband jamming, i.i.d.
 per element, stays i.i.d. per mode under the unitary transform, so its
@@ -16,27 +16,23 @@ sensing energies are drawn directly as Gamma(K, sigma2/K)
 from __future__ import annotations
 
 import numpy as np
-from numpy.random import PCG64, Generator, SeedSequence
+from numpy.random import SFC64, Generator, SeedSequence
 
 from .config import check_count, check_nonnegative
 
 
 def substream(seed: int, *key: int) -> Generator:
-    """Deterministic substream ``key`` of a global seed, e.g. ``(point_index, stage)``."""
-    return Generator(PCG64(SeedSequence(entropy=seed, spawn_key=key)))
+    """Deterministic substream ``key`` of a global seed, e.g. ``(N, l_j, snr_key, stage)``."""
+    return Generator(SFC64(SeedSequence(entropy=seed, spawn_key=key)))
 
 
 def complex_gaussian(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
     """Circularly-symmetric complex Gaussian samples with per-sample variance."""
     check_nonnegative("variance", variance)
-    scale = np.sqrt(variance / 2.0)
-    samples = np.empty(shape, dtype=complex)   # filled in place through one float scratch
-    scratch = np.empty(samples.shape)
-    for half in (samples.real, samples.imag):
-        rng.standard_normal(out=scratch)
-        scratch *= scale
-        scratch += 0.0   # rng.normal's 0.0 + scale*z bit for bit: turns -0.0 into 0.0
-        half[...] = scratch
+    samples = np.empty(shape, dtype=complex)
+    pairs = samples.reshape(-1).view(float)   # a view, re and im interleaved: one draw fills it
+    rng.standard_normal(out=pairs)
+    pairs *= np.sqrt(variance / 2.0)
     return samples
 
 

@@ -381,7 +381,7 @@ def _sense_targeted(rng: np.random.Generator, jam_sets: np.ndarray, n: int, k: i
     return energies
 
 
-def _sweep_point(scenario: Scenario, point_index: int, n_jammed: int, snr_db: float,
+def _sweep_point(scenario: Scenario, n_jammed: int, snr_db: float,
                  cfg: LinkConfig, transmit_power: float, kappas: np.ndarray,
                  work: np.ndarray | None, p_j: float, p_u: float) -> list[SweepResult]:
     """All Monte Carlo work for one grid point: one row per scheme, on shared trials.
@@ -395,12 +395,13 @@ def _sweep_point(scenario: Scenario, point_index: int, n_jammed: int, snr_db: fl
     iid = options.jam_model == BROADBAND
     carrier_variance = options.jam_variance_tx
     k_sense = cfg.samples_per_symbol
+    # stage substreams (key, 0|1|2) of the point itself, its SNR as IEEE-754 bits, -0.0 as 0.0
+    key = n_elements, n_jammed, int(np.float64(float(snr_db) + 0.0).view(np.uint64))
 
-    q_th, p_c_modes = _point_thresholds(cfg, kappas, carrier_variance,
-                                        substream(seed, point_index, 0))
+    q_th, p_c_modes = _point_thresholds(cfg, kappas, carrier_variance, substream(seed, *key, 0))
 
     # the unitary W keeps iid element jamming iid per mode, so draw iid energies directly
-    rng_trials = substream(seed, point_index, 1)
+    rng_trials = substream(seed, *key, 1)
     jam_sets = np.empty((trials, 0), dtype=int)
     if iid:
         energies = gamma_energies(rng_trials, (trials, n_elements), carrier_variance, k_sense)
@@ -417,7 +418,7 @@ def _sweep_point(scenario: Scenario, point_index: int, n_jammed: int, snr_db: fl
         raise FloatingPointError("non-finite spectrum efficiency")
 
     ber = _measure_ber(cfg, kappas, q_th, carrier_variance, jam_sets,
-                       substream(seed, point_index, 2), options)
+                       substream(seed, *key, 2), options)
     p_c = float(p_c_modes.mean()) if n_jammed or iid else np.nan
     return [SweepResult(
         scheme=scheme, snr_db=snr_db, n_elements=n_elements, n_jammed=n_jammed,
@@ -432,7 +433,7 @@ def run_sweep(scenario: Scenario) -> list[SweepResult]:
 
     Grid order is n_elements, then n_jammed, then snr_db; each point runs
     ``scenario.trials`` independent sense/partition/allocate/decide trials on
-    its own substreams, and both schemes are evaluated on the same realizations.
+    substreams keyed by the point alone, and both schemes see the same realizations.
     An overflow or invalid operation in a point raises FloatingPointError naming the point.
     """
     config, rows, kappas, work = scenario.config, [], None, None
@@ -443,16 +444,15 @@ def run_sweep(scenario: Scenario) -> list[SweepResult]:
                                        scenario.options.jam_variance_tx)
     p_u = 1.0 if targeted else p_u
     with np.errstate(over="raise", invalid="raise"):
-        for point_index, ((n, n_jam, snr_db), (cfg, transmit_power)) in enumerate(
-                scenario._links):
+        for (n, n_jam, snr_db), (cfg, transmit_power) in scenario._links:
             try:
                 if kappas is None or len(kappas) != n:   # a new ring size
                     # the channel row does not depend on the noise variance
                     kappas = mode_link_gains(cfg, build_channel_matrix(cfg))
                     if targeted:
                         work = _sense_work(scenario.trials, n, cfg.samples_per_symbol)
-                rows += _sweep_point(scenario, point_index, n_jam, snr_db, cfg, transmit_power,
-                                     kappas, work, p_j, p_u)
+                rows += _sweep_point(scenario, n_jam, snr_db, cfg, transmit_power, kappas,
+                                     work, p_j, p_u)
             except FloatingPointError as exc:
                 raise FloatingPointError(
                     f"grid point (N={n}, l_j={n_jam}, snr={snr_db:g} dB): {exc}") from exc

@@ -93,6 +93,17 @@ MUTANTS = (
     Mutant("iid-unflagged-weight", "src/oam_antijam/metrics.py",
            "p_u = 1.0 if targeted else p_u",
            "p_u = 1.0"),
+    # complex_gaussian: each part scaled by the full variance
+    Mutant("draw-scale-full-variance", "src/oam_antijam/jamming.py",
+           "pairs *= np.sqrt(variance / 2.0)", "pairs *= np.sqrt(variance)"),
+    # the point's substream key: -0.0 keyed apart from 0.0, or N and l_j swapped
+    Mutant("snr-key-signed-zero", "src/oam_antijam/metrics.py",
+           "float(snr_db) + 0.0", "float(snr_db)"),
+    Mutant("point-key-swapped", "src/oam_antijam/metrics.py",
+           "key = n_elements, n_jammed, int(", "key = n_jammed, n_elements, int("),
+    # the BER probe drawing from the sensing stage's key instead of its own
+    Mutant("probe-stage-key", "src/oam_antijam/metrics.py",
+           "substream(seed, *key, 2), options)", "substream(seed, *key, 1), options)"),
     Mutant("preamble-even-slice", "src/oam_antijam/backscatter.py",
            "energies[0::2]", "energies[::2]",
            "the same slice: a start of 0 is the default"),

@@ -16,6 +16,7 @@ closed-form expected spectrum efficiency of a grid point, which
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Iterable
 from itertools import product
 from math import comb, factorial
@@ -249,12 +250,21 @@ def expected_se(config: LinkConfig, kappas: np.ndarray, transmit_power: float,
     return baseline + float(np.sum(weights * m / n)) * jam, baseline
 
 
+def point_key(n: int, n_jammed: int, snr_db: float) -> tuple[int, int, int]:
+    """The sweep's substream key of grid point (N, l_j, SNR), before the stage.
+
+    The SNR enters as the IEEE-754 bits of float(snr_db) + 0.0 read as an
+    unsigned int, so -0.0 keys as 0.0; packed here by struct, not as the package does.
+    """
+    return n, n_jammed, struct.unpack("<Q", struct.pack("<d", float(snr_db) + 0.0))[0]
+
+
 def se_cells(scenario: Scenario):
     """(cell, MC mean, stderr, E, E_major, departures) for every cell of a sweep.
 
     A cell is (scheme, N, l_j, SNR). E is :func:`expected_se` at the point's
     own per-mode p_c, the one ``metrics._point_thresholds`` calibrates on
-    stream (point_index, 0). E_major is the same expectation with every
+    stream (*point_key(N, l_j, SNR), 0). E_major is the same expectation with every
     candidate mode on the likelier side of the detector (flag probability
     rounded to 0 or 1), and departures is the expected count, over all trials
     and candidate modes, of flag decisions on the other side.
@@ -265,12 +275,13 @@ def se_cells(scenario: Scenario):
     iid = options.jam_model == metrics.BROADBAND
     carrier = options.jam_variance_tx
     grid = product(axes.n_elements, axes.n_jammed, axes.snr_db)
-    for point_index, (n, n_jammed, snr_db) in enumerate(grid):
+    for n, n_jammed, snr_db in grid:
         cfg, power = metrics._point_config(cfg0, n, n_jammed, snr_db)
         kappas = mode_link_gains(cfg)
         p_j, p_u = detection_probabilities(cfg.energy_threshold_tx,
                                            cfg.samples_per_symbol, carrier)
-        _, p_c = metrics._point_thresholds(cfg, kappas, carrier, substream(seed, point_index, 0))
+        stream = substream(seed, *point_key(n, n_jammed, snr_db), 0)
+        _, p_c = metrics._point_thresholds(cfg, kappas, carrier, stream)
         candidates = n if iid else n_jammed
         expected, major = (expected_se(cfg, kappas, power, carrier, p_j, p_u if iid else 1.0,
                                        p_c, candidates, f) for f in (p_j, round(p_j)))

@@ -1,7 +1,8 @@
 """Hypothesis properties: sweep invariants on small random grids of both
-jamming models, the Monte Carlo SE against its closed form, the mode index
-range, the mode transform round trip, LinkConfig validation, scenario-file
-validation and the bit identity of the sweep's per-count SNR tables."""
+jamming models, rows that depend on their grid point alone, the Monte Carlo SE
+against its closed form, the mode index range, the mode transform round trip,
+LinkConfig validation, scenario-file validation and the bit identity of the
+sweep's per-count SNR tables."""
 
 import math
 from dataclasses import replace
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from oam_antijam import (BASELINE, PROPOSED, ConfigurationError, LinkConfig, Scenario,
                          SweepAxes, SweepOptions, mode_index_range, mode_link_gains,
                          run_sweep, spectral_efficiency)
-from oam_antijam.cli import SCENARIO_KEYS, parse_scenario
+from oam_antijam.cli import SCENARIO_KEYS, format_sweep_csv, parse_scenario
 from oam_antijam.signals import mode_energies, mode_transform
 from oracles import elementwise_mode_snr, se_cells
 
@@ -60,6 +61,43 @@ def test_sweep_invariants(sweep):
     for proposed, baseline in zip(res[::2], res[1::2]):
         assert (proposed.scheme, baseline.scheme) == (PROPOSED, BASELINE)
         assert proposed.se_bits >= baseline.se_bits
+
+
+@st.composite
+def grids_and_sub_grids(draw):
+    """A small scenario of either jamming model, and the same scenario on a random sub-grid."""
+    jam_model = draw(st.sampled_from(["targeted", "iid"]))
+    n_elements = draw(st.lists(st.sampled_from([1, 4, 8]), min_size=1, max_size=2, unique=True))
+    n_jammed = [0] if jam_model == "iid" else draw(
+        st.lists(st.integers(0, min(n_elements)), min_size=1, max_size=3, unique=True))
+    snr_db = draw(st.lists(st.sampled_from([-10.0, 0.0, 7.5, 30.0]), min_size=1, max_size=3,
+                           unique=True))
+    options = SweepOptions(jam_model=jam_model, ber_trials=draw(st.integers(0, 3)),
+                           ber_symbols=2)
+    cfg = LinkConfig(energy_threshold_tx=0.1, samples_per_symbol=draw(st.sampled_from([1, 8])))
+    axes = {"snr_db": snr_db, "n_jammed": n_jammed, "n_elements": n_elements}
+    full = Scenario(cfg, SweepAxes(**{name: tuple(values) for name, values in axes.items()}),
+                    options, draw(st.integers(1, 6)), draw(st.integers(0, 2**16)))
+    sub_axes = {name: tuple(draw(st.lists(st.sampled_from(values), min_size=1,
+                                          max_size=len(values), unique=True)))
+                for name, values in axes.items()}
+    return full, replace(full, axes=SweepAxes(**sub_axes))
+
+
+@settings(max_examples=30, deadline=None)
+@given(grids_and_sub_grids())
+def test_a_row_depends_on_its_grid_point_alone(case):
+    # every CSV row of the sub-grid is byte for byte the full grid's row for its point
+    def rows(scenario):
+        lines = format_sweep_csv(run_sweep(scenario)).splitlines()[1:]
+        return {tuple(line.split(",")[:4]): line for line in lines}   # scheme, SNR, N, l_j
+
+    full, sub = case
+    sub_rows = rows(sub)
+    axes = sub.axes
+    assert len(sub_rows) == 2 * len(axes.snr_db) * len(axes.n_jammed) * len(axes.n_elements)
+    full_rows = rows(full)
+    assert {key: full_rows[key] for key in sub_rows} == sub_rows
 
 
 @st.composite
