@@ -1,22 +1,23 @@
 """Spectrum efficiency, targeted sensing, and Monte Carlo sweeps.
 
-The proposed scheme senses which modes are jammed, splits the point's transmit
-power over the clean modes, and rides the reflected jamming on the jammed
-ones; the baseline is the identical system with the jammed-mode contribution
-forced to zero. :func:`spectral_efficiency`, the one SNR and rate formula of
-the package, gives both schemes' bits per trial of a flag mask. Sweeps iterate
-(SNR, jammed-mode count, ring size) grids and record spectrum efficiency plus
-the detector and decoder probabilities. A :class:`Scenario` is the one
-description of a sweep (link, grid, knobs, trial count, seed); constructing it
-checks every grid point, so :func:`run_sweep` takes it as it is and no point
-runs of a sweep that cannot finish.
+The proposed scheme senses which modes are jammed, splits the point's transmit power over
+the clean modes, and rides the reflected jamming on the jammed ones; the baseline is the
+identical system with the jammed-mode contribution forced to zero.
+:func:`spectral_efficiency`, the one SNR and rate formula of the package, gives both
+schemes' bits per trial of a flag mask. Sweeps iterate (SNR, jammed-mode count, ring size)
+grids and record spectrum efficiency plus the detector and decoder probabilities. A
+:class:`Scenario` is the one description of a sweep (link, grid, knobs, trial count, seed);
+constructing it checks every grid point, so :func:`run_sweep` takes it as it is and no
+point runs of a sweep that cannot finish.
 
-SNR axis semantics: ``snr_db`` fixes the receiver noise variance as
-``power_per_mode`` / SNR. With the default unit-modulus element channel this
-coincides with the per-mode received SNR, so sweeps are independent of the
-absolute free-space scale. Total transmit power at each grid point is
-``power_per_mode`` times max(N - l_j, 1) clean modes, keeping the per-mode
-allocation constant across the jammed-count and ring-size axes.
+SNR axis semantics: ``snr_db`` fixes the receiver noise variance as ``power_per_mode`` /
+SNR. With the default unit-modulus element channel this coincides with the per-mode
+received SNR, so sweeps are independent of the absolute free-space scale. Total transmit
+power at each grid point is ``power_per_mode`` times max(N - l_j, 1) clean modes, keeping
+the per-mode allocation constant across the jammed-count and ring-size axes. The
+transmitter senses the jamming alone, never the receiver noise, so the points of one
+(N, l_j) share its trials' jam sets and flags: rows along the SNR axis are paired (common
+random numbers), and each row keeps its own distribution.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ DEFAULT_SEED = 1234
 # only the jammed rows decomposed, blocks of 16, 64 and 128 trials took +1.9 %,
 # -0.4 % and -1.5 % of the time at 32 (medians of 3 runs, each run within +-3 %):
 # flat, so the smaller block is kept. A block's work array (_sense_work) is the
-# sweep's, allocated once per ring size and reused by every block of every point;
+# sweep's, allocated once per ring size and reused by every block of every (N, l_j);
 # sense_targeted allocates its own per call.
 SENSE_BLOCK_SAMPLES = 32768
 
@@ -62,7 +63,12 @@ MAGNITUDE_LIMIT = 1e150
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Averaged outcome of one (scheme, grid point) cell."""
+    """Averaged outcome of one (scheme, grid point) cell.
+
+    ``se_stderr`` is over the row's trials only: it leaves out the one calibration draw that
+    they all share (a row whose trials all flag the same modes reports 0). Rows along the
+    SNR axis share their trials' sensing, so :func:`check_trends`' slack is conservative there.
+    """
 
     scheme: str
     snr_db: float
@@ -322,11 +328,7 @@ def _draw_jam_sets(rng: np.random.Generator, trials: int, n: int, n_jammed: int)
 
 
 def _sense_work(trials: int, n: int, k: int) -> np.ndarray:
-    """Work array of one targeted-sensing block: its complex element samples.
-
-    Shaped (rows, n, k), rows = SENSE_BLOCK_SAMPLES // (n * k) trials, at least 1
-    and at most ``trials``.
-    """
+    """(rows, n, k) complex element samples of one sensing block, rows in 1..trials."""
     return np.empty((min(trials, max(1, SENSE_BLOCK_SAMPLES // (n * k))), n, k), dtype=complex)
 
 
@@ -383,34 +385,20 @@ def _sense_targeted(rng: np.random.Generator, jam_sets: np.ndarray, n: int, k: i
 
 def _sweep_point(scenario: Scenario, n_jammed: int, snr_db: float,
                  cfg: LinkConfig, transmit_power: float, kappas: np.ndarray,
-                 work: np.ndarray | None, p_j: float, p_u: float) -> list[SweepResult]:
-    """All Monte Carlo work for one grid point: one row per scheme, on shared trials.
+                 jam_sets: np.ndarray, flagged: np.ndarray, p_j: float,
+                 p_u: float) -> list[SweepResult]:
+    """Calibration, SE and BER probe of one grid point: one row per scheme, on shared trials.
 
     ``cfg`` and ``transmit_power`` are the point's :func:`_point_config`;
-    ``kappas`` and ``work`` are the link gains and the targeted-sensing work
-    array of its ring size; ``p_j`` and ``p_u`` weigh flagged and unflagged modes.
+    ``kappas`` are the link gains of its ring size, ``jam_sets`` and ``flagged`` the
+    trials' sensing at its (N, l_j); ``p_j`` and ``p_u`` weigh flagged and unflagged modes.
     """
     options, trials, seed = scenario.options, scenario.trials, scenario.seed
-    n_elements = cfg.n_tx
-    iid = options.jam_model == BROADBAND
-    carrier_variance = options.jam_variance_tx
-    k_sense = cfg.samples_per_symbol
-    # stage substreams (key, 0|1|2) of the point itself, its SNR as IEEE-754 bits, -0.0 as 0.0
+    n_elements, carrier_variance = cfg.n_tx, options.jam_variance_tx
+    # stage substreams (key, 0|2) of the point itself, its SNR as IEEE-754 bits, -0.0 as 0.0
     key = n_elements, n_jammed, int(np.float64(float(snr_db) + 0.0).view(np.uint64))
 
     q_th, p_c_modes = _point_thresholds(cfg, kappas, carrier_variance, substream(seed, *key, 0))
-
-    # the unitary W keeps iid element jamming iid per mode, so draw iid energies directly
-    rng_trials = substream(seed, *key, 1)
-    jam_sets = np.empty((trials, 0), dtype=int)
-    if iid:
-        energies = gamma_energies(rng_trials, (trials, n_elements), carrier_variance, k_sense)
-    else:
-        jam_sets = _draw_jam_sets(rng_trials, trials, n_elements, n_jammed)
-        energies = _sense_targeted(rng_trials, jam_sets, n_elements, k_sense, carrier_variance,
-                                   work)
-    flagged = energies >= cfg.energy_threshold_tx   # (trials, N)
-
     se = spectral_efficiency(cfg, flagged, kappas, transmit_power, carrier_variance, p_j, p_u,
                              p_c_modes)
     se_mean = {scheme: float(values.mean()) for scheme, values in se.items()}
@@ -419,7 +407,7 @@ def _sweep_point(scenario: Scenario, n_jammed: int, snr_db: float,
 
     ber = _measure_ber(cfg, kappas, q_th, carrier_variance, jam_sets,
                        substream(seed, *key, 2), options)
-    p_c = float(p_c_modes.mean()) if n_jammed or iid else np.nan
+    p_c = float(p_c_modes.mean()) if n_jammed or options.jam_model == BROADBAND else np.nan
     return [SweepResult(
         scheme=scheme, snr_db=snr_db, n_elements=n_elements, n_jammed=n_jammed,
         se_bits=se_mean[scheme], p_j=p_j, p_u=p_u, p_c=p_c,
@@ -431,18 +419,21 @@ def _sweep_point(scenario: Scenario, n_jammed: int, snr_db: float,
 def run_sweep(scenario: Scenario) -> list[SweepResult]:
     """Monte Carlo sweep over the scenario's grid, deterministic in its seed.
 
-    Grid order is n_elements, then n_jammed, then snr_db; each point runs
-    ``scenario.trials`` independent sense/partition/allocate/decide trials on
-    substreams keyed by the point alone, and both schemes see the same realizations.
+    Grid order is n_elements, then n_jammed, then snr_db; each point runs ``scenario.trials``
+    independent sense/partition/allocate/decide trials, both schemes on the same realizations.
+    A point calibrates and probes on substreams keyed by the point alone; each (N, l_j) senses
+    its trials once, on substream (N, l_j, 1), and every SNR of it reuses the flags.
     An overflow or invalid operation in a point raises FloatingPointError naming the point.
     """
-    config, rows, kappas, work = scenario.config, [], None, None
-    targeted = scenario.options.jam_model == TARGETED
+    config, options, trials, rows = scenario.config, scenario.options, scenario.trials, []
+    kappas = work = pair = None
+    targeted, variance = options.jam_model == TARGETED, options.jam_variance_tx
+    k = config.samples_per_symbol
     # the detector's p_j, p_u depend only on its threshold, K and the jamming variance; iid
     # jamming hits every mode with the carrier's variance, targeted leaves clean modes silent
-    p_j, p_u = detection_probabilities(config.energy_threshold_tx, config.samples_per_symbol,
-                                       scenario.options.jam_variance_tx)
+    p_j, p_u = detection_probabilities(config.energy_threshold_tx, k, variance)
     p_u = 1.0 if targeted else p_u
+    jam_sets = np.empty((trials, 0), dtype=int)   # iid jamming chooses no modes
     with np.errstate(over="raise", invalid="raise"):
         for (n, n_jam, snr_db), (cfg, transmit_power) in scenario._links:
             try:
@@ -450,9 +441,18 @@ def run_sweep(scenario: Scenario) -> list[SweepResult]:
                     # the channel row does not depend on the noise variance
                     kappas = mode_link_gains(cfg, build_channel_matrix(cfg))
                     if targeted:
-                        work = _sense_work(scenario.trials, n, cfg.samples_per_symbol)
+                        work = _sense_work(trials, n, k)
+                if pair != (n, n_jam):   # the grid keeps the SNRs of each (N, l_j) together
+                    pair, rng = (n, n_jam), substream(scenario.seed, n, n_jam, 1)
+                    if targeted:
+                        jam_sets = _draw_jam_sets(rng, trials, n, n_jam)
+                        energies = _sense_targeted(rng, jam_sets, n, k, variance, work)
+                    else:   # the unitary W keeps iid element jamming iid per mode
+                        energies = gamma_energies(rng, (trials, n), variance, k)
+                    flagged = energies >= cfg.energy_threshold_tx   # (trials, N)
+                    del energies
                 rows += _sweep_point(scenario, n_jam, snr_db, cfg, transmit_power, kappas,
-                                     work, p_j, p_u)
+                                     jam_sets, flagged, p_j, p_u)
             except FloatingPointError as exc:
                 raise FloatingPointError(
                     f"grid point (N={n}, l_j={n_jam}, snr={snr_db:g} dB): {exc}") from exc

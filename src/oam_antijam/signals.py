@@ -18,7 +18,7 @@ import numpy as np
 from .config import mode_index_range
 
 
-@lru_cache(maxsize=1)   # a sweep point asks for one N once per sensing block
+@lru_cache(maxsize=1)   # a sensing call asks for one N once per block
 def mode_transform(n_elements: int) -> np.ndarray:
     """Unitary element->mode matrix W with rows ordered by canonical mode index.
 

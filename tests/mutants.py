@@ -104,6 +104,15 @@ MUTANTS = (
     # the BER probe drawing from the sensing stage's key instead of its own
     Mutant("probe-stage-key", "src/oam_antijam/metrics.py",
            "substream(seed, *key, 2), options)", "substream(seed, *key, 1), options)"),
+    # the sensing of one (N, l_j): keyed by its first SNR too, kept for the next jammed
+    # count of the ring size, or kept for the same jammed count of the next ring size
+    Mutant("sense-key-snr", "src/oam_antijam/metrics.py",
+           "substream(scenario.seed, n, n_jam, 1)",
+           "substream(scenario.seed, n, n_jam, int(np.float64(snr_db).view(np.uint64)), 1)"),
+    Mutant("sense-shared-across-jammed-counts", "src/oam_antijam/metrics.py",
+           "if pair != (n, n_jam):", "if pair is None or pair[0] != n:"),
+    Mutant("sense-kept-across-ring-sizes", "src/oam_antijam/metrics.py",
+           "if pair != (n, n_jam):", "if pair is None or pair[1] != n_jam:"),
     Mutant("preamble-even-slice", "src/oam_antijam/backscatter.py",
            "energies[0::2]", "energies[::2]",
            "the same slice: a start of 0 is the default"),

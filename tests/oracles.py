@@ -11,15 +11,18 @@ matrix, the exact-distance channel, targeted jamming synthesized on every
 element, the reflected link drawn as carrier and background separately, the
 per-mode SNR evaluated entry by entry over a (trials, N) mask, and the
 closed-form expected spectrum efficiency of a grid point, which
-:func:`se_cells` sets beside every Monte Carlo mean of a sweep.
+:func:`se_cells` sets beside every Monte Carlo mean of a sweep. It also reads
+the benchmark self-test's miniature scenarios (:func:`selftest_scenario`).
 """
 
 from __future__ import annotations
 
+import ast
 import struct
 from collections.abc import Iterable
 from itertools import product
 from math import comb, factorial
+from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +33,7 @@ from oam_antijam.channel import element_azimuths
 from oam_antijam.jamming import complex_gaussian, substream
 from oam_antijam.signals import mode_transform
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 BESSEL_MAX_ORDER = 60
 BESSEL_MAX_ARGUMENT = 100.0
 
@@ -290,3 +294,11 @@ def se_cells(scenario: Scenario):
             cell = by_cell[(scheme, n, n_jammed, snr_db)]
             yield ((scheme, n, n_jammed, snr_db), cell.se_bits, cell.se_stderr, value,
                    value_major, departures)
+
+
+def selftest_scenario(name):
+    """The text of the self-test's miniature scenario ``name``, read without running it."""
+    tree = ast.parse((BENCH / "selftest.py").read_text(encoding="utf-8"))
+    mini = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(target, "id", None) == "MINI" for target in node.targets))
+    return ast.literal_eval(mini)[name]

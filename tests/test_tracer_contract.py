@@ -9,7 +9,6 @@ the self-test. The benchmark change of ROADMAP item 1 (stage hooks in the
 package instead of wrapped names) deletes this test with ``SPAN_TABLE``.
 """
 
-import ast
 import importlib
 import inspect
 import runpy
@@ -17,17 +16,10 @@ from collections import Counter
 from pathlib import Path
 
 from oam_antijam import backscatter, cli
+from oracles import selftest_scenario
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SPANS = BENCH / "spans.py"
-
-
-def selftest_scenario(name):
-    """The text of the self-test's miniature scenario ``name``, read without running it."""
-    tree = ast.parse((BENCH / "selftest.py").read_text(encoding="utf-8"))
-    mini = next(node.value for node in tree.body if isinstance(node, ast.Assign)
-                and any(getattr(target, "id", None) == "MINI" for target in node.targets))
-    return ast.literal_eval(mini)[name]
 
 
 def test_every_wrapped_name_resolves():
