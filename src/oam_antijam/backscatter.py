@@ -24,8 +24,8 @@ the preamble threshold below is exactly the equal-likelihood point of the two
 Gamma(K, Qhat_b / K) hypotheses. Where the preamble does not separate the two
 levels, the threshold is the mean energy of the whole preamble, so calibration
 always returns a threshold measured from the preamble alone. Those error rates
-use the same integer-shape gamma CDF as the transmitter's detector
-(:func:`sensing.gamma_cdf`).
+use the detector's gamma CDF (:func:`sensing.gamma_cdf`) and, like it, are
+elementwise on arrays: one call gives a whole grid of correct-decision probabilities.
 """
 
 from __future__ import annotations
@@ -103,18 +103,19 @@ def hypothesis_variance(config: LinkConfig, link_gain, gain_level,
     return kappa2 * (gain_level * gain_level) * carrier_variance + config.receiver_floor
 
 
-def average_correct_detection(q_th: float, n_samples: int, sigma2_k0: float,
-                              sigma2_k1: float, priors=(0.5, 0.5)) -> float:
+def average_correct_detection(q_th, n_samples: int, sigma2_k0, sigma2_k1, priors=(0.5, 0.5)):
     """Prior-weighted probability of deciding the sent bit correctly.
 
     Under bit b the energy is Gamma(K, sigma2_kb/K), and bit 0 is decided below
     q_th: p0 * P[Q < q_th | 0] + p1 * P[Q >= q_th | 1], both tails from
     :func:`sensing.gamma_cdf`. Priors (1, 0) or (0, 1) give one bit's probability.
+    Elementwise on arrays (a float for scalars). A negative q_th decides every bit 1;
+    a nan q_th or a variance that is not > 0 raises ValueError.
     """
-    if not (sigma2_k0 > 0.0 and sigma2_k1 > 0.0):
+    if not (np.all(sigma2_k0 > 0.0) and np.all(sigma2_k1 > 0.0)):
         raise ValueError(f"hypothesis variances must be positive, got {sigma2_k0}, {sigma2_k1}")
     p0, p1 = priors
-    q_th = max(q_th, 0.0)
+    q_th = np.maximum(q_th, 0.0)   # nan stays nan, which gamma_cdf rejects
     below0 = gamma_cdf(q_th, n_samples, sigma2_k0 / n_samples)
     below1 = gamma_cdf(q_th, n_samples, sigma2_k1 / n_samples)
     return p0 * below0 + p1 * (1.0 - below1)

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 
@@ -273,34 +274,39 @@ class Scenario:
             raise ConfigurationError(
                 f"the iid model jams no chosen modes: n_jammed must be 0, got {axes.n_jammed}")
         points = list(product(axes.n_elements, axes.n_jammed, axes.snr_db))
-        links = [_at_point(point, _point_config, config, *point) for point in points]
+        links = []
+        for point in points:
+            with _at_point(point):
+                links.append(_point_config(config, *point))
         for point, link in zip(points, links):
-            _at_point(point, _check_magnitudes, *link, options.jam_variance_tx)
+            with _at_point(point):
+                _check_magnitudes(*link, options.jam_variance_tx)
         object.__setattr__(self, "_links", tuple(zip(points, links)))   # ((N, l_j, SNR), link)
 
 
-def _at_point(point: tuple, check, *args):
-    """``check(*args)``, its :class:`ConfigurationError` prefixed with the grid point."""
+@contextmanager
+def _at_point(point: tuple, error=ConfigurationError):
+    """Prefix an ``error`` raised in the block with the grid point; (N, l_j) names a pair."""
     try:
-        return check(*args)
-    except ConfigurationError as exc:
-        n_el, n_jam, snr_db = point
-        raise ConfigurationError(
-            f"grid point (N={n_el}, l_j={n_jam}, snr={snr_db:g} dB): {exc}") from exc
+        yield
+    except error as exc:
+        snr = f", snr={point[2]:g} dB" if len(point) > 2 else ""
+        raise error(f"grid point (N={point[0]}, l_j={point[1]}{snr}): {exc}") from exc
 
 
-def _point_thresholds(cfg: LinkConfig, kappas: np.ndarray, carrier_variance: float,
-                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode calibrated thresholds q_th and analytic correct-decision probabilities."""
-    gains, priors = cfg.pga_gains, cfg.pga_priors
-    q_th = np.array([calibrate_from_preamble(cfg, kappa, carrier_variance, rng)
-                     for kappa in kappas])
-    sigma2_0, sigma2_1 = (hypothesis_variance(cfg, kappas, gain, carrier_variance)
-                          for gain in (gains[0], gains[-1]))
-    p_c = np.array([average_correct_detection(q, cfg.samples_per_symbol, s0, s1,
-                                              (priors[0], priors[-1]))
-                    for q, s0, s1 in zip(q_th, sigma2_0, sigma2_1)])
-    return q_th, p_c
+def _point_key(n_elements: int, n_jammed: int, snr_db: float) -> tuple[int, int, int]:
+    """Substream key of a grid point before its stage: the SNR as IEEE-754 bits, -0.0 as 0.0."""
+    return n_elements, n_jammed, int(np.float64(float(snr_db) + 0.0).view(np.uint64))
+
+
+def _correct_detection(cfgs: list[LinkConfig], kappas: np.ndarray, q_th: np.ndarray,
+                       carrier_variance: float) -> np.ndarray:
+    """(points, N) p_c of one (N, l_j)'s point links ``cfgs`` and thresholds, in one call."""
+    gains, priors = cfgs[0].pga_gains, cfgs[0].pga_priors
+    sigma2_0, sigma2_1 = (np.array([hypothesis_variance(cfg, kappas, gain, carrier_variance)
+                                    for cfg in cfgs]) for gain in (gains[0], gains[-1]))
+    return average_correct_detection(q_th, cfgs[0].samples_per_symbol, sigma2_0, sigma2_1,
+                                     (priors[0], priors[-1]))
 
 
 def _measure_ber(cfg: LinkConfig, kappas: np.ndarray, q_th: np.ndarray,
@@ -383,30 +389,26 @@ def _sense_targeted(rng: np.random.Generator, jam_sets: np.ndarray, n: int, k: i
     return energies
 
 
-def _sweep_point(scenario: Scenario, n_jammed: int, snr_db: float,
-                 cfg: LinkConfig, transmit_power: float, kappas: np.ndarray,
-                 jam_sets: np.ndarray, flagged: np.ndarray, p_j: float,
-                 p_u: float) -> list[SweepResult]:
-    """Calibration, SE and BER probe of one grid point: one row per scheme, on shared trials.
+def _sweep_point(scenario: Scenario, point: tuple, cfg: LinkConfig, transmit_power: float,
+                 kappas: np.ndarray, jam_sets: np.ndarray, flagged: np.ndarray, p_j: float,
+                 p_u: float, q_th: np.ndarray, p_c_modes: np.ndarray) -> list[SweepResult]:
+    """SE and BER probe of grid point (N, l_j, SNR): one row per scheme, on shared trials.
 
-    ``cfg`` and ``transmit_power`` are the point's :func:`_point_config`;
-    ``kappas`` are the link gains of its ring size, ``jam_sets`` and ``flagged`` the
-    trials' sensing at its (N, l_j); ``p_j`` and ``p_u`` weigh flagged and unflagged modes.
+    ``cfg`` and ``transmit_power`` are the point's :func:`_point_config`; ``kappas`` are the
+    link gains of its ring size, ``jam_sets`` and ``flagged`` the trials' sensing at its
+    (N, l_j). ``q_th`` holds the point's per-mode thresholds, and ``p_j``, ``p_u`` and the
+    per-mode ``p_c_modes`` weigh the modes' rates.
     """
     options, trials, seed = scenario.options, scenario.trials, scenario.seed
-    n_elements, carrier_variance = cfg.n_tx, options.jam_variance_tx
-    # stage substreams (key, 0|2) of the point itself, its SNR as IEEE-754 bits, -0.0 as 0.0
-    key = n_elements, n_jammed, int(np.float64(float(snr_db) + 0.0).view(np.uint64))
-
-    q_th, p_c_modes = _point_thresholds(cfg, kappas, carrier_variance, substream(seed, *key, 0))
-    se = spectral_efficiency(cfg, flagged, kappas, transmit_power, carrier_variance, p_j, p_u,
-                             p_c_modes)
+    n_elements, n_jammed, snr_db = point
+    se = spectral_efficiency(cfg, flagged, kappas, transmit_power, options.jam_variance_tx,
+                             p_j, p_u, p_c_modes)
     se_mean = {scheme: float(values.mean()) for scheme, values in se.items()}
     if not all(map(math.isfinite, se_mean.values())):
         raise FloatingPointError("non-finite spectrum efficiency")
 
-    ber = _measure_ber(cfg, kappas, q_th, carrier_variance, jam_sets,
-                       substream(seed, *key, 2), options)
+    ber = _measure_ber(cfg, kappas, q_th, options.jam_variance_tx, jam_sets,
+                       substream(seed, *_point_key(*point), 2), options)
     p_c = float(p_c_modes.mean()) if n_jammed or options.jam_model == BROADBAND else np.nan
     return [SweepResult(
         scheme=scheme, snr_db=snr_db, n_elements=n_elements, n_jammed=n_jammed,
@@ -421,12 +423,13 @@ def run_sweep(scenario: Scenario) -> list[SweepResult]:
 
     Grid order is n_elements, then n_jammed, then snr_db; each point runs ``scenario.trials``
     independent sense/partition/allocate/decide trials, both schemes on the same realizations.
-    A point calibrates and probes on substreams keyed by the point alone; each (N, l_j) senses
-    its trials once, on substream (N, l_j, 1), and every SNR of it reuses the flags.
-    An overflow or invalid operation in a point raises FloatingPointError naming the point.
+    Each (N, l_j), whose SNRs the grid keeps together, senses its trials once on substream
+    (N, l_j, 1), calibrates each SNR point on the point's (key, 0), gets all their p_c from
+    one :func:`average_correct_detection` call, then reduces each point's SE and probes its
+    BER on (key, 2). A FloatingPointError names its point, or the (N, l_j) of a shared step.
     """
     config, options, trials, rows = scenario.config, scenario.options, scenario.trials, []
-    kappas = work = pair = None
+    kappas = work = None
     targeted, variance = options.jam_model == TARGETED, options.jam_variance_tx
     k = config.samples_per_symbol
     # the detector's p_j, p_u depend only on its threshold, K and the jamming variance; iid
@@ -435,27 +438,34 @@ def run_sweep(scenario: Scenario) -> list[SweepResult]:
     p_u = 1.0 if targeted else p_u
     jam_sets = np.empty((trials, 0), dtype=int)   # iid jamming chooses no modes
     with np.errstate(over="raise", invalid="raise"):
-        for (n, n_jam, snr_db), (cfg, transmit_power) in scenario._links:
-            try:
+        for (n, n_jam), group in groupby(scenario._links, key=lambda link: link[0][:2]):
+            points, links = zip(*group)   # the SNR points of one (N, l_j), in grid order
+            cfgs = [cfg for cfg, _ in links]
+            with _at_point((n, n_jam), FloatingPointError):
                 if kappas is None or len(kappas) != n:   # a new ring size
                     # the channel row does not depend on the noise variance
-                    kappas = mode_link_gains(cfg, build_channel_matrix(cfg))
-                    if targeted:
-                        work = _sense_work(trials, n, k)
-                if pair != (n, n_jam):   # the grid keeps the SNRs of each (N, l_j) together
-                    pair, rng = (n, n_jam), substream(scenario.seed, n, n_jam, 1)
-                    if targeted:
-                        jam_sets = _draw_jam_sets(rng, trials, n, n_jam)
-                        energies = _sense_targeted(rng, jam_sets, n, k, variance, work)
-                    else:   # the unitary W keeps iid element jamming iid per mode
-                        energies = gamma_energies(rng, (trials, n), variance, k)
-                    flagged = energies >= cfg.energy_threshold_tx   # (trials, N)
-                    del energies
-                rows += _sweep_point(scenario, n_jam, snr_db, cfg, transmit_power, kappas,
-                                     jam_sets, flagged, p_j, p_u)
-            except FloatingPointError as exc:
-                raise FloatingPointError(
-                    f"grid point (N={n}, l_j={n_jam}, snr={snr_db:g} dB): {exc}") from exc
+                    kappas = mode_link_gains(cfgs[0], build_channel_matrix(cfgs[0]))
+                    work = _sense_work(trials, n, k) if targeted else None
+                rng = substream(scenario.seed, n, n_jam, 1)
+                if targeted:
+                    jam_sets = _draw_jam_sets(rng, trials, n, n_jam)
+                    energies = _sense_targeted(rng, jam_sets, n, k, variance, work)
+                else:   # the unitary W keeps iid element jamming iid per mode
+                    energies = gamma_energies(rng, (trials, n), variance, k)
+                flagged = energies >= config.energy_threshold_tx   # (trials, N)
+                del energies
+            q_th = np.empty((len(points), n))
+            for row, (point, cfg) in enumerate(zip(points, cfgs)):
+                with _at_point(point, FloatingPointError):
+                    rng = substream(scenario.seed, *_point_key(*point), 0)
+                    q_th[row] = [calibrate_from_preamble(cfg, kappa, variance, rng)
+                                 for kappa in kappas]
+            with _at_point((n, n_jam), FloatingPointError):
+                p_c = _correct_detection(cfgs, kappas, q_th, variance)
+            for point, (cfg, power), q_row, p_c_row in zip(points, links, q_th, p_c):
+                with _at_point(point, FloatingPointError):
+                    rows += _sweep_point(scenario, point, cfg, power, kappas, jam_sets, flagged,
+                                         p_j, p_u, q_row, p_c_row)
     return rows
 
 

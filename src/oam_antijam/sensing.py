@@ -5,54 +5,72 @@ The detector flags a mode as jammed when its block-average energy
 Gaussian jamming of variance sigma2 per mode, that energy follows
 Gamma(K, sigma2/K), which gives the flag/no-flag probabilities here.
 
-K is a sample count, so :func:`gamma_cdf` needs P(K, x) at integer K only and
-computes it in pure Python with ``math``: a power series below x = K + 1 and
-the finite Poisson sum of the upper tail above.
+K is a sample count, so :func:`gamma_cdf`, the package's one gamma CDF, needs
+P(K, x) at integer K only: the chance that a Poisson(x) count reaches K. It sums
+the smaller Poisson tail in log space over a window of terms next to K, which
+:func:`_regularized_gamma_p` sizes; an array entry equals its scalar call bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+
+import numpy as np
 
 from .config import check_count
 
-_EPS = 1e-15  # relative size of the last term of either sum
+
+@functools.lru_cache(maxsize=8)
+def _poisson_window(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Term indices i in [max(k - m, 0), k + m) as floats, and their ln i!."""
+    m = math.ceil(9.0 * math.sqrt(k)) + 30
+    i = np.arange(max(k - m, 0), k + m, dtype=float)
+    log_factorial = np.array([math.lgamma(j + 1.0) for j in i])
+    i.flags.writeable = log_factorial.flags.writeable = False   # shared by every call at k
+    return i, log_factorial
 
 
-def _regularized_gamma_p(k: int, x: float) -> float:
-    """P(k, x) for an integer k >= 1 and x >= 0: power series below x = k + 1, 1 - Q above."""
-    if x == 0.0 or x == math.inf:
-        return float(x > 0.0)
-    prefactor = math.exp(k * math.log(x) - x - math.lgamma(k))
-    if x < k + 1:
-        n, term, total = k, 1.0 / k, 1.0 / k
-        while term >= total * _EPS:
-            n += 1
-            term *= x / n
-            total += term
-        return total * prefactor
-    # the upper tail is the finite Poisson sum Q = e^-x sum_{i<k} x^i / i!, here
-    # summed down from i = k - 1, whose term is 1/x after the prefactor
-    term = total = 1.0 / x
-    for i in range(k - 1, 0, -1):
-        term *= i / x
-        total += term
-        if term < total * _EPS:
-            break
-    return 1.0 - prefactor * total
+def _poisson_sum(x: np.ndarray, i: np.ndarray, log_factorial: np.ndarray) -> np.ndarray:
+    """Sum over the indices i of the Poisson terms e^-x x^i / i!, one per entry of 1-D x > 0."""
+    x = x[:, None]
+    return np.exp(i * np.log(x) - x - log_factorial).sum(axis=1)
 
 
-def gamma_cdf(x: float, shape: int, scale: float) -> float:
-    """P[Gamma(shape, scale) <= x] for an integer shape (a sample count)."""
-    x, scale = float(x), float(scale)  # numpy scalars would make the loops ~3x slower
-    if not x >= 0.0:
+def _regularized_gamma_p(k: int, x) -> np.ndarray:
+    """P(k, x) for an integer k >= 1, elementwise on x >= 0; nan or x < 0 raise ValueError.
+
+    Each term is exp(i ln x - x - ln i!): i in [k, k + m) below x = k, and 1 minus the sum
+    over i in [k - m, k) at or above it. Terms fall off like exp(-j^2 / 2k) at a distance j
+    from k, so m = ceil(9 sqrt(k)) + 30 drops under e^-40 of a tail.
+    """
+    x = np.asarray(x, dtype=float)
+    if not np.all(x >= 0.0):   # nan fails too
+        raise ValueError(f"P(k, x) needs x >= 0, got {x}")
+    i, log_factorial = _poisson_window(k)
+    split = k - int(i[0])   # the window position of i = k
+    p = np.array(x == math.inf, dtype=float)   # P(k, 0) = 0 and P(k, inf) = 1
+    lower, upper = (x > 0.0) & (x < k), (x >= k) & (x < math.inf)
+    p[lower] = _poisson_sum(x[lower], i[split:], log_factorial[split:])
+    p[upper] = 1.0 - _poisson_sum(x[upper], i[:split], log_factorial[:split])
+    return p
+
+
+def gamma_cdf(x, shape: int, scale):
+    """P[Gamma(shape, scale) <= x] for an integer shape (a sample count).
+
+    Elementwise on arrays, a float for scalars. A zero scale is a point mass at zero.
+    """
+    x, scale = np.asarray(x, dtype=float), np.asarray(scale, dtype=float)
+    if not np.all(x >= 0.0):
         raise ValueError(f"gamma_cdf argument must be >= 0, got {x}")
     check_count("gamma_cdf shape", shape, 1)
-    if not scale >= 0.0:
+    if not np.all(scale >= 0.0):
         raise ValueError(f"gamma_cdf scale must be >= 0, got {scale}")
-    if scale == 0.0:
-        return 1.0  # degenerate point mass at zero
-    return _regularized_gamma_p(int(shape), x / scale)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratio = np.where(scale > 0.0, x / scale, math.inf)   # an overflow is P = 1 too
+    p = _regularized_gamma_p(int(shape), ratio)
+    return float(p) if p.ndim == 0 else p
 
 
 def detection_probabilities(energy_threshold: float, n_samples: int,

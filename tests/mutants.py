@@ -42,6 +42,25 @@ class Mutant:
     verdict: str = KILLED   # or the reason the mutant is equivalent
 
 
+# run_sweep's sensing of one (N, l_j), and the same block redone only when ``changed``
+SENSE_BLOCK = """\
+                rng = substream(scenario.seed, n, n_jam, 1)
+                if targeted:
+                    jam_sets = _draw_jam_sets(rng, trials, n, n_jam)
+                    energies = _sense_targeted(rng, jam_sets, n, k, variance, work)
+                else:   # the unitary W keeps iid element jamming iid per mode
+                    energies = gamma_energies(rng, (trials, n), variance, k)
+                flagged = energies >= config.energy_threshold_tx   # (trials, N)
+                del energies
+"""
+
+
+def sensed_only_when(changed: str) -> str:
+    return (f"                if 'sensed' not in locals() or {changed}:\n"
+            "                    sensed = n, n_jam\n"
+            + "".join("    " + line for line in SENSE_BLOCK.splitlines(True)))
+
+
 MUTANTS = (
     # _check_magnitudes: each of the five grid-point bounds dropped in turn
     Mutant("magnitude-jam-variance", "src/oam_antijam/metrics.py",
@@ -100,25 +119,39 @@ MUTANTS = (
     Mutant("snr-key-signed-zero", "src/oam_antijam/metrics.py",
            "float(snr_db) + 0.0", "float(snr_db)"),
     Mutant("point-key-swapped", "src/oam_antijam/metrics.py",
-           "key = n_elements, n_jammed, int(", "key = n_jammed, n_elements, int("),
+           "return n_elements, n_jammed, int(", "return n_jammed, n_elements, int("),
     # the BER probe drawing from the sensing stage's key instead of its own
     Mutant("probe-stage-key", "src/oam_antijam/metrics.py",
-           "substream(seed, *key, 2), options)", "substream(seed, *key, 1), options)"),
+           "substream(seed, *_point_key(*point), 2), options)",
+           "substream(seed, *_point_key(*point), 1), options)"),
     # the sensing of one (N, l_j): keyed by its first SNR too, kept for the next jammed
     # count of the ring size, or kept for the same jammed count of the next ring size
     Mutant("sense-key-snr", "src/oam_antijam/metrics.py",
            "substream(scenario.seed, n, n_jam, 1)",
-           "substream(scenario.seed, n, n_jam, int(np.float64(snr_db).view(np.uint64)), 1)"),
+           "substream(scenario.seed, n, n_jam, int(np.float64(points[0][2]).view(np.uint64)), 1)"),
     Mutant("sense-shared-across-jammed-counts", "src/oam_antijam/metrics.py",
-           "if pair != (n, n_jam):", "if pair is None or pair[0] != n:"),
+           SENSE_BLOCK, sensed_only_when("sensed[0] != n")),
     Mutant("sense-kept-across-ring-sizes", "src/oam_antijam/metrics.py",
-           "if pair != (n, n_jam):", "if pair is None or pair[1] != n_jam:"),
+           SENSE_BLOCK, sensed_only_when("sensed[1] != n_jam")),
+    # the gamma CDF's Poisson windows: the lower tail missing its first term i = K, or a
+    # window of ceil(sqrt(K)) terms, too narrow by a factor 9 plus 30 terms
+    Mutant("gamma-lower-window-from-k-plus-1", "src/oam_antijam/sensing.py",
+           "i[split:], log_factorial[split:]", "i[split + 1:], log_factorial[split + 1:]"),
+    Mutant("gamma-window-sqrt-k", "src/oam_antijam/sensing.py",
+           "m = math.ceil(9.0 * math.sqrt(k)) + 30", "m = math.ceil(math.sqrt(k))"),
+    # gamma_cdf passing an array with a nan or negative entry when any entry is fine
+    Mutant("gamma-cdf-any-entry", "src/oam_antijam/sensing.py",
+           "if not np.all(x >= 0.0):\n        raise ValueError(f\"gamma_cdf",
+           "if not np.any(x >= 0.0):\n        raise ValueError(f\"gamma_cdf"),
+    # one (N, l_j): the first SNR point's p_c reused for every SNR point of the pair
+    Mutant("pair-first-snr-p-c", "src/oam_antijam/metrics.py",
+           "zip(points, links, q_th, p_c)", "zip(points, links, q_th, [p_c[0]] * len(points))"),
     Mutant("preamble-even-slice", "src/oam_antijam/backscatter.py",
            "energies[0::2]", "energies[::2]",
            "the same slice: a start of 0 is the default"),
     Mutant("detector-strict-flag", "src/oam_antijam/metrics.py",
-           "flagged = energies >= cfg.energy_threshold_tx",
-           "flagged = energies > cfg.energy_threshold_tx",
+           "flagged = energies >= config.energy_threshold_tx",
+           "flagged = energies > config.energy_threshold_tx",
            "a jammed mode's energy is continuous and a clean one reads exactly 0 below a "
            "positive threshold, so the two differ only with probability 0"),
 )

@@ -311,22 +311,23 @@ class TestCalibrateFromPreamble:
             seen.add("crossing" if separated else "fallback")
         assert seen == branches
 
-    def test_point_thresholds_match_the_per_mode_scalar_path(self):
-        # the sweep's hypothesis variances are two array calls; each mode's p_c must
-        # equal the one from its own scalar variances
-        cfg = LinkConfig(n_tx=8, pga_gains=(0.25, 1.5), pga_priors=(0.3, 0.7),
-                         preamble_length=5)
-        kappas = mode_link_gains(cfg)
-        q_th, p_c = metrics._point_thresholds(cfg, kappas, 1.0, substream(3, 0, 0))
-        twin, (g0, g1) = substream(3, 0, 0), cfg.pga_gains
-        expected_q = [calibrate_from_preamble(cfg, kappa, 1.0, twin) for kappa in kappas]
-        expected_p = [average_correct_detection(q, cfg.samples_per_symbol,
-                                                hypothesis_variance(cfg, kappa, g0, 1.0),
-                                                hypothesis_variance(cfg, kappa, g1, 1.0),
-                                                cfg.pga_priors)
-                      for q, kappa in zip(expected_q, kappas)]
-        assert q_th.tolist() == expected_q
-        assert p_c.tolist() == expected_p
+    def test_pair_p_c_matches_the_per_mode_scalar_path(self):
+        # the sweep gets the p_c of every mode at every SNR of one (N, l_j) from one array
+        # call; each entry must equal the scalar call on its own threshold and variances
+        base = LinkConfig(n_tx=8, pga_gains=(0.25, 1.5), pga_priors=(0.3, 0.7),
+                          preamble_length=5)
+        cfgs = [replace(base, noise_variance_rx=noise) for noise in (10.0, 0.1, 1e-3)]
+        kappas = mode_link_gains(base)
+        q_th = np.array([[calibrate_from_preamble(cfg, kappa, 1.0, substream(3, row, 0))
+                          for kappa in kappas] for row, cfg in enumerate(cfgs)])
+        p_c = metrics._correct_detection(cfgs, kappas, q_th, 1.0)
+        (g0, g1), k = base.pga_gains, base.samples_per_symbol
+        expected = [[average_correct_detection(q, k, hypothesis_variance(cfg, kappa, g0, 1.0),
+                                               hypothesis_variance(cfg, kappa, g1, 1.0),
+                                               base.pga_priors)
+                     for q, kappa in zip(row, kappas)] for row, cfg in zip(q_th, cfgs)]
+        assert p_c.shape == (3, 8) and len({row[0] for row in expected}) == 3
+        assert p_c.tolist() == expected
 
 
 class TestDecideBit:

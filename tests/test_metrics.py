@@ -527,6 +527,29 @@ class TestRunSweep:
                                                      r"power_per_mode 1e\+306 times 400 clean"):
             Scenario(cfg, axes, trials=2, seed=0)
 
+    def test_numeric_failure_names_the_point_or_its_pair(self, monkeypatch):
+        # calibration runs per point and p_c once per (N, l_j): each failure names its own
+        scenario = Scenario(LinkConfig(), SweepAxes(snr_db=(0.0, 10.0), n_jammed=(2,),
+                                                    n_elements=(8,)), trials=2, seed=0)
+        calibrate = metrics.calibrate_from_preamble
+
+        def failing_at_10_db(cfg, *args):   # 10 dB sets the noise to 10 W per mode
+            if cfg.noise_variance_rx < 50.0:
+                raise FloatingPointError("overflow")
+            return calibrate(cfg, *args)
+
+        def failing(*args):
+            raise FloatingPointError("overflow")
+
+        monkeypatch.setattr(metrics, "calibrate_from_preamble", failing_at_10_db)
+        with pytest.raises(FloatingPointError,
+                           match=r"^grid point \(N=8, l_j=2, snr=10 dB\): overflow$"):
+            run_sweep(scenario)
+        monkeypatch.setattr(metrics, "calibrate_from_preamble", calibrate)
+        monkeypatch.setattr(metrics, "_correct_detection", failing)
+        with pytest.raises(FloatingPointError, match=r"^grid point \(N=8, l_j=2\): overflow$"):
+            run_sweep(scenario)
+
     def test_negative_seed_rejected(self):
         axes = SweepAxes(snr_db=(10.0,), n_jammed=(0,), n_elements=(8,))
         with pytest.raises(ConfigurationError, match="seed"):

@@ -108,6 +108,66 @@ class TestGammaCdf:
                 assert abs(got - float(ref)) <= 1e-11 * float(ref), (k, x, got, ref)
 
 
+class TestGammaCdfOnArrays:
+    """The one CDF is elementwise: every array entry is its own scalar call, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 8, 64, 1024, 4096])
+    def test_matches_scipy_at_the_window_edges_and_the_limits(self, k):
+        # x = k +- 9 sqrt(k) are where the windowed tails are widest; above x = 745
+        # e^-x alone underflows, so only the log-space terms keep the upper tail
+        edge = 9.0 * math.sqrt(k)
+        xs = np.array([0.0, max(k - edge, 0.5), k - 1.0, k, k + 1.0, k + edge, 746.0, 1e3,
+                       1e5, 1e300, math.inf])
+        got = gamma_cdf(xs, k, 1.0)
+        ref = special.gammainc(k, xs)
+        assert got[0] == 0.0 and got[-1] == 1.0
+        np.testing.assert_allclose(got, ref, rtol=1e-11, atol=1e-300)
+
+    @pytest.mark.parametrize("k", [1, 16, 64, 4096])
+    def test_array_entries_equal_scalar_calls(self, k):
+        xs = k * np.geomspace(1e-3, 30.0, 24).reshape(4, 6)
+        scales = np.linspace(0.5, 2.0, 6)
+        got = gamma_cdf(xs, k, scales)
+        assert got.shape == (4, 6)
+        assert got.tolist() == [[gamma_cdf(float(x), k, float(s)) for x, s in zip(row, scales)]
+                                for row in xs]
+
+    def test_zero_dimensional_input_gives_a_float(self):
+        p = gamma_cdf(np.array(0.5), 64, np.array(1 / 64))
+        assert type(p) is float and p == gamma_cdf(0.5, 64, 1 / 64)
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.1])
+    def test_a_bad_entry_is_rejected(self, bad):
+        with pytest.raises(ValueError, match="gamma_cdf argument"):
+            gamma_cdf(np.array([0.5, bad, 2.0]), 8, 1.0)
+        with pytest.raises(ValueError, match="gamma_cdf scale"):
+            gamma_cdf(np.array([0.5, 1.0]), 8, np.array([1.0, bad]))
+
+    def test_correct_detection_entries_equal_scalar_calls(self):
+        # a negative threshold counts as 0, on arrays as on scalars
+        q_th = np.array([[-1.0, 0.0, 0.3], [1.2, 5.0, 1e9]])
+        s0, s1 = np.array([0.5, 1.0, 2.0]), np.array([[3.0, 4.0, 9.0], [2.5, 1.5, 40.0]])
+        got = average_correct_detection(q_th, 16, s0, s1, (0.3, 0.7))
+        assert got.tolist() == [[average_correct_detection(float(q), 16, float(a), float(b),
+                                                           (0.3, 0.7))
+                                 for q, a, b in zip(row, s0, s1_row)]
+                                for row, s1_row in zip(q_th, s1)]
+        assert type(average_correct_detection(np.float64(0.4), 16, np.float64(1.0),
+                                              np.array(2.0))) is float
+
+    @pytest.mark.parametrize("q_th, sigma2, match", [
+        # the array path would otherwise fall through both tails and return p_c = p1
+        ([0.5, math.nan], [1.0, 1.0], "gamma_cdf argument"),
+        ([0.5, 0.5], [1.0, -1.0], "hypothesis variances"),
+        ([0.5, 0.5], [1.0, math.nan], "hypothesis variances"),
+    ])
+    def test_correct_detection_rejects_a_bad_entry(self, q_th, sigma2, match):
+        with pytest.raises(ValueError, match=match):
+            average_correct_detection(np.array(q_th), 8, np.array(sigma2), 2.0)
+        with pytest.raises(ValueError, match=match):
+            average_correct_detection(np.array(q_th), 8, 2.0, np.array(sigma2))
+
+
 @given(st.integers(1, 2048), st.floats(0.0, 50.0), st.floats(0.0, 1.0))
 def test_gamma_cdf_matches_scipy_and_is_a_cdf(k, x_over_k, step):
     x = x_over_k * k
