@@ -51,9 +51,7 @@ DEFAULT_SEED = 1234
 # On the default sweep (2-core AMD EPYC, 1 MB L2 per core, one BLAS thread), with
 # only the jammed rows decomposed, blocks of 16, 64 and 128 trials took +1.9 %,
 # -0.4 % and -1.5 % of the time at 32 (medians of 3 runs, each run within +-3 %):
-# flat, so the smaller block is kept. A block's work array (_sense_work) is the
-# sweep's, allocated once per ring size and reused by every block of every (N, l_j);
-# sense_targeted allocates its own per call.
+# flat, so the smaller block is kept.
 SENSE_BLOCK_SAMPLES = 32768
 
 # The largest closed-form magnitude a grid point may reach (_check_magnitudes).
@@ -333,11 +331,6 @@ def _draw_jam_sets(rng: np.random.Generator, trials: int, n: int, n_jammed: int)
     return np.argsort(rng.random((trials, n)), axis=1)[:, :n_jammed]
 
 
-def _sense_work(trials: int, n: int, k: int) -> np.ndarray:
-    """(rows, n, k) complex element samples of one sensing block, rows in 1..trials."""
-    return np.empty((min(trials, max(1, SENSE_BLOCK_SAMPLES // (n * k))), n, k), dtype=complex)
-
-
 def sense_targeted(rng: np.random.Generator, jam_sets: np.ndarray, n: int, k: int,
                    variance: float) -> np.ndarray:
     """(trials, n) detector energies of CN(0, variance) jamming on the modes ``jam_sets``.
@@ -347,21 +340,12 @@ def sense_targeted(rng: np.random.Generator, jam_sets: np.ndarray, n: int, k: in
     trial t. Each jammed mode carries K samples of one (trials, l_j, K)
     :func:`complex_gaussian` draw from ``rng``; every other mode carries none.
     The draw goes through the jammed columns of W^H and back through the jammed
-    rows of W (:func:`mode_energies`), a block of trials at a time, on a work
-    array of its own; a clean mode's energy is exactly 0 and l_j = 0 draws
-    nothing. Raises ValueError, before any draw, unless the ring size ``n`` and
-    ``k`` are integers >= 1, ``jam_sets`` is a 2-D integer array of positions
-    in 0..n-1 with no position repeated within a row and the variance finite
-    and >= 0, even if nothing is drawn.
-    """
-    return _sense_targeted(rng, jam_sets, n, k, variance, None)
-
-
-def _sense_targeted(rng: np.random.Generator, jam_sets: np.ndarray, n: int, k: int,
-                    variance: float, work: np.ndarray | None) -> np.ndarray:
-    """:func:`sense_targeted` on the caller's :func:`_sense_work` array (None: a new one).
-
-    The returned energies are a new array; the work array only passes a block on.
+    rows of W (:func:`mode_energies`), a block of about SENSE_BLOCK_SAMPLES
+    complex samples at a time; a clean mode's energy is exactly 0 and l_j = 0
+    draws nothing. Raises ValueError, before any draw, unless the ring size
+    ``n`` and ``k`` are integers >= 1, ``jam_sets`` is a 2-D integer array of
+    positions in 0..n-1 with no position repeated within a row and the variance
+    finite and >= 0, even if nothing is drawn.
     """
     check_count("ring size", n, 1)
     check_count("samples per symbol k", k, 1)
@@ -377,15 +361,12 @@ def _sense_targeted(rng: np.random.Generator, jam_sets: np.ndarray, n: int, k: i
     energies = np.zeros((len(jam_sets), n))
     if jam_sets.size:
         samples = complex_gaussian(rng, jam_sets.shape + (k,), variance)
-        elements = _sense_work(len(jam_sets), n, k) if work is None else work
-        w_h, step = mode_transform(n).conj().T, len(elements)
+        w_h, step = mode_transform(n).conj().T, max(1, SENSE_BLOCK_SAMPLES // (n * k))
         for start in range(0, len(jam_sets), step):
-            jammed = jam_sets[start:start + step]
-            columns = w_h[:, jammed].transpose(1, 0, 2)   # (block, N, l_j)
-            block = elements[:len(jammed)]   # a short last block uses the leading rows
-            np.matmul(columns, samples[start:start + step], out=block)
-            np.put_along_axis(energies[start:start + step], jammed,
-                              mode_energies(block, jammed), axis=1)
+            block = slice(start, start + step)
+            jammed = jam_sets[block]
+            elements = w_h[:, jammed].transpose(1, 0, 2) @ samples[block]   # (block, N, K)
+            np.put_along_axis(energies[block], jammed, mode_energies(elements, jammed), axis=1)
     return energies
 
 
@@ -429,28 +410,25 @@ def run_sweep(scenario: Scenario) -> list[SweepResult]:
     BER on (key, 2). A FloatingPointError names its point, or the (N, l_j) of a shared step.
     """
     config, options, trials, rows = scenario.config, scenario.options, scenario.trials, []
-    kappas = work = None
     targeted, variance = options.jam_model == TARGETED, options.jam_variance_tx
     k = config.samples_per_symbol
     # the detector's p_j, p_u depend only on its threshold, K and the jamming variance; iid
     # jamming hits every mode with the carrier's variance, targeted leaves clean modes silent
     p_j, p_u = detection_probabilities(config.energy_threshold_tx, k, variance)
     p_u = 1.0 if targeted else p_u
-    jam_sets = np.empty((trials, 0), dtype=int)   # iid jamming chooses no modes
     with np.errstate(over="raise", invalid="raise"):
         for (n, n_jam), group in groupby(scenario._links, key=lambda link: link[0][:2]):
             points, links = zip(*group)   # the SNR points of one (N, l_j), in grid order
             cfgs = [cfg for cfg, _ in links]
             with _at_point((n, n_jam), FloatingPointError):
-                if kappas is None or len(kappas) != n:   # a new ring size
-                    # the channel row does not depend on the noise variance
-                    kappas = mode_link_gains(cfgs[0], build_channel_matrix(cfgs[0]))
-                    work = _sense_work(trials, n, k) if targeted else None
+                # the channel row does not depend on the noise variance
+                kappas = mode_link_gains(cfgs[0], build_channel_matrix(cfgs[0]))
                 rng = substream(scenario.seed, n, n_jam, 1)
                 if targeted:
                     jam_sets = _draw_jam_sets(rng, trials, n, n_jam)
-                    energies = _sense_targeted(rng, jam_sets, n, k, variance, work)
+                    energies = sense_targeted(rng, jam_sets, n, k, variance)
                 else:   # the unitary W keeps iid element jamming iid per mode
+                    jam_sets = np.empty((trials, 0), dtype=int)   # iid jamming chooses no modes
                     energies = gamma_energies(rng, (trials, n), variance, k)
                 flagged = energies >= config.energy_threshold_tx   # (trials, N)
                 del energies

@@ -47,8 +47,9 @@ SENSE_BLOCK = """\
                 rng = substream(scenario.seed, n, n_jam, 1)
                 if targeted:
                     jam_sets = _draw_jam_sets(rng, trials, n, n_jam)
-                    energies = _sense_targeted(rng, jam_sets, n, k, variance, work)
+                    energies = sense_targeted(rng, jam_sets, n, k, variance)
                 else:   # the unitary W keeps iid element jamming iid per mode
+                    jam_sets = np.empty((trials, 0), dtype=int)   # iid jamming chooses no modes
                     energies = gamma_energies(rng, (trials, n), variance, k)
                 flagged = energies >= config.energy_threshold_tx   # (trials, N)
                 del energies
@@ -86,7 +87,7 @@ MUTANTS = (
     Mutant("hypothesis-variance-imaginary", "src/oam_antijam/backscatter.py",
            "kappa2 = link_gain.real * link_gain.real + link_gain.imag * link_gain.imag",
            "kappa2 = link_gain.real * link_gain.real"),
-    # _sense_targeted: clean modes carry a residue instead of exactly 0
+    # sense_targeted: clean modes carry a residue instead of exactly 0
     Mutant("sense-zero-scatter", "src/oam_antijam/metrics.py",
            "energies = np.zeros((len(jam_sets), n))",
            "energies = np.full((len(jam_sets), n), 1e-30)"),

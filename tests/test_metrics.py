@@ -930,20 +930,18 @@ class TestTargetedSensing:
             sense_targeted(rng, np.empty((2, 0), int), n, 64, 1.0)
         assert rng.random() == substream(1, 0).random()
 
-    def test_reused_work_arrays_match_the_per_block_arithmetic(self):
-        # the sweep's path: one work array for two consecutive points
+    def test_consecutive_calls_match_the_per_block_arithmetic(self):
+        # the sweep's path: one call per (N, l_j), two jammed counts in a row
         n, k, variance = 16, 64, 1.0
         step = max(1, metrics.SENSE_BLOCK_SAMPLES // (n * k))
         trials = 2 * step + 3     # two full blocks and a short one
-        work = metrics._sense_work(trials, n, k)
         w, w_h = mode_transform(n), mode_transform(n).conj().T
-        earlier = []
         for point, n_jammed in enumerate((8, 2)):
             jam_sets = metrics._draw_jam_sets(np.random.default_rng(point), trials, n, n_jammed)
-            got = metrics._sense_targeted(substream(9, point), jam_sets, n, k, variance, work)
+            got = sense_targeted(substream(9, point), jam_sets, n, k, variance)
             samples = complex_gaussian(substream(9, point), jam_sets.shape + (k,), variance)
-            # oracle: each block's arithmetic with every temporary newly allocated, the
-            # jammed columns of W^H out and the jammed rows of W back, the rest 0
+            # oracle: each block's arithmetic, the jammed columns of W^H out and the
+            # jammed rows of W back, the rest 0
             expected = np.zeros((trials, n))
             for start in range(0, trials, step):
                 jammed = jam_sets[start:start + step]
@@ -951,10 +949,6 @@ class TestTargetedSensing:
                 np.put_along_axis(expected[start:start + step], jammed,
                                   np.mean(np.abs(w[jammed] @ elements) ** 2, axis=-1), axis=1)
             assert np.array_equal(got, expected)
-            assert not np.shares_memory(got, work)
-            earlier.append((got, got.copy()))
-        for got, kept in earlier:   # a later call on the work arrays left it alone
-            assert np.array_equal(got, kept)
 
     def test_concurrent_callers_share_no_work_array(self):
         # a work array shared between calls would mix blocks of calls that overlap;
@@ -969,6 +963,24 @@ class TestTargetedSensing:
             futures = {seed: pool.submit(call, seed) for seed in range(8)}
             for seed, future in futures.items():
                 assert np.array_equal(future.result(timeout=60), call(seed))
+
+    def test_the_sweep_runs_the_readme_chain(self):
+        # each baseline row is the public chain on the point's link: draw the jam sets,
+        # sense_targeted on the pair's sensing stream, threshold, spectral_efficiency
+        scenario = Scenario(LinkConfig(), SweepAxes(snr_db=(0.0, 10.0), n_jammed=(0, 3),
+                                                    n_elements=(8, 16)), trials=40, seed=7)
+        variance = scenario.options.jam_variance_tx
+        rows = [r for r in run_sweep(scenario) if r.scheme == BASELINE]
+        assert len(rows) == len(scenario._links) == 8
+        for row, ((n, n_jam, snr_db), (cfg, power)) in zip(rows, scenario._links):
+            assert (row.n_elements, row.n_jammed, row.snr_db) == (n, n_jam, snr_db)
+            rng = substream(scenario.seed, n, n_jam, 1)
+            jam_sets = metrics._draw_jam_sets(rng, scenario.trials, n, n_jam)
+            flagged = sense_targeted(rng, jam_sets, n, cfg.samples_per_symbol,
+                                     variance) >= cfg.energy_threshold_tx
+            se = spectral_efficiency(cfg, flagged, mode_link_gains(cfg), power, variance,
+                                     row.p_j, 1.0, 1.0)
+            assert se[BASELINE].mean() == row.se_bits, (n, n_jam, snr_db)
 
     def test_memory_is_bounded_by_the_jammed_modes(self):
         trials, n, k = 2000, 16, 64
