@@ -2,13 +2,13 @@
 
 The proposed scheme senses which modes are jammed, splits the point's transmit power over
 the clean modes, and rides the reflected jamming on the jammed ones; the baseline is the
-identical system with the jammed-mode contribution forced to zero.
-:func:`spectral_efficiency`, the one SNR and rate formula of the package, gives both
-schemes' bits per trial of a flag mask. Sweeps iterate (SNR, jammed-mode count, ring size)
-grids and record spectrum efficiency plus the detector and decoder probabilities. A
-:class:`Scenario` is the one description of a sweep (link, grid, knobs, trial count, seed);
-constructing it checks every grid point, so :func:`run_sweep` takes it as it is and no
-point runs of a sweep that cannot finish.
+identical system with the jammed-mode contribution forced to zero. :func:`spectral_efficiency`,
+the one SNR and rate formula of the package, gives both schemes' bits per trial of a flag
+mask, on one link or on the SNR points of a (ring size, jammed count) at once. Sweeps iterate
+(SNR, jammed-mode count, ring size) grids and record spectrum efficiency plus the detector
+and decoder probabilities. A :class:`Scenario` is the one description of a sweep (link,
+grid, knobs, trial count, seed); constructing it checks every grid point, so
+:func:`run_sweep` takes it as it is and no point runs of a sweep that cannot finish.
 
 SNR axis semantics: ``snr_db`` fixes the receiver noise variance as ``power_per_mode`` /
 SNR. With the default unit-modulus element channel this coincides with the per-mode
@@ -16,14 +16,15 @@ received SNR, so sweeps are independent of the absolute free-space scale. Total 
 power at each grid point is ``power_per_mode`` times max(N - l_j, 1) clean modes, keeping
 the per-mode allocation constant across the jammed-count and ring-size axes. The
 transmitter senses the jamming alone, never the receiver noise, so the points of one
-(N, l_j) share its trials' jam sets and flags: rows along the SNR axis are paired (common
-random numbers), and each row keeps its own distribution.
+(N, l_j) share its trials' jam sets and flags, and one SE call: rows along the SNR axis are
+paired (common random numbers), and each row keeps its own distribution.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import groupby, product
@@ -64,9 +65,10 @@ MAGNITUDE_LIMIT = 1e150
 class SweepResult:
     """Averaged outcome of one (scheme, grid point) cell.
 
-    ``se_stderr`` is over the row's trials only: it leaves out the one calibration draw that
-    they all share (a row whose trials all flag the same modes reports 0). Rows along the
-    SNR axis share their trials' sensing, so :func:`check_trends`' slack is conservative there.
+    ``se_bits`` and ``se_stderr`` reduce the row's slice of its (N, l_j)'s (SNR points, trials)
+    SE arrays. ``se_stderr`` counts the row's trials only, leaving out the one calibration draw
+    they all share (a row whose trials all flag the same modes reports 0). Rows along the SNR
+    axis share their trials' sensing, so :func:`check_trends`' slack is conservative there.
     """
 
     scheme: str
@@ -116,24 +118,27 @@ class SweepOptions:
             check_count(name, getattr(self, name), 0)
 
 
-def spectral_efficiency(config: LinkConfig, flagged, link_gains: np.ndarray,
-                        transmit_power: float, carrier_variance: float, p_j: float,
-                        p_u: float, p_c=1.0) -> dict[str, np.ndarray]:
+def spectral_efficiency(config: LinkConfig | Sequence[LinkConfig], flagged,
+                        link_gains: np.ndarray, transmit_power: float, carrier_variance: float,
+                        p_j: float, p_u: float, p_c=1.0) -> dict[str, np.ndarray]:
     """Per-trial rate sums sum_l log2(1 + gamma_l) of both schemes, in bits/s/Hz.
 
-    ``flagged`` is the (..., N) jammed-mode mask, one row per trial (a 1-D mask
-    is one trial). Returns ``{PROPOSED: ..., BASELINE: ...}``, each shaped like
-    ``flagged`` without its mode axis: the baseline sums the clean modes, the
-    proposed scheme the flagged ones too. The detection-weighted SNR is
-    gamma = w * |kappa|^2 * P / (N * (noise + jamming variance)), kappa the
-    composite through-link mode gain (``link_gains``, canonical mode order). A
-    clean mode has w = p_u and P the trial's ``transmit_power`` split evenly
-    over its clean modes; a jammed mode has w = p_j * p_c (``p_c`` scalar or
-    per mode) and P the mean reflected jamming power, mean PGA power gain *
-    ``carrier_variance``. A probability outside [0, 1], a transmit power or
-    carrier variance not finite and >= 0, a nan among them, or a negative or
-    nan SNR (from a nan link gain) raises ValueError.
+    ``flagged`` is the (..., N) jammed-mode mask, one row per trial (a 1-D mask is one trial).
+    Returns ``{PROPOSED: ..., BASELINE: ...}`` shaped like ``flagged`` without its mode axis:
+    the baseline sums the clean modes, the proposed scheme the flagged ones too. A ``config``
+    sequence of S links of one ring size and PGA (the SNR points of an (N, l_j)) adds a
+    leading S axis, each row the bits of its one-link call. The SNR is gamma = w * |kappa|^2
+    * P / (N * (noise + jamming variance)), kappa the composite through-link mode gain
+    (``link_gains``, canonical mode order). A clean mode has w = p_u and P the trial's
+    ``transmit_power`` split evenly over its clean modes; a jammed mode has w = p_j * p_c
+    (``p_c`` scalar, per mode or (S, N)) and P the mean reflected jamming power, mean PGA
+    power gain * ``carrier_variance``. Mixed links, a probability outside [0, 1], a transmit
+    power or carrier variance not finite and >= 0, a nan among them, or a negative or nan
+    SNR (from a nan link gain) raises ValueError.
     """
+    links = [config] if isinstance(config, LinkConfig) else list(config)
+    if len({(cfg.n_tx, cfg.pga_gains, cfg.pga_priors) for cfg in links}) != 1:
+        raise ValueError("the links must be one or more of one ring size and one PGA")
     if np.shape(flagged)[-1:] != (len(link_gains),):   # a 0-d mask has no mode axis
         raise ValueError(f"flag mask of shape {np.shape(flagged)} does not cover "
                          f"the {len(link_gains)} link-gain modes")
@@ -141,26 +146,35 @@ def spectral_efficiency(config: LinkConfig, flagged, link_gains: np.ndarray,
     for name, p in (("p_j", p_j), ("p_u", p_u), ("p_c", p_c)):
         if not np.all((p >= 0.0) & (p <= 1.0)):   # nan fails too
             raise ValueError(f"{name} must lie in [0, 1], got {p}")
-    # inf would give a nan SNR: inf * False in the mask product, or inf * p_u at p_u = 0
+    # inf would give a nan SNR: inf * 0 in the mask product, or inf * p_u at p_u = 0
     check_nonnegative("carrier variance", carrier_variance)
     check_nonnegative("transmit power", transmit_power)
     flagged = np.asarray(flagged, dtype=bool)
+    shape, flagged = flagged.shape[:-1], flagged.reshape(-1, flagged.shape[-1])
     n_clean = flagged.shape[-1] - flagged.sum(axis=-1)
-    # a clean mode's SNR depends on its trial only through the clean count: one row per count
-    counts, rows = np.unique(n_clean, return_inverse=True)
-    # a row with no clean mode keeps SNR 0, so the full total on one mode cannot overflow
-    share = np.where(counts > 0, transmit_power / np.maximum(counts, 1), 0.0)[:, None]
     kappa2 = np.abs(link_gains) ** 2
-    floor = config.receiver_floor
-    mean_power_gain = sum(p * g * g for g, p in zip(config.pga_gains, config.pga_priors))
-    clean = p_u * kappa2 * share / floor
-    jammed = p_j * p_c * kappa2 * mean_power_gain * carrier_variance / floor
-    if not (np.all(clean >= 0.0) and np.all(jammed >= 0.0)):   # nan fails too
+    floors = np.array([[cfg.receiver_floor] for cfg in links])   # (S, 1)
+    mean_power_gain = sum(p * g * g for g, p in zip(links[0].pga_gains, links[0].pga_priors))
+    jammed = p_j * p_c * kappa2 * mean_power_gain * carrier_variance / floors   # (S, N)
+    valid, jammed_rates = np.all(jammed >= 0.0), np.log2(1.0 + jammed)   # nan fails too
+    baseline, flagged_rates = np.empty((2, len(links), len(flagged)))
+    # a clean mode's SNR depends on its trial only through the clean count: one table and one
+    # 0/1 float mask per count (the rates are finite and >= 0, so it zeroes what np.where
+    # would). Unlike BLAS, einsum sums a (link, trial) in an order blind to its neighbours.
+    # np.bincount finds the counts: numpy 2.4's np.unique takes ~10 ms on its first call.
+    for count in np.flatnonzero(np.bincount(n_clean)):
+        rows = np.flatnonzero(n_clean == count)
+        # a row with no clean mode keeps SNR 0, so the full total on one mode cannot overflow
+        clean = p_u * kappa2 * (transmit_power / count if count else 0.0) / floors
+        valid &= np.all(clean >= 0.0)
+        mask = flagged[rows].astype(float)
+        flagged_rates[:, rows] = np.einsum("tn,sn->st", mask, jammed_rates)
+        baseline[:, rows] = np.einsum("tn,sn->st", np.subtract(1.0, mask, out=mask),
+                                      np.log2(1.0 + clean))
+    if not valid:
         raise ValueError(f"negative or nan SNR from the link gains {link_gains}")
-    # the rates are finite and >= 0, so the mask product zeroes what np.where would
-    baseline = (np.log2(1.0 + clean)[rows.reshape(n_clean.shape)] * ~flagged).sum(axis=-1)
-    return {PROPOSED: baseline + (np.log2(1.0 + jammed) * flagged).sum(axis=-1),
-            BASELINE: baseline}
+    shape = shape if isinstance(config, LinkConfig) else (len(links),) + shape
+    return {PROPOSED: (baseline + flagged_rates).reshape(shape), BASELINE: baseline.reshape(shape)}
 
 
 def _point_config(config: LinkConfig, n_elements: int, n_jammed: int,
@@ -216,19 +230,18 @@ def _check_magnitudes(cfg: LinkConfig, transmit_power: float, carrier_variance: 
 class Scenario:
     """One sweep: the link, the grid, the knobs, the trial count and the seed.
 
-    Construction, and so every :func:`dataclasses.replace`, sets ring sizes of
-    None to ``(config.n_tx,)``, then rejects a sweep that holds a point which
-    cannot run. ``trials`` must be an integer >= 1 and ``seed`` one >= 0. No
-    axis may be empty or repeat a value. Every ring size must be an integer
-    >= 1 and every jammed-mode count one in 0..N for every ring size N; the
-    iid model, which jams no chosen modes, takes only n_jammed = 0. Every
-    array a point allocates must fit numpy's limit of sys.maxsize bytes,
-    which also bounds the trial count and the ring sizes. Last, every grid
-    point's link is built by :func:`_point_config`, so a finite SNR, a finite
-    transmit total and a noise variance that :class:`LinkConfig` accepts are
-    checked at every point; then every point's closed-form magnitudes are
-    bounded (:func:`_check_magnitudes`). The error names the first point that
-    fails. The sweep runs the links built here, kept in grid order.
+    Construction, and so every :func:`dataclasses.replace`, sets ring sizes of None to
+    ``(config.n_tx,)``, then rejects a sweep that holds a point which cannot run. ``trials``
+    must be an integer >= 1 and ``seed`` one >= 0. No axis may be empty or repeat a value.
+    Every ring size must be an integer >= 1 and every jammed-mode count one in 0..N for every
+    ring size N; the iid model, which jams no chosen modes, takes only n_jammed = 0. Every
+    array a point or a (ring size, jammed count) allocates must fit numpy's limit of
+    sys.maxsize bytes, which also bounds the trial count, the ring sizes and the SNR count.
+    Last, every grid point's link is built by :func:`_point_config`, so a finite SNR, a finite
+    transmit total and a noise variance that :class:`LinkConfig` accepts are checked at every
+    point; then every point's closed-form magnitudes are bounded (:func:`_check_magnitudes`).
+    The error names the first point that fails. The sweep runs the links built here, kept in
+    grid order.
     """
 
     config: LinkConfig
@@ -254,20 +267,20 @@ class Scenario:
             check_count("ring size", n_el, 1)
             for n_jam in axes.n_jammed:
                 check_count("n_jammed", n_jam, 0, n_el)
-        # the largest arrays at 16 bytes an entry: the per-symbol variances of the preamble
-        # and of the p probe symbols (one batch per point; the probe's per-symbol link gains
-        # are complex), a link chunk's unit draw, the sensing draw, a sensing block row, the
-        # (N, N) mode transform W of sense_targeted; at 8 bytes: the (trials, N) draws
-        i, k, n, l_j = (config.preamble_length, config.samples_per_symbol,
-                        max(axes.n_elements), max(axes.n_jammed))
+        # the largest arrays at 16 bytes an entry: the per-symbol variances of the preamble and
+        # of the p probe symbols (one batch per point; the probe's per-symbol gains are complex),
+        # a link chunk's unit draw, the sensing draw, a sensing block row, the (N, N) transform
+        # W of sense_targeted; at 8 bytes: the (trials, N) draws, a pair's (S, trials) SE arrays
+        i, k, n, l_j, s = (config.preamble_length, config.samples_per_symbol,
+                           max(axes.n_elements), max(axes.n_jammed), len(axes.snr_db))
         p = min(options.ber_trials, trials) * l_j * options.ber_symbols
         largest = max(16 * max(i, p, min(max(i, p), SYMBOL_CHUNK) * k, trials * l_j * k,
-                               n * k, n * n), 8 * trials * n)
+                               n * k, n * n), 8 * trials * max(n, s))
         if largest > sys.maxsize:
             raise ConfigurationError(
-                f"preamble_length {i}, {p} probe symbols, samples_per_symbol {k}, trials "
-                f"{trials} and ring size {n} size an array of {largest} bytes, beyond numpy's "
-                f"limit of {sys.maxsize}")
+                f"preamble_length {i}, {p} probe symbols, samples_per_symbol {k}, {trials} "
+                f"trials, ring size {n} and {s} SNR points size an array of {largest} bytes, "
+                f"beyond numpy's limit of {sys.maxsize}")
         if options.jam_model == BROADBAND and any(axes.n_jammed):
             raise ConfigurationError(
                 f"the iid model jams no chosen modes: n_jammed must be 0, got {axes.n_jammed}")
@@ -370,33 +383,24 @@ def sense_targeted(rng: np.random.Generator, jam_sets: np.ndarray, n: int, k: in
     return energies
 
 
-def _sweep_point(scenario: Scenario, point: tuple, cfg: LinkConfig, transmit_power: float,
-                 kappas: np.ndarray, jam_sets: np.ndarray, flagged: np.ndarray, p_j: float,
-                 p_u: float, q_th: np.ndarray, p_c_modes: np.ndarray) -> list[SweepResult]:
-    """SE and BER probe of grid point (N, l_j, SNR): one row per scheme, on shared trials.
-
-    ``cfg`` and ``transmit_power`` are the point's :func:`_point_config`; ``kappas`` are the
-    link gains of its ring size, ``jam_sets`` and ``flagged`` the trials' sensing at its
-    (N, l_j). ``q_th`` holds the point's per-mode thresholds, and ``p_j``, ``p_u`` and the
-    per-mode ``p_c_modes`` weigh the modes' rates.
-    """
+def _sweep_point(scenario: Scenario, point: tuple, cfg: LinkConfig, kappas: np.ndarray,
+                 jam_sets: np.ndarray, p_j: float, p_u: float, q_th: np.ndarray,
+                 p_c_modes: np.ndarray, se: dict[str, tuple]) -> list[SweepResult]:
+    """The two rows of grid point (N, l_j, SNR) on link ``cfg``, with its BER probe against
+    the per-mode thresholds ``q_th``. ``se`` maps each scheme to the point's SE (mean,
+    stderr), and a mean that is not finite raises; ``p_c_modes`` is its per-mode p_c."""
     options, trials, seed = scenario.options, scenario.trials, scenario.seed
     n_elements, n_jammed, snr_db = point
-    se = spectral_efficiency(cfg, flagged, kappas, transmit_power, options.jam_variance_tx,
-                             p_j, p_u, p_c_modes)
-    se_mean = {scheme: float(values.mean()) for scheme, values in se.items()}
-    if not all(map(math.isfinite, se_mean.values())):
+    if not all(math.isfinite(mean) for mean, _ in se.values()):
         raise FloatingPointError("non-finite spectrum efficiency")
-
     ber = _measure_ber(cfg, kappas, q_th, options.jam_variance_tx, jam_sets,
                        substream(seed, *_point_key(*point), 2), options)
     p_c = float(p_c_modes.mean()) if n_jammed or options.jam_model == BROADBAND else np.nan
     return [SweepResult(
         scheme=scheme, snr_db=snr_db, n_elements=n_elements, n_jammed=n_jammed,
-        se_bits=se_mean[scheme], p_j=p_j, p_u=p_u, p_c=p_c,
+        se_bits=float(se[scheme][0]), p_j=p_j, p_u=p_u, p_c=p_c,
         ber=ber if scheme == PROPOSED else float("nan"), trials=trials, seed=seed,
-        se_stderr=float(se[scheme].std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0)
-        for scheme in scenario.schemes]
+        se_stderr=float(se[scheme][1])) for scheme in scenario.schemes]
 
 
 def run_sweep(scenario: Scenario) -> list[SweepResult]:
@@ -405,9 +409,10 @@ def run_sweep(scenario: Scenario) -> list[SweepResult]:
     Grid order is n_elements, then n_jammed, then snr_db; each point runs ``scenario.trials``
     independent sense/partition/allocate/decide trials, both schemes on the same realizations.
     Each (N, l_j), whose SNRs the grid keeps together, senses its trials once on substream
-    (N, l_j, 1), calibrates each SNR point on the point's (key, 0), gets all their p_c from
-    one :func:`average_correct_detection` call, then reduces each point's SE and probes its
-    BER on (key, 2). A FloatingPointError names its point, or the (N, l_j) of a shared step.
+    (N, l_j, 1), calibrates each SNR point on (key, 0), gets all their p_c from one
+    :func:`average_correct_detection` call and their (SNR points, trials) SE from one
+    :func:`spectral_efficiency` call, reduces it along trials, then probes each point's BER
+    on (key, 2). A FloatingPointError names its point, or the (N, l_j) of a shared step.
     """
     config, options, trials, rows = scenario.config, scenario.options, scenario.trials, []
     targeted, variance = options.jam_model == TARGETED, options.jam_variance_tx
@@ -440,10 +445,16 @@ def run_sweep(scenario: Scenario) -> list[SweepResult]:
                                  for kappa in kappas]
             with _at_point((n, n_jam), FloatingPointError):
                 p_c = _correct_detection(cfgs, kappas, q_th, variance)
-            for point, (cfg, power), q_row, p_c_row in zip(points, links, q_th, p_c):
+                bits = spectral_efficiency(cfgs, flagged, kappas, links[0][1], variance, p_j,
+                                           p_u, p_c)   # the pair's points share one total
+            # (SNR points, 2) SE mean and stderr per scheme; ddof 0 gives one trial a stderr of 0
+            with np.errstate(invalid="ignore"):   # a mean that is not finite fails its point
+                se = {s: np.column_stack([b.mean(axis=1), b.std(axis=1, ddof=int(trials > 1))
+                                          / math.sqrt(trials)]) for s, b in bits.items()}
+            for row, (point, cfg) in enumerate(zip(points, cfgs)):
                 with _at_point(point, FloatingPointError):
-                    rows += _sweep_point(scenario, point, cfg, power, kappas, jam_sets, flagged,
-                                         p_j, p_u, q_row, p_c_row)
+                    rows += _sweep_point(scenario, point, cfg, kappas, jam_sets, p_j, p_u,
+                                         q_th[row], p_c[row], {s: v[row] for s, v in se.items()})
     return rows
 
 

@@ -146,7 +146,19 @@ MUTANTS = (
            "if not np.any(x >= 0.0):\n        raise ValueError(f\"gamma_cdf"),
     # one (N, l_j): the first SNR point's p_c reused for every SNR point of the pair
     Mutant("pair-first-snr-p-c", "src/oam_antijam/metrics.py",
-           "zip(points, links, q_th, p_c)", "zip(points, links, q_th, [p_c[0]] * len(points))"),
+           "p_c = _correct_detection(cfgs, kappas, q_th, variance)",
+           "p_c = _correct_detection(cfgs, kappas, q_th, variance)[[0] * len(points)]"),
+    # one SE call on a sequence of links: the first link's receiver floor used for every
+    # link, or the pair's p_c rows passed in reverse against its links' floors
+    Mutant("pair-first-snr-floor", "src/oam_antijam/metrics.py",
+           "[[cfg.receiver_floor] for cfg in links]",
+           "[[links[0].receiver_floor] for cfg in links]"),
+    Mutant("pair-p-c-rows-reversed", "src/oam_antijam/metrics.py",
+           "variance, p_j,\n                                           p_u, p_c)",
+           "variance, p_j,\n                                           p_u, p_c[::-1])"),
+    # the per-count clean SNR table: the transmit total split over one mode more
+    Mutant("clean-share-count-plus-one", "src/oam_antijam/metrics.py",
+           "transmit_power / count if count", "transmit_power / (count + 1) if count"),
     Mutant("preamble-even-slice", "src/oam_antijam/backscatter.py",
            "energies[0::2]", "energies[::2]",
            "the same slice: a start of 0 is the default"),

@@ -267,8 +267,9 @@ ber_symbols = 2
         # the guard in the grid point, reached through a stub that returns inf bits
         from oam_antijam import metrics
 
-        def infinite_bits(config, flagged, *args):
-            return {scheme: np.full(len(flagged), np.inf) for scheme in (PROPOSED, BASELINE)}
+        def infinite_bits(configs, flagged, *args):   # (SNR points, trials) per scheme
+            return {scheme: np.full((len(configs), len(flagged)), np.inf)
+                    for scheme in (PROPOSED, BASELINE)}
 
         monkeypatch.setattr(metrics, "spectral_efficiency", infinite_bits)
         path = write(tmp_path, "[link]\nn_elements = 8\n"

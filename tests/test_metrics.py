@@ -259,6 +259,32 @@ class TestModeSnr:
             for scheme in (PROPOSED, BASELINE):
                 assert batch[scheme][t] == single[scheme]
 
+    @pytest.mark.parametrize("other", [
+        LinkConfig(n_tx=8), LinkConfig(pga_gains=(0.5, 3.0)),
+        LinkConfig(pga_priors=(0.3, 0.7))])
+    def test_links_of_two_ring_sizes_or_pgas_rejected(self, other):
+        # a sequence shares one mask, one set of link gains and one mean PGA power gain
+        with pytest.raises(ValueError, match="one ring size and one PGA"):
+            spectral_efficiency([self.CFG, other], flags_for((2,)), self.gains(), self.POWER,
+                                1.0, 0.5, 0.5)
+        with pytest.raises(ValueError, match="one ring size and one PGA"):
+            spectral_efficiency([], flags_for((2,)), self.gains(), self.POWER, 1.0, 0.5, 0.5)
+
+    def test_pair_call_memory_is_bounded(self):
+        # one (N, l_j) at N = 1024, l_j = 256, 9 SNR points and 1000 trials, every jammed
+        # mode flagged, as the default detector flags them: one clean-mode count, so one
+        # (trials, N) float mask (8.2 MB) and no (trials, S, N) array (74 MB)
+        n, l_j, trials = 1024, 256, 1000
+        links = [metrics._point_config(self.CFG, n, l_j, snr) for snr in SweepAxes().snr_db]
+        flagged = np.zeros((trials, n), dtype=bool)
+        jam_sets = metrics._draw_jam_sets(np.random.default_rng(1), trials, n, l_j)
+        np.put_along_axis(flagged, jam_sets, True, axis=1)
+        p_c = np.random.default_rng(2).random((len(links), n))
+        cfgs, kappas = [cfg for cfg, _ in links], mode_link_gains(links[0][0])
+        peak = traced_peak(lambda: spectral_efficiency(cfgs, flagged, kappas, links[0][1], 1.0,
+                                                       0.99, 1.0, p_c))
+        assert peak <= 10e6, peak
+
 
 class TestDrawJamSets:
     @pytest.mark.parametrize("n, n_jammed", [(16, 5), (8, 8), (8, 0), (1, 1)])
@@ -376,12 +402,16 @@ class TestRunSweep:
         pytest.param(np.array([1.0, 3.0]), 1.0, id="2-trials"),
         pytest.param(np.array([2.0]), 0.0, id="1-trial")])
     def test_se_stderr_is_the_sample_standard_error(self, monkeypatch, per_trial, stderr):
+        # one (SNR points, trials) array per scheme; the 10 dB row doubles every trial,
+        # which doubles its mean and standard error exactly
+        per_point = np.stack([per_trial, 2.0 * per_trial])
         monkeypatch.setattr(metrics, "spectral_efficiency", lambda *args: {
-            PROPOSED: per_trial, BASELINE: per_trial[::-1]})
-        axes = SweepAxes(snr_db=(0.0,), n_jammed=(2,), n_elements=(8,))
+            PROPOSED: per_point, BASELINE: per_point[:, ::-1]})
+        axes = SweepAxes(snr_db=(0.0, 10.0), n_jammed=(2,), n_elements=(8,))
         for r in run_sweep(Scenario(LinkConfig(), axes, trials=len(per_trial), seed=1)):
-            assert r.se_bits == pytest.approx(per_trial.mean(), rel=1e-15)
-            assert r.se_stderr == pytest.approx(stderr, rel=1e-15)
+            scale = 1.0 if r.snr_db == 0.0 else 2.0
+            assert r.se_bits == pytest.approx(scale * per_trial.mean(), rel=1e-15)
+            assert r.se_stderr == pytest.approx(scale * stderr, rel=1e-15)
 
     def test_noise_below_the_floor_sweeps_as_the_floor(self, monkeypatch):
         # 3020 dB sets 1e-300 W of noise beside 1e-300 W of receiver jamming; both
@@ -412,27 +442,44 @@ class TestRunSweep:
     def test_every_snr_of_a_ring_size_and_jammed_count_shares_the_flags(
             self, monkeypatch, jam_model, n_jammed, threshold):
         # the transmitter senses the jamming alone, so the flags do not depend on the SNR:
-        # one mask per (N, l_j), a new one for each jammed count and each ring size
-        masks, reduce = [], metrics.spectral_efficiency
+        # one SE call per (N, l_j) on all its SNR points' links, in grid order, with one
+        # mask, a new one for each jammed count and each ring size
+        calls, reduce = [], metrics.spectral_efficiency
 
-        def record(cfg, flagged, *args):
-            masks.append(flagged.copy())
-            return reduce(cfg, flagged, *args)
+        def record(cfgs, flagged, *args):
+            calls.append((list(cfgs), flagged.copy()))
+            return reduce(cfgs, flagged, *args)
 
         monkeypatch.setattr(metrics, "spectral_efficiency", record)
         axes = SweepAxes(snr_db=(-10.0, 0.0, 20.0), n_jammed=n_jammed, n_elements=(8, 16))
-        run_sweep(Scenario(LinkConfig(energy_threshold_tx=threshold), axes,
-                           SweepOptions(jam_model=jam_model), trials=40, seed=3))
-        points = list(product(axes.n_elements, axes.n_jammed, axes.snr_db))
-        assert len(masks) == len(points)
+        scenario = Scenario(LinkConfig(energy_threshold_tx=threshold), axes,
+                            SweepOptions(jam_model=jam_model), trials=40, seed=3)
+        run_sweep(scenario)
         by_pair = defaultdict(list)
-        for (n, l_j, _), mask in zip(points, masks):
-            by_pair[(n, l_j)].append(mask)
-        for pair, group in by_pair.items():
-            assert group[0].any() and not group[0].all(), pair
-            assert all(np.array_equal(group[0], mask) for mask in group[1:]), pair
-        for a, b in combinations(by_pair, 2):
-            assert not np.array_equal(by_pair[a][0], by_pair[b][0]), (a, b)
+        for (n, l_j, _), (cfg, _) in scenario._links:
+            by_pair[(n, l_j)].append(cfg)
+        assert [cfgs for cfgs, _ in calls] == list(by_pair.values())
+        masks = dict(zip(by_pair, (mask for _, mask in calls)))
+        for pair, mask in masks.items():
+            assert mask.shape == (40, pair[0]) and mask.any() and not mask.all(), pair
+        for a, b in combinations(masks, 2):
+            assert not np.array_equal(masks[a], masks[b]), (a, b)
+
+    @pytest.mark.parametrize("snr_db", [(10.0,), SweepAxes().snr_db])
+    def test_one_spectrum_efficiency_call_per_ring_size_and_jammed_count(self, monkeypatch,
+                                                                          snr_db):
+        # the calls per pair do not grow with the SNR count: 1 at S = 1 and at S = 9
+        calls, reduce = [], metrics.spectral_efficiency
+
+        def record(cfgs, *args):
+            calls.append(len(cfgs))
+            return reduce(cfgs, *args)
+
+        monkeypatch.setattr(metrics, "spectral_efficiency", record)
+        axes = SweepAxes(snr_db=snr_db, n_jammed=(0, 2, 4), n_elements=(8, 16))
+        rows = run_sweep(Scenario(LinkConfig(), axes, trials=20, seed=5))
+        assert calls == [len(snr_db)] * 6
+        assert len(rows) == 2 * 6 * len(snr_db)
 
     def test_negative_zero_snr_draws_the_zero_snr_streams(self):
         from oam_antijam.cli import format_sweep_csv
@@ -623,6 +670,15 @@ class TestRunSweep:
         validate(largest)
         with pytest.raises(ConfigurationError, match="beyond numpy"):
             validate(largest + 1)
+
+    def test_array_bound_counts_the_pair_se_arrays(self):
+        # a pair reduces its SE on (SNR points, trials) arrays of 8 bytes an entry: at N = 1
+        # and l_j = 0 these are the largest once the SNR axis is longer than the ring
+        axes = SweepAxes(snr_db=(0.0, 10.0, 20.0), n_jammed=(0,), n_elements=(1,))
+        largest = sys.maxsize // (8 * 3)
+        Scenario(LinkConfig(), axes, trials=largest, seed=0)
+        with pytest.raises(ConfigurationError, match="3 SNR points .* beyond numpy"):
+            Scenario(LinkConfig(), axes, trials=largest + 1, seed=0)
 
     def test_probe_bound_counts_every_batched_symbol(self):
         # the probe sends min(ber_trials, trials) x max(l_j) x ber_symbols symbols in

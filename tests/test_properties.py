@@ -1,8 +1,8 @@
 """Hypothesis properties: sweep invariants on small random grids of both
 jamming models, rows that depend on their grid point alone, the Monte Carlo SE
 against its closed form, the mode index range, the mode transform round trip,
-LinkConfig validation, scenario-file validation and the bit identity of the
-sweep's per-count SNR tables."""
+LinkConfig validation, scenario-file validation, the bit identity of the
+sweep's per-count SNR tables and of each row of a sequence of links."""
 
 import math
 from dataclasses import replace
@@ -218,20 +218,68 @@ def snr_cases(draw):
             draw(st.floats(0.0, 1.0, exclude_max=True)), p_c)
 
 
+def elementwise_bits(cfg, flagged, *rest):
+    """(proposed, baseline) bits from the entry-by-entry SNRs of ``tests/oracles.py``.
+
+    Each trial's rates are summed over the modes as ``spectral_efficiency`` sums them, one
+    einsum over a 0/1 float mask, so the bits compare exactly.
+    """
+    rates = np.log2(1.0 + elementwise_mode_snr(cfg, flagged, *rest))
+    flags = np.asarray(flagged, dtype=float)
+    baseline = np.einsum("...n,...n->...", 1.0 - flags, rates)
+    return baseline + np.einsum("...n,...n->...", flags, rates), baseline
+
+
 @settings(max_examples=200, deadline=None)
 @given(snr_cases())
 def test_snr_tables_reduce_to_the_elementwise_bits(case):
     """The per-count tables of spectral_efficiency give the bits of the entry-by-entry SNRs.
 
-    Batched and on one row: the baseline sums log2(1 + gamma) over the clean
-    modes, the proposed scheme adds the sum over the flagged ones. Masks may add
-    an all-flagged and a no-flagged row, N runs down to 1, p_c is scalar or per
-    mode and p_u < 1.
+    Batched, on one row and on an S = 3 sequence of links that differ in their noise: the
+    baseline sums log2(1 + gamma) over the clean modes, the proposed scheme adds the sum over
+    the flagged ones. Masks may add an all-flagged and a no-flagged row, N runs down to 1,
+    p_c is scalar or per mode and p_u < 1.
     """
     cfg, flagged, *rest = case
     for mask in (flagged, flagged[0]):
-        rates = np.log2(1.0 + elementwise_mode_snr(cfg, mask, *rest))
         se = spectral_efficiency(cfg, mask, *rest)
-        baseline = np.where(mask, 0.0, rates).sum(axis=-1)
+        proposed, baseline = elementwise_bits(cfg, mask, *rest)
         assert np.array_equal(se[BASELINE], baseline)
-        assert np.array_equal(se[PROPOSED], baseline + np.where(mask, rates, 0.0).sum(axis=-1))
+        assert np.array_equal(se[PROPOSED], proposed)
+    links = [replace(cfg, noise_variance_rx=noise) for noise in (1e-3, 0.1, 10.0)]
+    se = spectral_efficiency(links, flagged, *rest)
+    for row, link in enumerate(links):
+        proposed, baseline = elementwise_bits(link, flagged, *rest)
+        assert np.array_equal(se[BASELINE][row], baseline)
+        assert np.array_equal(se[PROPOSED][row], proposed)
+
+
+@st.composite
+def link_batches(draw):
+    n = draw(st.sampled_from([1, 2, 3, 8, 16, 64]))
+    noises = draw(st.lists(st.sampled_from([1e-3, 0.1, 1.0, 10.0, 1e3]), min_size=1,
+                           max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    flagged = rng.random((draw(st.integers(1, 40)), n)) < draw(st.floats(0.0, 1.0))
+    p_c = rng.random((len(noises), n))
+    unit = st.floats(0.0, 1.0)
+    links = [LinkConfig(n_tx=n, noise_variance_rx=noise) for noise in noises]
+    return (links, flagged, mode_link_gains(links[0]), draw(st.floats(0.0, 1e4)),
+            draw(st.floats(0.0, 10.0)), draw(unit), draw(unit), p_c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(link_batches())
+def test_each_row_of_a_link_sequence_is_its_one_link_call(case):
+    """spectral_efficiency on S = 1 to 4 links gives, row by row, the bits of each link alone.
+
+    The links differ in their noise, each row weighs its modes by its own row of a (S, N)
+    p_c, and the masks are random, so trials of many clean-mode counts share one call.
+    """
+    links, flagged, kappas, power, carrier, p_j, p_u, p_c = case
+    batch = spectral_efficiency(links, flagged, kappas, power, carrier, p_j, p_u, p_c)
+    for row, link in enumerate(links):
+        single = spectral_efficiency(link, flagged, kappas, power, carrier, p_j, p_u, p_c[row])
+        for scheme in (PROPOSED, BASELINE):
+            assert batch[scheme].shape == (len(links), len(flagged))
+            assert np.array_equal(batch[scheme][row], single[scheme])
