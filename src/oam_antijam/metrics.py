@@ -162,15 +162,19 @@ def spectral_efficiency(config: LinkConfig | Sequence[LinkConfig], flagged,
     # 0/1 float mask per count (the rates are finite and >= 0, so it zeroes what np.where
     # would). Unlike BLAS, einsum sums a (link, trial) in an order blind to its neighbours.
     # np.bincount finds the counts: numpy 2.4's np.unique takes ~10 ms on its first call.
+    # The masks are cast SENSE_BLOCK_SAMPLES entries at a time, whatever the trial count.
+    step = max(1, SENSE_BLOCK_SAMPLES // max(1, flagged.shape[-1]))
     for count in np.flatnonzero(np.bincount(n_clean)):
-        rows = np.flatnonzero(n_clean == count)
+        group = np.flatnonzero(n_clean == count)
         # a row with no clean mode keeps SNR 0, so the full total on one mode cannot overflow
         clean = p_u * kappa2 * (transmit_power / count if count else 0.0) / floors
         valid &= np.all(clean >= 0.0)
-        mask = flagged[rows].astype(float)
-        flagged_rates[:, rows] = np.einsum("tn,sn->st", mask, jammed_rates)
-        baseline[:, rows] = np.einsum("tn,sn->st", np.subtract(1.0, mask, out=mask),
-                                      np.log2(1.0 + clean))
+        clean_rates = np.log2(1.0 + clean)
+        for rows in (group[start:start + step] for start in range(0, len(group), step)):
+            mask = flagged[rows].astype(float)
+            flagged_rates[:, rows] = np.einsum("tn,sn->st", mask, jammed_rates)
+            baseline[:, rows] = np.einsum("tn,sn->st", np.subtract(1.0, mask, out=mask),
+                                          clean_rates)
     if not valid:
         raise ValueError(f"negative or nan SNR from the link gains {link_gains}")
     shape = shape if isinstance(config, LinkConfig) else (len(links),) + shape
@@ -310,16 +314,6 @@ def _point_key(n_elements: int, n_jammed: int, snr_db: float) -> tuple[int, int,
     return n_elements, n_jammed, int(np.float64(float(snr_db) + 0.0).view(np.uint64))
 
 
-def _correct_detection(cfgs: list[LinkConfig], kappas: np.ndarray, q_th: np.ndarray,
-                       carrier_variance: float) -> np.ndarray:
-    """(points, N) p_c of one (N, l_j)'s point links ``cfgs`` and thresholds, in one call."""
-    gains, priors = cfgs[0].pga_gains, cfgs[0].pga_priors
-    sigma2_0, sigma2_1 = (np.array([hypothesis_variance(cfg, kappas, gain, carrier_variance)
-                                    for cfg in cfgs]) for gain in (gains[0], gains[-1]))
-    return average_correct_detection(q_th, cfgs[0].samples_per_symbol, sigma2_0, sigma2_1,
-                                     (priors[0], priors[-1]))
-
-
 def _measure_ber(cfg: LinkConfig, kappas: np.ndarray, q_th: np.ndarray,
                  carrier_variance: float, jam_sets: np.ndarray,
                  rng: np.random.Generator, options: SweepOptions) -> float:
@@ -383,36 +377,17 @@ def sense_targeted(rng: np.random.Generator, jam_sets: np.ndarray, n: int, k: in
     return energies
 
 
-def _sweep_point(scenario: Scenario, point: tuple, cfg: LinkConfig, kappas: np.ndarray,
-                 jam_sets: np.ndarray, p_j: float, p_u: float, q_th: np.ndarray,
-                 p_c_modes: np.ndarray, se: dict[str, tuple]) -> list[SweepResult]:
-    """The two rows of grid point (N, l_j, SNR) on link ``cfg``, with its BER probe against
-    the per-mode thresholds ``q_th``. ``se`` maps each scheme to the point's SE (mean,
-    stderr), and a mean that is not finite raises; ``p_c_modes`` is its per-mode p_c."""
-    options, trials, seed = scenario.options, scenario.trials, scenario.seed
-    n_elements, n_jammed, snr_db = point
-    if not all(math.isfinite(mean) for mean, _ in se.values()):
-        raise FloatingPointError("non-finite spectrum efficiency")
-    ber = _measure_ber(cfg, kappas, q_th, options.jam_variance_tx, jam_sets,
-                       substream(seed, *_point_key(*point), 2), options)
-    p_c = float(p_c_modes.mean()) if n_jammed or options.jam_model == BROADBAND else np.nan
-    return [SweepResult(
-        scheme=scheme, snr_db=snr_db, n_elements=n_elements, n_jammed=n_jammed,
-        se_bits=float(se[scheme][0]), p_j=p_j, p_u=p_u, p_c=p_c,
-        ber=ber if scheme == PROPOSED else float("nan"), trials=trials, seed=seed,
-        se_stderr=float(se[scheme][1])) for scheme in scenario.schemes]
-
-
 def run_sweep(scenario: Scenario) -> list[SweepResult]:
     """Monte Carlo sweep over the scenario's grid, deterministic in its seed.
 
     Grid order is n_elements, then n_jammed, then snr_db; each point runs ``scenario.trials``
     independent sense/partition/allocate/decide trials, both schemes on the same realizations.
-    Each (N, l_j), whose SNRs the grid keeps together, senses its trials once on substream
-    (N, l_j, 1), calibrates each SNR point on (key, 0), gets all their p_c from one
-    :func:`average_correct_detection` call and their (SNR points, trials) SE from one
-    :func:`spectral_efficiency` call, reduces it along trials, then probes each point's BER
-    on (key, 2). A FloatingPointError names its point, or the (N, l_j) of a shared step.
+    Each (N, l_j), whose SNRs the grid keeps together, is one pass: sense its trials once on
+    substream (N, l_j, 1); calibrate each SNR point on (key, 0); one
+    :func:`average_correct_detection` call on (SNR points, N) :func:`hypothesis_variance` arrays
+    gives all their p_c and one :func:`spectral_efficiency` call their (SNR points, trials) SE,
+    reduced along trials; then each point's finite-SE check, BER probe on (key, 2) and rows.
+    A FloatingPointError names its point, or the (N, l_j) of a shared step.
     """
     config, options, trials, rows = scenario.config, scenario.options, scenario.trials, []
     targeted, variance = options.jam_model == TARGETED, options.jam_variance_tx
@@ -444,7 +419,10 @@ def run_sweep(scenario: Scenario) -> list[SweepResult]:
                     q_th[row] = [calibrate_from_preamble(cfg, kappa, variance, rng)
                                  for kappa in kappas]
             with _at_point((n, n_jam), FloatingPointError):
-                p_c = _correct_detection(cfgs, kappas, q_th, variance)
+                # (SNR points, N) variances of the PGA's two levels, the bits 0 and 1
+                sigma2_0, sigma2_1 = (np.array([hypothesis_variance(cfg, kappas, gain, variance)
+                                                for cfg in cfgs]) for gain in config.pga_gains)
+                p_c = average_correct_detection(q_th, k, sigma2_0, sigma2_1, config.pga_priors)
                 bits = spectral_efficiency(cfgs, flagged, kappas, links[0][1], variance, p_j,
                                            p_u, p_c)   # the pair's points share one total
             # (SNR points, 2) SE mean and stderr per scheme; ddof 0 gives one trial a stderr of 0
@@ -453,8 +431,17 @@ def run_sweep(scenario: Scenario) -> list[SweepResult]:
                                           / math.sqrt(trials)]) for s, b in bits.items()}
             for row, (point, cfg) in enumerate(zip(points, cfgs)):
                 with _at_point(point, FloatingPointError):
-                    rows += _sweep_point(scenario, point, cfg, kappas, jam_sets, p_j, p_u,
-                                         q_th[row], p_c[row], {s: v[row] for s, v in se.items()})
+                    if not all(math.isfinite(v[row, 0]) for v in se.values()):
+                        raise FloatingPointError("non-finite spectrum efficiency")
+                    ber = _measure_ber(cfg, kappas, q_th[row], variance, jam_sets,
+                                       substream(scenario.seed, *_point_key(*point), 2), options)
+                # a targeted pair with no jammed mode has no reflected link to report
+                rows += [SweepResult(
+                    scheme=s, snr_db=point[2], n_elements=n, n_jammed=n_jam,
+                    se_bits=float(se[s][row, 0]), p_j=p_j, p_u=p_u,
+                    p_c=float(p_c[row].mean()) if n_jam or not targeted else np.nan,
+                    ber=ber if s == PROPOSED else float("nan"), trials=trials,
+                    seed=scenario.seed, se_stderr=float(se[s][row, 1])) for s in scenario.schemes]
     return rows
 
 

@@ -123,8 +123,8 @@ MUTANTS = (
            "return n_elements, n_jammed, int(", "return n_jammed, n_elements, int("),
     # the BER probe drawing from the sensing stage's key instead of its own
     Mutant("probe-stage-key", "src/oam_antijam/metrics.py",
-           "substream(seed, *_point_key(*point), 2), options)",
-           "substream(seed, *_point_key(*point), 1), options)"),
+           "substream(scenario.seed, *_point_key(*point), 2), options)",
+           "substream(scenario.seed, *_point_key(*point), 1), options)"),
     # the sensing of one (N, l_j): keyed by its first SNR too, kept for the next jammed
     # count of the ring size, or kept for the same jammed count of the next ring size
     Mutant("sense-key-snr", "src/oam_antijam/metrics.py",
@@ -146,8 +146,9 @@ MUTANTS = (
            "if not np.any(x >= 0.0):\n        raise ValueError(f\"gamma_cdf"),
     # one (N, l_j): the first SNR point's p_c reused for every SNR point of the pair
     Mutant("pair-first-snr-p-c", "src/oam_antijam/metrics.py",
-           "p_c = _correct_detection(cfgs, kappas, q_th, variance)",
-           "p_c = _correct_detection(cfgs, kappas, q_th, variance)[[0] * len(points)]"),
+           "p_c = average_correct_detection(q_th, k, sigma2_0, sigma2_1, config.pga_priors)",
+           "p_c = average_correct_detection(q_th, k, sigma2_0, sigma2_1, config.pga_priors)"
+           "[[0] * len(points)]"),
     # one SE call on a sequence of links: the first link's receiver floor used for every
     # link, or the pair's p_c rows passed in reverse against its links' floors
     Mutant("pair-first-snr-floor", "src/oam_antijam/metrics.py",
@@ -156,6 +157,10 @@ MUTANTS = (
     Mutant("pair-p-c-rows-reversed", "src/oam_antijam/metrics.py",
            "variance, p_j,\n                                           p_u, p_c)",
            "variance, p_j,\n                                           p_u, p_c[::-1])"),
+    # the mask blocks of one clean count: only the first block cast, the rest left unset
+    Mutant("se-first-mask-block-only", "src/oam_antijam/metrics.py",
+           "for start in range(0, len(group), step)",
+           "for start in range(0, min(len(group), step), step)"),
     # the per-count clean SNR table: the transmit total split over one mode more
     Mutant("clean-share-count-plus-one", "src/oam_antijam/metrics.py",
            "transmit_power / count if count", "transmit_power / (count + 1) if count"),

@@ -29,7 +29,8 @@ import numpy as np
 from oam_antijam import (BASELINE, PROPOSED, ConfigurationError, LinkConfig, Scenario,
                          detection_probabilities, metrics, mode_index_range, mode_link_gains,
                          run_sweep)
-from oam_antijam.backscatter import calibrate_from_preamble
+from oam_antijam.backscatter import (average_correct_detection, calibrate_from_preamble,
+                                     hypothesis_variance)
 from oam_antijam.channel import element_azimuths
 from oam_antijam.jamming import complex_gaussian, substream
 from oam_antijam.signals import mode_transform
@@ -268,8 +269,9 @@ def se_cells(scenario: Scenario):
     """(cell, MC mean, stderr, E, E_major, departures) for every cell of a sweep.
 
     A cell is (scheme, N, l_j, SNR). E is :func:`expected_se` at the point's
-    own per-mode p_c: ``metrics._correct_detection`` of the thresholds its modes
-    calibrate on stream (*point_key(N, l_j, SNR), 0). E_major is the same expectation with every
+    own per-mode p_c: :func:`average_correct_detection` of the thresholds its modes
+    calibrate on stream (*point_key(N, l_j, SNR), 0), between the hypothesis variances
+    of the two PGA levels. E_major is the same expectation with every
     candidate mode on the likelier side of the detector (flag probability
     rounded to 0 or 1), and departures is the expected count, over all trials
     and candidate modes, of flag decisions on the other side.
@@ -287,7 +289,10 @@ def se_cells(scenario: Scenario):
                                            cfg.samples_per_symbol, carrier)
         stream = substream(seed, *point_key(n, n_jammed, snr_db), 0)
         q_th = [calibrate_from_preamble(cfg, kappa, carrier, stream) for kappa in kappas]
-        p_c = metrics._correct_detection([cfg], kappas, np.array([q_th]), carrier)[0]
+        p_c = average_correct_detection(
+            np.array(q_th), cfg.samples_per_symbol,
+            *(hypothesis_variance(cfg, kappas, gain, carrier) for gain in cfg.pga_gains),
+            cfg.pga_priors)
         candidates = n if iid else n_jammed
         expected, major = (expected_se(cfg, kappas, power, carrier, p_j, p_u if iid else 1.0,
                                        p_c, candidates, f) for f in (p_j, round(p_j)))

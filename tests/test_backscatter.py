@@ -311,21 +311,35 @@ class TestCalibrateFromPreamble:
             seen.add("crossing" if separated else "fallback")
         assert seen == branches
 
-    def test_pair_p_c_matches_the_per_mode_scalar_path(self):
+    def test_pair_p_c_matches_the_per_mode_scalar_path(self, monkeypatch):
         # the sweep gets the p_c of every mode at every SNR of one (N, l_j) from one array
         # call; each entry must equal the scalar call on its own threshold and variances
+        thresholds, decisions = [], []
+        calibrate, decide = metrics.calibrate_from_preamble, metrics.average_correct_detection
+
+        def record(sink, fn):
+            def call(*args):
+                sink.append(fn(*args))
+                return sink[-1]
+            return call
+
+        monkeypatch.setattr(metrics, "calibrate_from_preamble", record(thresholds, calibrate))
+        monkeypatch.setattr(metrics, "average_correct_detection", record(decisions, decide))
         base = LinkConfig(n_tx=8, pga_gains=(0.25, 1.5), pga_priors=(0.3, 0.7),
                           preamble_length=5)
-        cfgs = [replace(base, noise_variance_rx=noise) for noise in (10.0, 0.1, 1e-3)]
+        # 10, 30 and 50 dB set 10, 0.1 and 1e-3 W of noise at 100 W per mode
+        scenario = Scenario(base, SweepAxes(snr_db=(10.0, 30.0, 50.0), n_jammed=(2,)),
+                            SweepOptions(ber_trials=0), trials=2, seed=3)
+        run_sweep(scenario)
+        (p_c,) = decisions
+        q_th = np.reshape(thresholds, (3, 8))
         kappas = mode_link_gains(base)
-        q_th = np.array([[calibrate_from_preamble(cfg, kappa, 1.0, substream(3, row, 0))
-                          for kappa in kappas] for row, cfg in enumerate(cfgs)])
-        p_c = metrics._correct_detection(cfgs, kappas, q_th, 1.0)
         (g0, g1), k = base.pga_gains, base.samples_per_symbol
         expected = [[average_correct_detection(q, k, hypothesis_variance(cfg, kappa, g0, 1.0),
                                                hypothesis_variance(cfg, kappa, g1, 1.0),
                                                base.pga_priors)
-                     for q, kappa in zip(row, kappas)] for row, cfg in zip(q_th, cfgs)]
+                     for q, kappa in zip(row, kappas)]
+                    for row, (_, (cfg, _)) in zip(q_th, scenario._links)]
         assert p_c.shape == (3, 8) and len({row[0] for row in expected}) == 3
         assert p_c.tolist() == expected
 

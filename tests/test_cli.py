@@ -350,7 +350,7 @@ class TestValidationBeforeAnyPoint:
         def no_point(*args):
             raise AssertionError("a grid point ran")
 
-        monkeypatch.setattr(metrics, "_sweep_point", no_point)
+        monkeypatch.setattr(metrics, "calibrate_from_preamble", no_point)
 
         def run(sweep, *args):
             trials = "" if re.search(r"^trials =", sweep, re.M) else "trials = 2\n"
