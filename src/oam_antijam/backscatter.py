@@ -33,10 +33,8 @@ from __future__ import annotations
 import numpy as np
 
 from .config import LinkConfig, check_count, check_nonnegative
-from .jamming import complex_gaussian
+from .jamming import BLOCK_SAMPLES, complex_gaussian
 from .sensing import gamma_cdf
-
-SYMBOL_CHUNK = 1024  # symbols synthesised per block of draws
 
 
 def _integers_below(bits: np.ndarray, stop: int) -> bool:
@@ -132,8 +130,9 @@ def simulate_backscatter_bits(config: LinkConfig, link_gain: complex, gains, bit
     receive-ramp sum of the elements' i.i.d. noise and jamming. Both are independent
     circular complex Gaussians, so y is CN(0, sigma2_b) with sigma2_b the
     :func:`hypothesis_variance` of the symbol, and its K-sample average energy is
-    sigma2_b * mean|z|^2 over K unit-variance samples z. Per chunk of ``SYMBOL_CHUNK``
-    symbols, ``rng`` makes one (symbols, K) unit draw. Returns every symbol's energy.
+    sigma2_b * mean|z|^2 over K unit-variance samples z. Per chunk of max(1,
+    ``jamming.BLOCK_SAMPLES`` // K) symbols (512 at K = 64), ``rng`` makes one (symbols, K)
+    unit draw, so a call holds one chunk of draws. Returns every symbol's energy.
     Bad bits or a carrier variance not finite and >= 0 raise ValueError before any draw.
     """
     bits = np.asarray(bits)
@@ -143,11 +142,10 @@ def simulate_backscatter_bits(config: LinkConfig, link_gain: complex, gains, bit
     k = config.samples_per_symbol
     variances = hypothesis_variance(config, link_gain, np.asarray(gains)[bits.astype(int)],
                                     carrier_variance)
-    energies = np.empty(bits.size, dtype=float)
-    for start in range(0, bits.size, SYMBOL_CHUNK):
-        stop = min(start + SYMBOL_CHUNK, bits.size)
-        unit = complex_gaussian(rng, (stop - start, k), 1.0).view(float)   # (re, im) pairs
-        energies[start:stop] = np.einsum("ij,ij->i", unit, unit)
+    energies, step = np.empty(bits.size, dtype=float), max(1, BLOCK_SAMPLES // k)
+    for start in range(0, bits.size, step):
+        unit = complex_gaussian(rng, (min(step, bits.size - start), k), 1.0).view(float)
+        energies[start:start + step] = np.einsum("ij,ij->i", unit, unit)   # (re, im) pairs
     energies *= variances / k
     return energies
 

@@ -31,12 +31,12 @@ from itertools import groupby, product
 
 import numpy as np
 
-from .backscatter import (SYMBOL_CHUNK, average_correct_detection, calibrate_from_preamble,
+from .backscatter import (average_correct_detection, calibrate_from_preamble,
                           hypothesis_variance, simulate_backscatter_bits)
 from .channel import build_channel_matrix, mode_link_gains
 from .config import (ConfigurationError, LinkConfig, check_count, check_nonnegative,
                      check_positive)
-from .jamming import complex_gaussian, gamma_energies, substream
+from .jamming import BLOCK_SAMPLES, complex_gaussian, gamma_energies, substream
 from .sensing import detection_probabilities
 from .signals import mode_energies, mode_transform
 
@@ -47,13 +47,6 @@ TARGETED = "targeted"
 BROADBAND = "iid"
 
 DEFAULT_SEED = 1234
-
-# Complex samples per targeted-sensing block: 32 trials at N = 16, K = 64 (0.5 MB).
-# On the default sweep (2-core AMD EPYC, 1 MB L2 per core, one BLAS thread), with
-# only the jammed rows decomposed, blocks of 16, 64 and 128 trials took +1.9 %,
-# -0.4 % and -1.5 % of the time at 32 (medians of 3 runs, each run within +-3 %):
-# flat, so the smaller block is kept.
-SENSE_BLOCK_SAMPLES = 32768
 
 # The largest closed-form magnitude a grid point may reach (_check_magnitudes).
 # Preamble calibration multiplies two level energies, so each must stay below
@@ -162,8 +155,8 @@ def spectral_efficiency(config: LinkConfig | Sequence[LinkConfig], flagged,
     # 0/1 float mask per count (the rates are finite and >= 0, so it zeroes what np.where
     # would). Unlike BLAS, einsum sums a (link, trial) in an order blind to its neighbours.
     # np.bincount finds the counts: numpy 2.4's np.unique takes ~10 ms on its first call.
-    # The masks are cast SENSE_BLOCK_SAMPLES entries at a time, whatever the trial count.
-    step = max(1, SENSE_BLOCK_SAMPLES // max(1, flagged.shape[-1]))
+    # The masks are cast BLOCK_SAMPLES entries at a time, whatever the trial count.
+    step = max(1, BLOCK_SAMPLES // max(1, flagged.shape[-1]))
     for count in np.flatnonzero(np.bincount(n_clean)):
         group = np.flatnonzero(n_clean == count)
         # a row with no clean mode keeps SNR 0, so the full total on one mode cannot overflow
@@ -273,13 +266,13 @@ class Scenario:
                 check_count("n_jammed", n_jam, 0, n_el)
         # the largest arrays at 16 bytes an entry: the per-symbol variances of the preamble and
         # of the p probe symbols (one batch per point; the probe's per-symbol gains are complex),
-        # a link chunk's unit draw, the sensing draw, a sensing block row, the (N, N) transform
-        # W of sense_targeted; at 8 bytes: the (trials, N) draws, a pair's (S, trials) SE arrays
+        # a sensing block row (N, K), the (N, N) transform W of sense_targeted; at 8 bytes: the
+        # (trials, N) draws, a pair's (S, trials) SE arrays. Every other array is one block,
+        # sized from BLOCK_SAMPLES and these terms, never from the trials or the symbol count
         i, k, n, l_j, s = (config.preamble_length, config.samples_per_symbol,
                            max(axes.n_elements), max(axes.n_jammed), len(axes.snr_db))
         p = min(options.ber_trials, trials) * l_j * options.ber_symbols
-        largest = max(16 * max(i, p, min(max(i, p), SYMBOL_CHUNK) * k, trials * l_j * k,
-                               n * k, n * n), 8 * trials * max(n, s))
+        largest = max(16 * max(i, p, n * k, n * n), 8 * trials * max(n, s))
         if largest > sys.maxsize:
             raise ConfigurationError(
                 f"preamble_length {i}, {p} probe symbols, samples_per_symbol {k}, {trials} "
@@ -344,13 +337,12 @@ def sense_targeted(rng: np.random.Generator, jam_sets: np.ndarray, n: int, k: in
 
     ``jam_sets`` is a (trials, l_j) integer array: row t lists the positions,
     in canonical mode order (``mode_index_range(n)``), of the modes jammed in
-    trial t. Each jammed mode carries K samples of one (trials, l_j, K)
-    :func:`complex_gaussian` draw from ``rng``; every other mode carries none.
-    The draw goes through the jammed columns of W^H and back through the jammed
-    rows of W (:func:`mode_energies`), a block of about SENSE_BLOCK_SAMPLES
-    complex samples at a time; a clean mode's energy is exactly 0 and l_j = 0
-    draws nothing. Raises ValueError, before any draw, unless the ring size
-    ``n`` and ``k`` are integers >= 1, ``jam_sets`` is a 2-D integer array of
+    trial t. Blocks of max(1, ``jamming.BLOCK_SAMPLES`` // (n * K)) trials each draw their
+    (block, l_j, K) :func:`complex_gaussian` samples from ``rng`` (the values of one whole
+    draw), send them out through the conjugated jammed rows of W and back through those rows
+    (:func:`mode_energies`): memory is the (trials, n) result plus one block. A clean mode's
+    energy is exactly 0; l_j = 0 draws nothing. Raises ValueError, before any draw, unless
+    the ring size ``n`` and ``k`` are integers >= 1, ``jam_sets`` is a 2-D integer array of
     positions in 0..n-1 with no position repeated within a row and the variance
     finite and >= 0, even if nothing is drawn.
     """
@@ -367,12 +359,13 @@ def sense_targeted(rng: np.random.Generator, jam_sets: np.ndarray, n: int, k: in
         raise ValueError("jam_sets repeats a position within a row")
     energies = np.zeros((len(jam_sets), n))
     if jam_sets.size:
-        samples = complex_gaussian(rng, jam_sets.shape + (k,), variance)
-        w_h, step = mode_transform(n).conj().T, max(1, SENSE_BLOCK_SAMPLES // (n * k))
+        w, step = mode_transform(n), max(1, BLOCK_SAMPLES // (n * k))
         for start in range(0, len(jam_sets), step):
             block = slice(start, start + step)
             jammed = jam_sets[block]
-            elements = w_h[:, jammed].transpose(1, 0, 2) @ samples[block]   # (block, N, K)
+            samples = complex_gaussian(rng, jammed.shape + (k,), variance)
+            w_h = w[jammed]   # (block, l_j, N), conjugated in place: W^H's jammed columns
+            elements = np.conj(w_h, out=w_h).transpose(0, 2, 1) @ samples   # (block, N, K)
             np.put_along_axis(energies[block], jammed, mode_energies(elements, jammed), axis=1)
     return energies
 

@@ -94,7 +94,12 @@ MUTANTS = (
     # simulate_backscatter_bits: only the first chunk of symbols is scaled by its variance
     Mutant("link-chunk-scale", "src/oam_antijam/backscatter.py",
            "energies *= variances / k",
-           "energies[:SYMBOL_CHUNK] *= variances[:SYMBOL_CHUNK] / k"),
+           "energies[:step] *= variances[:step] / k"),
+    # sense_targeted: every block after the first reuses the first block's samples
+    Mutant("sense-block-reuses-samples", "src/oam_antijam/metrics.py",
+           "samples = complex_gaussian(rng, jammed.shape + (k,), variance)",
+           "samples = (complex_gaussian(rng, jammed.shape + (k,), variance) if not start\n"
+           "                       else samples[:len(jammed)])"),
     # the preamble crossing: bit levels swapped, or the prior term dropped
     Mutant("preamble-levels-swapped", "src/oam_antijam/backscatter.py",
            "_crossing(energies, energies[0::2], energies[1::2],",

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oam_antijam import backscatter, metrics
+from oam_antijam import backscatter, jamming, metrics
 from oam_antijam import (
     PROPOSED,
     LinkConfig,
@@ -467,14 +467,15 @@ class TestEndToEnd:
     def test_single_symbol_matches_batch_path(self):
         cfg = normalized_config()
         kappa = link_gain(cfg, 3)
-        chunk, k = backscatter.SYMBOL_CHUNK, cfg.samples_per_symbol
+        k = cfg.samples_per_symbol
+        chunk = jamming.BLOCK_SAMPLES // k
         background = cfg.n_tx * (cfg.noise_variance_rx + cfg.jam_variance_rx)
         for n_bits in (3, 2 * chunk + 5):
             bits = (np.arange(n_bits) + 1) % 2
             rng = substream(17, 0)
             q = simulate_backscatter_bits(cfg, kappa, DEFAULT_GAINS, bits, 1.0, rng)
             # replay the batch path's draws from a twin generator: per chunk of
-            # SYMBOL_CHUNK symbols one (symbols, K, 2) standard normal draw, the (re, im)
+            # BLOCK_SAMPLES // K symbols one (symbols, K, 2) standard normal draw, the (re, im)
             # parts of each unit sample interleaved, and nothing else
             twin = substream(17, 0)
             unit = np.concatenate([twin.standard_normal((min(chunk, n_bits - start), k, 2))

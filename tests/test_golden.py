@@ -5,7 +5,8 @@ workloads at seed 1.
 The CSVs next to the scenario files were written by the CLI itself. A change
 that moves any number fails here; re-pin only together with a note on why
 the numbers moved. The benchmark's scenario files are read where the benchmark
-keeps them, in ``bench/workloads``; only their CSVs live here.
+keeps them, in ``bench/workloads``; only their CSVs live here. ``trials_100k``
+(100 000 trials, about 1.5 s) is left to CI's golden loop and memory step.
 """
 
 from pathlib import Path

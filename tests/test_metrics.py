@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oam_antijam import metrics
+from oam_antijam import jamming, metrics
 from oam_antijam import (
     BASELINE,
     ConfigurationError,
@@ -264,7 +264,7 @@ class TestModeSnr:
     def test_rows_past_one_mask_block_match_single_trial_calls(self):
         # N = 1024 casts 32 rows at a time: 70 trials of one clean count span three blocks
         n = 1024
-        step = metrics.SENSE_BLOCK_SAMPLES // n
+        step = jamming.BLOCK_SAMPLES // n
         cfgs = [replace(self.CFG, n_tx=n, noise_variance_rx=noise) for noise in (1.0, 0.01)]
         flagged = np.zeros((2 * step + 6, n), dtype=bool)
         np.put_along_axis(flagged, metrics._draw_jam_sets(np.random.default_rng(5),
@@ -668,8 +668,8 @@ class TestRunSweep:
     @pytest.mark.parametrize("count, largest", [
         ("preamble_length", sys.maxsize // 16),     # counted as complex per symbol
         ("ber_symbols", sys.maxsize // 16),         # one complex gain per probe symbol
-        ("samples_per_symbol", sys.maxsize // (16 * 16)),   # a 16-symbol link chunk
-        ("trials", sys.maxsize // (16 * 2 * 64)),   # the (trials, l_j, K) sensing draw
+        ("samples_per_symbol", sys.maxsize // (16 * 8)),    # a sensing block row (N, K)
+        ("trials", sys.maxsize // (8 * 8)),         # the (trials, N) draws
     ])
     def test_array_bound_is_numpys_byte_limit(self, count, largest):
         # at the largest count whose arrays numpy can hold, one more is refused. One
@@ -962,7 +962,7 @@ class TestTargetedSensing:
     @pytest.mark.parametrize("jammed", ["none", "one", "all"])
     def test_matches_the_dense_element_level_oracle(self, n, jammed):
         k, variance, threshold = 16, 1.0, 0.5
-        step = max(1, metrics.SENSE_BLOCK_SAMPLES // (n * k))
+        step = max(1, jamming.BLOCK_SAMPLES // (n * k))
         trials = 2 * step + 3     # two full blocks and a short one
         n_jammed = {"none": 0, "one": 1, "all": n}[jammed]
         jam_sets = metrics._draw_jam_sets(np.random.default_rng(4), trials, n, n_jammed)
@@ -1008,24 +1008,49 @@ class TestTargetedSensing:
         assert rng.random() == substream(1, 0).random()
 
     def test_consecutive_calls_match_the_per_block_arithmetic(self):
-        # the sweep's path: one call per (N, l_j), two jammed counts in a row
-        n, k, variance = 16, 64, 1.0
-        step = max(1, metrics.SENSE_BLOCK_SAMPLES // (n * k))
-        trials = 2 * step + 3     # two full blocks and a short one
-        w, w_h = mode_transform(n), mode_transform(n).conj().T
-        for point, n_jammed in enumerate((8, 2)):
-            jam_sets = metrics._draw_jam_sets(np.random.default_rng(point), trials, n, n_jammed)
-            got = sense_targeted(substream(9, point), jam_sets, n, k, variance)
-            samples = complex_gaussian(substream(9, point), jam_sets.shape + (k,), variance)
-            # oracle: each block's arithmetic, the jammed columns of W^H out and the
-            # jammed rows of W back, the rest 0
-            expected = np.zeros((trials, n))
-            for start in range(0, trials, step):
-                jammed = jam_sets[start:start + step]
-                elements = w_h[:, jammed].transpose(1, 0, 2) @ samples[start:start + step]
-                np.put_along_axis(expected[start:start + step], jammed,
-                                  np.mean(np.abs(w[jammed] @ elements) ** 2, axis=-1), axis=1)
-            assert np.array_equal(got, expected)
+        # the sweep's path: one call per (N, l_j), a ring's jammed counts in a row. At N = 16
+        # a block holds 32 trials (l_j = N included); at N = 1024, N * K passes the block
+        # and each block is one trial
+        k, variance = 64, 1.0
+        for n, counts in ((16, (8, 2, 16)), (1024, (256, 1))):
+            step = max(1, jamming.BLOCK_SAMPLES // (n * k))
+            trials = 2 * step + 3     # two full blocks and a ragged one, or five of one trial
+            w, w_h = mode_transform(n), mode_transform(n).conj().T
+            for point, n_jammed in enumerate(counts):
+                jam_sets = metrics._draw_jam_sets(np.random.default_rng(point), trials, n,
+                                                  n_jammed)
+                got = sense_targeted(substream(9, point), jam_sets, n, k, variance)
+                # oracle: one (trials, l_j, K) draw, then each block's arithmetic, the jammed
+                # columns of a full W^H out and the jammed rows of W back, the rest 0
+                samples = complex_gaussian(substream(9, point), jam_sets.shape + (k,), variance)
+                expected = np.zeros((trials, n))
+                for start in range(0, trials, step):
+                    jammed = jam_sets[start:start + step]
+                    elements = w_h[:, jammed].transpose(1, 0, 2) @ samples[start:start + step]
+                    np.put_along_axis(expected[start:start + step], jammed,
+                                      np.mean(np.abs(w[jammed] @ elements) ** 2, axis=-1),
+                                      axis=1)
+                assert np.array_equal(got, expected), (n, n_jammed)
+
+    @pytest.mark.parametrize("n_jammed", [4, 16])
+    def test_sensing_memory_is_bounded_by_trials_times_modes(self, n_jammed):
+        # the targeted twin of the iid bound: each block of trials draws its own samples, so
+        # no (trials, l_j, K) draw is held, which alone would take 8.2 MB at l_j = 4 and
+        # 32.8 MB at l_j = 16
+        trials, n, k = 2000, 16, 64
+        axes = SweepAxes(snr_db=(10.0,), n_jammed=(n_jammed,), n_elements=(n,))
+        peak = traced_peak(lambda: run_sweep(Scenario(LinkConfig(samples_per_symbol=k), axes,
+                                                      trials=trials, seed=1)))
+        assert peak < trials * n * k * np.dtype(complex).itemsize / 8
+
+    def test_wide_ring_call_holds_no_copy_of_w(self):
+        # one trial a block at N = 1024: a block gathers and conjugates only the l_j jammed
+        # rows of the cached W (4.2 MB), never a copy of the whole W^H (16.8 MB)
+        n, l_j, trials = 1024, 256, 8
+        jam_sets = metrics._draw_jam_sets(np.random.default_rng(2), trials, n, l_j)
+        w = mode_transform(n)   # built and cached outside the traced call
+        peak = traced_peak(lambda: sense_targeted(substream(3, 1), jam_sets, n, 64, 1.0))
+        assert peak < w.nbytes
 
     def test_concurrent_callers_share_no_work_array(self):
         # a work array shared between calls would mix blocks of calls that overlap;
