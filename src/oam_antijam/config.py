@@ -64,34 +64,6 @@ def mode_index_range(n_elements: int) -> list[int]:
     return list(range((2 - n_elements) // 2, n_elements // 2 + 1))
 
 
-def pga_levels(gains, priors) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Checked PGA gain levels and their transmit priors, as float tuples.
-
-    Needs exactly two levels (the reflected link is binary), one prior per
-    level, finite non-negative gains in strictly increasing order and finite
-    positive priors summing to 1 within 1e-12.
-    """
-    gains = tuple(float(g) for g in gains)
-    priors = tuple(float(p) for p in priors)
-    for gain in gains:
-        check_nonnegative("PGA gain", gain)
-    for prior in priors:
-        check_positive("PGA prior", prior)
-    if len(gains) != 2:
-        raise ConfigurationError(
-            f"the reflected link is binary: its PGA needs exactly two gain levels "
-            f"(bits 0 and 1), got {len(gains)}")
-    if len(gains) != len(priors):
-        raise ConfigurationError(
-            f"PGA gains and priors lengths differ: {len(gains)} vs {len(priors)}")
-    if any(b <= a for a, b in zip(gains, gains[1:])):
-        raise ConfigurationError(f"PGA gains must be strictly increasing, got {gains}")
-    if abs(sum(priors) - 1.0) > 1e-12:
-        raise ConfigurationError(
-            f"PGA priors must sum to 1 within 1e-12, got sum {sum(priors)!r}")
-    return gains, priors
-
-
 @dataclass(frozen=True)
 class LinkConfig:
     """Physical and protocol parameters of one transmitter/receiver ring pair.
@@ -151,7 +123,24 @@ class LinkConfig:
             raise ConfigurationError(
                 f"noise_variance_rx {self.noise_variance_rx} and jam_variance_rx "
                 f"{self.jam_variance_rx} overflow the receiver floor n_tx * (noise + jamming)")
-        gains, priors = pga_levels(self.pga_gains, self.pga_priors)
+        gains = tuple(float(g) for g in self.pga_gains)
+        priors = tuple(float(p) for p in self.pga_priors)
+        for gain in gains:
+            check_nonnegative("PGA gain", gain)
+        for prior in priors:
+            check_positive("PGA prior", prior)
+        if len(gains) != 2:
+            raise ConfigurationError(
+                f"the reflected link is binary: its PGA needs exactly two gain levels "
+                f"(bits 0 and 1), got {len(gains)}")
+        if len(gains) != len(priors):
+            raise ConfigurationError(
+                f"PGA gains and priors lengths differ: {len(gains)} vs {len(priors)}")
+        if gains[1] <= gains[0]:
+            raise ConfigurationError(f"PGA gains must be strictly increasing, got {gains}")
+        if abs(sum(priors) - 1.0) > 1e-12:
+            raise ConfigurationError(
+                f"PGA priors must sum to 1 within 1e-12, got sum {sum(priors)!r}")
         object.__setattr__(self, "pga_gains", gains)
         object.__setattr__(self, "pga_priors", priors)
 

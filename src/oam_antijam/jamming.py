@@ -21,10 +21,10 @@ from numpy.random import SFC64, Generator, SeedSequence
 from .config import check_count, check_nonnegative
 
 # Complex samples per block of draws or casts, the package's one block size: 32 trials of
-# targeted sensing at N = 16, K = 64 (0.5 MB), 512 link symbols at K = 64, 32768 // N rows of
-# an SE mask. On the default sweep (2-core AMD EPYC, 1 MB L2 per core, one BLAS thread),
-# sensing blocks of 16, 64 and 128 trials took +1.9 %, -0.4 % and -1.5 % of the time at 32
-# (medians of 3 runs, each within +-3 %): flat, so the smaller block is kept.
+# targeted sensing at N = 16, K = 64 (0.5 MB), 512 link symbols at K = 64, 32768 // N rows of an
+# SE mask, 32768 // terms Poisson-sum entries. On the default sweep (2-core AMD EPYC, 1 MB L2 per
+# core, one BLAS thread), sensing blocks of 16, 64 and 128 trials took +1.9 %, -0.4 % and -1.5 %
+# of the time at 32 (medians of 3 runs, each within +-3 %): flat, so the smaller block is kept.
 BLOCK_SAMPLES = 32768
 
 

@@ -126,8 +126,8 @@ def spectral_efficiency(config: LinkConfig | Sequence[LinkConfig], flagged,
     ``transmit_power`` split evenly over its clean modes; a jammed mode has w = p_j * p_c
     (``p_c`` scalar, per mode or (S, N)) and P the mean reflected jamming power, mean PGA
     power gain * ``carrier_variance``. Mixed links, a probability outside [0, 1], a transmit
-    power or carrier variance not finite and >= 0, a nan among them, or a negative or nan
-    SNR (from a nan link gain) raises ValueError.
+    power or carrier variance not finite and >= 0, a nan among them, or a link gain for which
+    |kappa|^2 times that power is not finite raises ValueError, so that no SNR is nan.
     """
     links = [config] if isinstance(config, LinkConfig) else list(config)
     if len({(cfg.n_tx, cfg.pga_gains, cfg.pga_priors) for cfg in links}) != 1:
@@ -142,14 +142,17 @@ def spectral_efficiency(config: LinkConfig | Sequence[LinkConfig], flagged,
     # inf would give a nan SNR: inf * 0 in the mask product, or inf * p_u at p_u = 0
     check_nonnegative("carrier variance", carrier_variance)
     check_nonnegative("transmit power", transmit_power)
+    mean_power_gain = sum(p * g * g for g, p in zip(links[0].pga_gains, links[0].pga_priors))
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow or inf * 0 fails the check
+        kappa2 = np.abs(link_gains) ** 2
+        reflected = kappa2 * mean_power_gain * carrier_variance
+    if not np.all(np.isfinite(reflected)):
+        raise ValueError(f"link gains must be finite, their reflected powers too: {link_gains}")
     flagged = np.asarray(flagged, dtype=bool)
     shape, flagged = flagged.shape[:-1], flagged.reshape(-1, flagged.shape[-1])
     n_clean = flagged.shape[-1] - flagged.sum(axis=-1)
-    kappa2 = np.abs(link_gains) ** 2
     floors = np.array([[cfg.receiver_floor] for cfg in links])   # (S, 1)
-    mean_power_gain = sum(p * g * g for g, p in zip(links[0].pga_gains, links[0].pga_priors))
-    jammed = p_j * p_c * kappa2 * mean_power_gain * carrier_variance / floors   # (S, N)
-    valid, jammed_rates = np.all(jammed >= 0.0), np.log2(1.0 + jammed)   # nan fails too
+    jammed_rates = np.log2(1.0 + p_j * p_c * kappa2 * mean_power_gain * carrier_variance / floors)
     baseline, flagged_rates = np.empty((2, len(links), len(flagged)))
     # a clean mode's SNR depends on its trial only through the clean count: one table and one
     # 0/1 float mask per count (the rates are finite and >= 0, so it zeroes what np.where
@@ -160,16 +163,13 @@ def spectral_efficiency(config: LinkConfig | Sequence[LinkConfig], flagged,
     for count in np.flatnonzero(np.bincount(n_clean)):
         group = np.flatnonzero(n_clean == count)
         # a row with no clean mode keeps SNR 0, so the full total on one mode cannot overflow
-        clean = p_u * kappa2 * (transmit_power / count if count else 0.0) / floors
-        valid &= np.all(clean >= 0.0)
-        clean_rates = np.log2(1.0 + clean)
+        clean_rates = np.log2(1.0 + p_u * kappa2 * (transmit_power / count if count else 0.0)
+                              / floors)
         for rows in (group[start:start + step] for start in range(0, len(group), step)):
             mask = flagged[rows].astype(float)
             flagged_rates[:, rows] = np.einsum("tn,sn->st", mask, jammed_rates)
             baseline[:, rows] = np.einsum("tn,sn->st", np.subtract(1.0, mask, out=mask),
                                           clean_rates)
-    if not valid:
-        raise ValueError(f"negative or nan SNR from the link gains {link_gains}")
     shape = shape if isinstance(config, LinkConfig) else (len(links),) + shape
     return {PROPOSED: (baseline + flagged_rates).reshape(shape), BASELINE: baseline.reshape(shape)}
 

@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from .config import check_count
+from .jamming import BLOCK_SAMPLES
 
 
 @functools.lru_cache(maxsize=8)
@@ -33,20 +34,21 @@ def _poisson_window(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _poisson_sum(x: np.ndarray, i: np.ndarray, log_factorial: np.ndarray) -> np.ndarray:
     """Sum over the indices i of the Poisson terms e^-x x^i / i!, one per entry of 1-D x > 0."""
-    x = x[:, None]
-    return np.exp(i * np.log(x) - x - log_factorial).sum(axis=1)
+    # the (entries, terms) array, BLOCK_SAMPLES at a time: each entry sums its own row alone
+    sums, step = np.empty(len(x)), max(1, BLOCK_SAMPLES // len(i))
+    for start in range(0, len(x), step):
+        block = x[start:start + step, None]
+        sums[start:start + step] = np.exp(i * np.log(block) - block - log_factorial).sum(axis=1)
+    return sums
 
 
 def _regularized_gamma_p(k: int, x) -> np.ndarray:
-    """P(k, x) for an integer k >= 1, elementwise on x >= 0; nan or x < 0 raise ValueError.
+    """P(k, x) for an integer k >= 1, elementwise on a float array x >= 0 (inf too, not nan).
 
     Each term is exp(i ln x - x - ln i!): i in [k, k + m) below x = k, and 1 minus the sum
     over i in [k - m, k) at or above it. Terms fall off like exp(-j^2 / 2k) at a distance j
     from k, so m = ceil(9 sqrt(k)) + 30 drops under e^-40 of a tail.
     """
-    x = np.asarray(x, dtype=float)
-    if not np.all(x >= 0.0):   # nan fails too
-        raise ValueError(f"P(k, x) needs x >= 0, got {x}")
     i, log_factorial = _poisson_window(k)
     split = k - int(i[0])   # the window position of i = k
     p = np.array(x == math.inf, dtype=float)   # P(k, 0) = 0 and P(k, inf) = 1
@@ -59,7 +61,8 @@ def _regularized_gamma_p(k: int, x) -> np.ndarray:
 def gamma_cdf(x, shape: int, scale):
     """P[Gamma(shape, scale) <= x] for an integer shape (a sample count).
 
-    Elementwise on arrays, a float for scalars. A zero scale is a point mass at zero.
+    Elementwise on arrays, a float for scalars. A zero scale is a point mass at zero, and
+    x = inf gives 1 at every scale.
     """
     x, scale = np.asarray(x, dtype=float), np.asarray(scale, dtype=float)
     if not np.all(x >= 0.0):
@@ -68,7 +71,8 @@ def gamma_cdf(x, shape: int, scale):
     if not np.all(scale >= 0.0):
         raise ValueError(f"gamma_cdf scale must be >= 0, got {scale}")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ratio = np.where(scale > 0.0, x / scale, math.inf)   # an overflow is P = 1 too
+        # an overflow is P = 1 too, and so is x = inf, where inf / inf would be nan
+        ratio = np.where((scale > 0.0) & (x < math.inf), x / scale, math.inf)
     p = _regularized_gamma_p(int(shape), ratio)
     return float(p) if p.ndim == 0 else p
 

@@ -169,6 +169,16 @@ MUTANTS = (
     # the per-count clean SNR table: the transmit total split over one mode more
     Mutant("clean-share-count-plus-one", "src/oam_antijam/metrics.py",
            "transmit_power / count if count", "transmit_power / (count + 1) if count"),
+    # each input checked where it enters: the SE kernel's link gains and their reflected
+    # powers, the PGA's level order
+    Mutant("se-link-gain-check-dropped", "src/oam_antijam/metrics.py",
+           "if not np.all(np.isfinite(reflected)):", "if False:"),
+    Mutant("pga-order-check-dropped", "src/oam_antijam/config.py",
+           "if gains[1] <= gains[0]:", "if False:"),
+    # the gamma CDF's Poisson sum: only its first block of entries summed, the rest left unset
+    Mutant("gamma-first-poisson-block-only", "src/oam_antijam/sensing.py",
+           "for start in range(0, len(x), step)",
+           "for start in range(0, min(len(x), step), step)"),
     Mutant("preamble-even-slice", "src/oam_antijam/backscatter.py",
            "energies[0::2]", "energies[::2]",
            "the same slice: a start of 0 is the default"),

@@ -228,14 +228,16 @@ class TestModeSnr:
         ("p_c", np.r_[np.full(15, 0.5), np.nan], "p_c"),
         ("carrier_variance", np.nan, "carrier variance"),
         ("transmit_power", np.nan, "transmit power"),
-        ("link_gains", np.r_[np.nan, np.ones(15)], "nan SNR"),
+        ("link_gains", np.r_[np.nan, np.ones(15)], "link gains must be finite"),
+        ("link_gains", np.r_[np.inf, np.ones(15)], "link gains must be finite"),
+        ("link_gains", np.r_[1e200, np.ones(15)], "link gains must be finite"),
         ("transmit_power", -1.0, "transmit power"),
         ("transmit_power", np.inf, "transmit power"),
         ("carrier_variance", np.inf, "carrier variance")])
     def test_nan_rejected(self, name, value, message):
         # a check for values outside [0, 1] or below 0 lets nan through to the SNRs, an
         # infinite power at p_u = 0 would give a nan SNR, and so would an infinite carrier
-        # variance on a flagged mode (inf * False in the mask product)
+        # variance on a flagged mode (inf * False in the mask product), or an infinite link gain
         args = dict(link_gains=self.gains(), transmit_power=self.POWER, carrier_variance=1.0,
                     p_j=1.0, p_u=0.5) | {name: value}
         with pytest.raises(ValueError, match=message):

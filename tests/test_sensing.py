@@ -1,6 +1,7 @@
 """Energy detector: mode flags, gamma CDF, and analytic/Monte Carlo agreement."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -75,6 +76,7 @@ class TestGammaCdf:
     def test_edges(self):
         assert gamma_cdf(0.0, 64, 1.0) == 0.0
         assert gamma_cdf(math.inf, 64, 1.0) == 1.0
+        assert gamma_cdf(math.inf, 64, math.inf) == 1.0  # not inf / inf, a nan
         assert gamma_cdf(1.0, 64, 1e-320) == 1.0  # x / scale overflows to inf
 
     @pytest.mark.parametrize("shape", [2.5, 2.0, "3", math.nan, 0, -1])
@@ -131,6 +133,23 @@ class TestGammaCdfOnArrays:
         assert got.shape == (4, 6)
         assert got.tolist() == [[gamma_cdf(float(x), k, float(s)) for x, s in zip(row, scales)]
                                 for row in xs]
+        # at K = 4096 each tail sums 606 terms, 54 entries a block: 200 entries span 4 blocks
+        wide = k * np.linspace(0.5, 1.5, 400)
+        assert gamma_cdf(wide, k, 1.0).tolist() == [gamma_cdf(float(x), k, 1.0) for x in wide]
+
+    def test_a_large_grid_peaks_below_8_mb(self):
+        # summed whole, the (entries, terms) Poisson arrays of (9, 4096) entries at K = 64
+        # peaked above 60 MB; a block of BLOCK_SAMPLES terms at a time leaves a few MB
+        rng = np.random.default_rng(40)
+        q_th = rng.uniform(0.5, 3.0, (9, 4096))
+        sigma2_0, sigma2_1 = rng.uniform(0.5, 2.0, 4096), rng.uniform(3.0, 6.0, (9, 4096))
+        tracemalloc.start()
+        try:
+            average_correct_detection(q_th, 64, sigma2_0, sigma2_1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_zero_dimensional_input_gives_a_float(self):
         p = gamma_cdf(np.array(0.5), 64, np.array(1 / 64))
